@@ -6,6 +6,8 @@ sums of generator images.  All arithmetic is exact over the integers; the
 term-dict inner loops live in the kernel backend selected by `_kernels`.
 """
 
+import math
+
 from .errors import (
     InexactDivision,
     InvalidBasis,
@@ -141,11 +143,35 @@ def integer_determinant(matrix):
 
 
 def integer_rank(matrix):
-    """Rank over Q of an integer matrix, computed exactly."""
-    D, _, _ = smith_normal_form(matrix)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    return sum(1 for i in range(min(m, n)) if D[i][i] != 0)
+    """Rank over Q of an integer matrix (any iterable of rows), computed exactly.
+
+    Fraction-free row echelon without transforms: each row is reduced against
+    the pivot rows found so far (cross-multiplication, then division by the
+    gcd of its entries so that values stay small) and becomes a new pivot row
+    when something is left.  Rows after the rank reaches the column count are
+    not read.
+    """
+    pivots = []  # (column, pivot row), in the order found
+    width = None
+    for row in matrix:
+        r = [int(x) for x in row]
+        if width is None:
+            width = len(r)
+        elif len(r) != width:
+            raise ValueError("ragged matrix")
+        for col, p in pivots:
+            c = r[col]
+            if c:
+                a = p[col]
+                r = [a * x - c * y for x, y in zip(r, p)]
+        for col, x in enumerate(r):
+            if x:
+                g = math.gcd(*r)
+                pivots.append((col, [y // g for y in r] if g > 1 else r))
+                break
+        if len(pivots) == width:
+            break
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import AbelianizationMap, abelianize_presentation
-from .errors import FoxTorsionError, InputFileError, RankUnsupported
+from .errors import (
+    FoxTorsionError,
+    InputEncodingError,
+    InputFileError,
+    RankUnsupported,
+)
 from .equivalence import compare_torsion
 from .lyon import LyonCase, expected_torsion, lyon_input
 from .polytope import (
@@ -126,8 +131,17 @@ def parse_torsion_file(text):
 
 
 def load_torsion_file(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_torsion_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputEncodingError(
+            f"line {line}: byte 0x{data[exc.start]:02x} is not ASCII; "
+            "input files must be ASCII"
+        ) from None
+    return parse_torsion_file(text)
 
 
 def torsion_input_from_file(tfile):
@@ -163,6 +177,8 @@ def _polygon_dict(polygon):
 
 
 def _torsion_body(tclass, names):
+    """The report's torsion section, and the class's Newton polygon (None for
+    the zero class and in rank > 2) for the caller to reuse."""
     body = {
         "variables": list(names),
         "terms": [
@@ -176,19 +192,21 @@ def _torsion_body(tclass, names):
         body["support"] = []
         body["polygon"] = None
         body["sfh_polytope"] = None
-        return body
+        return body, None
     points = support(tclass)
     body["support"] = [list(p) for p in sorted(points.points)]
     try:
-        body["polygon"] = _polygon_dict(newton_polytope(points))
-        body["sfh_polytope"] = _polygon_dict(sfh_polytope(tclass))
+        hull = newton_polytope(points)
     except RankUnsupported:
         body["polygon"] = {
             "dimension": affine_dimension(points.points),
             "note": "hull structure unavailable for rank > 2",
         }
         body["sfh_polytope"] = None
-    return body
+        return body, None
+    body["polygon"] = _polygon_dict(hull)
+    body["sfh_polytope"] = _polygon_dict(sfh_polytope(tclass, hull))
+    return body, hull
 
 
 def _witness_dict(witness):
@@ -229,7 +247,7 @@ def _plot_payload(body):
 def cmd_torsion(path):
     tinput = torsion_input_from_file(load_torsion_file(path))
     tclass = sutured_torsion(tinput)
-    body = _torsion_body(tclass, tinput.abelianization.basis_names)
+    body, _ = _torsion_body(tclass, tinput.abelianization.basis_names)
     report = {
         "command": "torsion",
         "arguments": {"file": path},
@@ -244,14 +262,13 @@ def cmd_compare(path1, path2):
     in2 = torsion_input_from_file(load_torsion_file(path2))
     t1 = sutured_torsion(in1)
     t2 = sutured_torsion(in2)
-    body1 = _torsion_body(t1, in1.abelianization.basis_names)
-    body2 = _torsion_body(t2, in2.abelianization.basis_names)
-    verdict = compare_torsion(t1, t2)
-    polygons = None
-    if not t1.is_zero and not t2.is_zero and t1.rank <= 2 and t2.rank <= 2:
-        polygons = polygon_affine_equivalent(
-            newton_polytope(support(t1)), newton_polytope(support(t2))
-        )
+    body1, hull1 = _torsion_body(t1, in1.abelianization.basis_names)
+    body2, hull2 = _torsion_body(t2, in2.abelianization.basis_names)
+    hulls = polygons = None
+    if hull1 is not None and hull2 is not None:
+        hulls = (hull1, hull2)
+        polygons = polygon_affine_equivalent(hull1, hull2)
+    verdict = compare_torsion(t1, t2, hulls)
     report = {
         "command": "compare",
         "arguments": {"first": path1, "second": path2},
@@ -273,7 +290,7 @@ def cmd_family(n, surface):
     tclass = sutured_torsion(tinput)
     oracle = expected_torsion(case)
     names = tinput.abelianization.basis_names
-    body = _torsion_body(tclass, names)
+    body, _ = _torsion_body(tclass, names)
     report = {
         "command": "family",
         "arguments": {"n": n, "surface": surface},

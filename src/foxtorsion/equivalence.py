@@ -137,34 +137,45 @@ def _line_candidates(t1, t2, hull1, hull2):
     return [(forward, v_fwd), (backward, v_bwd)]
 
 
-def _battery(t1, t2):
-    """First mismatched affine invariant, or None when all agree."""
+def _battery(t1, t2, points1, points2, hulls=None):
+    """First mismatched affine invariant (None when all agree), and the two
+    Newton polygons in rank <= 2 once the support sizes agree: ``hulls`` when
+    given, else built here, so that the caller need not build them again."""
     coeffs1 = sorted(t1.representative.terms.values())
     coeffs2 = sorted(t2.representative.terms.values())
     coeffs2_neg = sorted(-c for c in coeffs2)
     if coeffs1 != coeffs2 and coeffs1 != coeffs2_neg:
-        return "coefficient_multiset"
-    if len(t1.support_points()) != len(t2.support_points()):
-        return "support_size"
-    if affine_dimension(t1.support_points()) != affine_dimension(t2.support_points()):
-        return "hull_dimension"
-    if t1.rank <= 2:
-        h1 = newton_polytope(SupportSet(t1.rank, t1.support_points()))
-        h2 = newton_polytope(SupportSet(t2.rank, t2.support_points()))
-        if h1.edge_length_multiset() != h2.edge_length_multiset():
-            return "edge_length_multiset"
-        if h1.doubled_area() != h2.doubled_area():
-            return "normalized_area"
-        if h1.lattice_point_count() != h2.lattice_point_count():
-            return "hull_lattice_points"
-    return None
+        return "coefficient_multiset", None
+    if len(points1) != len(points2):
+        return "support_size", None
+    if t1.rank > 2:
+        if affine_dimension(points1) != affine_dimension(points2):
+            return "hull_dimension", None
+        return None, None
+    if hulls is None:
+        hulls = (
+            newton_polytope(SupportSet(t1.rank, points1)),
+            newton_polytope(SupportSet(t2.rank, points2)),
+        )
+    h1, h2 = hulls
+    if h1.dimension != h2.dimension:
+        return "hull_dimension", hulls
+    if h1.edge_length_multiset() != h2.edge_length_multiset():
+        return "edge_length_multiset", hulls
+    if h1.doubled_area() != h2.doubled_area():
+        return "normalized_area", hulls
+    if h1.lattice_point_count() != h2.lattice_point_count():
+        return "hull_lattice_points", hulls
+    return None, hulls
 
 
-def compare_torsion(t1, t2):
+def compare_torsion(t1, t2, hulls=None):
     """Decide equivalence of two torsion classes, exactly in rank <= 2.
 
     Returns Equivalent with a verified witness, NotEquivalent with the name of
-    a distinguishing invariant, or Inconclusive only in rank > 2.
+    a distinguishing invariant, or Inconclusive only in rank > 2.  A caller
+    that already holds the Newton polygons of both supports (rank <= 2) may
+    pass them as ``hulls`` so that they are not built again.
     """
     if t1.rank != t2.rank:
         return EquivalenceVerdict("NotEquivalent", reason="rank")
@@ -174,7 +185,8 @@ def compare_torsion(t1, t2):
             return EquivalenceVerdict("Equivalent", witness=_identity_witness(rank))
         return EquivalenceVerdict("NotEquivalent", reason="support_size")
 
-    mismatch = _battery(t1, t2)
+    points1, points2 = t1.support_points(), t2.support_points()
+    mismatch, hulls = _battery(t1, t2, points1, points2, hulls)
     if mismatch:
         return EquivalenceVerdict("NotEquivalent", reason=mismatch)
 
@@ -183,11 +195,10 @@ def compare_torsion(t1, t2):
         return EquivalenceVerdict("Equivalent", witness=_identity_witness(0))
 
     if rank == 1:
-        top = max(e[0] for e in t1.support_points())
+        top = max(e[0] for e in points1)
         candidates = [(((1,),), (0,)), (((-1,),), (top,))]
     elif rank == 2:
-        hull1 = newton_polytope(SupportSet(rank, t1.support_points()))
-        hull2 = newton_polytope(SupportSet(rank, t2.support_points()))
+        hull1, hull2 = hulls
         if hull1.dimension == 0:
             candidates = [(_identity_witness(2).matrix, (0, 0))]
         elif hull1.dimension == 1:

@@ -17,6 +17,14 @@ class WordSizeError(FoxTorsionError):
     """A word or exponent exceeded the configured expansion limits."""
 
 
+class InvalidGeneratorName(FoxTorsionError, ValueError):
+    """A generator name is not an ASCII identifier ``[A-Za-z][A-Za-z0-9_]*``."""
+
+
+class DuplicateGenerator(FoxTorsionError, ValueError):
+    """A presentation lists the same generator name twice."""
+
+
 class UnknownGenerator(FoxTorsionError):
     """A word uses a generator that the ambient presentation or map does not know."""
 
@@ -70,3 +78,7 @@ class UnsupportedN(FoxTorsionError):
 
 class InputFileError(FoxTorsionError):
     """A sectioned CLI input file is malformed."""
+
+
+class InputEncodingError(InputFileError):
+    """A CLI input file holds a byte outside ASCII."""

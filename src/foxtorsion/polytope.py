@@ -33,8 +33,7 @@ def affine_dimension(points):
     if len(pts) <= 1:
         return 0
     base = pts[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
-    return integer_rank(diffs)
+    return integer_rank([c - b for c, b in zip(p, base)] for p in pts[1:])
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,16 @@ def newton_polytope(support_set):
     return LatticePolygon(2, verts, tuple(edges))
 
 
-def sfh_polytope(t):
-    """Hull of the support with all coordinates doubled (the Chern-class scaling)."""
-    sup = support(t)
+def sfh_polytope(t, hull=None):
+    """Hull of the support with all coordinates doubled (the Chern-class scaling).
+
+    Since hull(2S) = 2 hull(S), only the vertices of the Newton polygon are
+    doubled; pass ``hull`` when the caller has already built it.
+    """
+    if hull is None:
+        hull = newton_polytope(support(t))
     doubled = SupportSet(
-        sup.rank, frozenset(tuple(2 * c for c in p) for p in sup.points)
+        t.rank, frozenset(tuple(2 * c for c in p) for p in hull.vertices)
     )
     return newton_polytope(doubled)
 

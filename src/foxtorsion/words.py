@@ -16,7 +16,13 @@ emits the ``a^-1`` exponent form, so rendered words re-parse to themselves.
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownGenerator, WordSizeError
+from .errors import (
+    DuplicateGenerator,
+    InvalidGeneratorName,
+    ParseError,
+    UnknownGenerator,
+    WordSizeError,
+)
 
 # Words are stored fully expanded, so powers with huge exponents are rejected
 # instead of represented symbolically.
@@ -34,7 +40,7 @@ class Generator:
 
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid generator name {self.name!r}")
+            raise InvalidGeneratorName(f"invalid generator name {self.name!r}")
 
     def __str__(self):
         return self.name
@@ -222,7 +228,7 @@ class Presentation:
         )
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise DuplicateGenerator(f"duplicate generator names in {names}")
         rels = []
         for r in relators:
             word = r if isinstance(r, Word) else parse_word(str(r), gens)

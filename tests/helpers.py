@@ -1,6 +1,6 @@
-"""Shared randomized-input builders for the test suite."""
+"""Shared randomized-input builders and call counters for the test suite."""
 
-from foxtorsion import LaurentPoly, Word
+from foxtorsion import LaurentPoly, Word, cli, equivalence, polytope
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -50,3 +50,21 @@ def apply_affine(terms, U, v, sign=1):
         )
         out[key] = out.get(key, 0) + sign * coeff
     return {k: c for k, c in out.items() if c}
+
+
+def count_hull_builds(monkeypatch):
+    """Count ``newton_polytope`` calls at every module that binds it.
+
+    Returns a list that receives the size of each hulled point set, one entry
+    per call, for as long as the monkeypatch lasts.
+    """
+    sizes = []
+    original = polytope.newton_polytope
+
+    def counted(support_set):
+        sizes.append(len(support_set.points))
+        return original(support_set)
+
+    for module in (polytope, equivalence, cli):
+        monkeypatch.setattr(module, "newton_polytope", counted)
+    return sizes

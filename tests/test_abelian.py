@@ -12,6 +12,7 @@ from foxtorsion import (
     Word,
     abelianize_presentation,
     integer_determinant,
+    integer_rank,
     parse_word,
     smith_normal_form,
 )
@@ -57,6 +58,46 @@ def test_smith_normal_form_randomized():
                 assert d2 == 0
             else:
                 assert d2 % d1 == 0
+
+
+def snf_rank(matrix):
+    """Reference rank: the number of nonzero Smith normal form diagonal entries."""
+    D, _, _ = smith_normal_form(matrix)
+    return sum(1 for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square matrices, some built as a product through a
+    narrower middle so that their rank is deficient, with entries up to 10^30."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from((2, 9, 10**6, 10**30)))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(n)] for _ in range(m)]
+    k = draw(st.integers(0, min(m, n) - 1))
+    B = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    C = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_rank_matches_smith_normal_form(matrix):
+    assert integer_rank(matrix) == snf_rank(matrix)
+    assert integer_rank(iter(matrix)) == snf_rank(matrix)
+
+
+def test_integer_rank_edge_cases():
+    assert integer_rank([]) == 0
+    assert integer_rank([[0, 0], [0, 0]]) == 0
+    assert integer_rank([[]]) == 0
+    assert integer_rank([[2, 4], [3, 6], [10**40, 2 * 10**40]]) == 1
+    # rows after full rank are not read
+    assert integer_rank(iter([[1, 0], [0, 1], None])) == 2
+    with pytest.raises(ValueError):
+        integer_rank([[1, 2], [3]])
 
 
 # -- abelianization -----------------------------------------------------------

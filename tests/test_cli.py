@@ -5,6 +5,8 @@ import pytest
 from foxtorsion.cli import main, parse_torsion_file
 from foxtorsion.errors import InputFileError
 
+from helpers import count_hull_builds
+
 LYON_S0 = """\
 # complement of the first surface, twist parameter 0
 [generators]
@@ -141,6 +143,20 @@ def test_compare_lyon_pair(tmp_path, capsys):
     assert report["polytopes_affine_equivalent"] is False
 
 
+def test_compare_command_builds_each_hull_once(tmp_path, capsys, monkeypatch):
+    p1 = tmp_path / "s0.tor"
+    p1.write_text(LYON_S0)
+    p2 = tmp_path / "sp0.tor"
+    p2.write_text(LYON_SPRIME0)
+    sizes = count_hull_builds(monkeypatch)
+    code, report, _ = run(capsys, "compare", str(p1), str(p2))
+    assert code == 0
+    assert report["torsion_verdict"]["reason"] == "edge_length_multiset"
+    # per file: the support's hull, then the doubled hull of its 4 vertices;
+    # compare_torsion reuses the support hulls
+    assert sizes == [6, 4, 6, 4]
+
+
 LYON_S_MINUS1 = """\
 [generators]
 a b x
@@ -250,3 +266,30 @@ def test_json_and_plot_data_files(tmp_path, capsys):
     ]
     assert plot["hull_vertices"]
     assert plot["sfh_polytope_vertices"]
+
+
+def _assert_json_error(capsys, path, error_type):
+    code = main(["torsion", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"]["type"] == error_type
+    return report
+
+
+def test_torsion_command_duplicate_generators(tmp_path, capsys):
+    path = tmp_path / "dup.tor"
+    path.write_text("[generators]\na a x\n[relators]\nx\n[inclusion]\na\n")
+    _assert_json_error(capsys, path, "DuplicateGenerator")
+
+
+def test_torsion_command_invalid_generator_name(tmp_path, capsys):
+    path = tmp_path / "name.tor"
+    path.write_text("[generators]\n1a b\n[relators]\n[inclusion]\nb\nb\n")
+    _assert_json_error(capsys, path, "InvalidGeneratorName")
+
+
+def test_torsion_command_non_ascii_file(tmp_path, capsys):
+    path = tmp_path / "utf8.tor"
+    path.write_bytes("[generators]\na b\n[relators]\n[inclusion]\nα\nb\n".encode("utf-8"))
+    report = _assert_json_error(capsys, path, "InputEncodingError")
+    assert report["error"]["message"].startswith("line 5:")

@@ -8,7 +8,7 @@ from foxtorsion import (
     expected_torsion,
 )
 
-from helpers import apply_affine, random_laurent, random_unimodular
+from helpers import apply_affine, count_hull_builds, random_laurent, random_unimodular
 
 
 def classify(terms, rank=2):
@@ -35,6 +35,19 @@ def test_family_sweep_not_equivalent():
             expected_torsion(n, "S"), expected_torsion(n, "Sprime")
         )
         assert verdict.kind == "NotEquivalent", n
+
+
+def test_compare_builds_each_hull_once(monkeypatch):
+    t1 = expected_torsion(4, "S")
+    t2 = classify(apply_affine(t1.representative.terms, ((2, 1), (1, 1)), (3, -2), -1))
+    other = expected_torsion(4, "Sprime")
+    size = len(t1.representative.terms)
+    sizes = count_hull_builds(monkeypatch)
+    assert compare_torsion(t1, t2).kind == "Equivalent"
+    assert sizes == [size, size]
+    sizes.clear()
+    assert compare_torsion(t1, other).reason == "edge_length_multiset"
+    assert sizes == [size, len(other.representative.terms)]
 
 
 # -- unit and coordinate ambiguities -------------------------------------------

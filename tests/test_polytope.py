@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from foxtorsion import (
     LaurentPoly,
     SupportSet,
     TorsionClass,
+    affine_dimension,
     expected_torsion,
     newton_polytope,
     polygon_affine_equivalent,
     sfh_polytope,
     support,
+    smith_normal_form,
     transform_polygon,
 )
 from foxtorsion.errors import RankUnsupported, ZeroTorsion
@@ -51,6 +56,48 @@ def test_support_of_monomial():
 def test_support_of_zero_raises():
     with pytest.raises(ZeroTorsion):
         support(TorsionClass(LaurentPoly.zero(2)))
+
+
+@st.composite
+def point_sets(draw):
+    """Integer point sets in ranks 1-4: generic ones, and ones spanned by one
+    or two random directions (collinear and coplanar sets) from a base point."""
+    rank = draw(st.integers(1, 4))
+    coord = st.integers(-20, 20)
+    vector = st.tuples(*[coord] * rank)
+    count = draw(st.integers(1, 12))
+    span = draw(st.integers(0, rank))
+    if span == rank:
+        return [draw(vector) for _ in range(count)]
+    base = draw(vector)
+    directions = [draw(vector) for _ in range(span)]
+    small = st.integers(-5, 5)
+    points = []
+    for _ in range(count):
+        steps = [draw(small) for _ in directions]
+        points.append(
+            tuple(
+                base[i] + sum(s * d[i] for s, d in zip(steps, directions))
+                for i in range(rank)
+            )
+        )
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_affine_dimension_matches_smith_normal_form(points):
+    base = points[0]
+    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
+    if diffs:
+        D, _, _ = smith_normal_form(diffs)
+        expected = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i])
+    else:
+        expected = 0
+    assert affine_dimension(points) == expected
+    if len(base) <= 2:
+        hull = newton_polytope(SupportSet(len(base), frozenset(points)))
+        assert hull.dimension == expected
 
 
 # -- hulls --------------------------------------------------------------------
@@ -196,6 +243,18 @@ def test_sfh_polytope_of_primed_case():
 
 def test_sfh_polytope_of_monomial_is_point():
     assert sfh_polytope(TorsionClass(LaurentPoly.monomial((1, 1)))).dimension == 0
+
+
+def test_sfh_polytope_equals_hull_of_doubled_support():
+    rng = random.Random(89)
+    for _ in range(100):
+        t = TorsionClass(random_laurent(rng, nonzero=True, max_terms=9))
+        doubled = SupportSet(
+            2, frozenset(tuple(2 * c for c in p) for p in support(t).points)
+        )
+        reference = newton_polytope(doubled)
+        assert sfh_polytope(t) == reference
+        assert sfh_polytope(t, newton_polytope(support(t))) == reference
 
 
 def test_doubling_preserves_length_ratios():
