@@ -3,7 +3,7 @@
 The free part of the abelianized group is presented as Z^r; a group-ring
 element maps to a Laurent polynomial whose exponent vectors are the signed
 sums of generator images.  All arithmetic is exact over the integers; the
-term-dict inner loops live in the kernel backend selected by `_kernels`.
+term-dict inner loops live in `_kernels`.
 """
 
 import math

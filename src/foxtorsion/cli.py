@@ -33,6 +33,7 @@ from .errors import (
     InputEncodingError,
     InputFileError,
     RankUnsupported,
+    UsageError,
 )
 from .equivalence import compare_torsion
 from .lyon import LyonCase, expected_torsion, lyon_input
@@ -323,8 +324,20 @@ def cmd_sfh_torus(p, q, n):
 # entry point
 
 
+_COMMANDS = ("torsion", "compare", "family", "sfh-torus")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError, so that a bad command line gets a JSON report too,
+    where argparse would print usage and exit 2.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="foxtorsion",
         description="Exact torsion polynomials of sutured manifolds via Fox calculus.",
     )
@@ -354,41 +367,51 @@ def _build_parser():
     return parser
 
 
+def _error_report(command, kind, exc):
+    return {"command": command, "error": {"type": kind, "message": str(exc)}}
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_files(args, report, plot):
+    # The plot goes first: if either write fails, no report file is left
+    # that disagrees with the IOError report on stdout.
+    if args.plot_data and plot is not None:
+        with open(args.plot_data, "w", encoding="ascii") as fh:
+            fh.write(_dumps(plot))
+    if args.json:
+        with open(args.json, "w", encoding="ascii") as fh:
+            fh.write(_dumps(report))
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    plot = None
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = plot = None
     try:
-        if args.command == "torsion":
+        args = _build_parser().parse_args(argv)
+        command = args.command
+        if command == "torsion":
             report, plot = cmd_torsion(args.file)
-        elif args.command == "compare":
+        elif command == "compare":
             report, plot = cmd_compare(args.file1, args.file2)
-        elif args.command == "family":
+        elif command == "family":
             report, plot = cmd_family(args.n, args.surface)
         else:
             report, plot = cmd_sfh_torus(args.p, args.q, args.n)
-        code = 0
     except FoxTorsionError as exc:
-        report = {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        code = 1
+        report = _error_report(command, type(exc).__name__, exc)
     except OSError as exc:
-        report = {
-            "command": args.command,
-            "error": {"type": "IOError", "message": str(exc)},
-        }
-        code = 1
-
-    text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text)
-    if args.plot_data and plot is not None and code == 0:
-        with open(args.plot_data, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(plot, indent=2) + "\n")
-    return code
+        report = _error_report(command, "IOError", exc)
+    if args is not None:
+        try:
+            _write_files(args, report, plot)
+        except OSError as exc:
+            report = _error_report(command, "IOError", exc)
+    sys.stdout.write(_dumps(report))
+    return 1 if "error" in report else 0
 
 
 if __name__ == "__main__":

@@ -76,6 +76,10 @@ class UnsupportedN(FoxTorsionError):
     """The knot-family parameter lies outside the supported range n >= -1."""
 
 
+class UsageError(FoxTorsionError):
+    """The command line does not fit the CLI grammar."""
+
+
 class InputFileError(FoxTorsionError):
     """A sectioned CLI input file is malformed."""
 

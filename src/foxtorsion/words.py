@@ -9,8 +9,9 @@ The text grammar, used both in the library and in CLI input files:
 
 Generator names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only), juxtaposed
 atoms must be separated by whitespace or parentheses, whitespace is otherwise
-ignored, and the empty string denotes the identity.  The canonical renderer
-emits the ``a^-1`` exponent form, so rendered words re-parse to themselves.
+ignored, parentheses nest at most ``MAX_NESTING`` deep, and the empty string
+denotes the identity.  The canonical renderer emits the ``a^-1`` exponent
+form, so rendered words re-parse to themselves.
 """
 
 import re
@@ -28,6 +29,9 @@ from .errors import (
 # instead of represented symbolically.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
+# The parser recurses once per '(', so deeper nesting is rejected before it
+# can exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -159,7 +163,8 @@ def parse_word(text, generators):
     """Parse the word grammar over the given generators; returns a reduced Word.
 
     Raises ParseError (with position) for unknown generator names, malformed
-    exponents, unbalanced parentheses, or stray characters.
+    exponents, unbalanced parentheses, parentheses nested deeper than
+    MAX_NESTING, or stray characters.
     """
     names = {_gen_name(g) for g in generators}
     pos = 0
@@ -192,6 +197,10 @@ def parse_word(text, generators):
             if pos >= n or text[pos] == ")":
                 return acc
             if text[pos] == "(":
+                if depth == MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {MAX_NESTING}", pos
+                    )
                 open_pos = pos
                 pos += 1
                 atom = parse_sequence(depth + 1)

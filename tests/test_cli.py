@@ -293,3 +293,55 @@ def test_torsion_command_non_ascii_file(tmp_path, capsys):
     path.write_bytes("[generators]\na b\n[relators]\n[inclusion]\nα\nb\n".encode("utf-8"))
     report = _assert_json_error(capsys, path, "InputEncodingError")
     assert report["error"]["message"].startswith("line 5:")
+
+
+def test_torsion_command_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.tor"
+    deep = "(" * 3000 + "a" + ")" * 3000
+    path.write_text(f"[generators]\na b\n[relators]\n[inclusion]\n{deep}\nb\n")
+    report = _assert_json_error(capsys, path, "ParseError")
+    assert "nested deeper" in report["error"]["message"]
+
+
+def test_unwritable_json_path_gives_one_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, report, _ = run(
+        capsys, "family", "--n", "2", "--surface", "S", "--json", str(target)
+    )
+    assert code == 1
+    assert report == {
+        "command": "family",
+        "error": {"type": "IOError", "message": report["error"]["message"]},
+    }
+    assert not target.exists()
+
+
+def test_unwritable_plot_data_path_gives_one_io_error(tmp_path, capsys):
+    json_path = tmp_path / "report.json"
+    target = tmp_path / "missing" / "plot.json"
+    code, report, _ = run(
+        capsys,
+        "family", "--n", "2", "--surface", "S",
+        "--json", str(json_path),
+        "--plot-data", str(target),
+    )
+    assert code == 1
+    assert report["error"]["type"] == "IOError"
+    assert "torsion" not in report
+    assert not json_path.exists()
+
+
+def test_usage_errors_give_a_json_report(capsys):
+    code, report, _ = run(capsys, "family", "--n", "abc", "--surface", "S")
+    assert code == 1
+    assert report["command"] == "family"
+    assert report["error"]["type"] == "UsageError"
+    assert "--n" in report["error"]["message"]
+    code, report, _ = run(capsys)
+    assert code == 1
+    assert report["command"] is None
+    assert report["error"]["type"] == "UsageError"
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: foxtorsion")

@@ -1,22 +1,9 @@
-"""Parity checks between the compiled and pure-Python kernel backends."""
+"""The term-dict kernels against a naive `collections.Counter` reference."""
 
-import os
 import random
-import subprocess
-import sys
+from collections import Counter
 
-import pytest
-
-from foxtorsion import _poly_python
-
-try:
-    from foxtorsion import _poly_core
-except ImportError:
-    _poly_core = None
-
-needs_compiled = pytest.mark.skipif(
-    _poly_core is None, reason="compiled kernel not built"
-)
+from foxtorsion._kernels import add_terms, iadd_scaled, mul_terms
 
 
 def rand_terms(rng, nterms, rank=2, span=6, coeff=10**6):
@@ -27,68 +14,103 @@ def rand_terms(rng, nterms, rank=2, span=6, coeff=10**6):
     }
 
 
-@needs_compiled
-def test_mul_terms_parity():
+def shifted(k, shift):
+    return tuple(x + y for x, y in zip(k, shift))
+
+
+def nonzero(counter):
+    return {k: v for k, v in counter.items() if v}
+
+
+def ref_mul(a, b):
+    out = Counter()
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[shifted(ka, kb)] += va * vb
+    return nonzero(out)
+
+
+def ref_add(a, b):
+    out = Counter(a)
+    for k, v in b.items():
+        out[k] += v
+    return nonzero(out)
+
+
+def ref_iadd_scaled(acc, src, shift, coeff):
+    out = Counter(acc)
+    for k, v in src.items():
+        out[shifted(k, shift)] += coeff * v
+    return nonzero(out)
+
+
+def assert_no_zero_coefficients(terms):
+    assert all(v != 0 for v in terms.values()), terms
+
+
+def test_mul_terms_matches_reference():
     rng = random.Random(271)
     for _ in range(200):
         a = rand_terms(rng, rng.randint(0, 12))
-        b = rand_terms(rng, rng.randint(0, 12))
-        assert _poly_core.mul_terms(a, b) == _poly_python.mul_terms(a, b)
+        if rng.random() < 0.3:
+            # p(x) * p(-x) is even in x: every odd-power term cancels.
+            b = {k: -v if k[0] % 2 else v for k, v in a.items()}
+        else:
+            b = rand_terms(rng, rng.randint(0, 12))
+        a_before, b_before = dict(a), dict(b)
+        got = mul_terms(a, b)
+        assert got == ref_mul(a, b)
+        assert_no_zero_coefficients(got)
+        assert (a, b) == (a_before, b_before)
 
 
-@needs_compiled
-def test_add_terms_parity():
+def test_add_terms_matches_reference():
     rng = random.Random(277)
     for _ in range(200):
         a = rand_terms(rng, rng.randint(0, 12))
         b = dict(a) if rng.random() < 0.3 else rand_terms(rng, rng.randint(0, 12))
         if rng.random() < 0.3:
             b = {k: -v for k, v in b.items()}  # force cancellations
-        assert _poly_core.add_terms(a, b) == _poly_python.add_terms(a, b)
+        a_before, b_before = dict(a), dict(b)
+        got = add_terms(a, b)
+        assert got == ref_add(a, b)
+        assert_no_zero_coefficients(got)
+        assert (a, b) == (a_before, b_before)
 
 
-@needs_compiled
-def test_iadd_scaled_parity():
+def test_iadd_scaled_matches_reference():
     rng = random.Random(281)
     for _ in range(200):
-        acc1 = rand_terms(rng, rng.randint(0, 10))
-        acc2 = dict(acc1)
-        src = rand_terms(rng, rng.randint(0, 10))
+        acc = rand_terms(rng, rng.randint(0, 10))
         shift = (rng.randint(-4, 4), rng.randint(-4, 4))
-        coeff = rng.randint(-5, 5)
-        _poly_core.iadd_scaled(acc1, src, shift, coeff)
-        _poly_python.iadd_scaled(acc2, src, shift, coeff)
-        assert acc1 == acc2
+        if rng.random() < 0.3:
+            # acc - x^shift * (x^-shift * acc) cancels every term.
+            src = {shifted(k, (-shift[0], -shift[1])): v for k, v in acc.items()}
+            coeff = -1
+        else:
+            src = rand_terms(rng, rng.randint(0, 10))
+            coeff = rng.randint(-5, 5)
+        expected = ref_iadd_scaled(acc, src, shift, coeff)
+        assert iadd_scaled(acc, src, shift, coeff) is None
+        assert acc == expected
+        assert_no_zero_coefficients(acc)
 
 
-@needs_compiled
+def test_iadd_scaled_with_zero_coefficient_leaves_acc_alone():
+    acc = {(0, 0): 3, (1, 2): -1}
+    iadd_scaled(acc, {(0, 0): 5, (2, 2): 1}, (1, -1), 0)
+    assert acc == {(0, 0): 3, (1, 2): -1}
+
+
+def test_iadd_scaled_shifts_and_cancels():
+    acc = {(0, 0): 3, (1, 2): -1}
+    # (3 - a u^2) + a u^-1 (5 + u^3): the a u^2 terms cancel.
+    iadd_scaled(acc, {(0, 0): 5, (0, 3): 1}, (1, -1), 1)
+    assert acc == {(0, 0): 3, (1, -1): 5}
+
+
 def test_big_integer_coefficients_survive():
     big = 10**40
     a = {(0, 0): big, (1, 0): -big}
     b = {(0, 0): big}
-    assert _poly_core.mul_terms(a, b) == {(0, 0): big * big, (1, 0): -big * big}
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, FOXTORSION_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from foxtorsion._kernels import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_default_backend_is_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "FOXTORSION_PURE"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from foxtorsion._kernels import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "compiled"
+    assert mul_terms(a, b) == {(0, 0): big * big, (1, 0): -big * big}

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import Generator, Presentation, Word, parse_word, render_word
+from foxtorsion.words import MAX_NESTING
 from foxtorsion.errors import ParseError, UnknownGenerator, WordSizeError
 
 from helpers import random_word
@@ -64,6 +65,16 @@ def test_parse_unbalanced_parentheses():
         parse_word("(a b", GENS)
     with pytest.raises(ParseError):
         parse_word("a ) b", GENS)
+
+
+def test_parse_nesting_depth_limit():
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_word(deepest, GENS) == parse_word("a", GENS)
+    too_deep = "(" * 3000 + "a" + ")" * 3000
+    with pytest.raises(ParseError) as info:
+        parse_word(too_deep, GENS)
+    assert info.value.position == MAX_NESTING
+    assert str(MAX_NESTING) in str(info.value)
 
 
 def test_parse_rejects_stray_characters():
