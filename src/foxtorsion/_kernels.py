@@ -1,9 +1,31 @@
-"""Term-dict kernels for Laurent polynomial arithmetic.
+"""Term-dict kernels for the group ring and the Laurent ring.
 
-A polynomial is a dict mapping exponent tuples (one integer per variable) to
-nonzero integer coefficients.  These three functions are the inner loops of
-every ring operation.
+A term dict maps keys to nonzero integer coefficients.  `accumulate` and
+`add_terms` only need hashable keys, so they serve both rings: free-group
+`Word`s in the group ring, exponent tuples (one integer per variable) in the
+Laurent ring.  `mul_terms` and `iadd_scaled` add keys as exponent tuples and
+so are Laurent-only.  These four functions are the inner loops of every ring
+operation.
 """
+
+
+def accumulate(pairs):
+    """Term dict of (key, coefficient) pairs: coefficients are summed by key,
+    and zero inputs and zero sums are dropped."""
+    out = {}
+    for k, v in pairs:
+        if not v:
+            continue
+        cur = out.get(k)
+        if cur is None:
+            out[k] = v
+        else:
+            cur += v
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    return out
 
 
 def mul_terms(a, b):

@@ -15,7 +15,7 @@ from .errors import (
     RankMismatch,
     UnknownGenerator,
 )
-from ._kernels import add_terms, iadd_scaled, mul_terms
+from ._kernels import accumulate, add_terms, iadd_scaled, mul_terms
 from .groupring import GroupRingElement
 from .words import Word, render_word
 
@@ -189,25 +189,21 @@ class LaurentPoly:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms=None):
-        self.rank = int(rank)
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, coeff in items:
-                coeff = int(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.rank:
-                    raise RankMismatch(
-                        f"exponent vector {exps} has length {len(exps)}, expected {self.rank}"
-                    )
-                cur = clean.get(exps, 0) + coeff
-                if cur:
-                    clean[exps] = cur
-                elif exps in clean:
-                    del clean[exps]
-        self.terms = clean
+        self.rank = rank = int(rank)
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+
+        def checked(exps):
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != rank:
+                raise RankMismatch(
+                    f"exponent vector {exps} has length {len(exps)}, expected {rank}"
+                )
+            return exps
+
+        # Only terms with a nonzero coefficient have their exponents checked.
+        self.terms = accumulate(
+            (checked(exps), c) for exps, coeff in items if (c := int(coeff))
+        )
 
     @classmethod
     def _raw(cls, rank, terms):
@@ -386,20 +382,16 @@ class LaurentPoly:
         offset = tuple(int(o) for o in offset)
         if len(offset) != target:
             raise RankMismatch("offset rank does not match the target ring")
-        out = {}
-        for exps, coeff in self.terms.items():
-            acc = list(offset)
-            for e, img in zip(exps, images):
-                if e:
-                    for i in range(target):
-                        acc[i] += e * img[i]
-            key = tuple(acc)
-            cur = out.get(key, 0) + coeff
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-        return LaurentPoly._raw(target, out)
+
+        def image(exps):
+            return tuple(
+                o + sum(e * img[i] for e, img in zip(exps, images))
+                for i, o in enumerate(offset)
+            )
+
+        return LaurentPoly._raw(
+            target, accumulate((image(k), v) for k, v in self.terms.items())
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
@@ -459,6 +451,8 @@ class AbelianizationMap:
         self.basis_names = tuple(str(n) for n in basis_names)
         if len(self.basis_names) != self.rank:
             raise RankMismatch("one basis name per coordinate is required")
+        if len(set(self.basis_names)) != self.rank:
+            raise InvalidBasis(f"duplicate basis names in {list(self.basis_names)}")
 
     def word_exponents(self, word):
         acc = [0] * self.rank
@@ -474,15 +468,13 @@ class AbelianizationMap:
         """Apply the induced ring map to a Word or GroupRingElement."""
         if isinstance(element, Word):
             element = GroupRingElement.from_word(element)
-        out = {}
-        for word, coeff in element.terms.items():
-            key = self.word_exponents(word)
-            cur = out.get(key, 0) + coeff
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-        return LaurentPoly._raw(self.rank, out)
+        return LaurentPoly._raw(
+            self.rank,
+            accumulate(
+                (self.word_exponents(word), coeff)
+                for word, coeff in element.terms.items()
+            ),
+        )
 
     def __eq__(self, other):
         return (

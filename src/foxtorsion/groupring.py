@@ -4,11 +4,8 @@ The derivative convention is left-to-right: d(uw) = du * aug(w) + u * dw,
 which on single letters gives dg/dg = 1 and d(g^-1)/dg = -g^-1.
 """
 
-from .words import Generator, Word, render_word
-
-
-def _gen_name(g):
-    return g.name if isinstance(g, Generator) else str(g)
+from ._kernels import accumulate, add_terms
+from .words import Word, _gen_name, render_word
 
 
 class GroupRingElement:
@@ -17,19 +14,14 @@ class GroupRingElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                coeff = int(coeff)
-                if coeff == 0:
-                    continue
-                cur = clean.get(word, 0) + coeff
-                if cur:
-                    clean[word] = cur
-                elif word in clean:
-                    del clean[word]
-        self.terms = clean
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = accumulate((word, int(coeff)) for word, coeff in items)
+
+    @classmethod
+    def _raw(cls, terms):
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
 
     @classmethod
     def zero(cls):
@@ -53,21 +45,10 @@ class GroupRingElement:
     def __add__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            cur = out.get(word, 0) + coeff
-            if cur:
-                out[word] = cur
-            elif word in out:
-                del out[word]
-        e = GroupRingElement.__new__(GroupRingElement)
-        e.terms = out
-        return e
+        return GroupRingElement._raw(add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        e = GroupRingElement.__new__(GroupRingElement)
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
+        return GroupRingElement._raw({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -78,23 +59,16 @@ class GroupRingElement:
         if isinstance(other, int):
             if other == 0:
                 return GroupRingElement.zero()
-            e = GroupRingElement.__new__(GroupRingElement)
-            e.terms = {w: c * other for w, c in self.terms.items()}
-            return e
+            return GroupRingElement._raw({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa * wb
-                cur = out.get(w, 0) + ca * cb
-                if cur:
-                    out[w] = cur
-                elif w in out:
-                    del out[w]
-        e = GroupRingElement.__new__(GroupRingElement)
-        e.terms = out
-        return e
+        return GroupRingElement._raw(
+            accumulate(
+                (wa * wb, ca * cb)
+                for wa, ca in self.terms.items()
+                for wb, cb in other.terms.items()
+            )
+        )
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -122,25 +96,16 @@ def augmentation(e):
 def fox_derivative(word, gen):
     """Left-to-right Fox derivative of ``word`` with respect to one generator."""
     name = _gen_name(gen)
-    terms = {}
-    prefix = []
-    for lname, sign in word.letters:
-        if lname == name:
-            if sign > 0:
-                piece = Word._from_reduced(tuple(prefix))
-            else:
-                # The prefix of a reduced word cannot end in (name, +1) when the
-                # next letter is (name, -1), so appending stays reduced.
-                piece = Word._from_reduced(tuple(prefix) + ((name, -1),))
-            cur = terms.get(piece, 0) + sign
-            if cur:
-                terms[piece] = cur
-            elif piece in terms:
-                del terms[piece]
-        prefix.append((lname, sign))
-    e = GroupRingElement.__new__(GroupRingElement)
-    e.terms = terms
-    return e
+    letters = word.letters
+    # An occurrence u g contributes +u and an occurrence u g^-1 contributes
+    # -u g^-1; both are prefixes of the reduced word, so both stay reduced.
+    return GroupRingElement._raw(
+        accumulate(
+            (Word._from_reduced(letters[:i] if sign > 0 else letters[: i + 1]), sign)
+            for i, (lname, sign) in enumerate(letters)
+            if lname == name
+        )
+    )
 
 
 def fox_derivative_power(base, k, gen):

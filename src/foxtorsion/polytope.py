@@ -117,15 +117,9 @@ def newton_polytope(support_set):
     unique = sorted(set(points))
     if len(unique) == 1:
         return LatticePolygon(0, (unique[0],), ())
-    if rank == 1:
-        lo, hi = unique[0][0], unique[-1][0]
-        length = hi - lo
-        return LatticePolygon(
-            1, ((lo,), (hi,)), (((1,), length), ((-1,), length))
-        )
-    if affine_dimension(unique) == 1:
+    if rank == 1 or affine_dimension(unique) == 1:
         lo, hi = unique[0], unique[-1]
-        direction, length = _primitive((hi[0] - lo[0], hi[1] - lo[1]))
+        direction, length = _primitive(tuple(b - a for a, b in zip(lo, hi)))
         neg = tuple(-c for c in direction)
         return LatticePolygon(1, (lo, hi), ((direction, length), (neg, length)))
     verts = _hull_2d(unique)

@@ -164,7 +164,9 @@ def parse_word(text, generators):
 
     Raises ParseError (with position) for unknown generator names, malformed
     exponents, unbalanced parentheses, parentheses nested deeper than
-    MAX_NESTING, or stray characters.
+    MAX_NESTING, or stray characters; WordSizeError for exponents beyond
+    MAX_EXPONENT (a digit run longer than MAX_EXPONENT's is rejected unread)
+    and words beyond MAX_WORD_LETTERS.
     """
     names = {_gen_name(g) for g in generators}
     pos = 0
@@ -182,8 +184,15 @@ def parse_word(text, generators):
             pos += 1
         if pos >= n or not text[pos].isdigit():
             raise ParseError("malformed exponent", start)
+        first_digit = pos
         while pos < n and text[pos].isdigit():
             pos += 1
+        # A longer digit run exceeds MAX_EXPONENT; rejecting it before int()
+        # also keeps clear of the interpreter's integer-string length limit.
+        if pos - first_digit > len(str(MAX_EXPONENT)):
+            raise WordSizeError(
+                f"exponent with {pos - first_digit} digits exceeds {MAX_EXPONENT}"
+            )
         value = int(text[start:pos])
         if abs(value) > MAX_EXPONENT:
             raise WordSizeError(f"exponent magnitude {value} exceeds {MAX_EXPONENT}")

@@ -159,6 +159,11 @@ def test_invalid_basis_missing_generator():
         abelianize_presentation(LYON_PRES, bad)
 
 
+def test_duplicate_basis_names_rejected():
+    with pytest.raises(InvalidBasis):
+        AbelianizationMap(2, {"a": (1, 0), "b": (-1, 3), "x": (0, 2)}, ("a", "a"))
+
+
 def test_apply_map_examples():
     gens = ("a", "b", "x")
     e = GroupRingElement(

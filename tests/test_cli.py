@@ -345,3 +345,17 @@ def test_usage_errors_give_a_json_report(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: foxtorsion")
+
+
+def test_torsion_command_rejects_a_5000_digit_exponent(tmp_path, capsys):
+    path = tmp_path / "digits.tor"
+    path.write_text(f"[generators]\na b\n[relators]\n[inclusion]\na^{'7' * 5000}\nb\n")
+    report = _assert_json_error(capsys, path, "WordSizeError")
+    assert "5000 digits" in report["error"]["message"]
+
+
+def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
+    path = tmp_path / "dupbasis.tor"
+    path.write_text(LYON_S0.replace("names = a u", "names = a a"))
+    report = _assert_json_error(capsys, path, "InvalidBasis")
+    assert "duplicate basis names" in report["error"]["message"]

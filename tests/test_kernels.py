@@ -3,7 +3,10 @@
 import random
 from collections import Counter
 
-from foxtorsion._kernels import add_terms, iadd_scaled, mul_terms
+from foxtorsion import Word
+from foxtorsion._kernels import accumulate, add_terms, iadd_scaled, mul_terms
+
+from helpers import random_word
 
 
 def rand_terms(rng, nterms, rank=2, span=6, coeff=10**6):
@@ -33,6 +36,13 @@ def ref_mul(a, b):
 def ref_add(a, b):
     out = Counter(a)
     for k, v in b.items():
+        out[k] += v
+    return nonzero(out)
+
+
+def ref_accumulate(pairs):
+    out = Counter()
+    for k, v in pairs:
         out[k] += v
     return nonzero(out)
 
@@ -76,6 +86,26 @@ def test_add_terms_matches_reference():
         assert got == ref_add(a, b)
         assert_no_zero_coefficients(got)
         assert (a, b) == (a_before, b_before)
+
+
+def test_accumulate_matches_reference():
+    rng = random.Random(283)
+    for trial in range(200):
+        if trial % 2:
+            keys = [random_word(rng, max_len=3) for _ in range(6)]
+        else:
+            keys = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(6)]
+        # Few keys, so keys repeat; zero inputs appear among the coefficients.
+        pairs = [(rng.choice(keys), rng.randint(-3, 3)) for _ in range(rng.randint(0, 15))]
+        cancel = rng.random() < 0.3
+        if cancel:
+            pairs += [(k, -v) for k, v in pairs]
+        got = accumulate((k, v) for k, v in pairs)  # a one-shot generator
+        assert got == ref_accumulate(pairs)
+        assert_no_zero_coefficients(got)
+        if cancel:
+            assert got == {}
+    assert accumulate([(Word.identity(), 0), ((1, 0), 0)]) == {}
 
 
 def test_iadd_scaled_matches_reference():

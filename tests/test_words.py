@@ -87,6 +87,14 @@ def test_exponent_magnitude_limit():
         parse_word(f"a^{2**31 + 1}", GENS)
 
 
+def test_exponent_digit_run_limit():
+    # Rejected on length alone, before int() meets the integer-string limit.
+    for text in ("a^" + "9" * 5000, "a^-" + "1" * 5000, "a^" + "0" * 11 + "1"):
+        with pytest.raises(WordSizeError, match="digits"):
+            parse_word(text, GENS)
+    assert parse_word("a^" + "0" * 9 + "3", GENS) == parse_word("a^3", GENS)
+
+
 def test_word_size_limit():
     with pytest.raises(WordSizeError):
         parse_word("(a b)^100000", GENS)
