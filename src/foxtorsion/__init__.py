@@ -39,7 +39,7 @@ from .polytope import (
     LatticePolygon,
     SupportSet,
     affine_dimension,
-    find_affine_map,
+    hull_mismatch,
     iter_affine_maps,
     newton_polytope,
     polygon_affine_equivalent,
@@ -94,10 +94,10 @@ __all__ = [
     "determinant",
     "errors",
     "expected_torsion",
-    "find_affine_map",
     "fox_derivative",
     "fox_derivative_power",
     "fox_matrix",
+    "hull_mismatch",
     "integer_determinant",
     "integer_rank",
     "is_centrally_symmetric",

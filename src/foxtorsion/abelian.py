@@ -510,19 +510,13 @@ def abelianize_presentation(presentation, user_basis=None):
     returned verbatim.
     """
     names = presentation.generator_names
-    vectors = _relator_vectors(presentation)
 
     if user_basis is not None:
         for name in names:
             if name not in user_basis.images:
                 raise InvalidBasis(f"user basis has no image for generator {name!r}")
-        for rel, vec in zip(presentation.relators, vectors):
-            image = [0] * user_basis.rank
-            for name, count in zip(names, vec):
-                img = user_basis.images[name]
-                for i in range(user_basis.rank):
-                    image[i] += count * img[i]
-            if any(image):
+        for rel in presentation.relators:
+            if any(user_basis.word_exponents(rel)):
                 raise InvalidBasis(
                     f"user basis does not kill relator {render_word(rel)!r}"
                 )
@@ -537,6 +531,7 @@ def abelianize_presentation(presentation, user_basis=None):
                 raise InvalidBasis("user basis images do not generate Z^r")
         return user_basis
 
+    vectors = _relator_vectors(presentation)
     m = len(names)
     k = len(vectors)
     # columns of the m x k matrix are the relator exponent vectors

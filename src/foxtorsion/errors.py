@@ -72,6 +72,10 @@ class NonpositiveP(FoxTorsionError):
     """The longitudinal winding number must be a positive integer."""
 
 
+class InputTooLarge(FoxTorsionError):
+    """An input asks for more output than the stated size limits allow."""
+
+
 class UnsupportedN(FoxTorsionError):
     """The knot-family parameter lies outside the supported range n >= -1."""
 

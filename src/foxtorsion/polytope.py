@@ -1,4 +1,8 @@
-"""Supports, lattice hulls in rank <= 2, and unimodular-affine polygon equivalence.
+"""Supports, lattice hulls in rank <= 2, and unimodular-affine hull equivalence.
+
+``hull_mismatch`` names the first hull invariant two hulls disagree on, and
+``iter_affine_maps`` enumerates every unimodular affine map between two
+points, segments or polygons; torsion-class equivalence builds on both.
 
 "Side length" throughout means lattice length: the number of primitive lattice
 steps along an edge.  Unlike Euclidean length it is invariant under unimodular
@@ -189,64 +193,98 @@ def _solve_map(e0, e1, f0, f1):
     return U
 
 
-def iter_affine_maps(p1, p2):
-    """All affine maps x -> U x + v with unimodular U taking polygon p1 onto p2.
+def _completion(d):
+    """A vector c with det[d c] = 1, for a primitive vector d in Z^2."""
+    p, q = d
+    # extended gcd: old_s * p + old_t * q == old_r == +-1
+    old_r, r = p, q
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return (-old_t, old_s)
 
-    Any such map sends vertices to vertices respecting cyclic adjacency, so it
-    is pinned down by where one ordered vertex/edge pair goes; candidates are
-    enumerated over the target's edges in both orientations and verified on the
-    full vertex sets.  Both polygons must have dimension 2.
+
+def _pad(point):
+    return tuple(point) + (0,) * (2 - len(point))
+
+
+def iter_affine_maps(p1, p2):
+    """All affine maps x -> U x + v with unimodular U taking hull p1 onto p2.
+
+    The one source of candidate maps, for points, segments and polygons of
+    equal dimension.  A point maps by the identity plus a translation.  A
+    segment maps by one unimodular lift per orientation: lifts differ only
+    off the segment's line.  A polygon map sends vertices to vertices
+    respecting cyclic adjacency, so it is pinned down by where one ordered
+    vertex/edge pair goes; candidates run over the target's edges in both
+    orientations.  Each candidate is checked on the full vertex sets.
+
+    Hulls of rank < 2 are padded to Z^2 with zero coordinates and each map is
+    cut back to their ranks: rank 1 gets U = ((1,),) and ((-1,),), rank 0 the
+    empty map, and hulls of different ranks compare by lattice shape alone.
     """
-    if p1.dimension != 2 or p2.dimension != 2:
-        raise ValueError("map enumeration needs two-dimensional polygons")
-    if len(p1.vertices) != len(p2.vertices):
+    if p1.dimension != p2.dimension:
         return []
-    target_vertices = set(p2.vertices)
-    f = _cycle_edges(list(p2.vertices))
+    source = [_pad(p) for p in p1.vertices]
+    target = [_pad(q) for q in p2.vertices]
+    # (U, x, y): the map sends source vertex x to target vertex y
+    anchored = []
+    if p1.dimension == 0:
+        anchored.append((((1, 0), (0, 1)), source[0], target[0]))
+    elif p1.dimension == 1:
+        d1, d2 = _pad(p1.edges[0][0]), _pad(p2.edges[0][0])
+        c1 = _completion(d1)
+        for d, y in ((d2, target[0]), (tuple(-c for c in d2), target[1])):
+            anchored.append((_solve_map(d1, c1, d, _completion(d)), source[0], y))
+    else:
+        f = _cycle_edges(target)
+        for cycle in (source, source[::-1]):
+            e = _cycle_edges(cycle)
+            for j in range(len(target)):
+                U = _solve_map(e[0], e[1], f[j], f[(j + 1) % len(f)])
+                if U is not None:
+                    anchored.append((U, cycle[0], target[j]))
+    r1, r2 = len(p1.vertices[0]), len(p2.vertices[0])
+    target_vertices = set(target)
     found = []
     seen = set()
-    for source in (list(p1.vertices), list(p1.vertices[::-1])):
-        e = _cycle_edges(source)
-        for j in range(len(p2.vertices)):
-            U = _solve_map(e[0], e[1], f[j], f[(j + 1) % len(f)])
-            if U is None:
-                continue
-            v = tuple(
-                p2.vertices[j][i] - _apply(U, (0, 0), source[0])[i] for i in range(2)
-            )
-            if {_apply(U, v, p) for p in source} != target_vertices:
-                continue
-            key = (U, v)
-            if key not in seen:
-                seen.add(key)
-                found.append(key)
+    for U, x, y in anchored:
+        v = tuple(b - a for a, b in zip(_apply(U, (0, 0), x), y))
+        if {_apply(U, v, p) for p in source} != target_vertices:
+            continue
+        key = (tuple(row[:r1] for row in U[:r2]), v[:r2])
+        if key not in seen:
+            seen.add(key)
+            found.append(key)
     return found
+
+
+def hull_mismatch(p1, p2):
+    """The first unimodular-affine invariant on which two hulls differ, or None.
+
+    The invariants are checked in the order dimension, edge lattice lengths,
+    area.  A lattice-point count would add nothing: by Pick's formula it is
+    fixed by the area and the boundary length.
+    """
+    if p1.dimension != p2.dimension:
+        return "hull_dimension"
+    if p1.edge_length_multiset() != p2.edge_length_multiset():
+        return "edge_length_multiset"
+    if p1.doubled_area() != p2.doubled_area():
+        return "normalized_area"
+    return None
 
 
 def polygon_affine_equivalent(p1, p2):
     """Whether a unimodular affine map takes one hull exactly onto the other.
 
-    Degenerate hulls are compared by dimension and then lattice length; any
-    two lattice segments of equal length are equivalent, as are any two points.
+    Any two points are equivalent, as are any two lattice segments of equal
+    length, even in lattices of different ranks.
     """
-    if p1.dimension != p2.dimension:
-        return False
-    if p1.dimension == 0:
-        return True
-    if p1.dimension == 1:
-        return p1.edges[0][1] == p2.edges[0][1]
-    if (
-        p1.vertex_count != p2.vertex_count
-        or p1.doubled_area() != p2.doubled_area()
-        or p1.edge_length_multiset() != p2.edge_length_multiset()
-    ):
-        return False
-    return bool(iter_affine_maps(p1, p2))
-
-
-def find_affine_map(p1, p2):
-    """One witness map for polygon_affine_equivalent, or None."""
-    if p1.dimension != 2 or p2.dimension != 2:
-        return None
-    maps = iter_affine_maps(p1, p2)
-    return maps[0] if maps else None
+    return hull_mismatch(p1, p2) is None and bool(iter_affine_maps(p1, p2))

@@ -3,7 +3,17 @@
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NonpositiveP, OddSutureCount
+from ._kernels import accumulate
+from .errors import InputTooLarge, NonpositiveP, OddSutureCount
+
+# Largest binomial row k = (n - 2) / 2.  The biggest rank C(k, k // 2) has
+# about 0.3 k decimal digits (3,009 at k = 10,000), so every rank stays under
+# Python's default 4,300-digit limit on converting an int to text, which the
+# JSON report needs.
+MAX_BINOMIAL_ROW = 10_000
+# Most gradings p * (k + 1) in one table: the whole row k = 10,000 at p = 1,
+# a report of about 22 MB.  A larger p only repeats each rank p times.
+MAX_TABLE_LENGTH = MAX_BINOMIAL_ROW + 1
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,9 @@ def torus_sfh(p, q, n):
 
     With n = 2k + 2 the rank at grading i is C(k, i // p) for 0 <= i < p(k+1)
     and zero elsewhere.  The parameter q does not enter the pattern; it is
-    accepted so callers can keep the full suture description.
+    accepted so callers can keep the full suture description.  Tables beyond
+    ``MAX_BINOMIAL_ROW`` or ``MAX_TABLE_LENGTH`` raise InputTooLarge before
+    any rank is computed.
     """
     if p < 1:
         raise NonpositiveP(f"longitudinal winding p must be >= 1, got {p}")
@@ -48,6 +60,16 @@ def torus_sfh(p, q, n):
             f"suture count must be a positive even integer >= 2, got {n}"
         )
     k = (n - 2) // 2
+    if k > MAX_BINOMIAL_ROW:
+        raise InputTooLarge(
+            f"suture count {n} needs binomial row {k}, above the limit "
+            f"{MAX_BINOMIAL_ROW} (n <= {2 * MAX_BINOMIAL_ROW + 2})"
+        )
+    if p * (k + 1) > MAX_TABLE_LENGTH:
+        raise InputTooLarge(
+            f"rank table of p * (k + 1) = {p * (k + 1)} gradings exceeds the "
+            f"limit {MAX_TABLE_LENGTH}"
+        )
     return GradedRanks.from_dict(
         {i: comb(k, i // p) for i in range(p * (k + 1))}
     )
@@ -55,8 +77,6 @@ def torus_sfh(p, q, n):
 
 def tensor_ranks(g1, g2):
     """Convolution of two graded rank tables; total ranks multiply."""
-    out = {}
-    for i, r1 in g1.ranks:
-        for j, r2 in g2.ranks:
-            out[i + j] = out.get(i + j, 0) + r1 * r2
-    return GradedRanks.from_dict(out)
+    return GradedRanks.from_dict(
+        accumulate((i + j, r1 * r2) for i, r1 in g1.ranks for j, r2 in g2.ranks)
+    )

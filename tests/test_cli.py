@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -234,6 +235,15 @@ def test_sfh_torus_odd_count(capsys):
     code, report, _ = run(capsys, "sfh-torus", "2", "1", "3")
     assert code == 1
     assert report["error"]["type"] == "OddSutureCount"
+
+
+@pytest.mark.parametrize("argv", [("1", "1", "40000"), ("3", "1", "20000")])
+def test_sfh_torus_rejects_oversized_tables_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "sfh-torus", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["error"]["type"] == "InputTooLarge"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

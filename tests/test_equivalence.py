@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from foxtorsion import (
     LaurentPoly,
     TorsionClass,
@@ -150,6 +152,44 @@ def test_rank_one_and_zero_paths():
     assert compare_torsion(c, TorsionClass(LaurentPoly(0, {(): 5}))).kind == (
         "NotEquivalent"
     )
+
+
+LINE_3_M2 = {(0, 0): 1, (3, -2): 2, (9, -6): -1}  # parameters 0, 1, 3 on (3, -2)
+
+
+@pytest.mark.parametrize(
+    "rank, first, second, witness",
+    [
+        (0, {(): 4}, {(): 4}, ((), (), 1)),
+        # rank 1, both orientations
+        (1, {(0,): 1, (1,): 2, (3,): -3}, {(5,): 1, (6,): 2, (8,): -3},
+         (((1,),), (0,), 1)),
+        (1, {(0,): 1, (1,): 2, (3,): -3}, {(0,): -3, (2,): 2, (3,): 1},
+         (((-1,),), (3,), -1)),
+        # palindromes: both orientations match, the forward map comes first
+        (1, {(0,): 1, (1,): 2, (2,): 1}, {(4,): 1, (5,): 2, (6,): 1},
+         (((1,),), (0,), 1)),
+        (2, {(0, 0): 1, (3, -2): -2, (6, -4): 1}, {(0, 0): 1, (1, 0): -2, (2, 0): 1},
+         (((-1, -2), (2, 3)), (8, -12), 1)),
+        # a point in rank 2
+        (2, {(2, -1): 3}, {(-4, 7): -3}, (((1, 0), (0, 1)), (0, 0), 1)),
+        # collinear along (3, -2): reversed on its own line, then onto (1, 0)
+        # in both orientations
+        (2, LINE_3_M2, {(0, 0): 1, (-3, 2): 2, (-9, 6): -1},
+         (((-1, 0), (0, -1)), (9, 6), -1)),
+        (2, LINE_3_M2, {(0, 0): 1, (1, 0): 2, (3, 0): -1},
+         (((-1, -2), (2, 3)), (12, -18), 1)),
+        (2, LINE_3_M2, {(3, 0): 1, (2, 0): 2, (0, 0): -1},
+         (((1, 2), (-2, -3)), (-9, 18), -1)),
+    ],
+)
+def test_low_dimensional_witnesses_are_pinned(rank, first, second, witness):
+    t1, t2 = classify(first, rank), classify(second, rank)
+    verdict = compare_torsion(t1, t2)
+    assert verdict.kind == "Equivalent"
+    w = verdict.witness
+    assert (w.matrix, w.translation, w.sign) == witness
+    assert apply_witness(t1, w).terms == t2.representative.terms
 
 
 def test_symmetry_of_verdicts():

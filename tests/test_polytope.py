@@ -12,6 +12,8 @@ from foxtorsion import (
     TorsionClass,
     affine_dimension,
     expected_torsion,
+    hull_mismatch,
+    iter_affine_maps,
     newton_polytope,
     polygon_affine_equivalent,
     sfh_polytope,
@@ -225,6 +227,47 @@ def test_decision_consistent_with_invariants():
             or h1.lattice_point_count() != h2.lattice_point_count()
         ):
             assert polygon_affine_equivalent(h1, h2) is False
+
+
+def _random_hull(rng, rank):
+    """A point, segment or polygon hull in the given rank."""
+    shape = rng.randrange(3 if rank == 2 else 2)
+    if shape == 0:
+        points = {tuple(rng.randint(-3, 3) for _ in range(rank))}
+    elif shape == 1:
+        d = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (3, -2)])[:rank]
+        points = {tuple(t * c for c in d) for t in range(rng.randint(1, 4))}
+        points.add((0,) * rank)
+    else:
+        points = {(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 7))}
+    return newton_polytope(SupportSet(rank, frozenset(points)))
+
+
+def test_maps_carry_vertices_and_decide_equivalence():
+    rng = random.Random(211)
+    nonempty = 0
+    for _ in range(300):
+        rank = rng.choice((1, 2))
+        h1 = _random_hull(rng, rank)
+        if rng.random() < 0.5:
+            U = random_unimodular(rng) if rank == 2 else ((rng.choice((1, -1)),),)
+            v = tuple(rng.randint(-4, 4) for _ in range(rank))
+            h2 = transform_polygon(h1, U, v)
+        else:
+            h2 = _random_hull(rng, rank)
+        maps = iter_affine_maps(h1, h2)
+        nonempty += bool(maps)
+        for U, v in maps:
+            image = {
+                tuple(sum(U[i][j] * p[j] for j in range(rank)) + v[i] for i in range(rank))
+                for p in h1.vertices
+            }
+            assert image == set(h2.vertices)
+            assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0] if rank == 2 else U[0][0]) == 1
+        assert polygon_affine_equivalent(h1, h2) == (
+            hull_mismatch(h1, h2) is None and bool(maps)
+        )
+    assert nonempty > 100
 
 
 # -- doubling -----------------------------------------------------------------

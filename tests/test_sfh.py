@@ -3,7 +3,8 @@ from math import comb
 import pytest
 
 from foxtorsion import GradedRanks, tensor_ranks, torus_sfh
-from foxtorsion.errors import NonpositiveP, OddSutureCount
+from foxtorsion.errors import InputTooLarge, NonpositiveP, OddSutureCount
+from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
 
 
 def test_two_suture_examples():
@@ -38,6 +39,23 @@ def test_suture_count_validation():
         torus_sfh(2, 1, 0)
     with pytest.raises(NonpositiveP):
         torus_sfh(0, 1, 2)
+
+
+def test_size_limits():
+    k = MAX_BINOMIAL_ROW
+    assert len(str(comb(k, k // 2))) < 4300
+    assert torus_sfh(MAX_TABLE_LENGTH, 0, 2).total_rank == MAX_TABLE_LENGTH
+    with pytest.raises(InputTooLarge):
+        torus_sfh(1, 0, 2 * k + 4)
+    with pytest.raises(InputTooLarge):
+        torus_sfh(MAX_TABLE_LENGTH + 1, 0, 2)
+    with pytest.raises(InputTooLarge):
+        torus_sfh(10**100, 0, 10**100)
+    # the existing checks keep their precedence
+    with pytest.raises(NonpositiveP):
+        torus_sfh(0, 1, 10**100)
+    with pytest.raises(OddSutureCount):
+        torus_sfh(10**100, 1, 10**100 + 1)
 
 
 def test_tensor_examples():
