@@ -284,7 +284,10 @@ def hull_mismatch(p1, p2):
 def polygon_affine_equivalent(p1, p2):
     """Whether a unimodular affine map takes one hull exactly onto the other.
 
-    Any two points are equivalent, as are any two lattice segments of equal
-    length, even in lattices of different ranks.
+    Hulls in lattices of different ranks are never equivalent: no unimodular
+    map exists between Z^r and Z^s for r != s.  In one rank any two points
+    are equivalent, as are any two lattice segments of equal length.
     """
+    if len(p1.vertices[0]) != len(p2.vertices[0]):
+        return False
     return hull_mismatch(p1, p2) is None and bool(iter_affine_maps(p1, p2))

@@ -1,6 +1,16 @@
 """Shared randomized-input builders and call counters for the test suite."""
 
-from foxtorsion import LaurentPoly, Word, cli, equivalence, polytope
+from foxtorsion import (
+    LaurentPoly,
+    Presentation,
+    TorsionInput,
+    Word,
+    abelianize_presentation,
+    cli,
+    equivalence,
+    polytope,
+    torsion,
+)
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -68,3 +78,63 @@ def count_hull_builds(monkeypatch):
     for module in (polytope, equivalence, cli):
         monkeypatch.setattr(module, "newton_polytope", counted)
     return sizes
+
+
+def _conjugate(c, w):
+    return c * w * c.inverse()
+
+
+def tietze_enlarge(rng, torsion_input, added):
+    """The input after Tietze moves that keep the group and the inclusion images.
+
+    Adds ``added`` generators y1, y2, ..., each with the defining relator
+    y w^-1 for a random word w in the generators before it.  Then every
+    relator, in turn, is multiplied by a conjugate of another relator or of
+    its inverse, and every inclusion word by a conjugate of a defining
+    relator.  In the Fox matrix these moves add a row and a column with a
+    unit where they cross, and add multiples of columns to columns, so the
+    torsion class is unchanged.  There is no basis: the Smith normal form
+    picks one.
+    """
+    if added < 1:
+        raise ValueError("multiplying relators needs at least two of them")
+    pres = torsion_input.presentation
+    gens = list(pres.generator_names)
+    relators = list(pres.relators)
+    defining = []
+    for i in range(added):
+        w = random_word(rng, names=tuple(gens), max_len=3)
+        y = f"y{i + 1}"
+        gens.append(y)
+        relators.append(Word.generator(y) * w.inverse())
+        defining.append(len(relators) - 1)
+    for i in range(len(relators)):
+        j = rng.choice([k for k in range(len(relators)) if k != i])
+        c = random_word(rng, names=tuple(gens), max_len=2)
+        relators[i] = relators[i] * _conjugate(c, relators[j] ** rng.choice((1, -1)))
+    inclusion = [
+        w * _conjugate(random_word(rng, names=tuple(gens), max_len=2),
+                       relators[rng.choice(defining)])
+        for w in torsion_input.inclusion_words
+    ]
+    enlarged = Presentation(gens, relators)
+    return TorsionInput(enlarged, inclusion, abelianize_presentation(enlarged))
+
+
+def count_determinant_calls(monkeypatch):
+    """Record the dimension of every matrix that reaches ``det_cofactor`` or
+    ``det_bareiss`` through ``torsion.determinant``.
+
+    Returns a dict from each name to the list of dimensions, one entry per
+    call, for as long as the monkeypatch lasts.
+    """
+    dims = {"det_cofactor": [], "det_bareiss": []}
+    for name, sizes in dims.items():
+        original = getattr(torsion, name)
+
+        def counted(matrix, original=original, sizes=sizes):
+            sizes.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(torsion, name, counted)
+    return dims

@@ -202,6 +202,41 @@ def test_compare_minus_one_pair(tmp_path, capsys):
     assert report["second"]["torsion"]["polygon"]["edge_length_multiset"] == [1, 1, 2, 2]
 
 
+SEGMENT_RANK1 = """\
+[generators]
+a b
+[relators]
+b
+[inclusion]
+a^2
+"""
+
+SEGMENT_RANK2 = """\
+[generators]
+a b
+[relators]
+[inclusion]
+a^2
+b
+"""
+
+
+def test_compare_segments_in_different_ranks_are_not_affine_equivalent(tmp_path, capsys):
+    # both torsions are 1 + a, a unit segment, but in Z^1 and in Z^2
+    p1 = tmp_path / "rank1.tor"
+    p1.write_text(SEGMENT_RANK1)
+    p2 = tmp_path / "rank2.tor"
+    p2.write_text(SEGMENT_RANK2)
+    for first, second in ((p1, p2), (p2, p1)):
+        code, report, _ = run(capsys, "compare", str(first), str(second))
+        assert code == 0
+        assert report["first"]["torsion"]["polygon"]["edge_length_multiset"] == [1, 1]
+        assert report["second"]["torsion"]["polygon"]["edge_length_multiset"] == [1, 1]
+        assert report["torsion_verdict"]["kind"] == "NotEquivalent"
+        assert report["torsion_verdict"]["reason"] == "rank"
+        assert report["polytopes_affine_equivalent"] is False
+
+
 def test_family_command_matches_oracle(capsys):
     code, report, _ = run(capsys, "family", "--n", "-1", "--surface", "S")
     assert code == 0

@@ -186,6 +186,20 @@ def test_square_vs_triangle():
     assert polygon_affine_equivalent(square, triangle) is False
 
 
+def test_hulls_in_different_ranks_are_not_equivalent():
+    def hull(rank, points):
+        return newton_polytope(SupportSet(rank, frozenset(points)))
+
+    points = [hull(0, {()}), hull(1, {(3,)}), hull(2, {(1, -1)})]
+    segments = [hull(1, {(0,), (2,)}), hull(2, {(0, 0), (2, 0)})]
+    for group in (points, segments):
+        for h1 in group:
+            for h2 in group:
+                assert polygon_affine_equivalent(h1, h2) is (h1 is h2)
+    assert polygon_affine_equivalent(points[2], hull(2, {(5, 7)}))
+    assert polygon_affine_equivalent(segments[0], hull(1, {(-4,), (-2,)}))
+
+
 def test_transformed_polygon_is_equivalent():
     rng = random.Random(71)
     for _ in range(100):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foxtorsion import (
     AbelianizationMap,
@@ -9,9 +11,12 @@ from foxtorsion import (
     TorsionClass,
     TorsionInput,
     abelianize_presentation,
+    apply_witness,
+    compare_torsion,
     det_bareiss,
     det_cofactor,
     determinant,
+    expected_torsion,
     fox_derivative,
     fox_matrix,
     lyon_input,
@@ -21,7 +26,11 @@ from foxtorsion import (
 )
 from foxtorsion.errors import NotBalanced, UnknownGenerator
 
-from helpers import random_laurent
+from helpers import (
+    count_determinant_calls,
+    random_laurent,
+    tietze_enlarge,
+)
 
 
 def poly2(terms):
@@ -132,6 +141,73 @@ def test_determinant_rejects_mixed_ranks():
         determinant([[LaurentPoly.one(1), LaurentPoly.one(2)]])
 
 
+@pytest.mark.parametrize("det", [det_cofactor, det_bareiss, determinant])
+def test_empty_matrix_has_no_ring_rank(det):
+    with pytest.raises(ValueError, match="0x0 matrix has no ring rank"):
+        det([])
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Square Laurent matrices of dimension 1-7 in rank 0-2, a third of whose
+    entries are planted units +-(monomial), so that rows and columns often
+    hold several; some get a zero row, or a row that is a unit multiple of
+    another, which makes them singular."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    unit = st.builds(LaurentPoly.monomial, exps, st.sampled_from((1, -1)))
+    poly = st.builds(
+        LaurentPoly,
+        st.just(rank),
+        st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+    )
+    entry = st.one_of(st.just(LaurentPoly.zero(rank)), unit, poly)
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("general", "zero_row", "dependent_row")))
+    if shape == "zero_row":
+        matrix[draw(st.integers(0, n - 1))] = [LaurentPoly.zero(rank)] * n
+    elif shape == "dependent_row" and n > 1:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        u = draw(unit)
+        matrix[dst] = [u * e for e in matrix[src]]
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_rich_matrices())
+def test_determinant_paths_agree_exactly(matrix):
+    expected = det_cofactor(matrix)
+    assert det_bareiss(matrix) == expected
+    assert determinant(matrix) == expected
+
+
+def _nonunit_matrix(rng, n):
+    """n x n entries 2 + x^e, or 3 where e = 0: none is a unit."""
+    return [
+        [poly2({(0, 0): 2, (rng.randint(-2, 2), rng.randint(-2, 2)): 1}) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_four_by_four_unit_reduces_to_three_by_three(monkeypatch):
+    matrix = _nonunit_matrix(random.Random(67), 4)
+    # the one unit, -a^2 u^-1 at (2, 1): odd p + q and a negative coefficient
+    matrix[2][1] = LaurentPoly.monomial((2, -1), -1)
+    expected = det_cofactor(matrix)
+    dims = count_determinant_calls(monkeypatch)
+    assert determinant(matrix) == expected
+    assert dims == {"det_cofactor": [3], "det_bareiss": []}
+
+
+def test_matrix_without_units_reaches_bareiss_whole(monkeypatch):
+    matrix = _nonunit_matrix(random.Random(71), 5)
+    expected = det_cofactor(matrix)
+    dims = count_determinant_calls(monkeypatch)
+    assert determinant(matrix) == expected
+    assert dims == {"det_cofactor": [], "det_bareiss": [5]}
+
+
 # -- normal form and duality --------------------------------------------------
 
 
@@ -195,3 +271,36 @@ def test_family_coefficient_sums():
     for n in range(-1, 7):
         total = sutured_torsion(lyon_input(n, "S")).coefficient_sum()
         assert total == abs(6 + 12 * n)
+
+
+# -- Tietze invariance --------------------------------------------------------
+
+
+@pytest.mark.parametrize("surface", ["S", "Sprime"])
+@pytest.mark.parametrize("seed", range(9101, 9113))
+def test_torsion_is_invariant_under_tietze_moves(seed, surface):
+    rng = random.Random(seed)
+    n, added = rng.randint(-1, 5), rng.randint(1, 4)
+    enlarged = tietze_enlarge(rng, lyon_input(n, surface), added)
+    assert len(enlarged.presentation.generators) == 3 + added
+    got = sutured_torsion(enlarged)
+    expected = expected_torsion(n, surface)
+    verdict = compare_torsion(got, expected)
+    assert verdict.kind == "Equivalent"
+    assert apply_witness(got, verdict.witness) == expected.representative
+
+
+def test_tietze_enlarged_matrix_skips_bareiss(monkeypatch):
+    enlarged = tietze_enlarge(random.Random(9121), lyon_input(2, "Sprime"), 4)
+    matrix = fox_matrix(enlarged)
+    assert len(matrix) == 7
+    dims = count_determinant_calls(monkeypatch)
+    determinant(matrix)
+    assert dims["det_bareiss"] == []
+    assert len(dims["det_cofactor"]) == 1 and dims["det_cofactor"][0] <= 3
+
+
+def test_family_matrix_reaches_cofactor_unreduced(monkeypatch):
+    dims = count_determinant_calls(monkeypatch)
+    sutured_torsion(lyon_input(4, "S"))
+    assert dims == {"det_cofactor": [3], "det_bareiss": []}
