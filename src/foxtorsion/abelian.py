@@ -7,6 +7,7 @@ term-dict inner loops live in `_kernels`.
 """
 
 import math
+from operator import add, sub
 
 from .errors import (
     InexactDivision,
@@ -455,14 +456,22 @@ class AbelianizationMap:
             raise InvalidBasis(f"duplicate basis names in {list(self.basis_names)}")
 
     def word_exponents(self, word):
-        acc = [0] * self.rank
+        return self.prefix_exponents(word)[-1]
+
+    def prefix_exponents(self, word):
+        """Exponent vectors of all len(word) + 1 prefixes of a Word, shortest
+        first: entry i is ``word_exponents`` of the first i letters.  One pass
+        over the letters; raises UnknownGenerator for a letter without an
+        image."""
+        acc = (0,) * self.rank
+        prefixes = [acc]
         for name, sign in word.letters:
             img = self.images.get(name)
             if img is None:
                 raise UnknownGenerator(f"no abelianized image for generator {name!r}")
-            for i in range(self.rank):
-                acc[i] += sign * img[i]
-        return tuple(acc)
+            acc = tuple(map(add if sign > 0 else sub, acc, img))
+            prefixes.append(acc)
+        return prefixes
 
     def __call__(self, element):
         """Apply the induced ring map to a Word or GroupRingElement."""

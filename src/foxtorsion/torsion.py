@@ -14,6 +14,7 @@ elimination there would fill the entries that the expansion multiplies.
 
 from dataclasses import dataclass
 
+from ._kernels import accumulate
 from .abelian import AbelianizationMap, LaurentPoly, grlex_key
 from .errors import (
     InexactDivision,
@@ -126,6 +127,12 @@ def fox_matrix(torsion_input):
     remaining columns those of the relators; row i differentiates with respect
     to generator i.  Raises NotBalanced when the deficiency does not equal the
     number of inclusion words.
+
+    Each word is abelianized once, prefix by prefix: every term of a
+    left-to-right Fox derivative is a prefix of the reduced word (Fox's
+    prefix rule), so its length picks its exponent vector from the word's
+    ``prefix_exponents``.  Entry (i, j) thus equals
+    ``phi(fox_derivative(w_j, g_i))`` without mapping any prefix again.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
@@ -138,8 +145,19 @@ def fox_matrix(torsion_input):
         )
     if len(words) != m:
         raise NotBalanced(f"{len(words)} columns for {m} generators")
+    columns = [(w, phi.prefix_exponents(w)) for w in words]
     return [
-        [phi(fox_derivative(w, g)) for w in words] for g in pres.generators
+        [
+            LaurentPoly._raw(
+                phi.rank,
+                accumulate(
+                    (prefix[len(u)], c)
+                    for u, c in fox_derivative(w, g).terms.items()
+                ),
+            )
+            for w, prefix in columns
+        ]
+        for g in pres.generators
     ]
 
 

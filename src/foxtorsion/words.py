@@ -26,7 +26,10 @@ from .errors import (
 )
 
 # Words are stored fully expanded, so powers with huge exponents are rejected
-# instead of represented symbolically.
+# instead of represented symbolically.  Parsing is linear in the letters, so
+# this bounds what is stored and echoed back in reports, and the memory of
+# fox_derivative, which keeps each prefix it returns as its own tuple
+# (quadratic in the word length); it is no guard against parse time.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
 # The parser recurses once per '(', so deeper nesting is rejected before it
@@ -54,14 +57,19 @@ def _gen_name(g):
     return g.name if isinstance(g, Generator) else str(g)
 
 
-def _reduce(letters):
-    stack = []
+def _push_reduced(stack, letters):
+    """Push letters onto a freely reduced stack, each cancelling its inverse
+    on top; the stack stays freely reduced."""
     for name, sign in letters:
         if stack and stack[-1][0] == name and stack[-1][1] == -sign:
             stack.pop()
         else:
             stack.append((name, sign))
-    return tuple(stack)
+    return stack
+
+
+def _reduce(letters):
+    return tuple(_push_reduced([], letters))
 
 
 class Word:
@@ -162,6 +170,12 @@ def render_word(w):
 def parse_word(text, generators):
     """Parse the word grammar over the given generators; returns a reduced Word.
 
+    One pass, linear in the letters: each (sub)sequence is built on a freely
+    reduced letter stack, onto which every atom's letters are pushed or
+    cancel against its top; a power reduces its atom once.  The result equals
+    folding the syntax tree through ``Word.__mul__`` and ``Word.__pow__``,
+    errors included.
+
     Raises ParseError (with position) for unknown generator names, malformed
     exponents, unbalanced parentheses, parentheses nested deeper than
     MAX_NESTING, or stray characters; WordSizeError for exponents beyond
@@ -200,11 +214,11 @@ def parse_word(text, generators):
 
     def parse_sequence(depth):
         nonlocal pos
-        acc = Word.identity()
+        stack = []  # the sequence's letters so far, freely reduced
         while True:
             skip_ws()
             if pos >= n or text[pos] == ")":
-                return acc
+                return stack
             if text[pos] == "(":
                 if depth == MAX_NESTING:
                     raise ParseError(
@@ -223,18 +237,26 @@ def parse_word(text, generators):
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
                 if m.group() not in names:
                     raise ParseError(f"unknown generator {m.group()!r}", pos)
-                atom = Word._from_reduced(((m.group(), 1),))
+                atom = ((m.group(), 1),)
                 pos = m.end()
             if pos < n and text[pos] == "^":
                 pos += 1
-                atom = atom ** parse_int()
-            acc = acc * atom
+                k = parse_int()
+                if k < 0:
+                    atom = [(name, -sign) for name, sign in reversed(atom)]
+                    k = -k
+                if len(atom) * k > MAX_WORD_LETTERS:
+                    raise WordSizeError("power exceeds the word size limit")
+                atom = _reduce(atom * k)
+            if len(stack) + len(atom) > MAX_WORD_LETTERS:
+                raise WordSizeError("product exceeds the word size limit")
+            _push_reduced(stack, atom)
 
-    word = parse_sequence(0)
+    letters = parse_sequence(0)
     if pos < n:
         # parse_sequence only stops early on ')'; at depth 0 that is unbalanced.
         raise ParseError("unbalanced parentheses: unexpected ')'", pos)
-    return word
+    return Word._from_reduced(letters)
 
 
 class Presentation:

@@ -183,6 +183,26 @@ def test_apply_map_unknown_generator():
         LYON_BASIS(Word((("z", 1),)))
 
 
+def test_prefix_exponents_map_every_prefix():
+    rng = random.Random(47)
+    phi = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1), "c": (2, -1)})
+    for _ in range(100):
+        w = random_word(rng)
+        assert phi.prefix_exponents(w) == [
+            tuple(
+                sum(sign * phi.images[name][k] for name, sign in w.letters[:i])
+                for k in range(2)
+            )
+            for i in range(len(w) + 1)
+        ]
+    assert AbelianizationMap(0, {"a": ()}).prefix_exponents(Word((("a", -1),))) == [(), ()]
+
+
+def test_prefix_exponents_unknown_generator():
+    with pytest.raises(UnknownGenerator, match="'z'"):
+        LYON_BASIS.prefix_exponents(Word((("a", 1), ("z", 1))))
+
+
 def test_apply_map_is_ring_homomorphism():
     rng = random.Random(31)
     phi = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1), "c": (2, -1)})
