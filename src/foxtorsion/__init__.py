@@ -14,7 +14,6 @@ from .abelian import (
     AbelianizationMap,
     LaurentPoly,
     abelianize_presentation,
-    integer_determinant,
     integer_rank,
     smith_normal_form,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "fox_derivative_power",
     "fox_matrix",
     "hull_mismatch",
-    "integer_determinant",
     "integer_rank",
     "is_centrally_symmetric",
     "iter_affine_maps",

@@ -116,33 +116,6 @@ def smith_normal_form(matrix):
     return A, U, V
 
 
-def integer_determinant(matrix):
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    A = [[int(x) for x in row] for row in matrix]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def integer_rank(matrix):
     """Rank over Q of an integer matrix (any iterable of rows), computed exactly.
 
@@ -325,15 +298,29 @@ class LaurentPoly:
     def exact_div(self, divisor):
         """Exact quotient self / divisor in the Laurent ring.
 
-        Both operands are shifted to ordinary polynomials; repeated extraction
-        of graded-lex leading terms then either terminates with zero remainder
-        or proves inexactness (a leading monomial the divisor cannot reach).
+        A two-term divisor c * (x^A - x^B) takes one pass along lines
+        (`_div_binomial`); any other divisor goes through the leading-term
+        loop (`_div_leading_terms`).  Both raise InexactDivision exactly when
+        divisor does not divide self.
         """
         if not isinstance(divisor, LaurentPoly):
             divisor = LaurentPoly.constant(self.rank, divisor)
         self._check_rank(divisor)
         if divisor.is_zero:
             raise InexactDivision("division by zero")
+        if len(divisor.terms) == 2:
+            (top, c), (bottom, d) = divisor.terms.items()
+            if c == -d:
+                return self._div_binomial(top, bottom, c)
+        return self._div_leading_terms(divisor)
+
+    def _div_leading_terms(self, divisor):
+        """self / divisor for a nonzero divisor, by leading terms.
+
+        Both operands are shifted to ordinary polynomials; repeated extraction
+        of graded-lex leading terms then either terminates with zero remainder
+        or proves inexactness (a leading monomial the divisor cannot reach).
+        """
         if self.is_zero:
             return LaurentPoly.zero(self.rank)
         smin = self.min_exponents()
@@ -362,6 +349,42 @@ class LaurentPoly:
             self.rank,
             {tuple(a + b for a, b in zip(k, shift)): v for k, v in quot.items()},
         )
+
+    def _div_binomial(self, top, bottom, c):
+        """self / (c * (x^top - x^bottom)) for top != bottom, in one pass.
+
+        With U = top - bottom and h = self / (c * x^bottom), the quotient q
+        satisfies q(e - U) - q(e) = h(e) for every e.  On each line
+        {e + tU} of exponents q is therefore minus the running sum of h in
+        increasing t, constant between the terms of h, and the division is
+        exact exactly when c divides every coefficient and every line's sum
+        of h is 0.
+        """
+        step = tuple(map(sub, top, bottom))
+        axis = next(i for i, s in enumerate(step) if s)
+        lines = {}  # point of the line with 0 <= e[axis] / U[axis] < 1 -> [(t, h)]
+        for exps, v in self.terms.items():
+            h, r = divmod(v, c)
+            if r:
+                raise InexactDivision("coefficient not divisible by the divisor's")
+            e = tuple(map(sub, exps, bottom))
+            t = e[axis] // step[axis]
+            base = tuple(x - t * s for x, s in zip(e, step))
+            lines.setdefault(base, []).append((t, h))
+        quot = {}
+        for base, points in lines.items():
+            points.sort()
+            run = 0
+            for (t, h), (t_next, _) in zip(points, points[1:]):
+                run += h
+                if run:
+                    e = tuple(x + t * s for x, s in zip(base, step))
+                    for _ in range(t, t_next):
+                        quot[e] = -run
+                        e = tuple(map(add, e, step))
+            if run + points[-1][1]:
+                raise InexactDivision("a line of exponents does not sum to zero")
+        return LaurentPoly._raw(self.rank, quot)
 
     def substitute(self, images, offset=None):
         """Monomial substitution: variable i maps to the monomial with exponent images[i].

@@ -32,6 +32,7 @@ from .errors import (
     FoxTorsionError,
     InputEncodingError,
     InputFileError,
+    InputTooLarge,
     RankUnsupported,
     UsageError,
 )
@@ -285,7 +286,18 @@ def cmd_compare(path1, path2):
     return report, {"first": _plot_payload(body1), "second": _plot_payload(body2)}
 
 
+# The largest family parameter `family` computes.  The torsion support has
+# 12n + 6 points, 36,006 here; n = 3000 takes about 3 s and 90-140 MB, and
+# the Fox derivatives behind it grow quadratically with n.
+MAX_FAMILY_N = 3000
+
+
 def cmd_family(n, surface):
+    if n > MAX_FAMILY_N:
+        raise InputTooLarge(
+            f"family parameter n = {n} exceeds the limit of {MAX_FAMILY_N}; "
+            "the torsion support has 12n + 6 points"
+        )
     case = LyonCase(n, surface)
     tinput = lyon_input(case)
     tclass = sutured_torsion(tinput)

@@ -5,14 +5,21 @@ columns are the abelianized Fox derivatives of the inclusion words followed by
 those of the relators, one row per generator.  The result is only meaningful
 up to a sign and a monomial factor, which the normal form strips.
 
-The determinant first eliminates unit pivots (+-monomial entries, which every
-Tietze relator y w^-1 contributes) while the matrix is larger than 3x3, then
-expands cofactors up to 4x4 and runs fraction-free Bareiss elimination above.
-The value is exact, not just its class up to units.  3x3 is the floor because
-elimination there would fill the entries that the expansion multiplies.
+Before the determinant, each column whose word is mostly a power v^k, whose
+Fox derivatives are geometric sums in the image U of v, is multiplied by the
+binomial x^U - 1 when this shortens it; the determinant of the cleared matrix
+is then divided by those binomials, which `LaurentPoly.exact_div` does in one
+pass.  The determinant itself first
+eliminates unit pivots (+-monomial entries, which every Tietze relator y w^-1
+contributes) while the matrix is larger than 3x3, then expands cofactors up
+to 4x4 and runs fraction-free Bareiss elimination above.  The value is exact,
+not just its class up to units.  3x3 is the floor because elimination there
+would fill the entries that the expansion multiplies.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import add, sub
 
 from ._kernels import accumulate
 from .abelian import AbelianizationMap, LaurentPoly, grlex_key
@@ -298,6 +305,8 @@ def determinant(matrix):
     and to Bareiss elimination above.  The 3x3 floor is a fill guard on the
     dimension alone: elimination lengthens the entries that the expansion
     multiplies, and made the Lyon family's 3x3 determinants about 4x slower.
+    This takes any matrix; `fox_determinant` shortens a Fox matrix's columns
+    before it gets here, so the expansion multiplies short entries.
     """
     rank = _square_rank(matrix)
     factor = LaurentPoly.one(rank)
@@ -310,6 +319,112 @@ def determinant(matrix):
     return det if factor == LaurentPoly.one(rank) else factor * det
 
 
+def _period_step(word, phi):
+    """The exponent step U of a block v^k that covers at least half of
+    ``word``, or None.
+
+    Clearing with x^U - 1 shortens a column only when more than half of its
+    terms e have e + U among its terms too; along a block v^k such pairs
+    come from consecutive occurrences of one letter, |v| letters apart.
+    So the pairs of consecutive occurrences are grouped by letter
+    distance, with integers only; the most frequent distance must hold at
+    least half as many pairs as the word has letters, and then the most
+    frequent nonzero step of its pairs is U (x^0 - 1 = 0 clears nothing).
+    Only then is the word mapped by ``phi``.
+    """
+    letters = word.letters
+    last = {}
+    ends = defaultdict(list)  # letter distance -> the positions closing a pair
+    for i, letter in enumerate(letters):
+        ends[i - last.get(letter, i)].append(i)
+        last[letter] = i
+    ends.pop(0, None)  # first occurrences
+    if not ends:
+        return None
+    d = max(ends, key=lambda d: len(ends[d]))
+    if 2 * len(ends[d]) < len(letters):
+        return None
+    prefix = phi.prefix_exponents(word)
+    steps = Counter(tuple(map(sub, prefix[i], prefix[i - d])) for i in ends[d])
+    del steps[prefix[0]]
+    return max(steps, key=steps.get) if steps else None
+
+
+def _cleared_size(column, step, limit):
+    """Term count of (x^step - 1) * column, counted by dictionary lookups
+    without forming the product; the count stops after the entry that
+    brings it to ``limit``.  ``column`` holds the term dicts of its nonzero
+    entries."""
+    back = tuple(-s for s in step)
+    size = 0
+    for terms in column:
+        for e, c in terms.items():
+            # the coefficient at e + step is c - f(e + step)
+            if terms.get(tuple(map(add, e, step))) != c:
+                size += 1
+            # the coefficient at e is f(e - step) - c, counted above when
+            # e - step is a term
+            if tuple(map(add, e, back)) not in terms:
+                size += 1
+        if size >= limit:
+            break
+    return size
+
+
+def _clear_columns(matrix, words, phi):
+    """Clear geometric-sum denominators from the columns of a Fox matrix M,
+    in place, and return {column index: divisor} for the cleared columns.
+
+    A word holding a power v^k has Fox derivatives that are multiples of the
+    geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
+    so multiplying its column by V - 1 collapses them.  For column j the
+    step U is the `_period_step` of its word ``words[j]``, and the column
+    becomes (x^U - 1) * column when that lowers its total term count.  The
+    result is C = M * diag(divisors), 1 for the columns left alone, so
+    det M = det C / (product of the divisors), and each division is exact
+    because the Laurent ring is a domain.  No power rule is needed for that:
+    any nonzero U would do, and the step only has to make C small.
+    """
+    divisors = {}
+    for j, word in enumerate(words):
+        column = [row[j].terms for row in matrix if row[j].terms]
+        size = sum(map(len, column))
+        # a nonzero multiple of x^U - 1 has at least two terms
+        if size <= 2 * len(column):
+            continue
+        step = _period_step(word, phi)
+        if step is None or _cleared_size(column, step, size) >= size:
+            continue
+        divisor = LaurentPoly._raw(phi.rank, {step: 1, (0,) * phi.rank: -1})
+        for row in matrix:
+            row[j] = row[j] * divisor
+        divisors[j] = divisor
+    return divisors
+
+
+def fox_determinant(torsion_input):
+    """Exact determinant of ``fox_matrix(torsion_input)``.
+
+    The determinant is taken of the matrix with its columns cleared
+    (`_clear_columns`) and then divided by each column's divisor, one
+    binomial at a time.  A division that leaves a remainder is a defect of
+    this code, reported as InternalInexactDivision.
+    """
+    matrix = fox_matrix(torsion_input)
+    words = torsion_input.inclusion_words + torsion_input.presentation.relators
+    divisors = _clear_columns(matrix, words, torsion_input.abelianization)
+    det = determinant(matrix)
+    for divisor in divisors.values():
+        try:
+            det = det.exact_div(divisor)
+        except InexactDivision as exc:
+            raise InternalInexactDivision(
+                f"the determinant is not a multiple of the column divisor {divisor!r}"
+            ) from exc
+    return det
+
+
 def sutured_torsion(torsion_input):
-    """Torsion class of a balanced input: Fox matrix, determinant, normal form."""
-    return torsion_normal_form(determinant(fox_matrix(torsion_input)))
+    """Torsion class of a balanced input: the normal form of its Fox
+    matrix's determinant (`fox_determinant`)."""
+    return torsion_normal_form(fox_determinant(torsion_input))

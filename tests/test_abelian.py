@@ -11,7 +11,6 @@ from foxtorsion import (
     Presentation,
     Word,
     abelianize_presentation,
-    integer_determinant,
     integer_rank,
     parse_word,
     smith_normal_form,
@@ -28,6 +27,29 @@ from helpers import random_laurent, random_word
 
 
 # -- Smith normal form --------------------------------------------------------
+
+
+def integer_determinant(matrix):
+    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    A = [list(row) for row in matrix]
+    n = len(A)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def mat_mul(A, B):
@@ -268,6 +290,79 @@ def test_exact_div_round_trip_randomized():
         p = random_laurent(rng)
         q = random_laurent(rng, nonzero=True)
         assert (p * q).exact_div(q) == p
+
+
+@st.composite
+def binomial_divisions(draw):
+    """(f, divisor, monomial): a random f in rank 1-3, possibly zero; a
+    divisor c * (x^A - x^B) with A != B, entries of either sign and |c| up to
+    5; and a random monomial for perturbing a dividend."""
+    rank = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * rank)
+    f = LaurentPoly(
+        rank, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=8))
+    )
+    top, bottom = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    c = draw(st.integers(-5, 5).filter(bool))
+    divisor = LaurentPoly(rank, {top: c, bottom: -c})
+    monomial = LaurentPoly.monomial(draw(exps), draw(st.integers(-9, 9).filter(bool)))
+    return f, divisor, monomial
+
+
+def _quotient_or_inexact(dividend, divide):
+    try:
+        return divide(dividend)
+    except InexactDivision:
+        return "inexact"
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_divisions())
+def test_binomial_division_matches_the_leading_term_loop(case):
+    f, divisor, monomial = case
+    product = f * divisor
+    # exact_div takes the one-pass binomial path for this divisor
+    assert product.exact_div(divisor) == f
+    assert product._div_leading_terms(divisor) == f
+    if not f.is_zero:
+        assert product.exact_div(f) == divisor
+    # a binomial divides no monomial, so one more term makes any multiple inexact
+    with pytest.raises(InexactDivision):
+        (product + monomial).exact_div(divisor)
+    with pytest.raises(InexactDivision):
+        (product + monomial)._div_leading_terms(divisor)
+    c = next(iter(divisor.terms.values()))
+    if abs(c) > 1:
+        # f * divisor plus divisor / c: every line sums to 0, but c divides
+        # not every coefficient
+        (shift,) = monomial.terms
+        off = LaurentPoly(divisor.rank, {e: v // c for e, v in divisor.terms.items()})
+        with pytest.raises(InexactDivision):
+            (product + off.shifted(shift)).exact_div(divisor)
+    # an arbitrary dividend: both paths agree on the quotient or on inexactness
+    for dividend in (f, f + monomial, f * monomial):
+        assert _quotient_or_inexact(dividend, lambda d: d.exact_div(divisor)) == (
+            _quotient_or_inexact(dividend, lambda d: d._div_leading_terms(divisor))
+        )
+
+
+def test_binomial_division_of_zero_and_by_a_non_binomial():
+    divisor = LaurentPoly(2, {(1, -2): 3, (-1, 0): -3})
+    assert LaurentPoly.zero(2).exact_div(divisor) == LaurentPoly.zero(2)
+    # equal coefficients are not c * (x^A - x^B): the leading-term loop divides
+    one_plus_a = LaurentPoly(2, {(0, 0): 1, (1, 0): 1})
+    assert (one_plus_a * one_plus_a).exact_div(one_plus_a) == one_plus_a
+
+
+def test_binomial_division_runs_along_lines():
+    # (1 - t^2k) / (1 - t^2) = 1 + t^2 + ... + t^(2k-2), one line of step 2
+    k = 500
+    num = LaurentPoly(1, {(0,): 1, (2 * k,): -1})
+    den = LaurentPoly(1, {(0,): 1, (2,): -1})
+    assert num.exact_div(den) == LaurentPoly(1, {(2 * i,): 1 for i in range(k)})
+    # the odd exponents form a second line, whose sum is 1, not 0
+    with pytest.raises(InexactDivision):
+        (num + LaurentPoly.monomial((1,))).exact_div(den)
 
 
 @settings(max_examples=80, deadline=None)

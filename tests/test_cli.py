@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from foxtorsion.cli import main, parse_torsion_file
+from foxtorsion.cli import MAX_FAMILY_N, cmd_family, main, parse_torsion_file
 from foxtorsion.errors import InputFileError
 
 from helpers import count_hull_builds
@@ -257,6 +257,27 @@ def test_family_command_rejects_small_n(capsys):
     code, report, _ = run(capsys, "family", "--n", "-3", "--surface", "S")
     assert code == 1
     assert report["error"]["type"] == "UnsupportedN"
+
+
+@pytest.mark.parametrize("n", [MAX_FAMILY_N + 1, 10**30])
+@pytest.mark.parametrize("surface", ["S", "Sprime"])
+def test_family_rejects_n_beyond_the_budget_quickly(capsys, n, surface):
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "family", "--n", str(n), "--surface", surface)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["error"]["type"] == "InputTooLarge"
+
+
+@pytest.mark.parametrize("surface", ["S", "Sprime"])
+def test_family_cost_is_linear_in_n(surface):
+    # multiplying the expanded geometric sums, the determinant alone took
+    # about 7 s on a 2-vCPU VM
+    start = time.perf_counter()
+    report, _ = cmd_family(1000, surface)
+    assert time.perf_counter() - start < 2.0
+    assert report["oracle_match"] is True
+    assert len(report["torsion"]["support"]) == 12 * 1000 + 6
 
 
 def test_sfh_torus_command(capsys):

@@ -26,6 +26,7 @@ from foxtorsion import (
     torsion_normal_form,
 )
 from foxtorsion.errors import NotBalanced, UnknownGenerator
+from foxtorsion.torsion import _clear_columns, fox_determinant
 
 from helpers import (
     count_determinant_calls,
@@ -110,6 +111,94 @@ def test_fox_matrix_maps_each_derivative(inp):
             assert entry == expected
             # the same terms in the same order, so reports stay byte-identical
             assert list(entry.terms.items()) == list(expected.terms.items())
+
+
+@st.composite
+def periodic_words(draw):
+    """A reduced word over a, b, c made of one to three blocks: powers
+    (atom)^k with k in -12..12, some of whose atoms are commutators (image 0
+    under every map), and random short words."""
+    letters = st.tuples(st.sampled_from(FOX_GENS), st.sampled_from((1, -1)))
+    short = st.lists(letters, min_size=1, max_size=3).map(Word)
+    commutator = st.permutations(FOX_GENS).map(
+        lambda g: Word([(g[0], 1), (g[1], 1), (g[0], -1), (g[1], -1)])
+    )
+    power = st.builds(pow, st.one_of(short, commutator), st.integers(-12, 12))
+    blocks = draw(st.lists(st.one_of(power, power, short), min_size=1, max_size=3))
+    word = Word(())
+    for block in blocks:
+        word = word * block
+    return word
+
+
+@st.composite
+def periodic_inputs(draw):
+    """A balanced input over a, b, c whose words come from `periodic_words`,
+    with a map of rank 1 or 2 drawn as in `fox_inputs`."""
+    words = [draw(periodic_words()) for _ in FOX_GENS]
+    relators = draw(st.integers(0, len(FOX_GENS)))
+    rank = draw(st.integers(1, 2))
+    vectors = st.tuples(*[st.integers(-1, 1)] * rank)
+    pool = draw(st.lists(vectors, min_size=1, max_size=3)) + [(0,) * rank]
+    images = {g: draw(st.sampled_from(pool)) for g in FOX_GENS}
+    pres = Presentation(FOX_GENS, words[:relators])
+    return TorsionInput(pres, words[relators:], AbelianizationMap(rank, images))
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_inputs())
+def test_cleared_determinant_equals_the_plain_one(inp):
+    assert fox_determinant(inp) == determinant(fox_matrix(inp))
+
+
+CLEARED_EXAMPLES = (
+    # (first inclusion word, the step of its column's divisor x^U - 1 or
+    # None); the rest is the Lyon input for surface S at n = 0, basis (a, u)
+    ("(a b^-1)^12 b^2", (2, -3)),
+    # the block covers the word, but the commutator's step is 0
+    ("(a b a^-1 b^-1)^12 x a^-1 b x", None),
+    # two periodic blocks in one column: the more frequent step wins
+    ("(a b^-1)^3 (a x)^11", (1, 2)),
+    ("(a b^-1)^11 (a x)^3", (2, -3)),
+    # a block covering less than half of the word is left alone, although
+    # clearing with (2, -3) would save one of its 15 terms
+    ("(a b^-1)^5 b a b^-1 x a x^-1 b^-1", None),
+    # no step repeats often enough to shorten the column
+    ("a b x^-1 a^-1 x b", None),
+)
+
+
+@pytest.mark.parametrize("text, step", CLEARED_EXAMPLES)
+def test_cleared_determinant_examples(text, step):
+    base = lyon_input(0, "S")
+    pres = base.presentation
+    inp = TorsionInput(
+        pres,
+        (parse_word(text, pres.generators), base.inclusion_words[1]),
+        base.abelianization,
+    )
+    words = inp.inclusion_words + pres.relators
+    matrix = fox_matrix(inp)
+    divisors = _clear_columns(matrix, words, inp.abelianization)
+    if step is None:
+        assert 0 not in divisors
+    else:
+        assert divisors[0] == LaurentPoly(2, {step: 1, (0, 0): -1})
+    assert fox_determinant(inp) == determinant(fox_matrix(inp))
+
+
+@pytest.mark.parametrize("surface", ["S", "Sprime"])
+def test_family_clears_both_inclusion_columns_not_the_relator(surface):
+    inp = lyon_input(150, surface)
+    matrix = fox_matrix(inp)
+    longest = max(len(e.terms) for row in matrix for e in row)
+    words = inp.inclusion_words + inp.presentation.relators
+    divisors = _clear_columns(matrix, words, inp.abelianization)
+    assert sorted(divisors) == [0, 1]
+    # the geometric sums of about n terms collapse to a few terms
+    assert longest > 150
+    assert max(len(e.terms) for row in matrix for e in row) <= 6
+    assert sutured_torsion(inp) == expected_torsion(150, surface)
 
 
 def test_torsion_input_checks_inclusion_words():
