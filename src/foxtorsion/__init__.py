@@ -20,9 +20,7 @@ from .abelian import (
 from .equivalence import EquivalenceVerdict, Witness, apply_witness, compare_torsion
 from .groupring import (
     GroupRingElement,
-    augmentation,
     fox_derivative,
-    fox_derivative_power,
 )
 from .lyon import (
     LyonCase,
@@ -44,7 +42,6 @@ from .polytope import (
     polygon_affine_equivalent,
     sfh_polytope,
     support,
-    transform_polygon,
 )
 from .sfh import GradedRanks, tensor_ranks, torus_sfh
 from .torsion import (
@@ -54,8 +51,6 @@ from .torsion import (
     det_cofactor,
     determinant,
     fox_matrix,
-    is_centrally_symmetric,
-    reflect,
     sutured_torsion,
     torsion_normal_form,
 )
@@ -86,7 +81,6 @@ __all__ = [
     "affine_dimension",
     "alexander_coefficients",
     "apply_witness",
-    "augmentation",
     "compare_torsion",
     "det_bareiss",
     "det_cofactor",
@@ -94,11 +88,9 @@ __all__ = [
     "errors",
     "expected_torsion",
     "fox_derivative",
-    "fox_derivative_power",
     "fox_matrix",
     "hull_mismatch",
     "integer_rank",
-    "is_centrally_symmetric",
     "iter_affine_maps",
     "lyon_basis",
     "lyon_input",
@@ -107,7 +99,6 @@ __all__ = [
     "newton_polytope",
     "parse_word",
     "polygon_affine_equivalent",
-    "reflect",
     "render_word",
     "sfh_polytope",
     "smith_normal_form",
@@ -117,5 +108,4 @@ __all__ = [
     "tensor_ranks",
     "torsion_normal_form",
     "torus_sfh",
-    "transform_polygon",
 ]

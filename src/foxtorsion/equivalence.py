@@ -58,15 +58,31 @@ def apply_witness(t, witness):
 
 
 def _match(t1, t2, U, v):
-    """Sign making the mapped representative equal the target, or None.
+    """Sign making the mapped representative equal the target, or None, for
+    nonzero classes.
 
-    U is unimodular, so the image keeps one term per exponent."""
-    image = {_apply(U, v, e): c for e, c in t1.representative.terms.items()}
-    if image == t2.representative.terms:
-        return 1
-    if {k: -c for k, c in image.items()} == t2.representative.terms:
-        return -1
-    return None
+    U is unimodular, so the map is injective: with equal sizes, the image is
+    the target when each mapped term is found there times the sign read from
+    the first term.  The scan stops at the first miss."""
+    source, target = t1.representative.terms, t2.representative.terms
+    if len(source) != len(target):
+        return None
+    if len(v) == 2:
+        (a, b), (c, d) = U
+        s, t = v
+        image = (
+            ((a * x + b * y + s, c * x + d * y + t), k) for (x, y), k in source.items()
+        )
+    else:
+        image = ((_apply(U, v, e), k) for e, k in source.items())
+    sign = None
+    for e, k in image:
+        found = target.get(e)
+        if sign is None:
+            sign = 1 if found == k else -1
+        if found != sign * k:
+            return None
+    return sign
 
 
 def _battery(t1, t2, points1, points2, hulls=None):

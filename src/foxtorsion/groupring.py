@@ -88,11 +88,6 @@ class GroupRingElement:
         return "GroupRingElement(" + " + ".join(bits) + ")"
 
 
-def augmentation(e):
-    """Sum of the coefficients of a group-ring element."""
-    return e.augmentation()
-
-
 def fox_derivative(word, gen):
     """Left-to-right Fox derivative of ``word`` with respect to one generator."""
     name = _gen_name(gen)
@@ -106,19 +101,3 @@ def fox_derivative(word, gen):
             if lname == name
         )
     )
-
-
-def fox_derivative_power(base, k, gen):
-    """Fox derivative of base**k via the geometric-sum identity, for k >= 0.
-
-    d(v^k)/dg = (1 + v + ... + v^(k-1)) * dv/dg; used as an independent check
-    against the letter-by-letter computation.
-    """
-    if k < 0:
-        raise ValueError("geometric-sum form is stated for nonnegative powers")
-    geo = GroupRingElement.zero()
-    power = Word.identity()
-    for _ in range(k):
-        geo = geo + GroupRingElement.from_word(power)
-        power = power * base
-    return geo * fox_derivative(base, gen)

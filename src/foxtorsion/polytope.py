@@ -89,52 +89,73 @@ def _primitive(vector):
 
 
 def _hull_2d(points):
-    """Andrew's monotone chain; returns counterclockwise extreme points."""
-    pts = sorted(set(points))
+    """Counterclockwise extreme points of two or more points in Z^2, from the
+    lexicographically least.
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(seq):
+    One pass keeps each column's lowest and highest point, as a point strictly
+    between two others in its column is never extreme (Akl-Toussaint), and
+    only the columns are sorted.  Andrew's monotone chain then runs over the
+    column minima, ending at the last column's maximum, for the lower hull,
+    and back over the maxima, ending at the first column's minimum, for the
+    upper hull; each chain keeps only strict left turns.
+    """
+    columns = {}
+    for x, y in points:
+        ends = columns.get(x)
+        if ends is None:
+            columns[x] = [y, y]
+        elif y < ends[0]:
+            ends[0] = y
+        elif y > ends[1]:
+            ends[1] = y
+    xs = sorted(columns)
+    hull = []
+    for chain in (
+        [(x, columns[x][0]) for x in xs] + [(xs[-1], columns[xs[-1]][1])],
+        [(x, columns[x][1]) for x in reversed(xs)] + [(xs[0], columns[xs[0]][0])],
+    ):
         out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+        for p in chain:
+            px, py = p
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
+        hull += out[:-1]
+    return hull
 
 
 def newton_polytope(support_set):
-    """Convex hull of a support with primitive-edge annotations (rank <= 2)."""
-    rank = support_set.rank
-    points = [tuple(p) for p in support_set.points]
+    """Convex hull of a support with primitive-edge annotations (rank <= 2).
+
+    The extreme points give the dimension: one is a point, two a segment,
+    more a polygon; no affine rank is computed.
+    """
+    rank, points = support_set.rank, support_set.points
     if not points:
         raise ZeroTorsion("empty support has no hull")
     if rank > 2:
         raise RankUnsupported(
             f"structured hulls are only computed in rank <= 2 (got rank {rank})"
         )
-    unique = sorted(set(points))
-    if len(unique) == 1:
-        return LatticePolygon(0, (unique[0],), ())
-    if rank == 1 or affine_dimension(unique) == 1:
-        lo, hi = unique[0], unique[-1]
+    if rank == 2 and len(points) > 1:
+        verts = _hull_2d(points)
+    else:
+        verts = sorted({min(points), max(points)})
+    if len(verts) == 1:
+        return LatticePolygon(0, (verts[0],), ())
+    if len(verts) == 2:
+        lo, hi = verts
         direction, length = _primitive(tuple(b - a for a, b in zip(lo, hi)))
         neg = tuple(-c for c in direction)
         return LatticePolygon(1, (lo, hi), ((direction, length), (neg, length)))
-    verts = _hull_2d(unique)
-    start = verts.index(min(verts))
-    verts = tuple(verts[start:] + verts[:start])
-    edges = []
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        direction, length = _primitive((w[0] - v[0], w[1] - v[1]))
-        edges.append((direction, length))
-    return LatticePolygon(2, verts, tuple(edges))
+    edges = tuple(
+        _primitive((w[0] - v[0], w[1] - v[1]))
+        for v, w in zip(verts, verts[1:] + verts[:1])
+    )
+    return LatticePolygon(2, tuple(verts), edges)
 
 
 def sfh_polytope(t, hull=None):
@@ -156,12 +177,6 @@ def _apply(U, v, point):
         sum(U[i][j] * point[j] for j in range(len(point))) + v[i]
         for i in range(len(U))
     )
-
-
-def transform_polygon(polygon, U, v):
-    """Hull of the image of the vertices under x -> U x + v."""
-    pts = frozenset(_apply(U, v, p) for p in polygon.vertices)
-    return newton_polytope(SupportSet(len(v), pts))
 
 
 def _cycle_edges(vertices):

@@ -118,15 +118,6 @@ def torsion_normal_form(poly):
     return TorsionClass(poly)
 
 
-def reflect(t):
-    """Image of a torsion class under exponent negation, renormalized."""
-    return t.reflect()
-
-
-def is_centrally_symmetric(t):
-    return t.is_centrally_symmetric()
-
-
 def fox_matrix(torsion_input):
     """The square matrix of abelianized Fox derivatives.
 

@@ -1,7 +1,11 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from foxtorsion.cli import MAX_FAMILY_N, cmd_family, main, parse_torsion_file
 from foxtorsion.errors import InputFileError
@@ -425,3 +429,91 @@ def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
     path.write_text(LYON_S0.replace("names = a u", "names = a a"))
     report = _assert_json_error(capsys, path, "InvalidBasis")
     assert "duplicate basis names" in report["error"]["message"]
+
+
+# -- the contract on mutated files ---------------------------------------------
+
+NAMES = ("a", "b", "x", "y1")
+BAD_NAMES = ("1a", "a^", "(", "a-b", "_", "a#b", "\u00e9")
+# Small exponents keep each example fast; the large ones are rejected by the
+# word budgets before any work (test_words.py tests the budgets themselves).
+EXPONENTS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(("-0", "+2", "--1", "", "20001", "2147483648", "9" * 40, "1.5")),
+)
+JUNK_LINES = (
+    "", "   ", "# a comment", "[unknown]", "[generators", "generators]", "[]",
+    "[basis]", "[relators]", "names = a", "a = 1 x", "a =", "=", "\t[inclusion]\t",
+    "a b ) (", "^2", "a^", "()", "][", "\u00e9",
+)
+SPLICE_CHARS = tuple("()^-+#=[] \t0a9\r") + ("\u00e9",)
+
+
+@st.composite
+def word_texts(draw, names, depth=0):
+    atoms = []
+    for _ in range(draw(st.integers(0 if depth else 1, 3))):
+        if depth < 2 and draw(st.integers(0, 3)) == 0:
+            atom = "(" + draw(word_texts(names, depth + 1)) + ")"
+        else:
+            atom = draw(st.sampled_from(names))
+        if draw(st.booleans()):
+            atom += "^" + draw(EXPONENTS)
+        atoms.append(atom)
+    return " ".join(atoms)
+
+
+@st.composite
+def sectioned_files(draw):
+    """File bytes from the sectioned grammar: as many relators plus inclusion
+    words as generators and an optional basis, then mutated by dropping,
+    repeating, swapping or inserting lines, renaming a generator, or splicing
+    in a character."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    relators = draw(st.integers(0, len(names)))
+    words = [draw(word_texts(names)) for _ in names]
+    lines = ["[generators]", " ".join(names), "[relators]", *words[:relators]]
+    lines += ["[inclusion]", *words[relators:]]
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, 2))
+        lines += ["[basis]", "names = " + " ".join(("s", "t")[:rank])]
+        for name in names:
+            lines.append(f"{name} = " + " ".join(draw(EXPONENTS) for _ in range(rank)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "repeat", "swap", "insert", "rename", "splice")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(JUNK_LINES)))
+        elif kind == "rename":
+            old = draw(st.sampled_from(names))
+            lines[i] = lines[i].replace(old, draw(st.sampled_from(NAMES + BAD_NAMES)))
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + draw(st.sampled_from(SPLICE_CHARS)) + lines[i][k:]
+        if not lines:
+            break
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=sectioned_files(), command=st.sampled_from(("torsion", "compare")))
+def test_cli_contract_holds_on_mutated_files(tmp_path_factory, data, command):
+    path = tmp_path_factory.mktemp("fuzz") / "input.tor"
+    path.write_bytes(data)
+    argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert code == (1 if "error" in report else 0)
+    assert "Traceback" not in err.getvalue()
+    event(report["error"]["type"] if code else "no error")

@@ -1,6 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foxtorsion import (
     LaurentPoly,
@@ -9,6 +12,7 @@ from foxtorsion import (
     compare_torsion,
     expected_torsion,
 )
+from foxtorsion.equivalence import _match
 
 from helpers import apply_affine, count_hull_builds, random_laurent, random_unimodular
 
@@ -230,3 +234,77 @@ def test_matching_battery_but_no_map():
     verdict = compare_torsion(p1, p2)
     assert verdict.kind == "NotEquivalent"
     assert verdict.reason == "no hull-compatible map matches coefficients"
+
+
+# -- early-exit matching against the whole-dict comparison ---------------------
+
+
+def _match_by_dicts(source, target, U, v):
+    """The mapped source compared with the target as whole dicts, either sign."""
+    image = {
+        tuple(sum(U[i][j] * e[j] for j in range(len(e))) + v[i] for i in range(len(v))): c
+        for e, c in source.items()
+    }
+    if image == target:
+        return 1
+    if {k: -c for k, c in image.items()} == target:
+        return -1
+    return None
+
+
+@st.composite
+def match_cases(draw):
+    """A source, a unimodular map, and the source's image under the map times
+    either sign, then perhaps altered: one coefficient changed, one point moved
+    off the image, one term dropped or one added (unequal support sizes)."""
+    rank = draw(st.integers(0, 2))
+    point = st.tuples(*[st.integers(-4, 4)] * rank)
+    coeff = st.integers(-3, 3).filter(bool)
+    source = draw(st.dictionaries(point, coeff, min_size=1, max_size=10))
+    if rank == 2:
+        U = random_unimodular(random.Random(draw(st.integers(0, 10**6))))
+    else:
+        U = ((draw(st.sampled_from((1, -1))),),) if rank == 1 else ()
+    v = tuple(draw(st.integers(-5, 5)) for _ in range(rank))
+    sign = draw(st.sampled_from((1, -1)))
+    target = apply_affine(source, U, v, sign)
+    keys = sorted(target)
+    change = draw(st.sampled_from(("none", "coefficient", "move", "drop", "add")))
+    key = draw(st.sampled_from(keys))
+    if change == "coefficient":
+        target[key] += draw(st.sampled_from((-2, -1, 1, 2)))
+        if not target[key]:
+            del target[key]
+    elif change == "move" and rank:
+        target[tuple(x + 100 for x in key)] = target.pop(key)
+    elif change == "drop":
+        del target[key]
+    elif change == "add" and rank:
+        target[tuple(x + 100 for x in key)] = draw(coeff)
+    return rank, source, target, U, v
+
+
+def _holder(rank, terms):
+    return SimpleNamespace(representative=LaurentPoly(rank, terms))
+
+
+@settings(max_examples=500, deadline=None)
+@given(match_cases())
+def test_match_agrees_with_the_whole_dict_comparison(case):
+    rank, source, target, U, v = case
+    assert _match(_holder(rank, source), _holder(rank, target), U, v) == (
+        _match_by_dicts(source, target, U, v)
+    )
+
+
+def test_match_reads_the_sign_from_the_first_term():
+    source = {(0, 0): 1, (1, 0): -2, (0, 1): 3}
+    U, v = ((0, 1), (1, 0)), (2, -1)
+    image = apply_affine(source, U, v)
+    negated = {e: -c for e, c in image.items()}
+    assert _match(_holder(2, source), _holder(2, image), U, v) == 1
+    assert _match(_holder(2, source), _holder(2, negated), U, v) == -1
+    # the first term, (0, 0) -> (2, -1), says +1 and every other term -1
+    mixed = dict(negated)
+    mixed[(2, -1)] = 1
+    assert _match(_holder(2, source), _holder(2, mixed), U, v) is None

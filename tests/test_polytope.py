@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from foxtorsion import (
     sfh_polytope,
     support,
     smith_normal_form,
-    transform_polygon,
 )
 from foxtorsion.errors import RankUnsupported, ZeroTorsion
 
@@ -28,6 +28,15 @@ from helpers import random_laurent, random_unimodular
 
 def poly2(terms):
     return LaurentPoly(2, terms)
+
+
+def transform_polygon(polygon, U, v):
+    """Hull of the image of the vertices under x -> U x + v."""
+    pts = frozenset(
+        tuple(sum(U[i][j] * p[j] for j in range(len(p))) + v[i] for i in range(len(v)))
+        for p in polygon.vertices
+    )
+    return newton_polytope(SupportSet(len(v), pts))
 
 
 TAU_M1 = expected_torsion(-1, "S")  # (a + u^3)(1 + u^2 + u^4)
@@ -103,6 +112,88 @@ def test_affine_dimension_matches_smith_normal_form(points):
 
 
 # -- hulls --------------------------------------------------------------------
+
+
+def _reference_hull(rank, points):
+    """(dimension, vertices, edges) of a point set in rank <= 2, from the
+    all-points monotone chain over every sorted point and a brute-force
+    collinearity test, independent of ``newton_polytope``."""
+    unique = sorted(set(points))
+    if len(unique) == 1:
+        return 0, (unique[0],), ()
+    lo, hi = unique[0], unique[-1]
+    dimension = 1
+    if rank == 1 or all(
+        (hi[0] - lo[0]) * (p[1] - lo[1]) == (hi[1] - lo[1]) * (p[0] - lo[0])
+        for p in unique
+    ):
+        vertices = (lo, hi)
+    else:
+        dimension = 2
+
+        def cross(o, a, b):
+            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+        def half(seq):
+            out = []
+            for p in seq:
+                while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                    out.pop()
+                out.append(p)
+            return out
+
+        vertices = tuple(half(unique)[:-1] + half(unique[::-1])[:-1])
+    edges = []
+    for i, v in enumerate(vertices):
+        step = [b - a for a, b in zip(v, vertices[(i + 1) % len(vertices)])]
+        g = math.gcd(*(abs(c) for c in step))
+        edges.append((tuple(c // g for c in step), g))
+    return dimension, vertices, tuple(edges)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Rank 1-2 point sets with negative coordinates: generic sets in a small
+    box, so that columns hold many points; single columns and single rows;
+    sets on one random line; and a few columns that are tall."""
+    rank = draw(st.integers(1, 2))
+    coord = st.integers(-6, 6)
+    count = draw(st.integers(1, 30))
+    if rank == 1:
+        return 1, [(draw(st.integers(-40, 40)),) for _ in range(count)]
+    shape = draw(st.sampled_from(("box", "column", "row", "line", "few_columns")))
+    if shape == "box":
+        return 2, [(draw(coord), draw(coord)) for _ in range(count)]
+    if shape in ("column", "row"):
+        fixed = draw(coord)
+        cells = [(fixed, draw(st.integers(-40, 40))) for _ in range(count)]
+        return 2, cells if shape == "column" else [(y, x) for x, y in cells]
+    if shape == "line":
+        base = (draw(coord), draw(coord))
+        d = (draw(coord), draw(coord))
+        steps = [draw(st.integers(-5, 5)) for _ in range(count)]
+        return 2, [(base[0] + t * d[0], base[1] + t * d[1]) for t in steps]
+    xs = draw(st.lists(coord, min_size=1, max_size=3))
+    return 2, [(draw(st.sampled_from(xs)), draw(st.integers(-40, 40))) for _ in range(count)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(hull_inputs())
+def test_hull_matches_the_all_points_chain(case):
+    rank, points = case
+    hull = newton_polytope(SupportSet(rank, frozenset(points)))
+    dimension, vertices, edges = _reference_hull(rank, points)
+    assert hull.dimension == dimension
+    assert hull.vertices == vertices
+    assert hull.edges == edges
+
+
+def test_hull_keeps_the_ends_of_the_first_and_last_columns():
+    points = {(0, 0), (0, 1), (0, 3), (2, -1), (2, 4), (2, 2), (1, 5), (1, -2)}
+    hull = newton_polytope(SupportSet(2, frozenset(points)))
+    assert hull.vertices == ((0, 0), (1, -2), (2, -1), (2, 4), (1, 5), (0, 3))
+    column = newton_polytope(SupportSet(2, frozenset({(4, -1), (4, 2), (4, 0)})))
+    assert column.vertices == ((4, -1), (4, 2))
 
 
 def test_parallelogram_hulls_at_minus_one():
