@@ -6,7 +6,15 @@ A term dict maps keys to nonzero integer coefficients.  `accumulate` and
 Laurent ring.  `mul_terms` and `iadd_scaled` add keys as exponent tuples and
 so are Laurent-only.  These four functions are the inner loops of every ring
 operation.
+
+Exponent tuples are added as ``tuple(map(add, ka, kb))``: `map` over a C
+operator builds the sum without a Python-level generator frame, which is
+about twice as fast as ``tuple(x + y for x, y in zip(ka, kb))`` on the short
+tuples of the Laurent ring.  The same idiom (with `sub`, `neg` or `min`)
+serves the exponent arithmetic of `LaurentPoly`.
 """
+
+from operator import add
 
 
 def accumulate(pairs):
@@ -35,7 +43,7 @@ def mul_terms(a, b):
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             cur = out.get(k)
             if cur is None:
                 out[k] = va * vb
@@ -69,7 +77,7 @@ def iadd_scaled(acc, src, shift, coeff):
     if not coeff:
         return
     for k, v in src.items():
-        kk = tuple(x + y for x, y in zip(k, shift))
+        kk = tuple(map(add, k, shift))
         cur = acc.get(kk)
         if cur is None:
             acc[kk] = coeff * v

@@ -7,7 +7,7 @@ term-dict inner loops live in `_kernels`.
 """
 
 import math
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import (
     InexactDivision,
@@ -278,7 +278,7 @@ class LaurentPoly:
     def min_exponents(self):
         if not self.terms:
             raise ValueError("the zero polynomial has no exponents")
-        return tuple(min(e[i] for e in self.terms) for i in range(self.rank))
+        return tuple(map(min, zip(*self.terms)))
 
     def shifted(self, offset):
         offset = tuple(int(o) for o in offset)
@@ -286,13 +286,13 @@ class LaurentPoly:
             raise RankMismatch(f"offset length {len(offset)}, expected {self.rank}")
         return LaurentPoly._raw(
             self.rank,
-            {tuple(a + b for a, b in zip(k, offset)): v for k, v in self.terms.items()},
+            {tuple(map(add, k, offset)): v for k, v in self.terms.items()},
         )
 
     def reflected(self):
         """Exponent-wise negation (the inversion map on the grading group)."""
         return LaurentPoly._raw(
-            self.rank, {tuple(-e for e in k): v for k, v in self.terms.items()}
+            self.rank, {tuple(map(neg, k)): v for k, v in self.terms.items()}
         )
 
     def exact_div(self, divisor):
@@ -325,18 +325,14 @@ class LaurentPoly:
             return LaurentPoly.zero(self.rank)
         smin = self.min_exponents()
         dmin = divisor.min_exponents()
-        rem = {
-            tuple(a - b for a, b in zip(k, smin)): v for k, v in self.terms.items()
-        }
-        den = {
-            tuple(a - b for a, b in zip(k, dmin)): v for k, v in divisor.terms.items()
-        }
+        rem = {tuple(map(sub, k, smin)): v for k, v in self.terms.items()}
+        den = {tuple(map(sub, k, dmin)): v for k, v in divisor.terms.items()}
         dlead = max(den, key=grlex_key)
         dcoeff = den[dlead]
         quot = {}
         while rem:
             lead = max(rem, key=grlex_key)
-            qexp = tuple(a - b for a, b in zip(lead, dlead))
+            qexp = tuple(map(sub, lead, dlead))
             if any(e < 0 for e in qexp):
                 raise InexactDivision("leading monomial not divisible")
             qc, r = divmod(rem[lead], dcoeff)
@@ -344,10 +340,9 @@ class LaurentPoly:
                 raise InexactDivision("leading coefficient not divisible")
             quot[qexp] = qc
             iadd_scaled(rem, den, qexp, -qc)
-        shift = tuple(a - b for a, b in zip(smin, dmin))
+        shift = tuple(map(sub, smin, dmin))
         return LaurentPoly._raw(
-            self.rank,
-            {tuple(a + b for a, b in zip(k, shift)): v for k, v in quot.items()},
+            self.rank, {tuple(map(add, k, shift)): v for k, v in quot.items()}
         )
 
     def _div_binomial(self, top, bottom, c):
@@ -385,37 +380,6 @@ class LaurentPoly:
             if run + points[-1][1]:
                 raise InexactDivision("a line of exponents does not sum to zero")
         return LaurentPoly._raw(self.rank, quot)
-
-    def substitute(self, images, offset=None):
-        """Monomial substitution: variable i maps to the monomial with exponent images[i].
-
-        ``images`` must contain one target-ring exponent vector per source
-        variable; ``offset`` is an optional extra translation.  This is the
-        ring homomorphism induced by an integer matrix plus offset.
-        """
-        images = [tuple(int(e) for e in img) for img in images]
-        if len(images) != self.rank:
-            raise RankMismatch(
-                f"{len(images)} variable images for rank {self.rank}"
-            )
-        target = len(images[0]) if images else (len(offset) if offset else 0)
-        if any(len(img) != target for img in images):
-            raise RankMismatch("variable images have inconsistent ranks")
-        if offset is None:
-            offset = (0,) * target
-        offset = tuple(int(o) for o in offset)
-        if len(offset) != target:
-            raise RankMismatch("offset rank does not match the target ring")
-
-        def image(exps):
-            return tuple(
-                o + sum(e * img[i] for e, img in zip(exps, images))
-                for i, o in enumerate(offset)
-            )
-
-        return LaurentPoly._raw(
-            target, accumulate((image(k), v) for k, v in self.terms.items())
-        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))

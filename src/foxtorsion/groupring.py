@@ -89,15 +89,19 @@ class GroupRingElement:
 
 
 def fox_derivative(word, gen):
-    """Left-to-right Fox derivative of ``word`` with respect to one generator."""
+    """Left-to-right Fox derivative of ``word`` with respect to one generator.
+
+    An occurrence u g contributes +u and an occurrence u g^-1 contributes
+    -u g^-1; both are prefixes of the reduced word, so both stay reduced.
+    The prefixes are distinct, so the term dict is built in one pass with
+    no summing: two occurrences of g give prefixes of different lengths,
+    and a +g at i and a -g at j give equal lengths only if i = j + 1, the
+    pair g^-1 g that a reduced word does not hold.
+    """
     name = _gen_name(gen)
     letters = word.letters
-    # An occurrence u g contributes +u and an occurrence u g^-1 contributes
-    # -u g^-1; both are prefixes of the reduced word, so both stay reduced.
-    return GroupRingElement._raw(
-        accumulate(
-            (Word._from_reduced(letters[:i] if sign > 0 else letters[: i + 1]), sign)
-            for i, (lname, sign) in enumerate(letters)
-            if lname == name
-        )
-    )
+    return GroupRingElement._raw({
+        Word._from_reduced(letters[:i] if sign > 0 else letters[: i + 1]): sign
+        for i, (lname, sign) in enumerate(letters)
+        if lname == name
+    })

@@ -11,6 +11,8 @@ from foxtorsion import (
     polytope,
     torsion,
 )
+from foxtorsion._kernels import accumulate
+from foxtorsion.errors import RankMismatch
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -31,6 +33,28 @@ def random_laurent(rng, rank=2, max_terms=6, exp_span=3, coeff_span=4, nonzero=F
     if nonzero and poly.is_zero:
         poly = LaurentPoly.monomial((1,) * rank, 1 + rng.randint(0, coeff_span))
     return poly
+
+
+def substitute(poly, images):
+    """Monomial substitution: variable i of the Laurent polynomial ``poly``
+    maps to the monomial with exponent images[i], one target-ring exponent
+    vector per variable.  This is the ring homomorphism induced by an
+    integer matrix."""
+    images = [tuple(int(e) for e in img) for img in images]
+    if len(images) != poly.rank:
+        raise RankMismatch(f"{len(images)} variable images for rank {poly.rank}")
+    target = len(images[0]) if images else 0
+    if any(len(img) != target for img in images):
+        raise RankMismatch("variable images have inconsistent ranks")
+
+    def image(exps):
+        return tuple(
+            sum(e * img[i] for e, img in zip(exps, images)) for i in range(target)
+        )
+
+    return LaurentPoly._raw(
+        target, accumulate((image(k), v) for k, v in poly.terms.items())
+    )
 
 
 def random_unimodular(rng, steps=8):

@@ -1,0 +1,77 @@
+"""Byte-identical CLI reports on a fixed corpus.
+
+Each case runs one command with ``tests/golden`` as the working directory
+(reports echo the file arguments) and compares its stdout, byte for byte,
+with the committed ``tests/golden/<case>.json``.  The inputs are the example
+file from the `foxtorsion.cli` docstring and one Lyon presentation whose two
+inclusion words are padded to about 1,000 letters each, the shape of the
+benchmark's ``long-words`` files.  The reports were recorded at commit
+1fba6be; a change that alters any of them changes the CLI's output.
+
+Run as a script, ``python tests/test_golden.py`` checks the same cases
+through ``python -m foxtorsion`` in a subprocess of the running interpreter,
+which needs no pytest.
+"""
+
+import os
+import subprocess
+import sys
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "torsion-example": ["torsion", "example.tor"],
+    "torsion-long-words": ["torsion", "long-words.tor"],
+    "compare-example-example": ["compare", "example.tor", "example.tor"],
+    "compare-example-long-words": ["compare", "example.tor", "long-words.tor"],
+    **{
+        f"family-{surface}-{n}": ["family", "--n", str(n), "--surface", surface]
+        for surface in ("S", "Sprime")
+        for n in (-1, 0, 7, 40, 150)
+    },
+}
+
+
+def expected(case):
+    with open(os.path.join(GOLDEN, case + ".json"), encoding="ascii") as fh:
+        return fh.read()
+
+
+def pytest_generate_tests(metafunc):
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", sorted(CASES))
+
+
+def test_report_is_byte_identical(case, capsys, monkeypatch):
+    from foxtorsion.cli import main
+
+    monkeypatch.chdir(GOLDEN)
+    code = main(CASES[case])
+    assert capsys.readouterr().out == expected(case)
+    assert code == 0
+
+
+def test_every_golden_report_has_a_case():
+    reports = {f[: -len(".json")] for f in os.listdir(GOLDEN) if f.endswith(".json")}
+    assert reports == set(CASES)
+
+
+def check_with_subprocesses():
+    """Number of cases whose ``python -m foxtorsion`` stdout differs."""
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    failed = 0
+    for case, argv in sorted(CASES.items()):
+        out = subprocess.run(
+            [sys.executable, "-m", "foxtorsion", *argv],
+            cwd=GOLDEN, env=env, capture_output=True, check=False,
+        ).stdout
+        same = out == expected(case).encode("ascii")
+        failed += not same
+        print(f"{'ok  ' if same else 'DIFF'} {case}")
+    return failed
+
+
+if __name__ == "__main__":
+    print(sys.version.split()[0])
+    sys.exit(1 if check_with_subprocesses() else 0)

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from foxtorsion import (
     Generator,
     GroupRingElement,
@@ -7,6 +10,7 @@ from foxtorsion import (
     fox_derivative,
     parse_word,
 )
+from foxtorsion._kernels import accumulate
 
 from helpers import random_word
 
@@ -118,3 +122,57 @@ def test_power_shortcut_matches_letterwise():
         k = rng.randint(0, 10)
         g = rng.choice(("a", "b", "c"))
         assert fox_derivative_power(base, k, g) == fox_derivative(base ** k, g)
+
+
+def fox_derivative_by_sums(word, gen):
+    """The summing form of `fox_derivative`: every prefix term goes through
+    `accumulate`, which would merge and cancel equal prefixes."""
+    letters = word.letters
+    return GroupRingElement._raw(
+        accumulate(
+            (Word(letters[:i] if sign > 0 else letters[: i + 1]), sign)
+            for i, (lname, sign) in enumerate(letters)
+            if lname == gen
+        )
+    )
+
+
+NAMES = ("a", "b", "c", "d")
+letter_lists = st.lists(
+    st.tuples(st.sampled_from(NAMES), st.sampled_from((1, -1))), max_size=60
+)
+
+
+@st.composite
+def reduced_words(draw):
+    """Reduced words of three shapes: a power g^L, a product whose middle
+    cancels (u v v^-1 w, reduced on construction), and a random word in
+    1-4 generators."""
+    shape = draw(st.sampled_from(("power", "cancelling", "random")))
+    if shape == "power":
+        g = draw(st.sampled_from(NAMES))
+        return Word([(g, draw(st.sampled_from((1, -1))))]) ** draw(
+            st.integers(0, 400)
+        )
+    if shape == "cancelling":
+        u, v, w = (Word(draw(letter_lists)) for _ in range(3))
+        return u * v * v.inverse() * w
+    names = NAMES[: draw(st.integers(1, 4))]
+    return Word(
+        draw(
+            st.lists(
+                st.tuples(st.sampled_from(names), st.sampled_from((1, -1))),
+                max_size=200,
+            )
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(reduced_words(), st.sampled_from(NAMES))
+def test_fox_derivative_matches_the_summing_form(w, g):
+    got = fox_derivative(w, g)
+    want = fox_derivative_by_sums(w, g)
+    assert list(got.terms.items()) == list(want.terms.items())
+    # every occurrence of g or g^-1 gives its own term: no two prefixes merge
+    assert len(got.terms) == sum(name == g for name, _ in w.letters)

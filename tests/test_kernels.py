@@ -2,9 +2,15 @@
 
 import random
 from collections import Counter
+from operator import add, neg
 
-from foxtorsion import Word
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foxtorsion import LaurentPoly, Word
 from foxtorsion._kernels import accumulate, add_terms, iadd_scaled, mul_terms
+from foxtorsion.errors import InexactDivision
 
 from helpers import random_word
 
@@ -144,3 +150,99 @@ def test_big_integer_coefficients_survive():
     a = {(0, 0): big, (1, 0): -big}
     b = {(0, 0): big}
     assert mul_terms(a, b) == {(0, 0): big * big, (1, 0): -big * big}
+
+
+# Exponent arithmetic in ranks 0-3, against references that index each
+# coordinate by hand.
+
+ranks = st.integers(0, 3)
+
+
+def term_dicts(rank, max_size=12):
+    return st.dictionaries(
+        st.tuples(*[st.integers(-5, 5)] * rank),
+        st.integers(-50, 50).filter(bool),
+        max_size=max_size,
+    )
+
+
+def exponents(rank):
+    return st.tuples(*[st.integers(-5, 5)] * rank)
+
+
+def by_index(op, *keys):
+    return tuple(op(*(k[i] for k in keys)) for i in range(len(keys[0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_terms_in_every_rank(data):
+    rank = data.draw(ranks)
+    a, b = data.draw(term_dicts(rank)), data.draw(term_dicts(rank))
+    out = Counter()
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[by_index(add, ka, kb)] += va * vb
+    assert mul_terms(a, b) == nonzero(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iadd_scaled_in_every_rank(data):
+    rank = data.draw(ranks)
+    acc, src = data.draw(term_dicts(rank)), data.draw(term_dicts(rank))
+    shift, coeff = data.draw(exponents(rank)), data.draw(st.integers(-3, 3))
+    out = Counter(acc)
+    for k, v in src.items():
+        out[by_index(add, k, shift)] += coeff * v
+    iadd_scaled(acc, src, shift, coeff)
+    assert acc == nonzero(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shift_reflect_and_min_exponents_in_every_rank(data):
+    rank = data.draw(ranks)
+    terms = data.draw(term_dicts(rank))
+    offset = data.draw(exponents(rank))
+    p = LaurentPoly(rank, terms)
+    assert p.shifted(offset).terms == {
+        by_index(add, k, offset): v for k, v in terms.items()
+    }
+    assert p.reflected().terms == {
+        by_index(neg, k): v for k, v in terms.items()
+    }
+    if terms:
+        assert p.min_exponents() == tuple(
+            min(k[i] for k in terms) for i in range(rank)
+        )
+    else:
+        with pytest.raises(ValueError):
+            p.min_exponents()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_div_in_every_rank(data):
+    """Products divide back to their factor, through both the binomial and
+    the leading-term path; a quotient returned for a perturbed product
+    must multiply back."""
+    rank = data.draw(ranks)
+    q = LaurentPoly(rank, data.draw(term_dicts(rank, max_size=6)))
+    if data.draw(st.booleans()) and rank:
+        top, bottom = data.draw(exponents(rank)), data.draw(exponents(rank))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        d = LaurentPoly(rank, accumulate([(top, c), (bottom, -c)]))
+    else:
+        d = LaurentPoly(rank, data.draw(term_dicts(rank, max_size=4)))
+    if d.is_zero:
+        d = LaurentPoly.monomial(data.draw(exponents(rank)), 2)
+    n = LaurentPoly(rank, ref_mul(q.terms, d.terms))
+    assert n.exact_div(d) == q
+    extra = data.draw(term_dicts(rank, max_size=2))
+    m = LaurentPoly(rank, ref_add(n.terms, extra))
+    try:
+        quot = m.exact_div(d)
+    except InexactDivision:
+        return
+    assert ref_mul(quot.terms, d.terms) == m.terms
