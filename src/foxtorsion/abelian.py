@@ -152,11 +152,6 @@ def integer_rank(matrix):
 # Laurent polynomials
 
 
-def grlex_key(exponents):
-    """Graded-lexicographic sort key: total degree first, then lexicographic."""
-    return (sum(exponents), exponents)
-
-
 class LaurentPoly:
     """Finitely supported integer Laurent polynomial on exponent vectors in Z^r."""
 
@@ -327,11 +322,11 @@ class LaurentPoly:
         dmin = divisor.min_exponents()
         rem = {tuple(map(sub, k, smin)): v for k, v in self.terms.items()}
         den = {tuple(map(sub, k, dmin)): v for k, v in divisor.terms.items()}
-        dlead = max(den, key=grlex_key)
+        _, dlead = max([(sum(e), e) for e in den])
         dcoeff = den[dlead]
         quot = {}
         while rem:
-            lead = max(rem, key=grlex_key)
+            _, lead = max([(sum(e), e) for e in rem])
             qexp = tuple(map(sub, lead, dlead))
             if any(e < 0 for e in qexp):
                 raise InexactDivision("leading monomial not divisible")
@@ -382,39 +377,38 @@ class LaurentPoly:
         return LaurentPoly._raw(self.rank, quot)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        """(exponents, coefficient) pairs in graded-lex order, sorted as decorated
+        (degree, exponents, coefficient) tuples with no per-term key function;
+        exponents are distinct, so ties never reach the coefficient."""
+        ordered = sorted([(sum(e), e, c) for e, c in self.terms.items()])
+        return [(e, c) for _, e, c in ordered]
 
     def render(self, names):
-        """Human-readable form with the given variable names, graded-lex order."""
+        """`render_terms` of `sorted_terms` with the given variable names."""
         if len(names) != self.rank:
             raise RankMismatch(f"{len(names)} names for rank {self.rank}")
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(str(name))
-                elif e:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(pieces)
+        return render_terms(self.sorted_terms(), names)
 
     def __repr__(self):
         names = [f"x{i}" for i in range(self.rank)]
         return f"LaurentPoly[{self.rank}]({self.render(names)})"
+
+
+def render_terms(terms, names):
+    """Human-readable form of (exponents, coefficient) pairs in the order
+    given, "0" for none.  Callers pass `LaurentPoly.sorted_terms`, so one
+    sort serves both a report's term list and its rendering."""
+    pieces = []
+    for exps, coeff in terms:
+        mono = "*".join(
+            [str(n) if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
+        )
+        mag = abs(coeff)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    # the leading term takes a bare "-" and no "+"
+    text = " ".join(pieces)
+    return (text[2:] if text[0] == "+" else "-" + text[2:]) if text else "0"
 
 
 # ---------------------------------------------------------------------------

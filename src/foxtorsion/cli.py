@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianizationMap, abelianize_presentation
+from .abelian import AbelianizationMap, abelianize_presentation, render_terms
 from .errors import (
     FoxTorsionError,
     InputEncodingError,
@@ -178,33 +178,33 @@ def _polygon_dict(polygon):
     }
 
 
+def _terms_section(tclass, names):
+    """A class's graded-lex term list and its rendering, from one sort."""
+    ordered = tclass.representative.sorted_terms()
+    terms = [[list(exps), coeff] for exps, coeff in ordered]
+    return {"terms": terms, "rendered": render_terms(ordered, names)}
+
+
 def _torsion_body(tclass, names):
     """The report's torsion section, and the class's Newton polygon (None for
     the zero class and in rank > 2) for the caller to reuse."""
     body = {
         "variables": list(names),
-        "terms": [
-            [list(exps), coeff] for exps, coeff in tclass.representative.sorted_terms()
-        ],
-        "rendered": tclass.render(names),
+        **_terms_section(tclass, names),
         "coefficient_sum": tclass.coefficient_sum(),
         "centrally_symmetric": tclass.is_centrally_symmetric(),
     }
     if tclass.is_zero:
-        body["support"] = []
-        body["polygon"] = None
-        body["sfh_polytope"] = None
+        body.update(support=[], polygon=None, sfh_polytope=None)
         return body, None
     points = support(tclass)
     body["support"] = [list(p) for p in sorted(points.points)]
     try:
         hull = newton_polytope(points)
     except RankUnsupported:
-        body["polygon"] = {
-            "dimension": affine_dimension(points.points),
-            "note": "hull structure unavailable for rank > 2",
-        }
-        body["sfh_polytope"] = None
+        dimension = affine_dimension(points.points)
+        note = "hull structure unavailable for rank > 2"
+        body.update(polygon={"dimension": dimension, "note": note}, sfh_polytope=None)
         return body, None
     body["polygon"] = _polygon_dict(hull)
     body["sfh_polytope"] = _polygon_dict(sfh_polytope(tclass, hull))
@@ -304,18 +304,16 @@ def cmd_family(n, surface):
     oracle = expected_torsion(case)
     names = tinput.abelianization.basis_names
     body, _ = _torsion_body(tclass, names)
+    match = tclass == oracle
+    # a matching oracle is the same class, so its section is the torsion's
+    expected = body if match else _terms_section(oracle, names)
     report = {
         "command": "family",
         "arguments": {"n": n, "surface": surface},
         "input": _input_echo(tinput),
         "torsion": body,
-        "expected": {
-            "rendered": oracle.render(names),
-            "terms": [
-                [list(e), c] for e, c in oracle.representative.sorted_terms()
-            ],
-        },
-        "oracle_match": tclass == oracle,
+        "expected": {"rendered": expected["rendered"], "terms": expected["terms"]},
+        "oracle_match": match,
         "uses_positive_side_words": surface == "Sprime",
     }
     return report, _plot_payload(body)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from ._kernels import accumulate
-from .abelian import AbelianizationMap, LaurentPoly, grlex_key
+from .abelian import AbelianizationMap, LaurentPoly
 from .errors import (
     InexactDivision,
     InternalInexactDivision,
@@ -88,7 +88,12 @@ class TorsionClass:
         return TorsionClass(self.poly.reflected())
 
     def is_centrally_symmetric(self):
-        return self.reflect() == self
+        """Whether ``reflect() == self``, decided by lookups: the mirrored terms
+        {M - e: c}, M the maximum exponents, equal the terms or their negatives."""
+        terms = self.poly.terms
+        top = tuple(map(max, zip(*terms)))
+        mirrored = {tuple(map(sub, top, e)): c for e, c in terms.items()}
+        return mirrored == terms or mirrored == {e: -c for e, c in terms.items()}
 
     def render(self, names):
         return self.poly.render(names)
@@ -104,13 +109,16 @@ class TorsionClass:
 
 
 def _normalize(poly):
+    """Shift to minimum exponent 0 and make the graded-lex smallest coefficient
+    positive, in one pass.  Graded-lex order is translation invariant, so a
+    decorated min finds that term before the shift."""
     if poly.is_zero:
         return poly
-    shifted = poly.shifted(tuple(-e for e in poly.min_exponents()))
-    smallest = min(shifted.terms, key=grlex_key)
-    if shifted.terms[smallest] < 0:
-        shifted = -shifted
-    return shifted
+    low = poly.min_exponents()
+    _, smallest = min([(sum(e), e) for e in poly.terms])
+    sign = -1 if poly.terms[smallest] < 0 else 1
+    terms = {tuple(map(sub, e, low)): sign * c for e, c in poly.terms.items()}
+    return LaurentPoly._raw(poly.rank, terms)
 
 
 def torsion_normal_form(poly):

@@ -1,5 +1,7 @@
 """Shared randomized-input builders and call counters for the test suite."""
 
+from hypothesis import strategies as st
+
 from foxtorsion import (
     LaurentPoly,
     Presentation,
@@ -33,6 +35,17 @@ def random_laurent(rng, rank=2, max_terms=6, exp_span=3, coeff_span=4, nonzero=F
     if nonzero and poly.is_zero:
         poly = LaurentPoly.monomial((1,) * rank, 1 + rng.randint(0, coeff_span))
     return poly
+
+
+@st.composite
+def laurent_polys(draw, max_rank=3):
+    """Laurent polynomials in ranks 0 to ``max_rank``.  Exponents lie in
+    [-3, 3], so many terms share a total degree; the zero and one-term
+    polynomials come up, and so do coefficients +-1 and beyond 2^64."""
+    rank = draw(st.integers(0, max_rank))
+    exps = st.tuples(*[st.integers(-3, 3)] * rank)
+    coeffs = st.one_of(st.integers(-12, 12), st.sampled_from((-(2**70), 3**50)))
+    return LaurentPoly(rank, draw(st.dictionaries(exps, coeffs, max_size=12)))
 
 
 def substitute(poly, images):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
@@ -15,6 +15,7 @@ from foxtorsion import (
     parse_word,
     smith_normal_form,
 )
+from foxtorsion.abelian import render_terms
 from foxtorsion.errors import (
     InexactDivision,
     InvalidBasis,
@@ -23,7 +24,7 @@ from foxtorsion.errors import (
     UnknownGenerator,
 )
 
-from helpers import random_laurent, random_word, substitute
+from helpers import laurent_polys, random_laurent, random_word, substitute
 
 
 # -- Smith normal form --------------------------------------------------------
@@ -404,3 +405,53 @@ def test_render_is_graded_lex_sorted():
     p = LaurentPoly(2, {(0, 2): 3, (1, 0): -1, (0, 0): 2})
     assert p.render(("a", "u")) == "2 - a + 3*u^2"
     assert LaurentPoly.zero(2).render(("a", "u")) == "0"
+
+
+def sorted_terms_reference(poly):
+    """Graded-lex order by a key function per term, as `sorted_terms` sorted
+    before it decorated its tuples."""
+    return sorted(poly.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def render_reference(poly, names):
+    """The renderer that sorted on its own, before `render_terms` took an
+    already sorted term list."""
+    if not poly.terms:
+        return "0"
+    pieces = []
+    for exps, coeff in sorted_terms_reference(poly):
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(str(name))
+            elif e:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_polys())
+@example(LaurentPoly.zero(0))
+@example(LaurentPoly.zero(3))
+@example(LaurentPoly(0, {(): -1}))
+@example(LaurentPoly.monomial((0, -1, 1), -1))
+@example(LaurentPoly(2, {(1, 0): 2, (0, 1): -1, (2, -1): 1, (-1, 2): -5}))
+def test_one_sort_serves_terms_and_rendering(poly):
+    names = ("a", "u", "x")[: poly.rank]
+    ordered = poly.sorted_terms()
+    assert ordered == sorted_terms_reference(poly)
+    rendered = render_reference(poly, names)
+    assert render_terms(ordered, names) == rendered
+    assert poly.render(names) == rendered

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from foxtorsion import cli, expected_torsion
 from foxtorsion.cli import MAX_FAMILY_N, cmd_family, main, parse_torsion_file
 from foxtorsion.errors import InputFileError
 
@@ -255,6 +256,30 @@ def test_family_command_primed_flags(capsys):
     assert report["uses_positive_side_words"] is True
     assert report["torsion"]["centrally_symmetric"] is True
     assert report["oracle_match"] is True
+
+
+def test_family_expected_section_is_the_torsion_section_when_they_match():
+    report, _ = cmd_family(7, "Sprime")
+    assert report["oracle_match"] is True
+    body = report["torsion"]
+    assert report["expected"] == {"rendered": body["rendered"], "terms": body["terms"]}
+
+
+def test_family_reports_a_mismatching_oracle_with_its_own_terms(capsys, monkeypatch):
+    computed, _ = cmd_family(7, "S")
+    other = expected_torsion(8, "S")
+    monkeypatch.setattr(cli, "expected_torsion", lambda case: other)
+    code, report, _ = run(capsys, "family", "--n", "7", "--surface", "S")
+    assert code == 0
+    assert report["oracle_match"] is False
+    assert report["torsion"] == computed["torsion"]
+    names = report["torsion"]["variables"]
+    terms = sorted(other.representative.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    assert report["expected"] == {
+        "rendered": other.render(names),
+        "terms": [[list(e), c] for e, c in terms],
+    }
+    assert report["expected"]["terms"] != report["torsion"]["terms"]
 
 
 def test_family_command_rejects_small_n(capsys):

@@ -5,8 +5,13 @@ Each case runs one command with ``tests/golden`` as the working directory
 with the committed ``tests/golden/<case>.json``.  The inputs are the example
 file from the `foxtorsion.cli` docstring and one Lyon presentation whose two
 inclusion words are padded to about 1,000 letters each, the shape of the
-benchmark's ``long-words`` files.  The reports were recorded at commit
-1fba6be; a change that alters any of them changes the CLI's output.
+benchmark's ``long-words`` files.  Three small files pin report paths those
+miss: a rank-1 class that is not centrally symmetric (``rank1.tor``), a class
+symmetric with sign -1 (``antisymmetric.tor``) and a rank-3 class, which
+has no hull structure (``rank3.tor``).  Each ``PLOTS`` case compares the
+``--plot-data`` file of a command instead of its stdout.  The reports were
+recorded at commit 1fba6be, the three small files' reports and the plot
+file at c5ee2b9; a change that alters any of them changes the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -16,6 +21,7 @@ which needs no pytest.
 import os
 import subprocess
 import sys
+import tempfile
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -29,7 +35,14 @@ CASES = {
         for surface in ("S", "Sprime")
         for n in (-1, 0, 7, 40, 150)
     },
+    **{
+        f"torsion-{name}": ["torsion", f"{name}.tor"]
+        for name in ("rank1", "antisymmetric", "rank3")
+    },
 }
+
+# --plot-data files: case -> the command line that writes it
+PLOTS = {"plot-family-S-7": ["family", "--n", "7", "--surface", "S"]}
 
 
 def expected(case):
@@ -51,9 +64,20 @@ def test_report_is_byte_identical(case, capsys, monkeypatch):
     assert code == 0
 
 
+def test_plot_data_is_byte_identical(tmp_path, capsys, monkeypatch):
+    from foxtorsion.cli import main
+
+    monkeypatch.chdir(GOLDEN)
+    for case, argv in PLOTS.items():
+        path = tmp_path / f"{case}.json"
+        assert main([*argv, "--plot-data", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text(encoding="ascii") == expected(case), case
+
+
 def test_every_golden_report_has_a_case():
     reports = {f[: -len(".json")] for f in os.listdir(GOLDEN) if f.endswith(".json")}
-    assert reports == set(CASES)
+    assert reports == set(CASES) | set(PLOTS)
 
 
 def check_with_subprocesses():
@@ -61,14 +85,22 @@ def check_with_subprocesses():
     src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     failed = 0
-    for case, argv in sorted(CASES.items()):
-        out = subprocess.run(
-            [sys.executable, "-m", "foxtorsion", *argv],
-            cwd=GOLDEN, env=env, capture_output=True, check=False,
-        ).stdout
-        same = out == expected(case).encode("ascii")
-        failed += not same
-        print(f"{'ok  ' if same else 'DIFF'} {case}")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(case, argv, None) for case, argv in sorted(CASES.items())]
+        for case, argv in sorted(PLOTS.items()):
+            path = os.path.join(tmp, case + ".json")
+            runs.append((case, [*argv, "--plot-data", path], path))
+        for case, argv, path in runs:
+            out = subprocess.run(
+                [sys.executable, "-m", "foxtorsion", *argv],
+                cwd=GOLDEN, env=env, capture_output=True, check=False,
+            ).stdout
+            if path is not None:
+                with open(path, "rb") as fh:
+                    out = fh.read()
+            same = out == expected(case).encode("ascii")
+            failed += not same
+            print(f"{'ok  ' if same else 'DIFF'} {case}")
     return failed
 
 

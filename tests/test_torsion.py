@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,11 @@ from foxtorsion import (
     torsion_normal_form,
 )
 from foxtorsion.errors import NotBalanced, UnknownGenerator
-from foxtorsion.torsion import _clear_columns, fox_determinant
+from foxtorsion.torsion import _clear_columns, _normalize, fox_determinant
 
 from helpers import (
     count_determinant_calls,
+    laurent_polys,
     random_laurent,
     tietze_enlarge,
 )
@@ -390,6 +393,77 @@ def test_reflect_is_involution():
     for _ in range(100):
         t = TorsionClass(random_laurent(rng))
         assert t.reflect().reflect() == t
+
+
+def normalize_reference(poly):
+    """The normal form in two passes: shift to minimum exponent 0, then
+    negate when the graded-lex smallest coefficient is negative."""
+    if poly.is_zero:
+        return poly
+    shifted = poly.shifted(tuple(-e for e in poly.min_exponents()))
+    smallest = min(shifted.terms, key=lambda e: (sum(e), e))
+    return -shifted if shifted.terms[smallest] < 0 else shifted
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_polys())
+def test_one_pass_normal_form_matches_shift_then_negate(poly):
+    assert _normalize(poly) == normalize_reference(poly)
+
+
+@st.composite
+def mirror_cases(draw):
+    """(kind, change, class): a random class, or one built centrally
+    symmetric with sign +1 (c(M - e) = c(e)) or -1 (c(M - e) = -c(e)); then
+    maybe one coefficient changed or one term moved.  Each class is shifted
+    and multiplied by +-1 before it is normalized."""
+    rank = draw(st.integers(0, 3))
+    box = st.tuples(*[st.integers(0, 4)] * rank)
+    coeffs = st.integers(-9, 9).filter(bool)
+    terms = draw(st.dictionaries(box, coeffs, max_size=10))
+    kind = draw(st.sampled_from(("random", "plus", "minus")))
+    if kind != "random":
+        sign = 1 if kind == "plus" else -1
+        top = draw(box)
+        built = {}
+        for e, c in terms.items():
+            m = tuple(map(sub, top, e))
+            # a term at the centre would need c = -c under sign -1
+            if e not in built and (m != e or sign > 0):
+                built[e], built[m] = c, sign * c
+        terms = built
+    change = draw(st.sampled_from((None, "coefficient", "move")))
+    free = [e for e in itertools.product(range(-1, 6), repeat=rank) if e not in terms]
+    if not terms or (change == "move" and not free):
+        change = None
+    if change is not None:
+        e = draw(st.sampled_from(sorted(terms)))
+        if change == "coefficient":
+            other = coeffs.filter(lambda c: c != terms[e])
+            terms[e] = draw(st.one_of(st.just(-terms[e]), other))
+        else:
+            terms[draw(st.sampled_from(free))] = terms.pop(e)
+    offset = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    unit = draw(st.sampled_from((1, -1)))
+    return kind, change, TorsionClass(LaurentPoly(rank, terms).shifted(offset) * unit)
+
+
+@settings(max_examples=800, deadline=None)
+@given(mirror_cases())
+def test_mirror_lookup_agrees_with_reflection(case):
+    kind, change, t = case
+    assert t.is_centrally_symmetric() == (t.reflect() == t)
+    if kind != "random" and change is None:
+        assert t.is_centrally_symmetric()
+
+
+def test_mirror_lookup_on_the_zero_class_and_in_rank_0():
+    for rank in range(4):
+        zero = TorsionClass(LaurentPoly.zero(rank))
+        assert zero.is_centrally_symmetric() and zero.reflect() == zero
+    for c in (1, -1, 7):
+        t = TorsionClass(LaurentPoly.constant(0, c))
+        assert t.is_centrally_symmetric() and t.reflect() == t
 
 
 def test_family_coefficient_sums():
