@@ -50,9 +50,11 @@ class NotBalanced(FoxTorsionError):
 
 
 class InternalInexactDivision(FoxTorsionError):
-    """A division that fraction-free elimination guarantees to be exact failed.
+    """A division that must be exact failed: a column divisor's binomial
+    division in `fox_determinant`, or a step of the reference Bareiss
+    elimination.
 
-    This signals a defect in the elimination code, never bad user input.
+    This signals a defect in that code, never bad user input.
     """
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianizationMap, LaurentPoly, abelianize_presentation
 from .errors import InexactDivision, UnsupportedN
-from .torsion import TorsionClass, TorsionInput, torsion_normal_form
+from .torsion import TorsionInput, torsion_normal_form
 from .words import Presentation, parse_word
 
 SURFACES = ("S", "Sprime")
@@ -141,7 +141,7 @@ def expected_torsion(case_or_n, surface=None):
             [((3, 0), 1), ((2, 3), 1), ((1, 3), 1), ((0, 3), 1)]
         ).shifted((4 * n + 4, 0))
     quotient = (first - second).exact_div(denominator)
-    return TorsionClass(quotient * prefactor)
+    return torsion_normal_form(quotient * prefactor)
 
 
 def alexander_coefficients(n):

@@ -158,6 +158,22 @@ def tietze_enlarge(rng, torsion_input, added):
     return TorsionInput(enlarged, inclusion, abelianize_presentation(enlarged))
 
 
+def det_first_column(matrix):
+    """Determinant by recursive cofactor expansion along the first column:
+    the textbook definition, a reference independent of the memoized
+    minors of `torsion.det_cofactor` and of fraction-free elimination."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = LaurentPoly.zero(matrix[0][0].rank)
+    for i, row in enumerate(matrix):
+        if row[0].is_zero:
+            continue
+        minor = [r[1:] for k, r in enumerate(matrix) if k != i]
+        term = row[0] * det_first_column(minor)
+        total = total + (term if i % 2 == 0 else -term)
+    return total
+
+
 def count_determinant_calls(monkeypatch):
     """Record the dimension of every matrix that reaches ``det_cofactor`` or
     ``det_bareiss`` through ``torsion.determinant``.

@@ -2,13 +2,20 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import cli, expected_torsion
-from foxtorsion.cli import MAX_FAMILY_N, cmd_family, main, parse_torsion_file
+from foxtorsion.cli import (
+    MAX_FAMILY_N,
+    MAX_GENERATORS,
+    cmd_family,
+    main,
+    parse_torsion_file,
+)
 from foxtorsion.errors import InputFileError
 
 from helpers import count_hull_builds
@@ -68,6 +75,22 @@ a
 """
 
 
+NONUNIT_FILE = Path(__file__).parent / "inputs" / "nonunit-11x11.tor"
+
+
+def _generators_file(k):
+    """The Lyon file with k extra generators y, each with the relator y a^-1 b
+    and so the basis image of a b^-1."""
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    relators = "".join(f"{y} a^-1 b\n" for y in ys)
+    images = "".join(f"{y} = 2 -3\n" for y in ys)
+    return (
+        LYON_S0.replace("a b x\n", " ".join(["a b x", *ys]) + "\n")
+        .replace("x^3 b^-2 a^-2\n", "x^3 b^-2 a^-2\n" + relators)
+        .replace("x = 0 2\n", "x = 0 2\n" + images)
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -104,6 +127,29 @@ def test_torsion_command_on_lyon_file(tmp_path, capsys):
     assert report["torsion"]["coefficient_sum"] == 6
     assert report["torsion"]["polygon"]["edge_length_multiset"] == [1, 1, 4, 4]
     assert report["input"]["generators"] == ["a", "b", "x"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(NONUNIT_FILE.read_text(), id="minors"),
+    pytest.param(_generators_file(MAX_GENERATORS - 2), id="generators"),
+])
+def test_torsion_rejects_files_beyond_the_budget_quickly(tmp_path, capsys, text):
+    path = tmp_path / "big.tor"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["error"]["type"] == "InputTooLarge"
+
+
+def test_torsion_accepts_the_most_generators(tmp_path, capsys):
+    path = tmp_path / "many.tor"
+    path.write_text(_generators_file(MAX_GENERATORS - 3))
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert code == 0
+    assert len(report["input"]["generators"]) == MAX_GENERATORS
+    assert report["torsion"]["rendered"] == "a + a*u^2 + a*u^4 + u^6 + u^8 + u^10"
 
 
 def test_torsion_command_free_group(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from operator import sub
 
 import pytest
@@ -27,11 +28,18 @@ from foxtorsion import (
     sutured_torsion,
     torsion_normal_form,
 )
-from foxtorsion.errors import NotBalanced, UnknownGenerator
-from foxtorsion.torsion import _clear_columns, _normalize, fox_determinant
+from foxtorsion.errors import InputTooLarge, NotBalanced, UnknownGenerator
+from foxtorsion.torsion import (
+    MAX_MINORS,
+    _clear_columns,
+    _is_unit,
+    _normalize,
+    fox_determinant,
+)
 
 from helpers import (
     count_determinant_calls,
+    det_first_column,
     laurent_polys,
     random_laurent,
     tietze_enlarge,
@@ -280,7 +288,8 @@ def unit_rich_matrices(draw):
     """Square Laurent matrices of dimension 1-7 in rank 0-2, a third of whose
     entries are planted units +-(monomial), so that rows and columns often
     hold several; some get a zero row, or a row that is a unit multiple of
-    another, which makes them singular."""
+    another, which makes them singular.  The "no_units" shape doubles every
+    unit, so that `determinant` expands the whole matrix."""
     n = draw(st.integers(1, 7))
     rank = draw(st.integers(0, 2))
     exps = st.tuples(*[st.integers(-2, 2)] * rank)
@@ -292,8 +301,10 @@ def unit_rich_matrices(draw):
     )
     entry = st.one_of(st.just(LaurentPoly.zero(rank)), unit, poly)
     matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(("general", "zero_row", "dependent_row")))
-    if shape == "zero_row":
+    shape = draw(st.sampled_from(("general", "zero_row", "dependent_row", "no_units")))
+    if shape == "no_units":
+        matrix = [[2 * e if _is_unit(e) else e for e in row] for row in matrix]
+    elif shape == "zero_row":
         matrix[draw(st.integers(0, n - 1))] = [LaurentPoly.zero(rank)] * n
     elif shape == "dependent_row" and n > 1:
         src, dst = draw(st.permutations(range(n)))[:2]
@@ -305,15 +316,18 @@ def unit_rich_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(unit_rich_matrices())
 def test_determinant_paths_agree_exactly(matrix):
-    expected = det_cofactor(matrix)
-    assert det_bareiss(matrix) == expected
+    expected = det_first_column(matrix)
+    assert det_cofactor(matrix) == expected
     assert determinant(matrix) == expected
+    if len(matrix) <= 6:  # the reference Bareiss is slow on 7x7 without units
+        assert det_bareiss(matrix) == expected
 
 
 def _nonunit_matrix(rng, n):
     """n x n entries 2 + x^e, or 3 where e = 0: none is a unit."""
     return [
-        [poly2({(0, 0): 2, (rng.randint(-2, 2), rng.randint(-2, 2)): 1}) for _ in range(n)]
+        [poly2({(0, 0): 2}) + poly2({(rng.randint(-2, 2), rng.randint(-2, 2)): 1})
+         for _ in range(n)]
         for _ in range(n)
     ]
 
@@ -329,11 +343,40 @@ def test_four_by_four_unit_reduces_to_three_by_three(monkeypatch):
 
 
 def test_matrix_without_units_reaches_bareiss_whole(monkeypatch):
+    # the name is historical: the expansion now takes the whole matrix
     matrix = _nonunit_matrix(random.Random(71), 5)
-    expected = det_cofactor(matrix)
+    expected = det_bareiss(matrix)
     dims = count_determinant_calls(monkeypatch)
     assert determinant(matrix) == expected
-    assert dims == {"det_cofactor": [], "det_bareiss": [5]}
+    assert dims == {"det_cofactor": [5], "det_bareiss": []}
+
+
+def test_dense_matrix_beyond_the_minor_budget_is_rejected_quickly():
+    # an 11x11 matrix without units needs C(11, 4) = 330 > MAX_MINORS nonzero
+    # 4x4 minors; the 10x10 one needs 252 at most and takes about 1 s
+    matrix = _nonunit_matrix(random.Random(73), 11)
+    start = time.perf_counter()
+    with pytest.raises(InputTooLarge, match=f"more than {MAX_MINORS} nonzero minors"):
+        determinant(matrix)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sparse_matrix_has_no_dimension_budget():
+    # tridiagonal without units: at most r + 1 nonzero minors of size r
+    n = 60
+    x = LaurentPoly.monomial((1,))
+    a, b, c = x + 2, x - 3, 2 * x
+    matrix = [[LaurentPoly.zero(1)] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = a
+        if i:
+            matrix[i][i - 1], matrix[i - 1][i] = b, c
+    expected, previous = a, LaurentPoly.one(1)
+    for _ in range(n - 1):
+        expected, previous = a * expected - b * c * previous, expected
+    start = time.perf_counter()
+    assert determinant(matrix) == expected
+    assert time.perf_counter() - start < 2.0
 
 
 # -- normal form and duality --------------------------------------------------
