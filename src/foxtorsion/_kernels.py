@@ -5,7 +5,10 @@ A term dict maps keys to nonzero integer coefficients.  `accumulate` and
 `Word`s in the group ring, exponent tuples (one integer per variable) in the
 Laurent ring.  `mul_terms` and `iadd_scaled` add keys as exponent tuples and
 so are Laurent-only.  These four functions are the inner loops of every ring
-operation.
+operation.  `accumulate`, `add_terms` and `iadd_scaled` sum through one
+zero-dropping loop, `_sum_into`; `mul_terms` keeps its own inline loop,
+because feeding that loop a generator of pairs made products about 10-30 %
+slower on 3- to 40-term factors.
 
 Exponent tuples are added as ``tuple(map(add, ka, kb))``: `map` over a C
 operator builds the sum without a Python-level generator frame, which is
@@ -17,23 +20,22 @@ serves the exponent arithmetic of `LaurentPoly`.
 from operator import add
 
 
+def _sum_into(out, pairs):
+    """Add (key, coefficient) pairs into the term dict ``out`` and return it;
+    zero inputs and zero sums are dropped."""
+    for k, v in pairs:
+        cur = out.get(k, 0) + v
+        if cur:
+            out[k] = cur
+        else:
+            out.pop(k, None)
+    return out
+
+
 def accumulate(pairs):
     """Term dict of (key, coefficient) pairs: coefficients are summed by key,
     and zero inputs and zero sums are dropped."""
-    out = {}
-    for k, v in pairs:
-        if not v:
-            continue
-        cur = out.get(k)
-        if cur is None:
-            out[k] = v
-        else:
-            cur += v
-            if cur:
-                out[k] = cur
-            else:
-                del out[k]
-    return out
+    return _sum_into({}, pairs)
 
 
 def mul_terms(a, b):
@@ -58,32 +60,10 @@ def mul_terms(a, b):
 
 def add_terms(a, b):
     """Sum of two term dicts; zero coefficients are dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = v
-        else:
-            cur += v
-            if cur:
-                out[k] = cur
-            else:
-                del out[k]
-    return out
+    return _sum_into(dict(a), b.items())
 
 
 def iadd_scaled(acc, src, shift, coeff):
     """In place: acc += coeff * x^shift * src.  Deletes cancelled keys."""
-    if not coeff:
-        return
-    for k, v in src.items():
-        kk = tuple(map(add, k, shift))
-        cur = acc.get(kk)
-        if cur is None:
-            acc[kk] = coeff * v
-        else:
-            cur += coeff * v
-            if cur:
-                acc[kk] = cur
-            else:
-                del acc[kk]
+    if coeff:
+        _sum_into(acc, ((tuple(map(add, k, shift)), coeff * v) for k, v in src.items()))

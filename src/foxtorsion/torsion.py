@@ -7,19 +7,22 @@ up to a sign and a monomial factor, which the normal form strips.
 
 Before the determinant, each column whose word is mostly a power v^k, whose
 Fox derivatives are geometric sums in the image U of v, is multiplied by the
-binomial x^U - 1 when this shortens it; the determinant of the cleared matrix
-is then divided by those binomials, which `LaurentPoly.exact_div` does in one
-pass.  The determinant itself first eliminates unit pivots (+-monomial
-entries, which every Tietze relator y w^-1 contributes) while the matrix is
-larger than 3x3, then expands along the columns over memoized minors, with no
-division, at any size.  The value is exact, not just its class up to units.
-3x3 is the floor because elimination there would fill the entries that the
-expansion multiplies.  Bareiss elimination stays only as the tests' reference.
+binomial x^U - 1.  The word alone decides U: at least half of its letters
+must take step U from the previous occurrence of their letter; the product
+is kept when it has fewer terms than the column.  The determinant of the
+cleared matrix is then divided by those binomials, which
+`LaurentPoly.exact_div` does in one pass.  The determinant itself first
+eliminates unit pivots (+-monomial entries, which every Tietze relator
+y w^-1 contributes) while the matrix is larger than 3x3, then expands along
+the columns over memoized minors, with no division, at any size.  The value
+is exact, not just its class up to units.  3x3 is the floor because
+elimination there would fill the entries that the expansion multiplies.
+Bareiss elimination stays only as the tests' reference.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 from ._kernels import accumulate
 from .abelian import AbelianizationMap, LaurentPoly
@@ -144,14 +147,11 @@ def fox_matrix(torsion_input):
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
     words = list(torsion_input.inclusion_words) + list(pres.relators)
-    m = len(pres.generators)
     if pres.deficiency != len(torsion_input.inclusion_words):
         raise NotBalanced(
             f"deficiency {pres.deficiency} != {len(torsion_input.inclusion_words)} "
             "inclusion words"
         )
-    if len(words) != m:
-        raise NotBalanced(f"{len(words)} columns for {m} generators")
     columns = [(w, phi.prefix_exponents(w)) for w in words]
     return [
         [
@@ -318,17 +318,18 @@ def determinant(matrix):
 
 
 def _period_step(word, phi):
-    """The exponent step U of a block v^k that covers at least half of
-    ``word``, or None.
+    """The exponent step U that at least half of ``word``'s letters take
+    from the previous occurrence of their letter, or None.
 
     Clearing with x^U - 1 shortens a column only when more than half of its
     terms e have e + U among its terms too; along a block v^k such pairs
     come from consecutive occurrences of one letter, |v| letters apart.
-    So the pairs of consecutive occurrences are grouped by letter
-    distance, with integers only; the most frequent distance must hold at
-    least half as many pairs as the word has letters, and then the most
-    frequent nonzero step of its pairs is U (x^0 - 1 = 0 clears nothing).
-    Only then is the word mapped by ``phi``.
+    So the pairs of consecutive occurrences are first grouped by letter
+    distance, with integers only: the most frequent distance must hold at
+    least half as many pairs as the word has letters, else the word is
+    never mapped by ``phi``.  The most frequent nonzero step of those pairs
+    is U (x^0 - 1 = 0 clears nothing), and it too must be taken by at least
+    half as many pairs as the word has letters.
     """
     letters = word.letters
     last = {}
@@ -345,28 +346,8 @@ def _period_step(word, phi):
     prefix = phi.prefix_exponents(word)
     steps = Counter(tuple(map(sub, prefix[i], prefix[i - d])) for i in ends[d])
     del steps[prefix[0]]
-    return max(steps, key=steps.get) if steps else None
-
-
-def _cleared_size(column, step, limit):
-    """Term count of (x^step - 1) * column, counted by dictionary lookups
-    without forming the product; the count stops after the entry that
-    brings it to ``limit``.  ``column`` holds the term dicts of its nonzero
-    entries."""
-    back = tuple(-s for s in step)
-    size = 0
-    for terms in column:
-        for e, c in terms.items():
-            # the coefficient at e + step is c - f(e + step)
-            if terms.get(tuple(map(add, e, step))) != c:
-                size += 1
-            # the coefficient at e is f(e - step) - c, counted above when
-            # e - step is a term
-            if tuple(map(add, e, back)) not in terms:
-                size += 1
-        if size >= limit:
-            break
-    return size
+    step = max(steps, key=steps.get, default=None)
+    return step if 2 * steps[step] >= len(letters) else None
 
 
 def _clear_columns(matrix, words, phi):
@@ -376,8 +357,8 @@ def _clear_columns(matrix, words, phi):
     A word holding a power v^k has Fox derivatives that are multiples of the
     geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
     so multiplying its column by V - 1 collapses them.  For column j the
-    step U is the `_period_step` of its word ``words[j]``, and the column
-    becomes (x^U - 1) * column when that lowers its total term count.  The
+    step U is the `_period_step` of its word ``words[j]``; the column
+    (x^U - 1) * column is formed and kept when it has fewer terms.  The
     result is C = M * diag(divisors), 1 for the columns left alone, so
     det M = det C / (product of the divisors), and each division is exact
     because the Laurent ring is a domain.  No power rule is needed for that:
@@ -391,12 +372,14 @@ def _clear_columns(matrix, words, phi):
         if size <= 2 * len(column):
             continue
         step = _period_step(word, phi)
-        if step is None or _cleared_size(column, step, size) >= size:
+        if step is None:
             continue
         divisor = LaurentPoly._raw(phi.rank, {step: 1, (0,) * phi.rank: -1})
-        for row in matrix:
-            row[j] = row[j] * divisor
-        divisors[j] = divisor
+        cleared = [row[j] * divisor for row in matrix]
+        if sum(len(e.terms) for e in cleared) < size:
+            for row, entry in zip(matrix, cleared):
+                row[j] = entry
+            divisors[j] = divisor
     return divisors
 
 

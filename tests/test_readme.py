@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run and print what their comments say, and the
+input files it names exist."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from foxtorsion.cli import cmd_compare
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,22 @@ def test_library_example_prints_its_commented_outputs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_named_input_files_exist():
+    paths = re.findall(r"[\w./-]+\.tor\b", README.read_text(encoding="utf-8"))
+    assert paths
+    root = README.parent
+    assert [p for p in paths if not (root / p).is_file()] == []
+
+
+def test_compare_example_prints_its_commented_verdict():
+    line = next(
+        line
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("$ foxtorsion compare ")
+    )
+    command, comment = line.split("#", 1)
+    report, _ = cmd_compare(*(str(README.parent / p) for p in command.split()[3:]))
+    verdict = report["torsion_verdict"]
+    assert f"{verdict['kind']}: {verdict['reason']}" == comment.strip()

@@ -159,7 +159,13 @@ def periodic_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(periodic_inputs())
 def test_cleared_determinant_equals_the_plain_one(inp):
-    assert fox_determinant(inp) == determinant(fox_matrix(inp))
+    matrix = fox_matrix(inp)
+    cleared = fox_matrix(inp)
+    words = inp.inclusion_words + inp.presentation.relators
+    for j in _clear_columns(cleared, words, inp.abelianization):
+        size = sum(len(row[j].terms) for row in matrix)
+        assert sum(len(row[j].terms) for row in cleared) < size
+    assert fox_determinant(inp) == determinant(matrix)
 
 
 CLEARED_EXAMPLES = (
@@ -176,6 +182,10 @@ CLEARED_EXAMPLES = (
     ("(a b^-1)^5 b a b^-1 x a x^-1 b^-1", None),
     # no step repeats often enough to shorten the column
     ("a b x^-1 a^-1 x b", None),
+    # letter distance 2 covers six of the ten letters, but the most common
+    # step (1, -2) only four, although clearing with it would save two of
+    # the column's 10 terms
+    ("(a x^-1)^3 (a^-1 x)^2", None),
 )
 
 
@@ -196,6 +206,16 @@ def test_cleared_determinant_examples(text, step):
     else:
         assert divisors[0] == LaurentPoly(2, {step: 1, (0, 0): -1})
     assert fox_determinant(inp) == determinant(fox_matrix(inp))
+
+
+def test_column_that_would_not_shrink_is_left_alone():
+    # both inclusion words of n = 2 take a step at half of their letters,
+    # but (x^U - 1) * column has as many terms as the column or more
+    inp = lyon_input(2, "S")
+    matrix = fox_matrix(inp)
+    words = inp.inclusion_words + inp.presentation.relators
+    assert _clear_columns(matrix, words, inp.abelianization) == {}
+    assert matrix == fox_matrix(inp)
 
 
 @pytest.mark.parametrize("surface", ["S", "Sprime"])
