@@ -267,9 +267,6 @@ class LaurentPoly:
     def coefficient_sum(self):
         return sum(self.terms.values())
 
-    def support(self):
-        return frozenset(self.terms)
-
     def min_exponents(self):
         if not self.terms:
             raise ValueError("the zero polynomial has no exponents")

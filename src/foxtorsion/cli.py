@@ -217,7 +217,7 @@ def _torsion_body(tclass, names):
         body.update(polygon={"dimension": dimension, "note": note}, sfh_polytope=None)
         return body, None
     body["polygon"] = _polygon_dict(hull)
-    body["sfh_polytope"] = _polygon_dict(sfh_polytope(tclass, hull))
+    body["sfh_polytope"] = _polygon_dict(sfh_polytope(hull))
     return body, hull
 
 

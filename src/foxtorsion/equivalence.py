@@ -2,11 +2,15 @@
 
 Two classes are equivalent when some unimodular integer matrix plus
 translation, composed with an optional global sign, carries one exactly onto
-the other.  In rank <= 2 the decision is exact: a cheap battery of affine
-invariants rejects most pairs, and surviving pairs are settled by trying each
-of the finitely many hull-compatible maps from ``polytope.iter_affine_maps``.
-The hull invariants are ``polytope.hull_mismatch``, which the polygon
-comparison shares.  Higher ranks report Inconclusive when the battery passes.
+the other.  ``compare_torsion`` runs one sequence of checks, cheapest first:
+rank, zero classes, the coefficient multiset read from the representatives'
+term dicts, then the hull.  In rank <= 2 the hulls are the Newton polygons,
+given by the caller or built once here, and ``polytope.hull_mismatch`` (which
+the polygon comparison shares) names the first invariant they disagree on;
+surviving pairs are settled by trying each of the finitely many
+hull-compatible maps from ``polytope.iter_affine_maps``, so the decision is
+exact.  In rank > 2 only the affine dimensions of the term exponents are
+compared, and a pair that agrees is Inconclusive.
 """
 
 from dataclasses import dataclass
@@ -14,12 +18,12 @@ from typing import Optional
 
 from .abelian import LaurentPoly
 from .polytope import (
-    SupportSet,
     _apply,
     affine_dimension,
     hull_mismatch,
     iter_affine_maps,
     newton_polytope,
+    support,
 )
 
 
@@ -85,29 +89,6 @@ def _match(t1, t2, U, v):
     return sign
 
 
-def _battery(t1, t2, points1, points2, hulls=None):
-    """First mismatched affine invariant (None when all agree), and the two
-    Newton polygons in rank <= 2 once the support sizes agree: ``hulls`` when
-    given, else built here, so that the caller need not build them again."""
-    coeffs1 = sorted(t1.representative.terms.values())
-    coeffs2 = sorted(t2.representative.terms.values())
-    coeffs2_neg = sorted(-c for c in coeffs2)
-    if coeffs1 != coeffs2 and coeffs1 != coeffs2_neg:
-        return "coefficient_multiset", None
-    if len(points1) != len(points2):
-        return "support_size", None
-    if t1.rank > 2:
-        if affine_dimension(points1) != affine_dimension(points2):
-            return "hull_dimension", None
-        return None, None
-    if hulls is None:
-        hulls = (
-            newton_polytope(SupportSet(t1.rank, points1)),
-            newton_polytope(SupportSet(t2.rank, points2)),
-        )
-    return hull_mismatch(*hulls), hulls
-
-
 def compare_torsion(t1, t2, hulls=None):
     """Decide equivalence of two torsion classes, exactly in rank <= 2.
 
@@ -123,12 +104,20 @@ def compare_torsion(t1, t2, hulls=None):
             return EquivalenceVerdict("Equivalent", witness=_identity_witness(t1.rank))
         return EquivalenceVerdict("NotEquivalent", reason="support_size")
 
-    points1, points2 = t1.support_points(), t2.support_points()
-    mismatch, hulls = _battery(t1, t2, points1, points2, hulls)
+    # every coefficient is nonzero, so equal multisets mean equal support sizes
+    terms1, terms2 = t1.representative.terms, t2.representative.terms
+    coeffs1, coeffs2 = sorted(terms1.values()), sorted(terms2.values())
+    if coeffs1 != coeffs2 and coeffs1 != sorted(-c for c in coeffs2):
+        return EquivalenceVerdict("NotEquivalent", reason="coefficient_multiset")
+    if t1.rank > 2:
+        if affine_dimension(terms1) != affine_dimension(terms2):
+            return EquivalenceVerdict("NotEquivalent", reason="hull_dimension")
+        return EquivalenceVerdict("Inconclusive")
+    if hulls is None:
+        hulls = newton_polytope(support(t1)), newton_polytope(support(t2))
+    mismatch = hull_mismatch(*hulls)
     if mismatch:
         return EquivalenceVerdict("NotEquivalent", reason=mismatch)
-    if t1.rank > 2:
-        return EquivalenceVerdict("Inconclusive")
 
     for U, v in iter_affine_maps(*hulls):
         sign = _match(t1, t2, U, v)

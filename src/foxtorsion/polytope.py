@@ -1,4 +1,5 @@
-"""Supports, lattice hulls in rank <= 2, and unimodular-affine hull equivalence.
+"""Supports, lattice hulls in rank <= 2 and the SFH polytope that scales them,
+and unimodular-affine hull equivalence.
 
 ``hull_mismatch`` names the first hull invariant two hulls disagree on, and
 ``iter_affine_maps`` enumerates every unimodular affine map between two
@@ -25,10 +26,10 @@ class SupportSet:
 
 
 def support(t):
-    """Support of a nonzero torsion class."""
+    """Support of a nonzero torsion class: the exponents of its representative."""
     if t.is_zero:
         raise ZeroTorsion("the zero class has empty support")
-    return SupportSet(t.rank, t.support_points())
+    return SupportSet(t.rank, frozenset(t.representative.terms))
 
 
 def affine_dimension(points):
@@ -158,18 +159,18 @@ def newton_polytope(support_set):
     return LatticePolygon(2, tuple(verts), edges)
 
 
-def sfh_polytope(t, hull=None):
-    """Hull of the support with all coordinates doubled (the Chern-class scaling).
+def sfh_polytope(hull):
+    """The Newton hull scaled by 2 (the Chern-class scaling of the SFH polytope).
 
-    Since hull(2S) = 2 hull(S), only the vertices of the Newton polygon are
-    doubled; pass ``hull`` when the caller has already built it.
+    Since hull(2S) = 2 hull(S), the vertices are doubled in their order and
+    every edge keeps its primitive direction with its lattice length doubled;
+    no second hull is built.
     """
-    if hull is None:
-        hull = newton_polytope(support(t))
-    doubled = SupportSet(
-        t.rank, frozenset(tuple(2 * c for c in p) for p in hull.vertices)
+    return LatticePolygon(
+        hull.dimension,
+        tuple(tuple(2 * c for c in v) for v in hull.vertices),
+        tuple((direction, 2 * length) for direction, length in hull.edges),
     )
-    return newton_polytope(doubled)
 
 
 def _apply(U, v, point):

@@ -85,9 +85,6 @@ class TorsionClass:
     def coefficient_sum(self):
         return self.poly.coefficient_sum()
 
-    def support_points(self):
-        return self.poly.support()
-
     def reflect(self):
         return TorsionClass(self.poly.reflected())
 

@@ -204,9 +204,9 @@ def test_compare_command_builds_each_hull_once(tmp_path, capsys, monkeypatch):
     code, report, _ = run(capsys, "compare", str(p1), str(p2))
     assert code == 0
     assert report["torsion_verdict"]["reason"] == "edge_length_multiset"
-    # per file: the support's hull, then the doubled hull of its 4 vertices;
-    # compare_torsion reuses the support hulls
-    assert sizes == [6, 4, 6, 4]
+    # one hull per file: the SFH polytope scales it, and compare_torsion
+    # reuses both
+    assert sizes == [6, 6]
 
 
 LYON_S_MINUS1 = """\

@@ -11,6 +11,8 @@ from foxtorsion import (
     apply_witness,
     compare_torsion,
     expected_torsion,
+    newton_polytope,
+    support,
 )
 from foxtorsion.equivalence import _match
 
@@ -225,6 +227,83 @@ def test_inconclusive_in_higher_rank_when_battery_passes():
     assert compare_torsion(p, q).kind == "Inconclusive"
     r = TorsionClass(LaurentPoly(3, {(0, 0, 0): 2, (0, 1, 0): 1}))
     assert compare_torsion(p, r).kind == "NotEquivalent"
+
+
+def _random_map(rng, rank):
+    if rank == 2:
+        return random_unimodular(rng)
+    return ((rng.choice((1, -1)),),) if rank == 1 else ()
+
+
+def _on_random_points(rng, rank, coeffs):
+    """The coefficients on distinct random points in [-3, 3]^rank (at most
+    7^rank of them, as for any class from ``random_laurent``)."""
+    points = set()
+    while len(points) < len(coeffs):
+        points.add(tuple(rng.randint(-3, 3) for _ in range(rank)))
+    return dict(zip(points, coeffs))
+
+
+def _random_pair(rng):
+    """Two classes of rank 0 to 2: an affine image of the first, its sign
+    flip alone, its coefficients on other points, a zero class, a class of
+    another rank, or an unrelated one."""
+    rank = rng.randint(0, 2)
+    t1 = TorsionClass(random_laurent(rng, rank=rank, nonzero=True, max_terms=8))
+    terms = t1.representative.terms
+    kind = rng.choice(("image", "sign", "moved", "zero", "rank", "random"))
+    if kind == "image":
+        v = tuple(rng.randint(-4, 4) for _ in range(rank))
+        sign = rng.choice((1, -1))
+        t2 = classify(apply_affine(terms, _random_map(rng, rank), v, sign), rank)
+    elif kind == "sign":
+        t2 = classify({e: -c for e, c in terms.items()}, rank)
+    elif kind == "moved":
+        t2 = classify(_on_random_points(rng, rank, list(terms.values())), rank)
+    elif kind == "zero":
+        t2 = classify({}, rank)
+    elif kind == "rank":
+        t2 = TorsionClass(random_laurent(rng, rank=(rank + 1) % 3, nonzero=True))
+    else:
+        t2 = TorsionClass(random_laurent(rng, rank=rank, nonzero=True, max_terms=8))
+    return (t1, t2) if rng.random() < 0.5 else (t2, t1)
+
+
+def test_passed_hulls_give_the_same_verdict():
+    rng = random.Random(109)
+    reasons = set()
+    for _ in range(400):
+        t1, t2 = _random_pair(rng)
+        hulls = tuple(
+            None if t.is_zero else newton_polytope(support(t)) for t in (t1, t2)
+        )
+        verdict = compare_torsion(t1, t2)
+        assert compare_torsion(t1, t2, hulls) == verdict
+        reasons.add(verdict.reason or verdict.kind)
+    assert {
+        "Equivalent",
+        "rank",
+        "support_size",
+        "coefficient_multiset",
+        "edge_length_multiset",
+        "no hull-compatible map matches coefficients",
+    } <= reasons
+
+
+def test_rank_three_pairs_stop_at_the_dimension():
+    """Pairs with one coefficient multiset: rank 3 compares only the affine
+    dimensions, so the verdict is Inconclusive or hull_dimension."""
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(100):
+        t1 = TorsionClass(random_laurent(rng, rank=3, nonzero=True, max_terms=6))
+        sign = rng.choice((1, -1))
+        coeffs = [sign * c for c in t1.representative.terms.values()]
+        t2 = classify(_on_random_points(rng, 3, coeffs), 3)
+        verdict = compare_torsion(t1, t2)
+        assert verdict.kind == "Inconclusive" or verdict.reason == "hull_dimension"
+        seen.add(verdict.kind)
+    assert seen == {"Inconclusive", "NotEquivalent"}
 
 
 def test_matching_battery_but_no_map():

@@ -379,30 +379,38 @@ def test_maps_carry_vertices_and_decide_equivalence():
 
 
 def test_sfh_polytope_doubles():
-    doubled = sfh_polytope(TAU_M1)
-    assert doubled.edge_length_multiset() == (2, 2, 8, 8)
     base = newton_polytope(support(TAU_M1))
+    doubled = sfh_polytope(base)
+    assert doubled.edge_length_multiset() == (2, 2, 8, 8)
     assert doubled.doubled_area() == 4 * base.doubled_area()
 
 
 def test_sfh_polytope_of_primed_case():
-    assert sfh_polytope(TAU_PM1).edge_length_multiset() == (2, 2, 4, 4)
+    doubled = sfh_polytope(newton_polytope(support(TAU_PM1)))
+    assert doubled.edge_length_multiset() == (2, 2, 4, 4)
 
 
 def test_sfh_polytope_of_monomial_is_point():
-    assert sfh_polytope(TorsionClass(LaurentPoly.monomial((1, 1)))).dimension == 0
+    t = TorsionClass(LaurentPoly.monomial((1, 1)))
+    assert sfh_polytope(newton_polytope(support(t))).dimension == 0
 
 
 def test_sfh_polytope_equals_hull_of_doubled_support():
+    """The scaled hull against the hull of the doubled support, in every
+    dimension branch: points, segments and polygons, in ranks 0, 1 and 2."""
     rng = random.Random(89)
-    for _ in range(100):
-        t = TorsionClass(random_laurent(rng, nonzero=True, max_terms=9))
-        doubled = SupportSet(
-            2, frozenset(tuple(2 * c for c in p) for p in support(t).points)
-        )
-        reference = newton_polytope(doubled)
-        assert sfh_polytope(t) == reference
-        assert sfh_polytope(t, newton_polytope(support(t))) == reference
+    dimensions = set()
+    for rank in (0, 1, 2):
+        for _ in range(100):
+            t = TorsionClass(random_laurent(rng, rank=rank, nonzero=True, max_terms=9))
+            points = support(t).points
+            doubled = SupportSet(
+                rank, frozenset(tuple(2 * c for c in p) for p in points)
+            )
+            reference = newton_polytope(doubled)
+            assert sfh_polytope(newton_polytope(support(t))) == reference
+            dimensions.add((rank, reference.dimension))
+    assert dimensions == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
 
 def test_doubling_preserves_length_ratios():
@@ -410,7 +418,7 @@ def test_doubling_preserves_length_ratios():
     for _ in range(50):
         t = TorsionClass(random_laurent(rng, nonzero=True))
         hull = newton_polytope(support(t))
-        doubled = sfh_polytope(t)
+        doubled = sfh_polytope(hull)
         assert doubled.edge_length_multiset() == tuple(
             2 * length for length in hull.edge_length_multiset()
         )

@@ -27,6 +27,7 @@ def test_library_example_prints_its_commented_outputs():
     assert expected == [
         "a + a*u^2 + a*u^4 + u^6 + u^8 + u^10",
         "(1, 1, 4, 4)",
+        "(2, 2, 8, 8)",
     ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

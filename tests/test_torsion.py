@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import time
 from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,14 @@ from foxtorsion import (
     sutured_torsion,
     torsion_normal_form,
 )
-from foxtorsion.errors import InputTooLarge, NotBalanced, UnknownGenerator
+from foxtorsion import cli, torsion
+from foxtorsion.errors import (
+    InexactDivision,
+    InputTooLarge,
+    InternalInexactDivision,
+    NotBalanced,
+    UnknownGenerator,
+)
 from foxtorsion.torsion import (
     MAX_MINORS,
     _clear_columns,
@@ -216,6 +225,25 @@ def test_column_that_would_not_shrink_is_left_alone():
     words = inp.inclusion_words + inp.presentation.relators
     assert _clear_columns(matrix, words, inp.abelianization) == {}
     assert matrix == fox_matrix(inp)
+
+
+def test_unapplied_column_divisor_is_an_internal_error(monkeypatch, capsys):
+    """A divisor that `_clear_columns` reports but never applied leaves a
+    remainder: `fox_determinant` raises InternalInexactDivision, and the
+    `torsion` command prints it as one JSON error report and exits 1."""
+    path = str(Path(__file__).parent / "golden" / "example.tor")
+    inp = cli.torsion_input_from_file(cli.load_torsion_file(path))
+    divisor = poly2({(1, 0): 1, (0, 0): -1})
+    with pytest.raises(InexactDivision):
+        fox_determinant(inp).exact_div(divisor)
+    monkeypatch.setattr(
+        torsion, "_clear_columns", lambda matrix, words, phi: {0: divisor}
+    )
+    with pytest.raises(InternalInexactDivision):
+        sutured_torsion(inp)
+    assert cli.main(["torsion", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "InternalInexactDivision"
 
 
 @pytest.mark.parametrize("surface", ["S", "Sprime"])
