@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import cli, expected_torsion
+from foxtorsion import cli, equivalence, expected_torsion, polytope
 from foxtorsion.cli import (
     MAX_FAMILY_N,
     MAX_GENERATORS,
@@ -207,6 +207,26 @@ def test_compare_command_builds_each_hull_once(tmp_path, capsys, monkeypatch):
     # one hull per file: the SFH polytope scales it, and compare_torsion
     # reuses both
     assert sizes == [6, 6]
+
+
+def test_compare_command_enumerates_affine_maps_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s0.tor"
+    path.write_text(LYON_S0)
+    calls = []
+    original = polytope.iter_affine_maps
+
+    def counted(p1, p2):
+        calls.append((p1, p2))
+        return original(p1, p2)
+
+    for module in (polytope, equivalence):
+        monkeypatch.setattr(module, "iter_affine_maps", counted)
+    code, report, _ = run(capsys, "compare", str(path), str(path))
+    assert code == 0
+    assert report["polytopes_affine_equivalent"] is True
+    # the Equivalent verdict's witness maps hull onto hull, so the polygon
+    # check does not enumerate the maps again
+    assert len(calls) == 1
 
 
 LYON_S_MINUS1 = """\
