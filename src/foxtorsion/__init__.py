@@ -54,7 +54,7 @@ from .torsion import (
     sutured_torsion,
     torsion_normal_form,
 )
-from .words import Generator, Presentation, Word, parse_word, render_word
+from .words import Presentation, Word, parse_word, render_word
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "BACKEND",
     "EquivalenceVerdict",
     "GradedRanks",
-    "Generator",
     "GroupRingElement",
     "LatticePolygon",
     "LaurentPoly",

@@ -477,7 +477,7 @@ class AbelianizationMap:
 
 
 def _relator_vectors(presentation):
-    names = presentation.generator_names
+    names = presentation.generators
     index = {n: i for i, n in enumerate(names)}
     vectors = []
     for rel in presentation.relators:
@@ -496,7 +496,7 @@ def abelianize_presentation(presentation, user_basis=None):
     A supplied basis is validated (kills every relator, generates Z^r) and
     returned verbatim.
     """
-    names = presentation.generator_names
+    names = presentation.generators
 
     if user_basis is not None:
         for name in names:

@@ -234,7 +234,7 @@ def _witness_dict(witness):
 def _input_echo(tinput):
     basis = tinput.abelianization
     return {
-        "generators": list(tinput.presentation.generator_names),
+        "generators": list(tinput.presentation.generators),
         "relators": [render_word(r) for r in tinput.presentation.relators],
         "inclusion_words": [render_word(w) for w in tinput.inclusion_words],
         "basis": {

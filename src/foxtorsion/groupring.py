@@ -5,7 +5,7 @@ which on single letters gives dg/dg = 1 and d(g^-1)/dg = -g^-1.
 """
 
 from ._kernels import accumulate, add_terms
-from .words import Word, _gen_name, render_word
+from .words import Word, render_word
 
 
 class GroupRingElement:
@@ -88,7 +88,7 @@ class GroupRingElement:
         return "GroupRingElement(" + " + ".join(bits) + ")"
 
 
-def fox_derivative(word, gen):
+def fox_derivative(word, name):
     """Left-to-right Fox derivative of ``word`` with respect to one generator.
 
     An occurrence u g contributes +u and an occurrence u g^-1 contributes
@@ -98,7 +98,6 @@ def fox_derivative(word, gen):
     and a +g at i and a -g at j give equal lengths only if i = j + 1, the
     pair g^-1 g that a reduced word does not hold.
     """
-    name = _gen_name(gen)
     letters = word.letters
     return GroupRingElement._raw({
         Word._from_reduced(letters[:i] if sign > 0 else letters[: i + 1]): sign

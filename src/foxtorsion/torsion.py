@@ -50,7 +50,7 @@ class TorsionInput:
 
     def __post_init__(self):
         object.__setattr__(self, "inclusion_words", tuple(self.inclusion_words))
-        known = set(self.presentation.generator_names)
+        known = set(self.presentation.generators)
         for w in self.inclusion_words:
             unknown = w.generator_names() - known
             if unknown:
@@ -222,22 +222,31 @@ def det_cofactor(matrix):
     """Determinant by Laplace expansion along the columns, right to left: the
     nonzero minors of the columns passed, keyed by increasing row tuples, take
     each entry of the next column in a row they lack, signed by its position.
-    On 3x3 these are the first-column expansion's products.  No division.
-    Raises InputTooLarge beyond MAX_MINORS nonzero minors of one size."""
+    A minor lacking a row that is zero left of its columns is dropped, as no
+    column can add that row later.  No division.  Raises InputTooLarge beyond
+    MAX_MINORS nonzero minors of one size."""
     rank = _square_rank(matrix)
-    minors = {(i,): row[-1] for i, row in enumerate(matrix) if not row[-1].is_zero}
-    for column in reversed(list(zip(*matrix))[:-1]):
+    n = len(matrix)
+    first = [next((j for j, e in enumerate(row) if not e.is_zero), n) for row in matrix]
+
+    def kept(minors, j):
+        due = {i for i, f in enumerate(first) if f >= j}
+        return {rows: m for rows, m in minors.items() if not m.is_zero and due <= set(rows)}
+
+    columns = list(zip(*matrix))
+    minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
+    for j in range(n - 2, -1, -1):
         expanded = {}
         for rows, minor in minors.items():
-            for i, entry in enumerate(column):
+            for i, entry in enumerate(columns[j]):
                 if i not in rows and not entry.is_zero:
                     key = tuple(sorted(rows + (i,)))
                     term = -(entry * minor) if key.index(i) % 2 else entry * minor
                     expanded[key] = expanded[key] + term if key in expanded else term
-        minors = {key: m for key, m in expanded.items() if not m.is_zero}
+        minors = kept(expanded, j)
         if len(minors) > MAX_MINORS:
             raise InputTooLarge(f"more than {MAX_MINORS} nonzero minors of one size")
-    return minors.get(tuple(range(len(matrix))), LaurentPoly.zero(rank))
+    return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
 
 
 def det_bareiss(matrix):

@@ -1,21 +1,22 @@
 """Free-group words, presentations, and the word grammar.
 
-Words are immutable, freely reduced sequences of signed generator letters.
-The text grammar, used both in the library and in CLI input files:
+Words are immutable, freely reduced sequences of signed letters; a generator
+is its name, a string.  The text grammar, used both in the library and in CLI
+input files:
 
     word  :=  term*
     term  :=  atom ('^' integer)?
     atom  :=  generator-name  |  '(' word ')'
 
-Generator names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only), juxtaposed
-atoms must be separated by whitespace or parentheses, whitespace is otherwise
-ignored, parentheses nest at most ``MAX_NESTING`` deep, and the empty string
-denotes the identity.  The canonical renderer emits the ``a^-1`` exponent
-form, so rendered words re-parse to themselves.
+Generator names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only), an integer is a
+sign and decimal digits of any script (Unicode Nd), juxtaposed atoms must be
+separated by whitespace or parentheses, whitespace is otherwise ignored,
+parentheses nest at most ``MAX_NESTING`` deep, and the empty string denotes
+the identity.  The canonical renderer emits the ``a^-1`` exponent form, so
+rendered words re-parse to themselves.
 """
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateGenerator,
@@ -26,36 +27,20 @@ from .errors import (
 )
 
 # Words are stored fully expanded, so powers with huge exponents are rejected
-# instead of represented symbolically.  Parsing is linear in the letters, and
-# so is fox_matrix, which differentiates each word in blocks of at most
-# torsion.FOX_BLOCK letters: on a random reduced 20,000-letter word in three
-# generators its tracemalloc peak is 3.3 MB.  So this bounds what is stored and
-# echoed back in reports; it is no guard against parse time.
+# instead of represented symbolically.  Parsing and fox_matrix are linear in
+# the letters (fox_matrix peaks at 3.3 MB on a random 20,000-letter word), so
+# this bounds what is stored and echoed back in reports, not parse time.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
-# The parser recurses once per '(', so deeper nesting is rejected before it
-# can exhaust the interpreter's stack.
+# A budget that input files are promised; the parser keeps open parentheses
+# on an explicit stack, so the bound guards no recursion.
 MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named free-group generator; names are case-sensitive identifiers."""
-
-    name: str
-
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise InvalidGeneratorName(f"invalid generator name {self.name!r}")
-
-    def __str__(self):
-        return self.name
-
-
-def _gen_name(g):
-    return g.name if isinstance(g, Generator) else str(g)
+# After whitespace: a name, a parenthesis, or neither (the end or a stray).
+_TOKEN_RE = re.compile(rf"\s*(?:({_NAME_RE.pattern})|([()])|)")
+# Right after an atom; a '^' without digits is a malformed exponent.
+_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
 
 
 def _push_reduced(stack, letters):
@@ -101,8 +86,8 @@ class Word:
         return cls._from_reduced(())
 
     @classmethod
-    def generator(cls, g, sign=1):
-        return cls(((_gen_name(g), sign),))
+    def generator(cls, name, sign=1):
+        return cls(((name, sign),))
 
     @property
     def is_identity(self):
@@ -168,14 +153,14 @@ def render_word(w):
     return " ".join(parts)
 
 
-def parse_word(text, generators):
-    """Parse the word grammar over the given generators; returns a reduced Word.
+def parse_word(text, names):
+    """Parse the word grammar over the given generator names into a reduced Word.
 
-    One pass, linear in the letters: each (sub)sequence is built on a freely
-    reduced letter stack, onto which every atom's letters are pushed or
-    cancel against its top; a power reduces its atom once.  The result equals
-    folding the syntax tree through ``Word.__mul__`` and ``Word.__pow__``,
-    errors included.
+    One loop over tokens, linear in the letters: each '(' saves the enclosing
+    sequence's letter stack, and each atom's letters are pushed onto the
+    current freely reduced stack or cancel against its top; a power reduces
+    its atom once.  The result equals folding the syntax tree through
+    ``Word.__mul__`` and ``Word.__pow__``, errors included, left to right.
 
     Raises ParseError (with position) for unknown generator names, malformed
     exponents, unbalanced parentheses, parentheses nested deeper than
@@ -183,108 +168,80 @@ def parse_word(text, generators):
     MAX_EXPONENT (a digit run longer than MAX_EXPONENT's is rejected unread)
     and words beyond MAX_WORD_LETTERS.
     """
-    names = {_gen_name(g) for g in generators}
+    names = set(names)
+    open_parens = []  # (position of the '(', the enclosing sequence's stack)
+    stack = []  # the current sequence's letters so far, freely reduced
     pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        if pos < n and text[pos] in "+-":
-            pos += 1
-        if pos >= n or not text[pos].isdigit():
-            raise ParseError("malformed exponent", start)
-        first_digit = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        # A longer digit run exceeds MAX_EXPONENT; rejecting it before int()
-        # also keeps clear of the interpreter's integer-string length limit.
-        if pos - first_digit > len(str(MAX_EXPONENT)):
-            raise WordSizeError(
-                f"exponent with {pos - first_digit} digits exceeds {MAX_EXPONENT}"
-            )
-        value = int(text[start:pos])
-        if abs(value) > MAX_EXPONENT:
-            raise WordSizeError(f"exponent magnitude {value} exceeds {MAX_EXPONENT}")
-        return value
-
-    def parse_sequence(depth):
-        nonlocal pos
-        stack = []  # the sequence's letters so far, freely reduced
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] == ")":
-                return stack
-            if text[pos] == "(":
-                if depth == MAX_NESTING:
-                    raise ParseError(
-                        f"parentheses nested deeper than {MAX_NESTING}", pos
-                    )
-                open_pos = pos
-                pos += 1
-                atom = parse_sequence(depth + 1)
-                skip_ws()
-                if pos >= n or text[pos] != ")":
-                    raise ParseError("unbalanced parentheses: missing ')'", open_pos)
-                pos += 1
-            else:
-                m = _NAME_RE.match(text, pos)
-                if not m:
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
-                if m.group() not in names:
-                    raise ParseError(f"unknown generator {m.group()!r}", pos)
-                atom = ((m.group(), 1),)
-                pos = m.end()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                k = parse_int()
-                if k < 0:
-                    atom = [(name, -sign) for name, sign in reversed(atom)]
-                    k = -k
-                if len(atom) * k > MAX_WORD_LETTERS:
-                    raise WordSizeError("power exceeds the word size limit")
-                atom = _reduce(atom * k)
-            if len(stack) + len(atom) > MAX_WORD_LETTERS:
-                raise WordSizeError("product exceeds the word size limit")
-            _push_reduced(stack, atom)
-
-    letters = parse_sequence(0)
-    if pos < n:
-        # parse_sequence only stops early on ')'; at depth 0 that is unbalanced.
-        raise ParseError("unbalanced parentheses: unexpected ')'", pos)
-    return Word._from_reduced(letters)
+    while True:
+        token = _TOKEN_RE.match(text, pos)
+        name, paren = token.groups()
+        pos = token.end()
+        if name:
+            if name not in names:
+                raise ParseError(f"unknown generator {name!r}", token.start(1))
+            atom = ((name, 1),)
+        elif paren == "(":
+            if len(open_parens) == MAX_NESTING:
+                message = f"parentheses nested deeper than {MAX_NESTING}"
+                raise ParseError(message, pos - 1)
+            open_parens.append((pos - 1, stack))
+            stack = []
+            continue
+        elif paren:
+            if not open_parens:
+                raise ParseError("unbalanced parentheses: unexpected ')'", pos - 1)
+            atom = stack
+            stack = open_parens.pop()[1]
+        elif pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        elif open_parens:
+            raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
+        else:
+            return Word._from_reduced(stack)
+        if exponent := _EXPONENT_RE.match(text, pos):
+            digits = exponent.group(2)
+            if not digits:
+                raise ParseError("malformed exponent", pos + 1)
+            # Longer runs exceed MAX_EXPONENT; int() would meet its string limit.
+            if len(digits) > len(str(MAX_EXPONENT)):
+                raise WordSizeError(
+                    f"exponent with {len(digits)} digits exceeds {MAX_EXPONENT}"
+                )
+            k = int(exponent.group(1))
+            if abs(k) > MAX_EXPONENT:
+                raise WordSizeError(f"exponent magnitude {k} exceeds {MAX_EXPONENT}")
+            pos = exponent.end()
+            if k < 0:
+                atom, k = [(g, -sign) for g, sign in reversed(atom)], -k
+            if len(atom) * k > MAX_WORD_LETTERS:
+                raise WordSizeError("power exceeds the word size limit")
+            atom = _reduce(atom * k)
+        if len(stack) + len(atom) > MAX_WORD_LETTERS:
+            raise WordSizeError("product exceeds the word size limit")
+        _push_reduced(stack, atom)
 
 
 class Presentation:
     """An ordered generator list together with freely reduced relator words."""
 
     def __init__(self, generators, relators=()):
-        gens = tuple(
-            g if isinstance(g, Generator) else Generator(str(g)) for g in generators
-        )
-        names = [g.name for g in gens]
+        names = tuple(str(g) for g in generators)
+        for name in names:
+            if not _NAME_RE.fullmatch(name):
+                raise InvalidGeneratorName(f"invalid generator name {name!r}")
         if len(set(names)) != len(names):
-            raise DuplicateGenerator(f"duplicate generator names in {names}")
+            raise DuplicateGenerator(f"duplicate generator names in {list(names)}")
         rels = []
         for r in relators:
-            word = r if isinstance(r, Word) else parse_word(str(r), gens)
+            word = r if isinstance(r, Word) else parse_word(str(r), names)
             unknown = word.generator_names() - set(names)
             if unknown:
                 raise UnknownGenerator(
                     f"relator {render_word(word)!r} uses unknown generators {sorted(unknown)}"
                 )
             rels.append(word)
-        self.generators = gens
+        self.generators = names
         self.relators = tuple(rels)
-
-    @property
-    def generator_names(self):
-        return tuple(g.name for g in self.generators)
 
     @property
     def deficiency(self):
@@ -298,6 +255,6 @@ class Presentation:
         )
 
     def __repr__(self):
-        gens = ", ".join(self.generator_names)
+        gens = ", ".join(self.generators)
         rels = ", ".join(render_word(r) for r in self.relators)
         return f"<{gens} | {rels}>"

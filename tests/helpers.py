@@ -136,7 +136,7 @@ def tietze_enlarge(rng, torsion_input, added):
     if added < 1:
         raise ValueError("multiplying relators needs at least two of them")
     pres = torsion_input.presentation
-    gens = list(pres.generator_names)
+    gens = list(pres.generators)
     relators = list(pres.relators)
     defining = []
     for i in range(added):

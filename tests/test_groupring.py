@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
-    Generator,
     GroupRingElement,
     Word,
     fox_derivative,
@@ -14,7 +13,7 @@ from foxtorsion._kernels import accumulate
 
 from helpers import random_word
 
-GENS = (Generator("a"), Generator("b"), Generator("x"))
+GENS = ("a", "b", "x")
 
 
 def word(text):

@@ -35,7 +35,7 @@ def test_case_validation():
 
 def test_input_at_zero():
     inp = lyon_input(0, "S")
-    assert inp.presentation.generator_names == ("a", "b", "x")
+    assert inp.presentation.generators == ("a", "b", "x")
     assert [render_word(r) for r in inp.presentation.relators] == ["x^3 b^-2 a^-2"]
     assert [render_word(w) for w in inp.inclusion_words] == ["a b", "b a b a^-1"]
     assert inp.abelianization.basis_names == ("a", "u")

@@ -476,6 +476,18 @@ def test_dense_matrix_beyond_the_minor_budget_is_rejected_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n, surface, budget", [(7, "S", 2), (-1, "Sprime", 1)])
+def test_cofactor_keeps_only_minors_that_hold_the_rows_zero_further_left(
+    monkeypatch, n, surface, budget
+):
+    # The x row is zero in columns 0 and 1, and at n = -1 on S' the b row is
+    # zero in column 0, so a 2x2 minor of columns 1 and 2 without them is not
+    # kept: S keeps 2 of the 3 nonzero ones and S' keeps 1.
+    matrix = fox_matrix(lyon_input(n, surface))
+    monkeypatch.setattr(torsion, "MAX_MINORS", budget)
+    assert det_cofactor(matrix) == det_first_column(matrix)
+
+
 def test_sparse_matrix_has_no_dimension_budget():
     # tridiagonal without units: at most r + 1 nonzero minors of size r
     n = 60
