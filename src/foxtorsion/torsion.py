@@ -16,10 +16,12 @@ is kept when it has fewer terms than the column.  The determinant of the
 cleared matrix is then divided by those binomials, which
 `LaurentPoly.exact_div` does in one pass.  The determinant itself first
 eliminates unit pivots (+-monomial entries, which every Tietze relator
-y w^-1 contributes) while the matrix is larger than 3x3, then expands along
-the columns over memoized minors, with no division, at any size.  The value
-is exact, not just its class up to units.  3x3 is the floor because
-elimination there would fill the entries that the expansion multiplies.
+y w^-1 contributes) on sparse rows, lowest Markowitz cost first, while more
+than 3 rows are left; each step touches only the rows that meet the pivot's
+column.  It then densifies the rest once and expands it along the
+columns over memoized minors, with no division, at any size.  The value is
+exact, not just its class up to units.  3x3 is the floor because elimination
+there would fill the entries that the expansion multiplies.
 Bareiss elimination stays only as the tests' reference.
 """
 
@@ -293,67 +295,60 @@ def _is_unit(entry):
     return len(entry.terms) == 1 and abs(next(iter(entry.terms.values()))) == 1
 
 
-def _unit_pivot(A):
-    """(p, q) of the unit entry of lowest Markowitz cost (r - 1)(c - 1), where
-    r and c count the nonzeros in its row and column; ties go to the first in
-    row-major order.  None when no entry is a unit."""
-    row_counts = [sum(not e.is_zero for e in row) for row in A]
-    col_counts = [sum(not row[j].is_zero for row in A) for j in range(len(A))]
-    best = None
-    for i, row in enumerate(A):
-        for j, entry in enumerate(row):
-            if _is_unit(entry):
-                cost = (row_counts[i] - 1) * (col_counts[j] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
-
-
-def _eliminate_unit(A, p, q):
-    """The matrix B with det A = (-1)^(p+q) * A[p][q] * det B, for a unit A[p][q].
-
-    Column q is cleared with row_i -= A[i][q] * u^-1 * row_p, which needs no
-    division and keeps the determinant; expanding along the cleared column
-    leaves row p and column q out of B.
-    """
-    ((exps, coeff),) = A[p][q].terms.items()
-    # u^-1 = coeff * x^-exps, as coeff is +-1
-    inverse_shift = tuple(-e for e in exps)
-    pivot_row = [e.shifted(inverse_shift) for e in A[p]]
-    if coeff < 0:
-        pivot_row = [-e for e in pivot_row]
-    B = []
-    for i, row in enumerate(A):
-        if i == p:
-            continue
-        m = row[q]
-        B.append([
-            e if m.is_zero or pivot_row[j].is_zero else e - m * pivot_row[j]
-            for j, e in enumerate(row)
-            if j != q
-        ])
-    return B
-
-
 def determinant(matrix):
     """Exact determinant of a square Laurent matrix.
 
-    While the matrix is larger than 3x3, unit pivots are eliminated first,
-    lowest Markowitz cost first; each step is division free and contributes
-    a known unit factor.  `det_cofactor` expands what is left, at any size.
-    The 3x3 floor is a fill guard on the dimension alone: elimination
-    lengthens the entries that the expansion multiplies, and made the Lyon
-    family's 3x3 determinants about 4x slower.  `fox_determinant` shortens a
-    Fox matrix's columns before it gets here, so those entries are short.
+    While more than UNIT_PIVOT_FLOOR rows are left, the unit entry u = A[p][q]
+    of lowest Markowitz cost (r - 1)(c - 1), ties to the first in row-major
+    order, is eliminated: rows are dicts {column: nonzero entry} and columns
+    sets of rows, so r and c are their sizes.  Only the rows meeting column q
+    change, by row_i -= A[i][q] * u^-1 * row_p, with no division, and the
+    determinant gains the factor +-u, signed by the parity of p's and q's
+    positions among the rows and columns left.  `det_cofactor` expands the
+    rest.  The floor guards against fill, which made the Lyon family's 3x3
+    determinants about 4x slower.
     """
     rank = _square_rank(matrix)
+    zero = LaurentPoly.zero(rank)
+    rows = {i: {} for i in range(len(matrix))}
+    cols = {j: set() for j in range(len(matrix))}
+    units = set()
+
+    def put(i, j, entry):
+        if entry.is_zero:
+            rows[i].pop(j, None)
+            cols[j].discard(i)
+        else:
+            rows[i][j] = entry
+            cols[j].add(i)
+        (units.add if _is_unit(entry) else units.discard)((i, j))
+
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if not entry.is_zero:
+                put(i, j, entry)
     factor = LaurentPoly.one(rank)
-    while len(matrix) > UNIT_PIVOT_FLOOR and (pivot := _unit_pivot(matrix)):
-        p, q = pivot
-        u = matrix[p][q]
-        factor = factor * (u if (p + q) % 2 == 0 else -u)
-        matrix = _eliminate_unit(matrix, p, q)
-    det = det_cofactor(matrix)
+    while len(rows) > UNIT_PIVOT_FLOOR and units:
+        _, p, q = min(((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j) for i, j in units)
+        position = sum(i < p for i in rows) + sum(j < q for j in cols)
+        pivot = rows.pop(p)
+        u = pivot.pop(q)
+        factor = factor * (-u if position % 2 else u)
+        ((exps, coeff),) = u.terms.items()
+        for j in pivot:
+            cols[j].discard(p)
+            units.discard((p, j))
+        # u^-1 = coeff * x^-exps, as coeff is +-1
+        inverse_shift = tuple(-e for e in exps)
+        pivot = {j: e.shifted(inverse_shift) * coeff for j, e in pivot.items()}
+        for i in cols.pop(q):
+            units.discard((i, q))
+            if i != p:
+                row = rows[i]
+                m = row.pop(q)
+                for j, e in pivot.items():
+                    put(i, j, row.get(j, zero) - m * e)
+    det = det_cofactor([[row.get(j, zero) for j in cols] for row in rows.values()])
     return det if factor == LaurentPoly.one(rank) else factor * det
 
 

@@ -9,10 +9,11 @@ input files:
     atom  :=  generator-name  |  '(' word ')'
 
 Generator names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only), an integer is a
-sign and decimal digits of any script (Unicode Nd), juxtaposed atoms must be
-separated by whitespace or parentheses, whitespace is otherwise ignored,
-parentheses nest at most ``MAX_NESTING`` deep, and the empty string denotes
-the identity.  The canonical renderer emits the ``a^-1`` exponent form, so
+sign and decimal digits of any script (Unicode Nd), and whitespace is ignored
+except between names: a name is read as long as it goes, so touching names
+are one name (``ab``), while a parenthesis or an exponent ends an atom and a
+name may follow it directly (``a^1b`` is ``a b``).  Parentheses nest at most
+``MAX_NESTING`` deep, and the empty string denotes the identity.  The canonical renderer emits the ``a^-1`` exponent form, so
 rendered words re-parse to themselves.
 """
 

@@ -50,6 +50,7 @@ from foxtorsion.words import MAX_WORD_LETTERS
 
 from helpers import (
     count_determinant_calls,
+    dense_unit_elimination,
     det_first_column,
     laurent_polys,
     random_laurent,
@@ -436,6 +437,62 @@ def test_determinant_paths_agree_exactly(matrix):
     assert determinant(matrix) == expected
     if len(matrix) <= 6:  # the reference Bareiss is slow on 7x7 without units
         assert det_bareiss(matrix) == expected
+
+
+def _sparse_unit_elimination(matrix):
+    """(factor, core) of `determinant`: the core it hands `det_cofactor`, and
+    its value when that expansion returns 1."""
+    cores = []
+
+    def captured(core):
+        cores.append(core)
+        return LaurentPoly.one(core[0][0].rank)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torsion, "det_cofactor", captured)
+        factor = determinant(matrix)
+    (core,) = cores
+    return factor, core
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_rich_matrices())
+def test_sparse_unit_elimination_repeats_the_dense_reference(matrix):
+    # the same pivots in the same order: the same core, entry for entry
+    assert _sparse_unit_elimination(matrix) == dense_unit_elimination(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(-1, 5),
+    st.sampled_from(("S", "Sprime")),
+    st.integers(1, 6),
+)
+def test_sparse_unit_elimination_repeats_the_dense_reference_after_tietze_moves(
+    seed, n, surface, added
+):
+    enlarged = tietze_enlarge(random.Random(seed), lyon_input(n, surface), added)
+    matrix = fox_matrix(enlarged)
+    assert _sparse_unit_elimination(matrix) == dense_unit_elimination(matrix)
+
+
+def test_five_hundred_unit_generators_are_eliminated_quickly():
+    # the Lyon S n = 0 input with 500 generators y and relators y a^-1 b, each
+    # y the image of a b^-1: a 503x503 Fox matrix whose y rows hold one unit
+    base = lyon_input(0, "S")
+    ys = [f"y{i}" for i in range(1, 501)]
+    presentation = Presentation(
+        base.presentation.generators + tuple(ys),
+        base.presentation.relators + tuple(f"{y} a^-1 b" for y in ys),
+    )
+    images = dict(base.abelianization.images, **{y: (2, -3) for y in ys})
+    basis = AbelianizationMap(2, images, base.abelianization.basis_names)
+    inp = TorsionInput(presentation, base.inclusion_words, basis)
+    start = time.perf_counter()
+    got = sutured_torsion(inp)
+    assert time.perf_counter() - start < 2.0
+    assert got == expected_torsion(0, "S")
 
 
 def _nonunit_matrix(rng, n):
