@@ -4,11 +4,14 @@ A term dict maps keys to nonzero integer coefficients.  `accumulate` and
 `add_terms` only need hashable keys, so they serve both rings: free-group
 `Word`s in the group ring, exponent tuples (one integer per variable) in the
 Laurent ring.  `mul_terms` and `iadd_scaled` add keys as exponent tuples and
-so are Laurent-only.  These four functions are the inner loops of every ring
-operation.  `accumulate`, `add_terms` and `iadd_scaled` sum through one
-zero-dropping loop, `_sum_into`; `mul_terms` keeps its own inline loop,
-because feeding that loop a generator of pairs made products about 10-30 %
-slower on 3- to 40-term factors.
+so are Laurent-only.  `iadd_product` adds keys as plain integers: it serves
+`torsion.det_cofactor`, which packs each exponent vector into one int so that
+adding keys adds the vectors, and it keeps zero sums for its caller to drop
+once.  These five functions are the inner loops of every ring operation.
+`accumulate`, `add_terms` and `iadd_scaled` sum through one zero-dropping
+loop, `_sum_into`; `mul_terms` and `iadd_product` keep their own inline
+loops, because feeding that loop a generator of pairs made products about
+10-30 % slower on 3- to 40-term factors.
 
 Exponent tuples are added as ``tuple(map(add, ka, kb))``: `map` over a C
 operator builds the sum without a Python-level generator frame, which is
@@ -67,3 +70,17 @@ def iadd_scaled(acc, src, shift, coeff):
     """In place: acc += coeff * x^shift * src.  Deletes cancelled keys."""
     if coeff:
         _sum_into(acc, ((tuple(map(add, k, shift)), coeff * v) for k, v in src.items()))
+
+
+def iadd_product(acc, a, b, sign):
+    """In place: acc += sign * a * b, for term dicts keyed by packed ints, so
+    that a product's key is the sum of its factors' keys.  Zero sums stay in
+    ``acc`` as zero coefficients; the caller drops them."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, va in a.items():
+        va *= sign
+        for kb, vb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + va * vb

@@ -19,17 +19,22 @@ eliminates unit pivots (+-monomial entries, which every Tietze relator
 y w^-1 contributes) on sparse rows, lowest Markowitz cost first, while more
 than 3 rows are left; each step touches only the rows that meet the pivot's
 column.  It then densifies the rest once and expands it along the
-columns over memoized minors, with no division, at any size.  The value is
-exact, not just its class up to units.  3x3 is the floor because elimination
-there would fill the entries that the expansion multiplies.
+columns over memoized minors, with no division, at any size.  The expansion
+packs each exponent vector into one integer, in fields wide enough that a
+sum of n exponents never carries, and sums each signed product into its
+minor in place; the term dicts stay sparse, so the cost follows the term
+pairs, not the exponent box.  The value is exact, not just its class up to
+units.  3x3 is the floor because elimination there would fill the entries
+that the expansion multiplies.
 Bareiss elimination stays only as the tests' reference.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import sub
+from itertools import chain
+from operator import lshift, sub
 
-from ._kernels import accumulate
+from ._kernels import accumulate, iadd_product
 from .abelian import AbelianizationMap, LaurentPoly
 from .errors import (
     InexactDivision,
@@ -226,29 +231,58 @@ def det_cofactor(matrix):
     each entry of the next column in a row they lack, signed by its position.
     A minor lacking a row that is zero left of its columns is dropped, as no
     column can add that row later.  No division.  Raises InputTooLarge beyond
-    MAX_MINORS nonzero minors of one size."""
+    MAX_MINORS nonzero minors of one size.
+
+    The expansion runs on packed keys: each exponent vector e becomes the int
+    sum of e_i << (w * (rank - 1 - i)), so adding keys adds vectors, and
+    `iadd_product` sums each signed product straight into its minor.  Every
+    term of a k x k minor is a sum of k entry exponents, so with M the largest
+    |exponent| of any entry its coordinates lie within +-n*M, below 2^(w-1)
+    for w = (n*M).bit_length() + 1, and no digit carries into its neighbour.
+    Zero sums are dropped once per size, before the minors are counted, so
+    the kept minors and the budget are those of the tuple-keyed expansion,
+    and only the determinant's keys are unpacked.  Only this core is packed:
+    each entry is packed once and multiplied into many minors, while packing
+    inside one product (`mul_terms`) would unpack every term it returns,
+    which made the products slower, not faster.
+    """
     rank = _square_rank(matrix)
     n = len(matrix)
     first = [next((j for j, e in enumerate(row) if not e.is_zero), n) for row in matrix]
+    exponents = chain.from_iterable(k for row in matrix for e in row for k in e.terms)
+    bound = max(map(abs, exponents), default=0)
+    width = (n * bound).bit_length() + 1
+    shifts = [width * (rank - 1 - i) for i in range(rank)]
+
+    def pack(terms):
+        return {sum(map(lshift, k, shifts)): v for k, v in terms.items()}
 
     def kept(minors, j):
         due = {i for i, f in enumerate(first) if f >= j}
-        return {rows: m for rows, m in minors.items() if not m.is_zero and due <= set(rows)}
+        minors = {rows: {k: v for k, v in m.items() if v} for rows, m in minors.items()}
+        return {rows: m for rows, m in minors.items() if m and due <= set(rows)}
 
-    columns = list(zip(*matrix))
+    columns = [[pack(e.terms) for e in column] for column in zip(*matrix)]
     minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
     for j in range(n - 2, -1, -1):
         expanded = {}
         for rows, minor in minors.items():
             for i, entry in enumerate(columns[j]):
-                if i not in rows and not entry.is_zero:
+                if i not in rows and entry:
                     key = tuple(sorted(rows + (i,)))
-                    term = -(entry * minor) if key.index(i) % 2 else entry * minor
-                    expanded[key] = expanded[key] + term if key in expanded else term
+                    sign = -1 if key.index(i) % 2 else 1
+                    iadd_product(expanded.setdefault(key, {}), entry, minor, sign)
         minors = kept(expanded, j)
         if len(minors) > MAX_MINORS:
             raise InputTooLarge(f"more than {MAX_MINORS} nonzero minors of one size")
-    return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    offset = sum(half << s for s in shifts)
+    det = minors.get(tuple(range(n)), {})
+    return LaurentPoly._raw(
+        rank,
+        {tuple(((k + offset) >> s & mask) - half for s in shifts): v for k, v in det.items()},
+    )
 
 
 def det_bareiss(matrix):

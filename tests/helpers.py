@@ -14,7 +14,7 @@ from foxtorsion import (
     torsion,
 )
 from foxtorsion._kernels import accumulate
-from foxtorsion.errors import RankMismatch
+from foxtorsion.errors import InputTooLarge, RankMismatch
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -172,6 +172,34 @@ def det_first_column(matrix):
         term = row[0] * det_first_column(minor)
         total = total + (term if i % 2 == 0 else -term)
     return total
+
+
+def det_cofactor_tuples(matrix):
+    """`torsion.det_cofactor` on exponent-tuple keys, with a product, its
+    negation and a sum per term: the same expansion, kept minors and
+    MAX_MINORS budget without the packed keys, as the reference for them."""
+    rank = torsion._square_rank(matrix)
+    n = len(matrix)
+    first = [next((j for j, e in enumerate(row) if not e.is_zero), n) for row in matrix]
+
+    def kept(minors, j):
+        due = {i for i, f in enumerate(first) if f >= j}
+        return {rows: m for rows, m in minors.items() if not m.is_zero and due <= set(rows)}
+
+    columns = list(zip(*matrix))
+    minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
+    for j in range(n - 2, -1, -1):
+        expanded = {}
+        for rows, minor in minors.items():
+            for i, entry in enumerate(columns[j]):
+                if i not in rows and not entry.is_zero:
+                    key = tuple(sorted(rows + (i,)))
+                    term = -(entry * minor) if key.index(i) % 2 else entry * minor
+                    expanded[key] = expanded[key] + term if key in expanded else term
+        minors = kept(expanded, j)
+        if len(minors) > torsion.MAX_MINORS:
+            raise InputTooLarge(f"more than {torsion.MAX_MINORS} nonzero minors of one size")
+    return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
 
 
 def count_determinant_calls(monkeypatch):

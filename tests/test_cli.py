@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import cli, equivalence, expected_torsion, polytope
+from foxtorsion import cli, equivalence, expected_torsion, parse_word, polytope
 from foxtorsion.cli import (
     MAX_FAMILY_N,
     MAX_GENERATORS,
@@ -76,6 +77,7 @@ a
 
 
 NONUNIT_FILE = Path(__file__).parent / "inputs" / "nonunit-11x11.tor"
+RANDOM_WORDS_FILE = Path(__file__).parent / "inputs" / "random-words-2000.tor"
 
 
 def _generators_file(k):
@@ -141,6 +143,36 @@ def test_torsion_rejects_files_beyond_the_budget_quickly(tmp_path, capsys, text)
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
+
+
+def test_torsion_of_two_random_2000_letter_words(capsys):
+    """``tests/inputs/random-words-2000.tor``, which CI also runs under a
+    10 s timeout, is the Lyon S file with its [basis] and two random reduced
+    inclusion words of 2,000 letters each, written one letter per token.
+    They were drawn with ``random.Random(2000)``, the first word and then
+    the second: each letter uniform among a, b, x and their inverses, and
+    drawn again when it would cancel the letter before it.  The
+    determinant of its 3x3 Fox matrix has 5,231 terms.
+
+    At augmentation (every variable 1) a Fox derivative of w by g is the
+    exponent sum of g in w, so the torsion's coefficient sum is, up to
+    sign, the integer determinant of those sums.
+    """
+    tfile = parse_torsion_file(RANDOM_WORDS_FILE.read_text())
+    words = [parse_word(w, tfile.generators) for w in tfile.inclusion_words + tfile.relators]
+    sums = [
+        [sum(s for name, s in w.letters if name == g) for w in words]
+        for g in tfile.generators
+    ]
+    det = sum(
+        (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2))
+        * sums[0][p[0]] * sums[1][p[1]] * sums[2][p[2]]
+        for p in itertools.permutations(range(3))
+    )
+    code, report, _ = run(capsys, "torsion", str(RANDOM_WORDS_FILE))
+    assert code == 0
+    assert len(report["torsion"]["terms"]) == 5231
+    assert abs(report["torsion"]["coefficient_sum"]) == abs(det)
 
 
 def test_torsion_accepts_the_most_generators(tmp_path, capsys):

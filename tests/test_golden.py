@@ -8,10 +8,14 @@ inclusion words are padded to about 1,000 letters each, the shape of the
 benchmark's ``long-words`` files.  Three small files pin report paths those
 miss: a rank-1 class that is not centrally symmetric (``rank1.tor``), a class
 symmetric with sign -1 (``antisymmetric.tor``) and a rank-3 class, which
-has no hull structure (``rank3.tor``).  Each ``PLOTS`` case compares the
-``--plot-data`` file of a command instead of its stdout.  The reports were
-recorded at commit 1fba6be, the three small files' reports and the plot
-file at c5ee2b9; a change that alters any of them changes the CLI's output.
+has no hull structure (``rank3.tor``).  ``wide.tor`` is the example file
+after the unimodular basis change a = (1, 0), b = (3*2^70 - 1, 3),
+x = (2^71, 2), so its exponents, and the packed keys of the determinant,
+exceed a machine word.  Each ``PLOTS`` case compares the ``--plot-data``
+file of a command instead of its stdout.  The reports were recorded at
+commit 1fba6be, the three small files' reports and the plot file at
+c5ee2b9, and the wide file's report at 12bc922, before the determinant
+packed its keys; a change that alters any of them changes the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -37,7 +41,7 @@ CASES = {
     },
     **{
         f"torsion-{name}": ["torsion", f"{name}.tor"]
-        for name in ("rank1", "antisymmetric", "rank3")
+        for name in ("rank1", "antisymmetric", "rank3", "wide")
     },
 }
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import LaurentPoly, Word
-from foxtorsion._kernels import accumulate, add_terms, iadd_scaled, mul_terms
+from foxtorsion._kernels import accumulate, add_terms, iadd_product, iadd_scaled, mul_terms
 from foxtorsion.errors import InexactDivision
 
 from helpers import random_word
@@ -145,6 +145,33 @@ def test_iadd_scaled_shifts_and_cancels():
     assert acc == {(0, 0): 3, (1, -1): 5}
 
 
+def test_iadd_product_sums_into_a_nonempty_acc():
+    acc = {5: 2, 9: 1}
+    # 2 t^5 + t^9 + (3 t + 7 t^2) * t^4
+    assert iadd_product(acc, {1: 3, 2: 7}, {4: 1}, 1) is None
+    assert acc == {5: 5, 6: 7, 9: 1}
+
+
+def test_iadd_product_subtracts_with_sign_minus_one():
+    acc = {0: 2}
+    # 2 - (2 t^-1 + t) * (t^-1 - 4) = 2 - (2 t^-2 - 8 t^-1 + 1 - 4 t)
+    iadd_product(acc, {-1: 2, 1: 1}, {-1: 1, 0: -4}, -1)
+    assert acc == {-2: -2, -1: 8, 0: 1, 1: 4}
+
+
+def test_iadd_product_keeps_a_cancelled_key_as_zero():
+    acc = {5: 3, 7: 1}
+    iadd_product(acc, {1: 3}, {4: 1}, -1)
+    assert acc == {5: 0, 7: 1}
+
+
+def test_iadd_product_with_an_empty_operand_leaves_acc_alone():
+    for a, b in (({}, {1: 2}), ({1: 2}, {}), ({}, {})):
+        acc = {3: -1}
+        iadd_product(acc, a, b, -1)
+        assert acc == {3: -1}
+
+
 def test_big_integer_coefficients_survive():
     big = 10**40
     a = {(0, 0): big, (1, 0): -big}
@@ -246,3 +273,39 @@ def test_exact_div_in_every_rank(data):
     except InexactDivision:
         return
     assert ref_mul(quot.terms, d.terms) == m.terms
+
+
+# Packed keys: each coordinate in a field of PACK_WIDTH bits, wide enough
+# for the sums of two exponents in [-5, 5] that a product makes.
+PACK_WIDTH = 8
+
+
+def pack(terms, rank):
+    return {
+        sum(c << (PACK_WIDTH * (rank - 1 - i)) for i, c in enumerate(k)): v
+        for k, v in terms.items()
+    }
+
+
+def unpack(terms, rank):
+    half = 1 << (PACK_WIDTH - 1)
+    shifts = [PACK_WIDTH * (rank - 1 - i) for i in range(rank)]
+    offset = sum(half << s for s in shifts)
+    mask = (1 << PACK_WIDTH) - 1
+    return {
+        tuple(((k + offset) >> s & mask) - half for s in shifts): v
+        for k, v in terms.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iadd_product_on_packed_keys_matches_mul_terms_in_every_rank(data):
+    rank = data.draw(ranks)
+    a, b, acc = (data.draw(term_dicts(rank)) for _ in range(3))
+    sign = data.draw(st.sampled_from((1, -1)))
+    product = mul_terms(a, b)
+    expected = add_terms(acc, {k: sign * v for k, v in product.items()})
+    packed = pack(acc, rank)
+    iadd_product(packed, pack(a, rank), pack(b, rank), sign)
+    assert unpack({k: v for k, v in packed.items() if v}, rank) == expected

@@ -51,6 +51,7 @@ from foxtorsion.words import MAX_WORD_LETTERS
 from helpers import (
     count_determinant_calls,
     dense_unit_elimination,
+    det_cofactor_tuples,
     det_first_column,
     laurent_polys,
     random_laurent,
@@ -386,6 +387,45 @@ def test_cofactor_equals_bareiss_randomized():
             for _ in range(n)
         ]
         assert det_cofactor(matrix) == det_bareiss(matrix)
+
+
+@st.composite
+def wide_exponent_matrices(draw):
+    """Square Laurent matrices of dimension 1-6 in rank 0-3 for the packed
+    keys of `det_cofactor`.  Each coordinate is 0, +-1 or +-M, with M up to
+    2^70, so keys collide and cancel; entries are often zero.  The
+    "dependent_row" shape repeats a row up to sign, so the determinant is 0.
+    In the "extreme" shape every entry is c x^(+-M e_axis), one sign for the
+    whole matrix, so each full product reaches +-n*M, the edge of the field
+    that n and M set."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, 3))
+    big = draw(st.sampled_from((2, 3, 7, 2**31 - 1, 2**64, 2**70)))
+    coeffs = st.integers(-3, 3).filter(bool)
+    shape = draw(st.sampled_from(("general", "dependent_row", "extreme")))
+    if shape == "extreme" and rank:
+        axis = draw(st.integers(0, rank - 1))
+        e = tuple(draw(st.sampled_from((big, -big))) if i == axis else 0 for i in range(rank))
+        return [[LaurentPoly.monomial(e, draw(coeffs)) for _ in range(n)] for _ in range(n)]
+    exps = st.tuples(*[st.sampled_from((0, 1, -1, big, -big))] * rank)
+    poly = st.dictionaries(exps, coeffs, min_size=1, max_size=3 if n <= 3 else 2)
+    entry = st.one_of(st.just({}), poly)
+    matrix = [[LaurentPoly(rank, draw(entry)) for _ in range(n)] for _ in range(n)]
+    if shape == "dependent_row" and n > 1:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        sign = draw(st.sampled_from((1, -1)))
+        matrix[dst] = [e * sign for e in matrix[src]]
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_exponent_matrices())
+def test_packed_cofactor_matches_the_tuple_key_expansion(matrix):
+    expected = det_first_column(matrix)
+    assert det_cofactor_tuples(matrix) == expected
+    got = det_cofactor(matrix)
+    assert got == expected
+    assert all(got.terms.values())
 
 
 def test_determinant_rejects_mixed_ranks():
