@@ -228,9 +228,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -244,18 +241,6 @@ class LaurentPoly:
         return LaurentPoly._raw(self.rank, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        out = LaurentPoly.one(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         return (

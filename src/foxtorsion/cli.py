@@ -24,8 +24,6 @@ dumps support points and hull vertices for external plotting.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .abelian import AbelianizationMap, abelianize_presentation, render_terms
 from .errors import (
@@ -59,20 +57,16 @@ _SECTIONS = ("generators", "relators", "inclusion", "basis")
 # fox_derivative once per generator and word: 41,209 calls at 203.
 MAX_GENERATORS = 100
 
-
-@dataclass
-class TorsionFile:
-    """Parsed sectioned input: generator names, word strings, optional basis."""
-
-    generators: tuple
-    relators: tuple
-    inclusion_words: tuple
-    basis: Optional[tuple] = None  # (basis names, {generator: exponent vector})
+# The most digits, after its sign, of a [basis] image field.  Exponents then
+# stay near 1,007 digits and hull areas near 2,020 (100 generators, 20,000
+# letters), under the 4,300 that str() and so json print.
+MAX_BASIS_DIGITS = 1000
 
 
 def parse_torsion_file(text):
+    """The TorsionInput of a file's text.  Errors come in a fixed order: sections,
+    generator budget, [basis] lines, presentation, inclusion words, basis map."""
     sections = {}
-    order = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,13 +78,12 @@ def parse_torsion_file(text):
                 raise InputFileError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise InputFileError(f"line {lineno}: duplicate section [{name}]")
-            if order and _SECTIONS.index(name) <= _SECTIONS.index(order[-1]):
+            if current and _SECTIONS.index(name) <= _SECTIONS.index(current):
                 raise InputFileError(
                     f"line {lineno}: section [{name}] out of order; expected "
                     f"order {list(_SECTIONS)}"
                 )
             sections[name] = []
-            order.append(name)
             current = name
             continue
         if current is None:
@@ -110,38 +103,42 @@ def parse_torsion_file(text):
         raise InputTooLarge(
             f"{len(generators)} generators exceed the limit of {MAX_GENERATORS}"
         )
-    relators = tuple(line for _, line in sections["relators"])
-    inclusion = tuple(line for _, line in sections["inclusion"])
 
-    basis = None
-    if "basis" in sections:
-        names = None
-        images = {}
-        for lineno, line in sections["basis"]:
-            if "=" not in line:
-                raise InputFileError(
-                    f"line {lineno}: basis lines must look like 'key = values'"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            fields = value.split()
-            if key == "names":
-                names = tuple(fields)
-            else:
-                if key not in generators:
-                    raise InputFileError(
-                        f"line {lineno}: basis image for unknown generator {key!r}"
-                    )
-                try:
-                    images[key] = tuple(int(f) for f in fields)
-                except ValueError:
-                    raise InputFileError(
-                        f"line {lineno}: non-integer exponent in basis image for {key!r}"
-                    ) from None
-        if names is None:
-            raise InputFileError("section [basis] needs a 'names = ...' line")
-        basis = (names, images)
-    return TorsionFile(generators, relators, inclusion, basis)
+    names = None
+    images = {}
+    for lineno, line in sections.get("basis", ()):
+        if "=" not in line:
+            raise InputFileError(
+                f"line {lineno}: basis lines must look like 'key = values'"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        fields = value.split()
+        if key == "names":
+            names = tuple(fields)
+            continue
+        if key not in generators:
+            raise InputFileError(
+                f"line {lineno}: basis image for unknown generator {key!r}"
+            )
+        if any(len(f.lstrip("+-")) > MAX_BASIS_DIGITS for f in fields):
+            raise InputTooLarge(
+                f"line {lineno}: basis image for {key!r} has a field of more "
+                f"than {MAX_BASIS_DIGITS} digits"
+            )
+        try:
+            images[key] = tuple(int(f) for f in fields)
+        except ValueError:
+            raise InputFileError(
+                f"line {lineno}: non-integer exponent in basis image for {key!r}"
+            ) from None
+    if "basis" in sections and names is None:
+        raise InputFileError("section [basis] needs a 'names = ...' line")
+
+    presentation = Presentation(generators, [line for _, line in sections["relators"]])
+    inclusion = [parse_word(line, generators) for _, line in sections["inclusion"]]
+    user = None if names is None else AbelianizationMap(len(names), images, names)
+    return TorsionInput(presentation, inclusion, abelianize_presentation(presentation, user))
 
 
 def load_torsion_file(path):
@@ -156,20 +153,6 @@ def load_torsion_file(path):
             "input files must be ASCII"
         ) from None
     return parse_torsion_file(text)
-
-
-def torsion_input_from_file(tfile):
-    presentation = Presentation(tfile.generators, tfile.relators)
-    inclusion = tuple(
-        parse_word(text, presentation.generators) for text in tfile.inclusion_words
-    )
-    if tfile.basis is not None:
-        names, images = tfile.basis
-        user = AbelianizationMap(len(names), images, names)
-        basis = abelianize_presentation(presentation, user)
-    else:
-        basis = abelianize_presentation(presentation)
-    return TorsionInput(presentation, inclusion, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +242,7 @@ def _plot_payload(body):
 
 
 def cmd_torsion(path):
-    tinput = torsion_input_from_file(load_torsion_file(path))
+    tinput = load_torsion_file(path)
     tclass = sutured_torsion(tinput)
     body, _ = _torsion_body(tclass, tinput.abelianization.basis_names)
     report = {
@@ -272,8 +255,8 @@ def cmd_torsion(path):
 
 
 def cmd_compare(path1, path2):
-    in1 = torsion_input_from_file(load_torsion_file(path1))
-    in2 = torsion_input_from_file(load_torsion_file(path2))
+    in1 = load_torsion_file(path1)
+    in2 = load_torsion_file(path2)
     t1 = sutured_torsion(in1)
     t2 = sutured_torsion(in2)
     body1, hull1 = _torsion_body(t1, in1.abelianization.basis_names)

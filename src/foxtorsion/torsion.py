@@ -219,10 +219,11 @@ def _square_rank(matrix):
     return ranks.pop()
 
 
-# det_cofactor keeps at most this many nonzero minors of one size, whatever the
-# dimension; a dense n x n matrix keeps C(n, n/2).  On entries 2 + x^e in rank 2
-# that took 0.9 s at 10x10 (252) and 3.3 s at 11x11 (462) on a 2-vCPU VM.
-MAX_MINORS = 252
+# det_cofactor multiplies at most this many pairs of terms in all.  On a
+# 2-vCPU VM tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
+# tests/inputs/rank11-commutators.tor reaches 2,572,418 with a fifth column
+# that alone takes 1.1 s, and is refused before it.
+MAX_TERM_PRODUCTS = 2_560_000
 
 
 def det_cofactor(matrix):
@@ -230,8 +231,9 @@ def det_cofactor(matrix):
     nonzero minors of the columns passed, keyed by increasing row tuples, take
     each entry of the next column in a row they lack, signed by its position.
     A minor lacking a row that is zero left of its columns is dropped, as no
-    column can add that row later.  No division.  Raises InputTooLarge beyond
-    MAX_MINORS nonzero minors of one size.
+    column can add that row later.  No division.  Raises InputTooLarge before
+    the products of a column whose term pairs, len(entry) * len(minor) summed,
+    take the count since the first column past MAX_TERM_PRODUCTS.
 
     The expansion runs on packed keys: each exponent vector e becomes the int
     sum of e_i << (w * (rank - 1 - i)), so adding keys adds vectors, and
@@ -239,7 +241,7 @@ def det_cofactor(matrix):
     term of a k x k minor is a sum of k entry exponents, so with M the largest
     |exponent| of any entry its coordinates lie within +-n*M, below 2^(w-1)
     for w = (n*M).bit_length() + 1, and no digit carries into its neighbour.
-    Zero sums are dropped once per size, before the minors are counted, so
+    Zero sums are dropped once per size, before the terms are counted, so
     the kept minors and the budget are those of the tuple-keyed expansion,
     and only the determinant's keys are unpacked.  Only this core is packed:
     each entry is packed once and multiplied into many minors, while packing
@@ -264,7 +266,13 @@ def det_cofactor(matrix):
 
     columns = [[pack(e.terms) for e in column] for column in zip(*matrix)]
     minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
+    products = 0
     for j in range(n - 2, -1, -1):
+        sizes = [len(entry) for entry in columns[j]]
+        for rows, minor in minors.items():
+            products += len(minor) * sum(s for i, s in enumerate(sizes) if i not in rows)
+        if products > MAX_TERM_PRODUCTS:
+            raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
         expanded = {}
         for rows, minor in minors.items():
             for i, entry in enumerate(columns[j]):
@@ -273,8 +281,6 @@ def det_cofactor(matrix):
                     sign = -1 if key.index(i) % 2 else 1
                     iadd_product(expanded.setdefault(key, {}), entry, minor, sign)
         minors = kept(expanded, j)
-        if len(minors) > MAX_MINORS:
-            raise InputTooLarge(f"more than {MAX_MINORS} nonzero minors of one size")
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     offset = sum(half << s for s in shifts)

@@ -177,7 +177,8 @@ def det_first_column(matrix):
 def det_cofactor_tuples(matrix):
     """`torsion.det_cofactor` on exponent-tuple keys, with a product, its
     negation and a sum per term: the same expansion, kept minors and
-    MAX_MINORS budget without the packed keys, as the reference for them."""
+    MAX_TERM_PRODUCTS budget without the packed keys, as the reference for
+    them."""
     rank = torsion._square_rank(matrix)
     n = len(matrix)
     first = [next((j for j, e in enumerate(row) if not e.is_zero), n) for row in matrix]
@@ -188,7 +189,18 @@ def det_cofactor_tuples(matrix):
 
     columns = list(zip(*matrix))
     minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
+    products = 0
     for j in range(n - 2, -1, -1):
+        products += sum(
+            len(entry.terms) * len(minor.terms)
+            for rows, minor in minors.items()
+            for i, entry in enumerate(columns[j])
+            if i not in rows
+        )
+        if products > torsion.MAX_TERM_PRODUCTS:
+            raise InputTooLarge(
+                f"the determinant needs more than {torsion.MAX_TERM_PRODUCTS} term products"
+            )
         expanded = {}
         for rows, minor in minors.items():
             for i, entry in enumerate(columns[j]):
@@ -197,8 +209,6 @@ def det_cofactor_tuples(matrix):
                     term = -(entry * minor) if key.index(i) % 2 else entry * minor
                     expanded[key] = expanded[key] + term if key in expanded else term
         minors = kept(expanded, j)
-        if len(minors) > torsion.MAX_MINORS:
-            raise InputTooLarge(f"more than {torsion.MAX_MINORS} nonzero minors of one size")
     return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
 
 

@@ -121,6 +121,8 @@ def test_integer_rank_edge_cases():
     assert integer_rank(iter([[1, 0], [0, 1], None])) == 2
     with pytest.raises(ValueError):
         integer_rank([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
 
 
 # -- abelianization -----------------------------------------------------------
@@ -185,6 +187,8 @@ def test_invalid_basis_missing_generator():
 def test_duplicate_basis_names_rejected():
     with pytest.raises(InvalidBasis):
         AbelianizationMap(2, {"a": (1, 0), "b": (-1, 3), "x": (0, 2)}, ("a", "a"))
+    with pytest.raises(RankMismatch, match="one basis name per coordinate"):
+        AbelianizationMap(2, {"a": (1, 0)}, ("s",))
 
 
 def test_apply_map_examples():
@@ -283,6 +287,13 @@ def test_rank_mismatch():
         LaurentPoly.one(1) * LaurentPoly.one(2)
     with pytest.raises(RankMismatch):
         LaurentPoly.one(1).exact_div(LaurentPoly.one(2))
+    # exponent vectors, offsets and names of the wrong length
+    with pytest.raises(RankMismatch, match="has length 1, expected 2"):
+        LaurentPoly(2, {(1,): 1})
+    with pytest.raises(RankMismatch, match="offset length 1"):
+        LaurentPoly.one(2).shifted((1,))
+    with pytest.raises(RankMismatch, match="1 names for rank 2"):
+        LaurentPoly.one(2).render(("s",))
 
 
 def test_exact_div_round_trip_randomized():

@@ -1,16 +1,18 @@
 import io
-import itertools
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import cli, equivalence, expected_torsion, parse_word, polytope
+from foxtorsion import cli, equivalence, expected_torsion, polytope, render_word
 from foxtorsion.cli import (
+    MAX_BASIS_DIGITS,
     MAX_FAMILY_N,
     MAX_GENERATORS,
     cmd_family,
@@ -76,8 +78,10 @@ a
 """
 
 
-NONUNIT_FILE = Path(__file__).parent / "inputs" / "nonunit-11x11.tor"
-RANDOM_WORDS_FILE = Path(__file__).parent / "inputs" / "random-words-2000.tor"
+INPUTS = Path(__file__).parent / "inputs"
+NONUNIT_FILE = INPUTS / "nonunit-11x11.tor"
+RANK11_FILE = INPUTS / "rank11-commutators.tor"
+RANDOM_WORDS_FILE = INPUTS / "random-words-2000.tor"
 
 
 def _generators_file(k):
@@ -100,13 +104,12 @@ def run(capsys, *argv):
 
 
 def test_parse_torsion_file_sections():
-    tfile = parse_torsion_file(LYON_S0)
-    assert tfile.generators == ("a", "b", "x")
-    assert tfile.relators == ("x^3 b^-2 a^-2",)
-    assert len(tfile.inclusion_words) == 2
-    names, images = tfile.basis
-    assert names == ("a", "u")
-    assert images["b"] == (-1, 3)
+    tinput = parse_torsion_file(LYON_S0)
+    assert tinput.presentation.generators == ("a", "b", "x")
+    assert [render_word(r) for r in tinput.presentation.relators] == ["x^3 b^-2 a^-2"]
+    assert len(tinput.inclusion_words) == 2
+    assert tinput.abelianization.basis_names == ("a", "u")
+    assert tinput.abelianization.images["b"] == (-1, 3)
 
 
 def test_parse_torsion_file_rejects_bad_sections():
@@ -131,8 +134,51 @@ def test_torsion_command_on_lyon_file(tmp_path, capsys):
     assert report["input"]["generators"] == ["a", "b", "x"]
 
 
+def _random_words_file(seed, letters):
+    """The Lyon S file with two random reduced inclusion words of the given
+    length, drawn with ``random.Random(seed)``, the first word and then the
+    second: each letter uniform among a, b, x and their inverses, and drawn
+    again when it would cancel the letter before it."""
+    rng = random.Random(seed)
+    alphabet = [(g, s) for g in "abx" for s in (1, -1)]
+    words = []
+    for _ in range(2):
+        word = []
+        while len(word) < letters:
+            name, sign = rng.choice(alphabet)
+            if not word or word[-1] != (name, -sign):
+                word.append((name, sign))
+        words.append(" ".join(g if s == 1 else f"{g}^-1" for g, s in word))
+    return LYON_S0.replace("(a b^-1)^1 b^2\nb a (b a^-1)^1\n", "\n".join(words) + "\n")
+
+
+def _augmentation_det(tinput):
+    """The integer determinant of the Fox matrix at augmentation (every
+    variable 1), where the derivative of w by g is the exponent sum of g in w."""
+    words = tinput.inclusion_words + tinput.presentation.relators
+    rows = [
+        [Fraction(sum(s for name, s in w.letters if name == g)) for w in words]
+        for g in tinput.presentation.generators
+    ]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            det = -det
+        pivot = rows[k]
+        det *= pivot[k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / pivot[k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+    return int(det)
+
+
 @pytest.mark.parametrize("text", [
-    pytest.param(NONUNIT_FILE.read_text(), id="minors"),
+    pytest.param(RANK11_FILE.read_text(), id="terms"),
+    pytest.param(_random_words_file(20000, 20000), id="words"),
     pytest.param(_generators_file(MAX_GENERATORS - 2), id="generators"),
 ])
 def test_torsion_rejects_files_beyond_the_budget_quickly(tmp_path, capsys, text):
@@ -147,31 +193,29 @@ def test_torsion_rejects_files_beyond_the_budget_quickly(tmp_path, capsys, text)
 
 def test_torsion_of_two_random_2000_letter_words(capsys):
     """``tests/inputs/random-words-2000.tor``, which CI also runs under a
-    10 s timeout, is the Lyon S file with its [basis] and two random reduced
-    inclusion words of 2,000 letters each, written one letter per token.
-    They were drawn with ``random.Random(2000)``, the first word and then
-    the second: each letter uniform among a, b, x and their inverses, and
-    drawn again when it would cancel the letter before it.  The
-    determinant of its 3x3 Fox matrix has 5,231 terms.
+    10 s timeout, is ``_random_words_file(2000, 2000)``, written one letter
+    per token.  The determinant of its 3x3 Fox matrix has 5,231 terms.
 
     At augmentation (every variable 1) a Fox derivative of w by g is the
     exponent sum of g in w, so the torsion's coefficient sum is, up to
     sign, the integer determinant of those sums.
     """
-    tfile = parse_torsion_file(RANDOM_WORDS_FILE.read_text())
-    words = [parse_word(w, tfile.generators) for w in tfile.inclusion_words + tfile.relators]
-    sums = [
-        [sum(s for name, s in w.letters if name == g) for w in words]
-        for g in tfile.generators
-    ]
-    det = sum(
-        (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2))
-        * sums[0][p[0]] * sums[1][p[1]] * sums[2][p[2]]
-        for p in itertools.permutations(range(3))
-    )
+    tinput = parse_torsion_file(RANDOM_WORDS_FILE.read_text())
+    drawn = parse_torsion_file(_random_words_file(2000, 2000))
+    assert drawn.inclusion_words == tinput.inclusion_words
     code, report, _ = run(capsys, "torsion", str(RANDOM_WORDS_FILE))
     assert code == 0
     assert len(report["torsion"]["terms"]) == 5231
+    assert abs(report["torsion"]["coefficient_sum"]) == abs(_augmentation_det(tinput))
+
+
+def test_torsion_of_the_11x11_matrix_without_units(capsys):
+    """``tests/inputs/nonunit-11x11.tor`` needs 198,823 term products, well
+    within the budget; its coefficient sum is checked at augmentation."""
+    code, report, _ = run(capsys, "torsion", str(NONUNIT_FILE))
+    assert code == 0
+    det = _augmentation_det(parse_torsion_file(NONUNIT_FILE.read_text()))
+    assert det
     assert abs(report["torsion"]["coefficient_sum"]) == abs(det)
 
 
@@ -547,6 +591,40 @@ def test_torsion_command_rejects_a_5000_digit_exponent(tmp_path, capsys):
     assert "5000 digits" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("digits", [MAX_BASIS_DIGITS + 1, 4300])
+def test_torsion_command_rejects_basis_images_beyond_the_digit_budget(
+    tmp_path, capsys, digits
+):
+    # int() reads 4,300 digits, but the exponents of a^10 would then exceed
+    # what str() prints, and the report could not be written
+    path = tmp_path / "digits.tor"
+    path.write_text(
+        "[generators]\na b\n[relators]\n[inclusion]\na^10\nb\n"
+        f"[basis]\nnames = s t\na = {'9' * digits} 1\nb = 1 0\n"
+    )
+    report = _assert_json_error(capsys, path, "InputTooLarge")
+    assert f"more than {MAX_BASIS_DIGITS} digits" in report["error"]["message"]
+
+
+def test_torsion_command_prints_basis_images_at_the_digit_budget(tmp_path, capsys):
+    # every basis kills the commutators; a c and b d give a hexagon, the
+    # square [0, N + 1]^2 less the triangles at its corners 0 (legs N) and
+    # (N + 1, N + 1) (legs 1), of doubled area N^2 + 4N + 1
+    big = "9" * MAX_BASIS_DIGITS
+    path = tmp_path / "digits.tor"
+    path.write_text(
+        "[generators]\na b c d\n[relators]\nc d c^-1 d^-1\na b a^-1 b^-1\n"
+        "[inclusion]\na c\nb d\n[basis]\nnames = s t\n"
+        f"a = {big} 0\nb = 0 {big}\nc = 1 0\nd = 0 1\n"
+    )
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert code == 0
+    polygon = report["torsion"]["polygon"]
+    assert polygon["dimension"] == 2
+    n = int(big)
+    assert polygon["doubled_area"] == n * n + 4 * n + 1
+
+
 def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
     path = tmp_path / "dupbasis.tor"
     path.write_text(LYON_S0.replace("names = a u", "names = a a"))
@@ -558,11 +636,16 @@ def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
 
 NAMES = ("a", "b", "x", "y1")
 BAD_NAMES = ("1a", "a^", "(", "a-b", "_", "a#b", "\u00e9")
-# Small exponents keep each example fast; the large ones are rejected by the
-# word budgets before any work (test_words.py tests the budgets themselves).
+# Small exponents keep each example fast.  In words the large ones are
+# rejected by the word budgets before any work (test_words.py tests the
+# budgets themselves); in a [basis] image MAX_BASIS_DIGITS digits are read
+# and one more is refused.
 EXPONENTS = st.one_of(
     st.integers(-4, 4).map(str),
-    st.sampled_from(("-0", "+2", "--1", "", "20001", "2147483648", "9" * 40, "1.5")),
+    st.sampled_from(
+        ("-0", "+2", "--1", "", "20001", "2147483648", "9" * 40, "1.5",
+         "7" * MAX_BASIS_DIGITS, "7" * (MAX_BASIS_DIGITS + 1))
+    ),
 )
 JUNK_LINES = (
     "", "   ", "# a comment", "[unknown]", "[generators", "generators]", "[]",

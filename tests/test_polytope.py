@@ -67,6 +67,8 @@ def test_support_of_monomial():
 def test_support_of_zero_raises():
     with pytest.raises(ZeroTorsion):
         support(TorsionClass(LaurentPoly.zero(2)))
+    with pytest.raises(ZeroTorsion):
+        newton_polytope(SupportSet(2, frozenset()))
 
 
 @st.composite
@@ -275,6 +277,13 @@ def test_square_vs_triangle():
     )
     triangle = newton_polytope(SupportSet(2, frozenset({(0, 0), (1, 0), (0, 1)})))
     assert polygon_affine_equivalent(square, triangle) is False
+
+
+def test_hulls_that_differ_only_in_area():
+    # every edge of both is primitive, but the doubled areas are 2 and 4
+    square = newton_polytope(SupportSet(2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})))
+    slanted = newton_polytope(SupportSet(2, frozenset({(0, 0), (1, 0), (1, 2), (2, 2)})))
+    assert hull_mismatch(square, slanted) == "normalized_area"
 
 
 def test_hulls_in_different_ranks_are_not_equivalent():

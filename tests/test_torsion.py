@@ -40,10 +40,11 @@ from foxtorsion.errors import (
     UnknownGenerator,
 )
 from foxtorsion.torsion import (
-    MAX_MINORS,
+    MAX_TERM_PRODUCTS,
     _clear_columns,
     _is_unit,
     _normalize,
+    _period_step,
     fox_determinant,
 )
 from foxtorsion.words import MAX_WORD_LETTERS
@@ -286,6 +287,11 @@ def test_cleared_determinant_examples(text, step):
     assert fox_determinant(inp) == determinant(fox_matrix(inp))
 
 
+def test_word_without_a_repeated_letter_has_no_period_step():
+    phi = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1)})
+    assert _period_step(parse_word("a b^-1", ("a", "b")), phi) is None
+
+
 def test_column_that_would_not_shrink_is_left_alone():
     # both inclusion words of n = 2 take a step at half of their letters,
     # but (x^U - 1) * column has as many terms as the column or more
@@ -301,7 +307,7 @@ def test_unapplied_column_divisor_is_an_internal_error(monkeypatch, capsys):
     remainder: `fox_determinant` raises InternalInexactDivision, and the
     `torsion` command prints it as one JSON error report and exits 1."""
     path = str(Path(__file__).parent / "golden" / "example.tor")
-    inp = cli.torsion_input_from_file(cli.load_torsion_file(path))
+    inp = cli.load_torsion_file(path)
     divisor = poly2({(1, 0): 1, (0, 0): -1})
     with pytest.raises(InexactDivision):
         fox_determinant(inp).exact_div(divisor)
@@ -429,8 +435,11 @@ def test_packed_cofactor_matches_the_tuple_key_expansion(matrix):
 
 
 def test_determinant_rejects_mixed_ranks():
+    one, other = LaurentPoly.one(1), LaurentPoly.one(2)
     with pytest.raises(ValueError):
-        determinant([[LaurentPoly.one(1), LaurentPoly.one(2)]])
+        determinant([[one, other]])
+    with pytest.raises(ValueError, match="different rings"):
+        determinant([[one, one], [one, other]])
 
 
 @pytest.mark.parametrize("det", [det_cofactor, det_bareiss, determinant])
@@ -563,25 +572,27 @@ def test_matrix_without_units_reaches_bareiss_whole(monkeypatch):
     assert dims == {"det_cofactor": [5], "det_bareiss": []}
 
 
-def test_dense_matrix_beyond_the_minor_budget_is_rejected_quickly():
-    # an 11x11 matrix without units needs C(11, 4) = 330 > MAX_MINORS nonzero
-    # 4x4 minors; the 10x10 one needs 252 at most and takes about 1 s
-    matrix = _nonunit_matrix(random.Random(73), 11)
+def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly():
+    # the 12x12 matrix without units needs 9.3 million term products, more
+    # than MAX_TERM_PRODUCTS; the 11x11 one needs 3.83 million
+    matrix = _nonunit_matrix(random.Random(73), 12)
     start = time.perf_counter()
-    with pytest.raises(InputTooLarge, match=f"more than {MAX_MINORS} nonzero minors"):
+    with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
         determinant(matrix)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n, surface, budget", [(7, "S", 2), (-1, "Sprime", 1)])
+@pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])
 def test_cofactor_keeps_only_minors_that_hold_the_rows_zero_further_left(
     monkeypatch, n, surface, budget
 ):
     # The x row is zero in columns 0 and 1, and at n = -1 on S' the b row is
     # zero in column 0, so a 2x2 minor of columns 1 and 2 without them is not
-    # kept: S keeps 2 of the 3 nonzero ones and S' keeps 1.
+    # kept: S keeps 2 of the 3 nonzero ones and S' keeps 1.  The budget is
+    # the term products of the kept minors; keeping the others as well would
+    # take 522 and 20.
     matrix = fox_matrix(lyon_input(n, surface))
-    monkeypatch.setattr(torsion, "MAX_MINORS", budget)
+    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", budget)
     assert det_cofactor(matrix) == det_first_column(matrix)
 
 

@@ -94,6 +94,9 @@ def test_parse_rejects_stray_characters():
 def test_exponent_magnitude_limit():
     with pytest.raises(WordSizeError):
         parse_word(f"a^{2**31 + 1}", GENS)
+    # a one-letter word, so only the exponent check can refuse the power
+    with pytest.raises(WordSizeError, match="exponent magnitude"):
+        Word.generator("a") ** (2**31 + 1)
 
 
 def test_exponent_digit_run_limit():
@@ -109,6 +112,13 @@ def test_word_size_limit():
         parse_word("(a b)^100000", GENS)
     with pytest.raises(WordSizeError):
         parse_word("a b", GENS) ** 100000
+    with pytest.raises(WordSizeError, match="letters exceeds the limit"):
+        Word([("a", 1)] * (MAX_WORD_LETTERS + 1))
+
+
+def test_word_letters_need_a_unit_sign():
+    with pytest.raises(ValueError, match="sign must be"):
+        Word([("a", 2)])
 
 
 def test_invert_example():
