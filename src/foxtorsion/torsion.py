@@ -31,6 +31,7 @@ Bareiss elimination stays only as the tests' reference.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import lshift, sub
 
@@ -65,6 +66,15 @@ class TorsionInput:
                     f"inclusion word {render_word(w)!r} uses unknown generators "
                     f"{sorted(unknown)}"
                 )
+
+    @cached_property
+    def _word_prefixes(self):
+        """(word, its ``prefix_exponents``) for each Fox matrix column,
+        inclusion words first: mapped once, for `fox_matrix` and
+        `_clear_columns`."""
+        phi = self.abelianization
+        words = self.inclusion_words + self.presentation.relators
+        return [(w, phi.prefix_exponents(w)) for w in words]
 
 
 class TorsionClass:
@@ -179,23 +189,23 @@ def fox_matrix(torsion_input):
     ``prefix_exponents`` already holds.  The terms come in the order of
     ``fox_derivative(w_j, g_i)``, so entry (i, j) equals
     ``phi(fox_derivative(w_j, g_i))`` term for term, without mapping any
-    prefix again.
+    prefix again.  The prefixes are kept with the input, so `fox_determinant`
+    reads the same ones when it clears the columns.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
-    words = list(torsion_input.inclusion_words) + list(pres.relators)
     if pres.deficiency != len(torsion_input.inclusion_words):
         raise NotBalanced(
             f"deficiency {pres.deficiency} != {len(torsion_input.inclusion_words)} "
             "inclusion words"
         )
-    columns = [(_fox_blocks(w), phi.prefix_exponents(w)) for w in words]
+    columns = [(_fox_blocks(w), p) for w, p in torsion_input._word_prefixes]
     return [
         [
             LaurentPoly._raw(
                 phi.rank,
                 accumulate(
-                    (prefix[s + len(u)], c)
+                    (prefix[s + len(u.letters)], c)
                     for s, block in blocks
                     for u, c in fox_derivative(block, g).terms.items()
                 ),
@@ -392,17 +402,18 @@ def determinant(matrix):
     return det if factor == LaurentPoly.one(rank) else factor * det
 
 
-def _period_step(word, phi):
+def _period_step(word, prefix):
     """The exponent step U that at least half of ``word``'s letters take
-    from the previous occurrence of their letter, or None.
+    from the previous occurrence of their letter, or None; ``prefix`` is the
+    word's ``prefix_exponents``.
 
     Clearing with x^U - 1 shortens a column only when more than half of its
     terms e have e + U among its terms too; along a block v^k such pairs
     come from consecutive occurrences of one letter, |v| letters apart.
     So the pairs of consecutive occurrences are first grouped by letter
     distance, with integers only: the most frequent distance must hold at
-    least half as many pairs as the word has letters, else the word is
-    never mapped by ``phi``.  The most frequent nonzero step of those pairs
+    least half as many pairs as the word has letters, else no step is
+    taken.  The most frequent nonzero step of those pairs
     is U (x^0 - 1 = 0 clears nothing), and it too must be taken by at least
     half as many pairs as the word has letters.
     """
@@ -418,38 +429,39 @@ def _period_step(word, phi):
     d = max(ends, key=lambda d: len(ends[d]))
     if 2 * len(ends[d]) < len(letters):
         return None
-    prefix = phi.prefix_exponents(word)
     steps = Counter(tuple(map(sub, prefix[i], prefix[i - d])) for i in ends[d])
     del steps[prefix[0]]
     step = max(steps, key=steps.get, default=None)
     return step if 2 * steps[step] >= len(letters) else None
 
 
-def _clear_columns(matrix, words, phi):
+def _clear_columns(matrix, torsion_input):
     """Clear geometric-sum denominators from the columns of a Fox matrix M,
     in place, and return {column index: divisor} for the cleared columns.
 
     A word holding a power v^k has Fox derivatives that are multiples of the
     geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
     so multiplying its column by V - 1 collapses them.  For column j the
-    step U is the `_period_step` of its word ``words[j]``; the column
+    step U is the `_period_step` of its word, read from the input's
+    prefixes that `fox_matrix` mapped; the column
     (x^U - 1) * column is formed and kept when it has fewer terms.  The
     result is C = M * diag(divisors), 1 for the columns left alone, so
     det M = det C / (product of the divisors), and each division is exact
     because the Laurent ring is a domain.  No power rule is needed for that:
     any nonzero U would do, and the step only has to make C small.
     """
+    rank = torsion_input.abelianization.rank
     divisors = {}
-    for j, word in enumerate(words):
+    for j, (word, prefix) in enumerate(torsion_input._word_prefixes):
         column = [row[j].terms for row in matrix if row[j].terms]
         size = sum(map(len, column))
         # a nonzero multiple of x^U - 1 has at least two terms
         if size <= 2 * len(column):
             continue
-        step = _period_step(word, phi)
+        step = _period_step(word, prefix)
         if step is None:
             continue
-        divisor = LaurentPoly._raw(phi.rank, {step: 1, (0,) * phi.rank: -1})
+        divisor = LaurentPoly._raw(rank, {step: 1, (0,) * rank: -1})
         cleared = [row[j] * divisor for row in matrix]
         if sum(len(e.terms) for e in cleared) < size:
             for row, entry in zip(matrix, cleared):
@@ -467,8 +479,7 @@ def fox_determinant(torsion_input):
     this code, reported as InternalInexactDivision.
     """
     matrix = fox_matrix(torsion_input)
-    words = torsion_input.inclusion_words + torsion_input.presentation.relators
-    divisors = _clear_columns(matrix, words, torsion_input.abelianization)
+    divisors = _clear_columns(matrix, torsion_input)
     det = determinant(matrix)
     for divisor in divisors.values():
         try:

@@ -15,6 +15,13 @@ are one name (``ab``), while a parenthesis or an exponent ends an atom and a
 name may follow it directly (``a^1b`` is ``a b``).  Parentheses nest at most
 ``MAX_NESTING`` deep, and the empty string denotes the identity.  The canonical renderer emits the ``a^-1`` exponent form, so
 rendered words re-parse to themselves.
+
+``parse_word`` reads one term per regex match.  A per-call memo maps the
+text of each term of at most one letter (``a``, ``a^-1``, ``a^0``) to that
+letter, so a repeated token costs one dict lookup and one comparison with
+the top of the letter stack.  Parse time is linear in the text plus the
+letters that powers and parenthesized groups expand to, and
+``MAX_EXPANDED_LETTERS`` bounds those.
 """
 
 import re
@@ -30,18 +37,29 @@ from .errors import (
 # Words are stored fully expanded, so powers with huge exponents are rejected
 # instead of represented symbolically.  Parsing and fox_matrix are linear in
 # the letters (fox_matrix peaks at 3.3 MB on a random 20,000-letter word), so
-# this bounds what is stored and echoed back in reports, not parse time.
+# this bounds what is stored and echoed back in reports; MAX_EXPANDED_LETTERS
+# bounds parse time.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
+# Parse time is linear in the text plus the letters that powers and groups
+# expand to, and a power may cancel what the one before it pushed: 200 pairs
+# "a^10000 a^-10000", 3,399 characters, expand 4,000,000 letters (1.7 s on a
+# 2-vCPU VM).  So the letters pushed by atoms of more than one letter may
+# total this many; the line above is refused at its ninth power, in about 20 ms.
+# No recorded test text needs more than 40,000, and a full-size word still
+# fits inside three pairs of parentheses, each of which pushes it again.
+MAX_EXPANDED_LETTERS = 4 * MAX_WORD_LETTERS
 # A budget that input files are promised; the parser keeps open parentheses
 # on an explicit stack, so the bound guards no recursion.
 MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# After whitespace: a name, a parenthesis, or neither (the end or a stray).
-_TOKEN_RE = re.compile(rf"\s*(?:({_NAME_RE.pattern})|([()])|)")
-# Right after an atom; a '^' without digits is a malformed exponent.
-_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
+# After whitespace: (1) an atom, a (2) name or a ')', with the (3) signed
+# exponent right after it, whose (4) digits may be missing (a malformed
+# exponent); or a (5) '(', a (6) stray character, or the end.
+_TOKEN_RE = re.compile(
+    rf"\s*(?:((?:({_NAME_RE.pattern})|\))(?:\^([+-]?(\d*)))?)|(\()|(.)|\Z)", re.S
+)
 
 
 def _push_reduced(stack, letters):
@@ -157,68 +175,100 @@ def render_word(w):
 def parse_word(text, names):
     """Parse the word grammar over the given generator names into a reduced Word.
 
-    One loop over tokens, linear in the letters: each '(' saves the enclosing
-    sequence's letter stack, and each atom's letters are pushed onto the
-    current freely reduced stack or cancel against its top; a power reduces
-    its atom once.  The result equals folding the syntax tree through
-    ``Word.__mul__`` and ``Word.__pow__``, errors included, left to right.
+    One loop over the matches of one token pattern, each an atom with the
+    exponent right after it, or a '(', a stray character or the end: each
+    '(' saves the enclosing sequence's letter stack, and each atom's letters
+    are pushed onto the current freely reduced stack or cancel against its
+    top; a power reduces its atom once.  A per-call memo maps the text of
+    each name term of at most one letter (``a``, ``a^-1``, ``a^0``) to that
+    letter and its inverse, so a repeated token is pushed or cancelled with
+    one comparison and no call.  Longer powers are never kept, so the memo
+    holds no expanded power however many distinct ones a text has.  The
+    result equals folding the syntax tree through ``Word.__mul__`` and
+    ``Word.__pow__``, errors included, left to right.
+
+    Time is linear in the text plus the letters that atoms of more than one
+    letter expand to (powers and parenthesized groups, counted once per push);
+    those may total MAX_EXPANDED_LETTERS.  An atom of one letter costs a
+    token of text and is not counted.
 
     Raises ParseError (with position) for unknown generator names, malformed
     exponents, unbalanced parentheses, parentheses nested deeper than
     MAX_NESTING, or stray characters; WordSizeError for exponents beyond
-    MAX_EXPONENT (a digit run longer than MAX_EXPONENT's is rejected unread)
-    and words beyond MAX_WORD_LETTERS.
+    MAX_EXPONENT (a digit run longer than MAX_EXPONENT's is rejected unread),
+    words beyond MAX_WORD_LETTERS and expansions beyond MAX_EXPANDED_LETTERS.
     """
     names = set(names)
+    memo = {}  # name atom text -> () or (letter, its inverse)
     open_parens = []  # (position of the '(', the enclosing sequence's stack)
     stack = []  # the current sequence's letters so far, freely reduced
-    pos = 0
-    while True:
-        token = _TOKEN_RE.match(text, pos)
-        name, paren = token.groups()
-        pos = token.end()
+    expanded = 0  # letters pushed by atoms of more than one letter
+    for token in _TOKEN_RE.finditer(text):
+        term = token[1]
+        hit = memo.get(term)
+        if hit is not None:
+            if hit:
+                if len(stack) == MAX_WORD_LETTERS:
+                    raise WordSizeError("product exceeds the word size limit")
+                letter, inverse = hit
+                if stack and stack[-1] == inverse:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+            continue
+        if term is None:
+            if token[5]:
+                if len(open_parens) == MAX_NESTING:
+                    message = f"parentheses nested deeper than {MAX_NESTING}"
+                    raise ParseError(message, token.start(5))
+                open_parens.append((token.start(5), stack))
+                stack = []
+                continue
+            if token[6]:
+                raise ParseError(f"unexpected character {token[6]!r}", token.start(6))
+            if open_parens:
+                raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
+            return Word._from_reduced(stack)
+        name = token[2]
         if name:
             if name not in names:
                 raise ParseError(f"unknown generator {name!r}", token.start(1))
             atom = ((name, 1),)
-        elif paren == "(":
-            if len(open_parens) == MAX_NESTING:
-                message = f"parentheses nested deeper than {MAX_NESTING}"
-                raise ParseError(message, pos - 1)
-            open_parens.append((pos - 1, stack))
-            stack = []
-            continue
-        elif paren:
+        else:
             if not open_parens:
-                raise ParseError("unbalanced parentheses: unexpected ')'", pos - 1)
+                raise ParseError("unbalanced parentheses: unexpected ')'", token.start(1))
             atom = stack
             stack = open_parens.pop()[1]
-        elif pos < len(text):
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        elif open_parens:
-            raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
-        else:
-            return Word._from_reduced(stack)
-        if exponent := _EXPONENT_RE.match(text, pos):
-            digits = exponent.group(2)
+        size = len(atom)
+        if token[3] is not None:
+            digits = token[4]
             if not digits:
-                raise ParseError("malformed exponent", pos + 1)
+                raise ParseError("malformed exponent", token.start(3))
             # Longer runs exceed MAX_EXPONENT; int() would meet its string limit.
             if len(digits) > len(str(MAX_EXPONENT)):
                 raise WordSizeError(
                     f"exponent with {len(digits)} digits exceeds {MAX_EXPONENT}"
                 )
-            k = int(exponent.group(1))
+            k = int(token[3])
             if abs(k) > MAX_EXPONENT:
                 raise WordSizeError(f"exponent magnitude {k} exceeds {MAX_EXPONENT}")
-            pos = exponent.end()
             if k < 0:
                 atom, k = [(g, -sign) for g, sign in reversed(atom)], -k
-            if len(atom) * k > MAX_WORD_LETTERS:
+            size *= k
+            if size > MAX_WORD_LETTERS:
                 raise WordSizeError("power exceeds the word size limit")
-            atom = _reduce(atom * k)
+            # a power of one letter is reduced already
+            atom = _reduce(atom * k) if len(atom) > 1 else atom * k
+        if size > 1:
+            expanded += size
+            if expanded > MAX_EXPANDED_LETTERS:
+                raise WordSizeError(
+                    f"powers and groups expand to more than {MAX_EXPANDED_LETTERS} letters"
+                )
         if len(stack) + len(atom) > MAX_WORD_LETTERS:
             raise WordSizeError("product exceeds the word size limit")
+        if name and size <= 1:
+            memo[term] = (atom[0], (name, -atom[0][1])) if atom else ()
         _push_reduced(stack, atom)
 
 

@@ -1,4 +1,7 @@
-"""Shared randomized-input builders and call counters for the test suite."""
+"""Shared randomized-input builders, call counters and reference
+implementations for the test suite."""
+
+import re
 
 from hypothesis import strategies as st
 
@@ -13,8 +16,9 @@ from foxtorsion import (
     polytope,
     torsion,
 )
+from foxtorsion import words
 from foxtorsion._kernels import accumulate
-from foxtorsion.errors import InputTooLarge, RankMismatch
+from foxtorsion.errors import InputTooLarge, ParseError, RankMismatch, WordSizeError
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -286,3 +290,63 @@ def dense_unit_elimination(matrix):
         factor = factor * (u if (p + q) % 2 == 0 else -u)
         matrix = _dense_eliminate_unit(matrix, p, q)
     return factor, matrix
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([()])|)")
+_REFERENCE_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
+
+
+def reference_parse_word(text, names):
+    """`words.parse_word` without its memo or expansion budget, the reference
+    for its outcomes: one token regex and one exponent regex per atom, and
+    every atom's letters pushed through `words._push_reduced`."""
+    names = set(names)
+    open_parens = []  # (position of the '(', the enclosing sequence's stack)
+    stack = []  # the current sequence's letters so far, freely reduced
+    pos = 0
+    while True:
+        token = _REFERENCE_TOKEN_RE.match(text, pos)
+        name, paren = token.groups()
+        pos = token.end()
+        if name:
+            if name not in names:
+                raise ParseError(f"unknown generator {name!r}", token.start(1))
+            atom = ((name, 1),)
+        elif paren == "(":
+            if len(open_parens) == words.MAX_NESTING:
+                message = f"parentheses nested deeper than {words.MAX_NESTING}"
+                raise ParseError(message, pos - 1)
+            open_parens.append((pos - 1, stack))
+            stack = []
+            continue
+        elif paren:
+            if not open_parens:
+                raise ParseError("unbalanced parentheses: unexpected ')'", pos - 1)
+            atom = stack
+            stack = open_parens.pop()[1]
+        elif pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        elif open_parens:
+            raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
+        else:
+            return Word._from_reduced(stack)
+        if exponent := _REFERENCE_EXPONENT_RE.match(text, pos):
+            digits = exponent.group(2)
+            if not digits:
+                raise ParseError("malformed exponent", pos + 1)
+            if len(digits) > len(str(words.MAX_EXPONENT)):
+                raise WordSizeError(
+                    f"exponent with {len(digits)} digits exceeds {words.MAX_EXPONENT}"
+                )
+            k = int(exponent.group(1))
+            if abs(k) > words.MAX_EXPONENT:
+                raise WordSizeError(f"exponent magnitude {k} exceeds {words.MAX_EXPONENT}")
+            pos = exponent.end()
+            if k < 0:
+                atom, k = [(g, -sign) for g, sign in reversed(atom)], -k
+            if len(atom) * k > words.MAX_WORD_LETTERS:
+                raise WordSizeError("power exceeds the word size limit")
+            atom = words._reduce(atom * k)
+        if len(stack) + len(atom) > words.MAX_WORD_LETTERS:
+            raise WordSizeError("product exceeds the word size limit")
+        words._push_reduced(stack, atom)

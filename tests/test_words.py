@@ -3,13 +3,14 @@ import os
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import Presentation, Word, parse_word, render_word
-from foxtorsion.words import MAX_NESTING, MAX_WORD_LETTERS
+from foxtorsion.words import MAX_EXPANDED_LETTERS, MAX_NESTING, MAX_WORD_LETTERS
 from foxtorsion.errors import (
     InvalidGeneratorName,
     ParseError,
@@ -17,7 +18,7 @@ from foxtorsion.errors import (
     WordSizeError,
 )
 
-from helpers import random_word
+from helpers import random_word, reference_parse_word
 
 GENS = ("a", "b", "x")
 
@@ -387,3 +388,108 @@ def test_parsing_a_full_budget_of_tokens_is_linear():
     word, seconds = _timed_parse(" ".join(half + [inverse[t] for t in reversed(half)]))
     assert word.is_identity
     assert seconds < 1.0
+
+
+# -- the token loop against the reference parser ---------------------------------
+#
+# Texts are joined from fragments weighted toward what the memo and the
+# inline cancel see: repeated tokens, the exponents ^0, ^+1 and ^-1, powers
+# of groups, unknown names after known ones, stray characters, nesting at
+# MAX_NESTING and sizes at MAX_WORD_LETTERS +- 1.  At most three size
+# fragments and no group around them keep the expansion under
+# MAX_EXPANDED_LETTERS, which the reference does not have.
+
+EXPONENTS = ("", "^0", "^+1", "^-1", "^1", "^-0", "^01", "^2", "^-3", "^", "^+")
+tokens = st.builds(
+    lambda name, exponent: name + exponent,
+    st.sampled_from(GENS),
+    st.sampled_from(EXPONENTS),
+)
+small_fragments = st.one_of(
+    tokens,
+    st.builds(lambda t, n, sep: sep.join([t] * n), tokens, st.integers(2, 6),
+              st.sampled_from([" ", ""])),
+    st.builds(
+        lambda inner, exponent: f"({' '.join(inner)}){exponent}",
+        st.lists(tokens, max_size=3),
+        st.sampled_from(EXPONENTS),
+    ),
+    st.builds(lambda known, unknown: f"{known} {unknown}",
+              st.sampled_from(GENS), st.sampled_from(["c", "qq", "ab", "a1"])),
+    st.sampled_from(["*", "^", "a ^2", "a^2^3", "(^2)", "a^\u00b2", "\xa0", "\x1c"]),
+    st.builds(
+        lambda depth, inner: "(" * depth + inner + ")" * depth,
+        st.sampled_from([MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]),
+        st.sampled_from(["a", "a b^-1", "x^-1"]),
+    ),
+)
+size_fragments = st.builds(
+    lambda template, size: template.format(size=size, half=size // 2),
+    st.sampled_from(["a^{size}", "b^-{size}", "(a b^-1)^{half}", "x^{size} a^-1",
+                     "a^-1 x^{size}"]),
+    st.sampled_from([MAX_WORD_LETTERS - 1, MAX_WORD_LETTERS, MAX_WORD_LETTERS + 1]),
+)
+# left open at the end, so nothing after it is pushed again
+unbalanced_suffixes = st.sampled_from(["", ")", " )", "(", "((a", "(" * MAX_NESTING + "a"])
+
+
+@st.composite
+def weighted_texts(draw):
+    fragments = draw(st.lists(small_fragments, max_size=8))
+    fragments += draw(st.lists(size_fragments, max_size=3))
+    fragments = draw(st.permutations(fragments))
+    separator = draw(st.sampled_from([" ", "", "\t", "  "]))
+    return separator.join(fragments) + draw(unbalanced_suffixes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_texts())
+def test_parse_matches_the_reference_token_loop(text):
+    assert outcome(lambda: parse_word(text, GENS)) == outcome(
+        lambda: reference_parse_word(text, GENS)
+    )
+
+
+def test_the_memo_keeps_no_expanded_power():
+    # 200 distinct powers expanding to 79,800 letters in all: kept, their
+    # letter tuples alone would hold over 600 KB.
+    text = " ".join(f"a^{k} a^-{k}" for k in range(100, 300))
+    tracemalloc.start()
+    try:
+        word = parse_word(text, GENS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word.is_identity
+    assert peak < 64_000
+
+
+def test_cancelling_powers_are_refused_within_the_expansion_budget():
+    # Every pair cancels, so the word stays short; without the budget this
+    # 3,399-character line would expand 4,000,000 letters.
+    line = " ".join(["a^10000 a^-10000"] * 200)
+    start = time.perf_counter()
+    with pytest.raises(WordSizeError, match=f"expand to more than {MAX_EXPANDED_LETTERS}"):
+        parse_word(line, GENS)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        # four pairs expand exactly MAX_EXPANDED_LETTERS letters
+        (" ".join(["a^10000 a^-10000"] * 4), True),
+        (" ".join(["a^10000 a^-10000"] * 4) + " b^2", False),
+        # atoms of one letter cost a token of text and are not counted
+        (" ".join(["a^10000 a^-10000"] * 4) + " b a^1 (x) x^-1", True),
+        # a group's letters count again each time its ')' pushes them
+        ("(" * 3 + "a^20000" + ")" * 3, True),
+        ("(" * 4 + "a^20000" + ")" * 4, False),
+    ],
+)
+def test_the_expansion_budget_boundary(text, accepted):
+    if accepted:
+        assert parse_word(text, GENS) == reference_parse_word(text, GENS)
+    else:
+        with pytest.raises(WordSizeError, match="expand to more than"):
+            parse_word(text, GENS)
