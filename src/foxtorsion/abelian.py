@@ -25,45 +25,25 @@ from .words import Word, render_word
 # integer matrices
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(matrix):
-    """Smith normal form of an integer matrix.
+    """Invariant factors of an integer matrix and a row transform to them.
 
-    Returns (D, U, V) with U * matrix * V = D, U and V unimodular, and D
-    diagonal with nonnegative entries satisfying d1 | d2 | ... .
+    Returns (factors, U): ``factors`` are the min(m, n) diagonal entries of
+    the Smith normal form, nonnegative with d1 | d2 | ..., and U is the
+    unimodular m x m row transform with U * matrix * V = diag(factors) for a
+    unimodular V.  V is never formed: column operations act on the working
+    copy of the matrix only.
     """
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(m)
-    V = _identity(n)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for c in range(n):
-            A[i][c] -= q * A[j][c]
-        for c in range(m):
-            U[i][c] -= q * U[j][c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            A[r][i] -= q * A[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
 
     t = 0
     while t < min(m, n):
@@ -75,20 +55,23 @@ def smith_normal_form(matrix):
                     best = (i, j)
         if best is None:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        i, j = best
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
 
         dirty = False
         for i in range(t + 1, m):
             if A[i][t]:
-                q = A[i][t] // A[t][t]
-                row_op(i, t, q)
+                row_op(i, t, A[i][t] // A[t][t])
                 if A[i][t]:
                     dirty = True
         for j in range(t + 1, n):
             if A[t][j]:
                 q = A[t][j] // A[t][t]
-                col_op(j, t, q)
+                for row in A:  # col_j -= q * col_t
+                    row[j] -= q * row[t]
                 if A[t][j]:
                     dirty = True
         if dirty:
@@ -107,13 +90,11 @@ def smith_normal_form(matrix):
         if stuck:
             continue
         if A[t][t] < 0:
-            for c in range(n):
-                A[t][c] = -A[t][c]
-            for c in range(m):
-                U[t][c] = -U[t][c]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
 
-    return A, U, V
+    return [A[i][i] for i in range(min(m, n))], U
 
 
 def integer_rank(matrix):
@@ -461,18 +442,6 @@ class AbelianizationMap:
         return f"AbelianizationMap(rank={self.rank}, {imgs})"
 
 
-def _relator_vectors(presentation):
-    names = presentation.generators
-    index = {n: i for i, n in enumerate(names)}
-    vectors = []
-    for rel in presentation.relators:
-        vec = [0] * len(names)
-        for name, sign in rel.letters:
-            vec[index[name]] += sign
-        vectors.append(vec)
-    return vectors
-
-
 def abelianize_presentation(presentation, user_basis=None):
     """Free-part abelianization of a presentation.
 
@@ -497,26 +466,25 @@ def abelianize_presentation(presentation, user_basis=None):
                 [user_basis.images[name][i] for name in names]
                 for i in range(user_basis.rank)
             ]
-            D, _, _ = smith_normal_form(gmat)
-            factors = [D[i][i] for i in range(min(len(gmat), len(names)))]
-            if sum(1 for d in factors if abs(d) == 1) != user_basis.rank:
+            factors, _ = smith_normal_form(gmat)
+            if factors.count(1) != user_basis.rank:
                 raise InvalidBasis("user basis images do not generate Z^r")
         return user_basis
 
-    vectors = _relator_vectors(presentation)
-    m = len(names)
-    k = len(vectors)
-    # columns of the m x k matrix are the relator exponent vectors
-    M = [[vectors[j][i] for j in range(k)] for i in range(m)]
-    D, U, _ = smith_normal_form(M)
-    s = min(m, k)
-    diag = [D[i][i] for i in range(s)]
-    for d in diag:
-        if abs(d) > 1:
+    # row i of the m x k matrix holds generator i's exponent sum in each relator
+    index = {name: i for i, name in enumerate(names)}
+    M = [[0] * len(presentation.relators) for _ in names]
+    for j, rel in enumerate(presentation.relators):
+        for name, sign in rel.letters:
+            M[index[name]][j] += sign
+    factors, U = smith_normal_form(M)
+    for d in factors:
+        if d > 1:
             raise NontrivialTorsion(
-                f"abelianized group has a Z/{abs(d)} factor; only free H_1 is supported"
+                f"abelianized group has a Z/{d} factor; only free H_1 is supported"
             )
-    free_rows = [i for i in range(m) if i >= s or diag[i] == 0]
+    # the zero factors come last, so rows past the nonzero ones span the free part
+    free_rows = range(sum(map(bool, factors)), len(names))
     rank = len(free_rows)
     images = {
         name: tuple(U[i][j] for i in free_rows) for j, name in enumerate(names)

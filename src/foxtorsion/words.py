@@ -25,6 +25,7 @@ letters that powers and parenthesized groups expand to, and
 """
 
 import re
+from itertools import groupby
 
 from .errors import (
     DuplicateGenerator,
@@ -158,18 +159,11 @@ class Word:
 
 def render_word(w):
     """Canonical text for a word: syllables like ``a^3 b^-2``, identity is ``''``."""
-    parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        name, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (name, sign):
-            j += 1
-        k = (j - i) * sign
-        parts.append(name if k == 1 else f"{name}^{k}")
-        i = j
-    return " ".join(parts)
+    return " ".join([
+        name if k == 1 else f"{name}^{k}"
+        for (name, sign), run in groupby(w.letters)
+        for k in (sign * len(list(run)),)
+    ])
 
 
 def parse_word(text, names):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -60,33 +62,62 @@ def mat_mul(A, B):
     ]
 
 
+def minors_gcd(A, k):
+    """gcd of the k x k minors of A."""
+    return math.gcd(*(
+        integer_determinant([[A[i][j] for j in cols] for i in rows])
+        for rows in itertools.combinations(range(len(A)), k)
+        for cols in itertools.combinations(range(len(A[0])), k)
+    ))
+
+
 def test_smith_normal_form_randomized():
+    """Properties of every Smith normal form, read without V: U is
+    unimodular; the factors are nonnegative, each dividing the next; their
+    first k multiply to the gcd of A's k x k minors; and U * A = D * W with
+    D = diag(factors), where W's top rows have minors of gcd 1, because W
+    is V^-1."""
     rng = random.Random(5)
     for _ in range(150):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == D
+        factors, U = smith_normal_form(A)
+        assert len(factors) == min(m, n)
         assert abs(integer_determinant(U)) == 1
-        assert abs(integer_determinant(V)) == 1
-        diag = [D[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        for d1, d2 in zip(diag, diag[1:]):
-            assert d1 >= 0
-            if d1 == 0:
-                assert d2 == 0
-            else:
-                assert d2 % d1 == 0
+        assert all(d >= 0 for d in factors)
+        for d1, d2 in itertools.pairwise(factors):
+            assert d2 == 0 if d1 == 0 else d2 % d1 == 0
+        product = 1
+        for k, d in enumerate(factors, 1):
+            product *= d
+            assert product == minors_gcd(A, k)
+        rank = sum(map(bool, factors))
+        UA = mat_mul(U, A)
+        assert not any(any(row) for row in UA[rank:])
+        W = []
+        for d, row in zip(factors, UA[:rank]):
+            assert all(x % d == 0 for x in row)
+            W.append([x // d for x in row])
+        if rank:
+            assert minors_gcd(W, rank) == 1
+
+
+@pytest.mark.parametrize("matrix, factors, U", [
+    ([[-4, 6], [6, -9], [2, 3]], [1, 12], [[0, 0, 1], [-2, -1, 5], [-3, -2, 0]]),
+    ([[0, -2, 3], [5, 0, -7]], [1, 1], [[-1, 0], [-7, 1]]),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12], [[1, 0, 0], [3, 1, 0], [1, 2, 1]]),
+])
+def test_smith_normal_form_row_transform_recorded(matrix, factors, U):
+    # recorded at 1fc1839, when the function also formed V: the elimination
+    # order, and so every printed basis, is unchanged
+    assert smith_normal_form(matrix) == (factors, U)
 
 
 def snf_rank(matrix):
-    """Reference rank: the number of nonzero Smith normal form diagonal entries."""
-    D, _, _ = smith_normal_form(matrix)
-    return sum(1 for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
+    """Reference rank: the number of nonzero Smith normal form factors."""
+    factors, _ = smith_normal_form(matrix)
+    return sum(1 for d in factors if d)
 
 
 @st.composite
@@ -148,6 +179,27 @@ def test_free_presentation_gets_standard_basis():
 def test_torsion_homology_rejected():
     with pytest.raises(NontrivialTorsion):
         abelianize_presentation(Presentation(("a",), ("a^2",)))
+
+
+@pytest.mark.parametrize("generators, relators, images", [
+    pytest.param(("a", "b", "x"), ("x^3 b^-2 a^-2",),
+                 {"a": (-1, -3), "b": (1, 0), "x": (0, -2)}, id="lyon"),
+    pytest.param(("a", "b"), ("b a^-1 b^-1 a^2",), {"a": (0,), "b": (1,)}, id="rank1"),
+    pytest.param(("a", "b", "c"), ("a b a^-1 b^-1", "c a^-1 b"),
+                 {"a": (1, 1), "b": (1, 0), "c": (0, 1)}, id="commutator"),
+    pytest.param(("a", "b", "c"), (),
+                 {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}, id="no-relators"),
+    pytest.param(("a", "b", "c"), ("a b b^-1 a^-1", "c a^-1 b"),
+                 {"a": (1, 1), "b": (1, 0), "c": (0, 1)}, id="zero-column"),
+    pytest.param(("a", "b", "c"), ("a b^2 c", "b c^-1", "a^-1 b^-1 a b", "c"),
+                 {"a": (), "b": (), "c": ()}, id="rank0"),
+])
+def test_snf_images_recorded(generators, relators, images):
+    """Images of the Smith-normal-form basis, recorded at 1fc1839; the
+    relator ``a b b^-1 a^-1`` reduces to the identity, a zero column."""
+    phi = abelianize_presentation(Presentation(generators, relators))
+    assert phi.images == images
+    assert phi.rank == len(images["a"])
 
 
 def test_snf_basis_kills_relators():

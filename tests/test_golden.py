@@ -11,11 +11,16 @@ symmetric with sign -1 (``antisymmetric.tor``) and a rank-3 class, which
 has no hull structure (``rank3.tor``).  ``wide.tor`` is the example file
 after the unimodular basis change a = (1, 0), b = (3*2^70 - 1, 3),
 x = (2^71, 2), so its exponents, and the packed keys of the determinant,
-exceed a machine word.  Each ``PLOTS`` case compares the ``--plot-data``
-file of a command instead of its stdout.  The reports were recorded at
-commit 1fba6be, the three small files' reports and the plot file at
-c5ee2b9, and the wide file's report at 12bc922, before the determinant
-packed its keys; a change that alters any of them changes the CLI's output.
+exceed a machine word.  ``generators-100.tor`` is the largest file the CLI
+accepts (``cli.MAX_GENERATORS``), with no ``[basis]``, so it pins the row
+transform of the largest Smith normal form; ``generators-100-basis.tor`` is
+the same file with a ``[basis]``.  Each ``PLOTS`` case compares the
+``--plot-data`` file of a command instead of its stdout.  The reports were
+recorded at commit 1fba6be, the three small files' reports and the plot
+file at c5ee2b9, the wide file's report at 12bc922, before the determinant
+packed its keys, and the two 100-generator reports at 1fc1839, before the
+Smith normal form dropped its column transform; a change that alters any of
+them changes the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -41,7 +46,10 @@ CASES = {
     },
     **{
         f"torsion-{name}": ["torsion", f"{name}.tor"]
-        for name in ("rank1", "antisymmetric", "rank3", "wide")
+        for name in (
+            "rank1", "antisymmetric", "rank3", "wide",
+            "generators-100", "generators-100-basis",
+        )
     },
 }
 

@@ -103,8 +103,8 @@ def test_affine_dimension_matches_smith_normal_form(points):
     base = points[0]
     diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
     if diffs:
-        D, _, _ = smith_normal_form(diffs)
-        expected = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i])
+        factors, _ = smith_normal_form(diffs)
+        expected = sum(1 for d in factors if d)
     else:
         expected = 0
     assert affine_dimension(points) == expected
