@@ -400,7 +400,16 @@ class AbelianizationMap:
             raise InvalidBasis(f"duplicate basis names in {list(self.basis_names)}")
 
     def word_exponents(self, word):
-        return self.prefix_exponents(word)[-1]
+        """Exponent vector of a Word, the last entry of ``prefix_exponents``,
+        as one running sum; raises UnknownGenerator for a letter without an
+        image."""
+        acc = (0,) * self.rank
+        for name, sign in word.letters:
+            img = self.images.get(name)
+            if img is None:
+                raise UnknownGenerator(f"no abelianized image for generator {name!r}")
+            acc = tuple(map(add if sign > 0 else sub, acc, img))
+        return acc
 
     def prefix_exponents(self, word):
         """Exponent vectors of all len(word) + 1 prefixes of a Word, shortest

@@ -1,7 +1,6 @@
 """Graded rank tables for sutured solid tori and tensor-product bookkeeping."""
 
 from dataclasses import dataclass
-from math import comb
 
 from ._kernels import accumulate
 from .errors import InputTooLarge, NonpositiveP, OddSutureCount
@@ -70,9 +69,12 @@ def torus_sfh(p, q, n):
             f"rank table of p * (k + 1) = {p * (k + 1)} gradings exceeds the "
             f"limit {MAX_TABLE_LENGTH}"
         )
-    return GradedRanks.from_dict(
-        {i: comb(k, i // p) for i in range(p * (k + 1))}
-    )
+    # C(k, j + 1) = C(k, j) * (k - j) // (j + 1) is exact at every step, so
+    # the row costs one pass; a math.comb per grading redoes it each time
+    row = [1]
+    for j in range(k):
+        row.append(row[j] * (k - j) // (j + 1))
+    return GradedRanks(tuple((i, row[i // p]) for i in range(p * (k + 1))))
 
 
 def tensor_ranks(g1, g2):

@@ -235,6 +235,30 @@ def count_determinant_calls(monkeypatch):
     return dims
 
 
+def count_budget_work(monkeypatch):
+    """Count the work that the torsion budgets bound: the ``fox_derivative``
+    calls of ``fox_matrix``, and the term pairs that ``iadd_product``
+    multiplies in ``det_cofactor``, len(a) * len(b) per call.
+
+    Returns a dict of the two counts, kept up to date for as long as the
+    monkeypatch lasts.  Counts, unlike seconds, do not depend on the machine.
+    """
+    work = {"fox_derivative": 0, "term_pairs": 0}
+    fox_derivative, iadd_product = torsion.fox_derivative, torsion.iadd_product
+
+    def counted_fox(word, name):
+        work["fox_derivative"] += 1
+        return fox_derivative(word, name)
+
+    def counted_product(acc, a, b, sign):
+        work["term_pairs"] += len(a) * len(b)
+        return iadd_product(acc, a, b, sign)
+
+    monkeypatch.setattr(torsion, "fox_derivative", counted_fox)
+    monkeypatch.setattr(torsion, "iadd_product", counted_product)
+    return work
+
+
 def _dense_unit_pivot(A):
     """(p, q) of the unit entry of lowest Markowitz cost (r - 1)(c - 1), where
     r and c count the nonzeros in its row and column; ties go to the first in

@@ -243,6 +243,11 @@ def test_duplicate_basis_names_rejected():
         AbelianizationMap(2, {"a": (1, 0)}, ("s",))
 
 
+def test_image_of_the_wrong_length_rejected():
+    with pytest.raises(RankMismatch, match="image of 'b' has length 3, expected 2"):
+        AbelianizationMap(2, {"a": (1, 0), "b": (0, 1, 0)})
+
+
 def test_apply_map_examples():
     gens = ("a", "b", "x")
     e = GroupRingElement(
@@ -280,6 +285,19 @@ def test_prefix_exponents_map_every_prefix():
 def test_prefix_exponents_unknown_generator():
     with pytest.raises(UnknownGenerator, match="'z'"):
         LYON_BASIS.prefix_exponents(Word((("a", 1), ("z", 1))))
+    with pytest.raises(UnknownGenerator, match="'z'"):
+        LYON_BASIS.word_exponents(Word((("a", 1), ("z", 1), ("a", -1))))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("max_len", [0, 1, 12, 500])
+def test_word_exponents_is_the_last_prefix(rank, max_len):
+    rng = random.Random(101 * rank + max_len)
+    images = {name: tuple(rng.randint(-3, 3) for _ in range(rank)) for name in "abc"}
+    phi = AbelianizationMap(rank, images)
+    for _ in range(20):
+        w = random_word(rng, max_len=max_len)
+        assert phi.word_exponents(w) == phi.prefix_exponents(w)[-1]
 
 
 def test_apply_map_is_ring_homomorphism():

@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,8 +25,11 @@ from foxtorsion.cli import (
     parse_torsion_file,
 )
 from foxtorsion.errors import InputFileError
+from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
+from foxtorsion.torsion import FOX_BLOCK, MAX_TERM_PRODUCTS
+from foxtorsion.words import MAX_WORD_LETTERS
 
-from helpers import count_hull_builds
+from helpers import count_budget_work, count_hull_builds
 
 LYON_S0 = """\
 # complement of the first surface, twist parameter 0
@@ -82,6 +90,8 @@ INPUTS = Path(__file__).parent / "inputs"
 NONUNIT_FILE = INPUTS / "nonunit-11x11.tor"
 RANK11_FILE = INPUTS / "rank11-commutators.tor"
 RANDOM_WORDS_FILE = INPUTS / "random-words-2000.tor"
+BUDGET_POWER_FILE = INPUTS / "budget-power.tor"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _generators_file(k):
@@ -176,25 +186,35 @@ def _augmentation_det(tinput):
     return int(det)
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param(RANK11_FILE.read_text(), id="terms"),
-    pytest.param(_random_words_file(20000, 20000), id="words"),
-    pytest.param(_generators_file(MAX_GENERATORS - 2), id="generators"),
+@pytest.mark.parametrize("text, fox_calls", [
+    # 11 generators by 11 words of at most FOX_BLOCK letters
+    pytest.param(RANK11_FILE.read_text(), 11 * 11, id="terms"),
+    # 3 generators by the blocks of two 20,000-letter words and one relator
+    pytest.param(
+        _random_words_file(20000, 20000), 3 * (2 * -(-20000 // FOX_BLOCK) + 1), id="words"
+    ),
+    pytest.param(_generators_file(MAX_GENERATORS - 2), 0, id="generators"),
 ])
-def test_torsion_rejects_files_beyond_the_budget_quickly(tmp_path, capsys, text):
+def test_torsion_rejects_files_beyond_the_budget_quickly(
+    tmp_path, capsys, monkeypatch, text, fox_calls
+):
+    """Quickly in work, not seconds: each block of each word is differentiated
+    once, and the determinant multiplies at most MAX_TERM_PRODUCTS term pairs
+    before its refusal (419,876 for the rank-11 file, 72,842 for the words)."""
     path = tmp_path / "big.tor"
     path.write_text(text)
-    start = time.perf_counter()
+    work = count_budget_work(monkeypatch)
     code, report, _ = run(capsys, "torsion", str(path))
-    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
+    assert work["fox_derivative"] == fox_calls
+    assert work["term_pairs"] <= MAX_TERM_PRODUCTS
 
 
 def test_torsion_of_two_random_2000_letter_words(capsys):
-    """``tests/inputs/random-words-2000.tor``, which CI also runs under a
-    10 s timeout, is ``_random_words_file(2000, 2000)``, written one letter
-    per token.  The determinant of its 3x3 Fox matrix has 5,231 terms.
+    """``tests/inputs/random-words-2000.tor`` is
+    ``_random_words_file(2000, 2000)``, written one letter per token.  The
+    determinant of its 3x3 Fox matrix has 5,231 terms.
 
     At augmentation (every variable 1) a Fox derivative of w by g is the
     exponent sum of g in w, so the torsion's coefficient sum is, up to
@@ -207,6 +227,32 @@ def test_torsion_of_two_random_2000_letter_words(capsys):
     assert code == 0
     assert len(report["torsion"]["terms"]) == 5231
     assert abs(report["torsion"]["coefficient_sum"]) == abs(_augmentation_det(tinput))
+
+
+def test_torsion_of_a_full_budget_word_in_linear_memory():
+    """``tests/inputs/budget-power.tor``, whose first inclusion word has
+    MAX_WORD_LETTERS letters, through ``python -m foxtorsion`` in a child
+    process limited to 1 GB of address space.  Fox derivatives of blocks
+    keep the whole command near a 90 MB peak RSS (about 2 s on a 2-vCPU
+    VM); whole-word derivatives would need about 1.5 GB and fail with a
+    MemoryError.  The 60 s timeout only stops a hang."""
+    tinput = parse_torsion_file(BUDGET_POWER_FILE.read_text())
+    assert len(tinput.inclusion_words[0].letters) == MAX_WORD_LETTERS
+
+    def limit_address_space():
+        limit = 1_000_000 * 1024  # ulimit -v 1000000, in KiB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "foxtorsion", "torsion", str(BUDGET_POWER_FILE)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+        check=False,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert "error" not in json.loads(done.stdout)
 
 
 def test_torsion_of_the_11x11_matrix_without_units(capsys):
@@ -451,6 +497,16 @@ def test_family_cost_is_linear_in_n(surface):
     assert len(report["torsion"]["support"]) == 12 * 1000 + 6
 
 
+def test_family_at_the_budget(capsys):
+    """The largest accepted member, n = MAX_FAMILY_N: 36,006 support points
+    (1.2-1.6 s and 81 MB on a 2-vCPU VM).  Without its cleared columns the
+    determinant would need more than MAX_TERM_PRODUCTS term products."""
+    code, report, _ = run(capsys, "family", "--n", str(MAX_FAMILY_N), "--surface", "S")
+    assert code == 0
+    assert report["oracle_match"] is True
+    assert len(report["torsion"]["support"]) == 12 * MAX_FAMILY_N + 6
+
+
 def test_sfh_torus_command(capsys):
     code, report, _ = run(capsys, "sfh-torus", "3", "4", "2")
     assert code == 0
@@ -471,6 +527,19 @@ def test_sfh_torus_rejects_oversized_tables_quickly(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
+
+
+def test_sfh_torus_at_the_budget(capsys):
+    """The largest accepted table, the whole binomial row k = MAX_BINOMIAL_ROW
+    at p = 1: 10,001 gradings in a 22 MB report (about 1.3 s on a 2-vCPU VM,
+    nearly all of it JSON)."""
+    k = MAX_BINOMIAL_ROW
+    code, report, _ = run(capsys, "sfh-torus", "1", "0", str(2 * k + 2))
+    assert code == 0
+    ranks = report["ranks"]
+    assert len(ranks) == MAX_TABLE_LENGTH
+    assert [ranks[0], ranks[k // 2], ranks[k]] == [[0, 1], [k // 2, comb(k, k // 2)], [k, 1]]
+    assert report["total_rank"] == 2**k
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -630,6 +699,13 @@ def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
     path.write_text(LYON_S0.replace("names = a u", "names = a a"))
     report = _assert_json_error(capsys, path, "InvalidBasis")
     assert "duplicate basis names" in report["error"]["message"]
+
+
+def test_torsion_command_rejects_a_basis_without_names(tmp_path, capsys):
+    path = tmp_path / "nonames.tor"
+    path.write_text(LYON_S0.replace("names = a u\n", ""))
+    report = _assert_json_error(capsys, path, "InputFileError")
+    assert "needs a 'names = ...' line" in report["error"]["message"]
 
 
 # -- the contract on mutated files ---------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import Presentation, Word, parse_word, render_word
+from foxtorsion.cli import main
 from foxtorsion.words import MAX_EXPANDED_LETTERS, MAX_NESTING, MAX_WORD_LETTERS
 from foxtorsion.errors import (
     InvalidGeneratorName,
@@ -464,7 +465,7 @@ def test_the_memo_keeps_no_expanded_power():
     assert peak < 64_000
 
 
-def test_cancelling_powers_are_refused_within_the_expansion_budget():
+def test_cancelling_powers_are_refused_within_the_expansion_budget(tmp_path, capsys):
     # Every pair cancels, so the word stays short; without the budget this
     # 3,399-character line would expand 4,000,000 letters.
     line = " ".join(["a^10000 a^-10000"] * 200)
@@ -472,6 +473,15 @@ def test_cancelling_powers_are_refused_within_the_expansion_budget():
     with pytest.raises(WordSizeError, match=f"expand to more than {MAX_EXPANDED_LETTERS}"):
         parse_word(line, GENS)
     assert time.perf_counter() - start < 0.1
+    # the same line as an inclusion word of the Lyon S file, through the CLI
+    path = tmp_path / "cancelling.tor"
+    path.write_text(
+        f"[generators]\na b x\n[relators]\nx^3 b^-2 a^-2\n[inclusion]\n{line}\nb\n"
+    )
+    code = main(["torsion", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"]["type"] == "WordSizeError"
 
 
 @pytest.mark.parametrize(
