@@ -1,5 +1,6 @@
 """Graded rank tables for sutured solid tori and tensor-product bookkeeping."""
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._kernels import accumulate
@@ -36,7 +37,12 @@ class GradedRanks:
         return dict(self.ranks)
 
     def __getitem__(self, grading):
-        return self.as_dict().get(grading, 0)
+        # (grading,) sorts before every (grading, rank), so one binary search
+        # of the sorted pairs finds the grading or where it would be
+        i = bisect_left(self.ranks, (grading,))
+        if i < len(self.ranks) and self.ranks[i][0] == grading:
+            return self.ranks[i][1]
+        return 0
 
     @property
     def total_rank(self):

@@ -1,7 +1,8 @@
-"""Shared randomized-input builders, call counters and reference
+"""Shared randomized-input builders, a call counter and reference
 implementations for the test suite."""
 
 import re
+import sys
 
 from hypothesis import strategies as st
 
@@ -11,9 +12,6 @@ from foxtorsion import (
     TorsionInput,
     Word,
     abelianize_presentation,
-    cli,
-    equivalence,
-    polytope,
     torsion,
 )
 from foxtorsion import words
@@ -103,22 +101,32 @@ def apply_affine(terms, U, v, sign=1):
     return {k: c for k, c in out.items() if c}
 
 
-def count_hull_builds(monkeypatch):
-    """Count ``newton_polytope`` calls at every module that binds it.
+def count_calls(monkeypatch, function, measure):
+    """Record ``measure(*args)`` for every call of ``function``, one entry per
+    call, for as long as the monkeypatch lasts.
 
-    Returns a list that receives the size of each hulled point set, one entry
-    per call, for as long as the monkeypatch lasts.
+    The wrapper replaces ``function`` at every ``foxtorsion`` module that
+    binds it, found by identity, so calls through any import are seen.  A
+    count of calls, letters or term pairs is the work a budget bounds, and
+    unlike seconds it does not depend on the machine or on a tracer.
     """
-    sizes = []
-    original = polytope.newton_polytope
+    calls = []
 
-    def counted(support_set):
-        sizes.append(len(support_set.points))
-        return original(support_set)
+    def counted(*args):
+        calls.append(measure(*args))
+        return function(*args)
 
-    for module in (polytope, equivalence, cli):
-        monkeypatch.setattr(module, "newton_polytope", counted)
-    return sizes
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name.partition(".")[0] == "foxtorsion"
+        for name, value in vars(module).items()
+        if value is function
+    ]
+    assert bindings, f"no foxtorsion module binds {function.__qualname__}"
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _conjugate(c, w):
@@ -214,49 +222,6 @@ def det_cofactor_tuples(matrix):
                     expanded[key] = expanded[key] + term if key in expanded else term
         minors = kept(expanded, j)
     return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
-
-
-def count_determinant_calls(monkeypatch):
-    """Record the dimension of every matrix that reaches ``det_cofactor`` or
-    ``det_bareiss`` through ``torsion.determinant``.
-
-    Returns a dict from each name to the list of dimensions, one entry per
-    call, for as long as the monkeypatch lasts.
-    """
-    dims = {"det_cofactor": [], "det_bareiss": []}
-    for name, sizes in dims.items():
-        original = getattr(torsion, name)
-
-        def counted(matrix, original=original, sizes=sizes):
-            sizes.append(len(matrix))
-            return original(matrix)
-
-        monkeypatch.setattr(torsion, name, counted)
-    return dims
-
-
-def count_budget_work(monkeypatch):
-    """Count the work that the torsion budgets bound: the ``fox_derivative``
-    calls of ``fox_matrix``, and the term pairs that ``iadd_product``
-    multiplies in ``det_cofactor``, len(a) * len(b) per call.
-
-    Returns a dict of the two counts, kept up to date for as long as the
-    monkeypatch lasts.  Counts, unlike seconds, do not depend on the machine.
-    """
-    work = {"fox_derivative": 0, "term_pairs": 0}
-    fox_derivative, iadd_product = torsion.fox_derivative, torsion.iadd_product
-
-    def counted_fox(word, name):
-        work["fox_derivative"] += 1
-        return fox_derivative(word, name)
-
-    def counted_product(acc, a, b, sign):
-        work["term_pairs"] += len(a) * len(b)
-        return iadd_product(acc, a, b, sign)
-
-    monkeypatch.setattr(torsion, "fox_derivative", counted_fox)
-    monkeypatch.setattr(torsion, "iadd_product", counted_product)
-    return work
 
 
 def _dense_unit_pivot(A):

@@ -5,7 +5,7 @@ import random
 import resource
 import subprocess
 import sys
-import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
@@ -15,7 +15,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import cli, equivalence, expected_torsion, polytope, render_word
+from foxtorsion import cli, expected_torsion, lyon_input, render_word
+from foxtorsion._kernels import iadd_product
 from foxtorsion.cli import (
     MAX_BASIS_DIGITS,
     MAX_FAMILY_N,
@@ -25,11 +26,13 @@ from foxtorsion.cli import (
     parse_torsion_file,
 )
 from foxtorsion.errors import InputFileError
+from foxtorsion.groupring import fox_derivative
+from foxtorsion.polytope import iter_affine_maps, newton_polytope
 from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
 from foxtorsion.torsion import FOX_BLOCK, MAX_TERM_PRODUCTS
 from foxtorsion.words import MAX_WORD_LETTERS
 
-from helpers import count_budget_work, count_hull_builds
+from helpers import count_calls
 
 LYON_S0 = """\
 # complement of the first surface, twist parameter 0
@@ -144,21 +147,25 @@ def test_torsion_command_on_lyon_file(tmp_path, capsys):
     assert report["input"]["generators"] == ["a", "b", "x"]
 
 
+def _random_reduced_word(rng, names, letters):
+    """A reduced word of the given length, one token per letter: each letter
+    uniform among the names and their inverses, and drawn again when it
+    would cancel the letter before it."""
+    alphabet = [(g, s) for g in names for s in (1, -1)]
+    word = []
+    while len(word) < letters:
+        name, sign = rng.choice(alphabet)
+        if not word or word[-1] != (name, -sign):
+            word.append((name, sign))
+    return " ".join(g if s == 1 else f"{g}^-1" for g, s in word)
+
+
 def _random_words_file(seed, letters):
     """The Lyon S file with two random reduced inclusion words of the given
-    length, drawn with ``random.Random(seed)``, the first word and then the
-    second: each letter uniform among a, b, x and their inverses, and drawn
-    again when it would cancel the letter before it."""
+    length over a, b and x, drawn with ``random.Random(seed)``, the first
+    word and then the second."""
     rng = random.Random(seed)
-    alphabet = [(g, s) for g in "abx" for s in (1, -1)]
-    words = []
-    for _ in range(2):
-        word = []
-        while len(word) < letters:
-            name, sign = rng.choice(alphabet)
-            if not word or word[-1] != (name, -sign):
-                word.append((name, sign))
-        words.append(" ".join(g if s == 1 else f"{g}^-1" for g, s in word))
+    words = [_random_reduced_word(rng, "abx", letters) for _ in range(2)]
     return LYON_S0.replace("(a b^-1)^1 b^2\nb a (b a^-1)^1\n", "\n".join(words) + "\n")
 
 
@@ -203,12 +210,13 @@ def test_torsion_rejects_files_beyond_the_budget_quickly(
     before its refusal (419,876 for the rank-11 file, 72,842 for the words)."""
     path = tmp_path / "big.tor"
     path.write_text(text)
-    work = count_budget_work(monkeypatch)
+    fox = count_calls(monkeypatch, fox_derivative, lambda word, name: name)
+    pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     code, report, _ = run(capsys, "torsion", str(path))
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
-    assert work["fox_derivative"] == fox_calls
-    assert work["term_pairs"] <= MAX_TERM_PRODUCTS
+    assert len(fox) == fox_calls
+    assert sum(pairs) <= MAX_TERM_PRODUCTS
 
 
 def test_torsion_of_two_random_2000_letter_words(capsys):
@@ -322,7 +330,7 @@ def test_compare_command_builds_each_hull_once(tmp_path, capsys, monkeypatch):
     p1.write_text(LYON_S0)
     p2 = tmp_path / "sp0.tor"
     p2.write_text(LYON_SPRIME0)
-    sizes = count_hull_builds(monkeypatch)
+    sizes = count_calls(monkeypatch, newton_polytope, lambda support_set: len(support_set.points))
     code, report, _ = run(capsys, "compare", str(p1), str(p2))
     assert code == 0
     assert report["torsion_verdict"]["reason"] == "edge_length_multiset"
@@ -334,15 +342,7 @@ def test_compare_command_builds_each_hull_once(tmp_path, capsys, monkeypatch):
 def test_compare_command_enumerates_affine_maps_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s0.tor"
     path.write_text(LYON_S0)
-    calls = []
-    original = polytope.iter_affine_maps
-
-    def counted(p1, p2):
-        calls.append((p1, p2))
-        return original(p1, p2)
-
-    for module in (polytope, equivalence):
-        monkeypatch.setattr(module, "iter_affine_maps", counted)
+    calls = count_calls(monkeypatch, iter_affine_maps, lambda p1, p2: (p1, p2))
     code, report, _ = run(capsys, "compare", str(path), str(path))
     assert code == 0
     assert report["polytopes_affine_equivalent"] is True
@@ -478,21 +478,33 @@ def test_family_command_rejects_small_n(capsys):
 
 @pytest.mark.parametrize("n", [MAX_FAMILY_N + 1, 10**30])
 @pytest.mark.parametrize("surface", ["S", "Sprime"])
-def test_family_rejects_n_beyond_the_budget_quickly(capsys, n, surface):
-    start = time.perf_counter()
+def test_family_rejects_n_beyond_the_budget_quickly(capsys, monkeypatch, n, surface):
+    # quickly in work: the refusal comes before the member's presentation
+    inputs = count_calls(monkeypatch, lyon_input, lambda case: case)
     code, report, _ = run(capsys, "family", "--n", str(n), "--surface", surface)
-    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
+    assert inputs == []
+
+
+# the term pairs the determinant multiplies in `iadd_product` for every n,
+# from n = 10 to MAX_FAMILY_N: cleared columns leave a 3x3 matrix of entries
+# whose size does not grow with n
+FAMILY_TERM_PAIRS = {"S": 96, "Sprime": 108}
 
 
 @pytest.mark.parametrize("surface", ["S", "Sprime"])
-def test_family_cost_is_linear_in_n(surface):
-    # multiplying the expanded geometric sums, the determinant alone took
-    # about 7 s on a 2-vCPU VM
-    start = time.perf_counter()
+def test_family_cost_is_linear_in_n(monkeypatch, surface):
+    """Linear in work: at n = 1000 the Fox matrix differentiates each
+    FOX_BLOCK-letter block of the words once per generator (381 calls, 9 at
+    n = 10), and the determinant multiplies as many term pairs as at n = 10.
+    Multiplying the expanded geometric sums, without cleared columns, the
+    determinant alone took about 7 s on a 2-vCPU VM."""
+    fox = count_calls(monkeypatch, fox_derivative, lambda word, name: name)
+    pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     report, _ = cmd_family(1000, surface)
-    assert time.perf_counter() - start < 2.0
+    assert len(fox) == 3 * 127
+    assert sum(pairs) == FAMILY_TERM_PAIRS[surface]
     assert report["oracle_match"] is True
     assert len(report["torsion"]["support"]) == 12 * 1000 + 6
 
@@ -522,11 +534,18 @@ def test_sfh_torus_odd_count(capsys):
 
 @pytest.mark.parametrize("argv", [("1", "1", "40000"), ("3", "1", "20000")])
 def test_sfh_torus_rejects_oversized_tables_quickly(capsys, argv):
-    start = time.perf_counter()
-    code, report, _ = run(capsys, "sfh-torus", *argv)
-    assert time.perf_counter() - start < 1.0
+    """Quickly in work: the refusal comes before the binomial row.  The whole
+    command peaks at 33-37 KB of traced memory, where the row alone would
+    take 10 MB (k = 9,999) to 39 MB (k = 19,999)."""
+    tracemalloc.start()
+    try:
+        code, report, _ = run(capsys, "sfh-torus", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 1
     assert report["error"]["type"] == "InputTooLarge"
+    assert peak < 2**20
 
 
 def test_sfh_torus_at_the_budget(capsys):
@@ -729,6 +748,11 @@ JUNK_LINES = (
     "a b ) (", "^2", "a^", "()", "][", "\u00e9",
 )
 SPLICE_CHARS = tuple("()^-+#=[] \t0a9\r") + ("\u00e9",)
+# Random reduced words of these lengths over three generators without
+# relators need more than MAX_TERM_PRODUCTS term products, and the refusal
+# costs about 0.05 s and 0.1 s; at 2,000 letters some are accepted near the
+# budget, which can cost up to 1 s.
+LONG_WORD_LETTERS = (4000, 8000)
 
 
 @st.composite
@@ -750,13 +774,20 @@ def sectioned_files(draw):
     """File bytes from the sectioned grammar: as many relators plus inclusion
     words as generators and an optional basis, then mutated by dropping,
     repeating, swapping or inserting lines, renaming a generator, or splicing
-    in a character."""
+    in a character.  Some files get random reduced inclusion words of
+    thousands of letters and no basis, so that their determinants often need
+    more than MAX_TERM_PRODUCTS term products."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
     relators = draw(st.integers(0, len(names)))
     words = [draw(word_texts(names)) for _ in names]
+    long_words = draw(st.booleans())
+    if long_words:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        letters = draw(st.sampled_from(LONG_WORD_LETTERS))
+        words[relators:] = [_random_reduced_word(rng, names, letters) for _ in words[relators:]]
     lines = ["[generators]", " ".join(names), "[relators]", *words[:relators]]
     lines += ["[inclusion]", *words[relators:]]
-    if draw(st.booleans()):
+    if not long_words and draw(st.booleans()):
         rank = draw(st.integers(0, 2))
         lines += ["[basis]", "names = " + " ".join(("s", "t")[:rank])]
         for name in names:

@@ -16,7 +16,7 @@ from foxtorsion import (
 )
 from foxtorsion.equivalence import _match
 
-from helpers import apply_affine, count_hull_builds, random_laurent, random_unimodular
+from helpers import apply_affine, count_calls, random_laurent, random_unimodular
 
 
 def classify(terms, rank=2):
@@ -50,7 +50,7 @@ def test_compare_builds_each_hull_once(monkeypatch):
     t2 = classify(apply_affine(t1.representative.terms, ((2, 1), (1, 1)), (3, -2), -1))
     other = expected_torsion(4, "Sprime")
     size = len(t1.representative.terms)
-    sizes = count_hull_builds(monkeypatch)
+    sizes = count_calls(monkeypatch, newton_polytope, lambda support_set: len(support_set.points))
     assert compare_torsion(t1, t2).kind == "Equivalent"
     assert sizes == [size, size]
     sizes.clear()

@@ -58,6 +58,11 @@ def test_size_limits():
         torus_sfh(10**100, 1, 10**100 + 1)
 
 
+def test_lookup_between_and_beyond_the_gradings():
+    table = GradedRanks.from_dict({-1: 2, 3: 1})
+    assert [table[i] for i in range(-3, 6)] == [0, 0, 2, 0, 0, 0, 1, 0, 0]
+
+
 def test_tensor_examples():
     product = tensor_ranks(torus_sfh(2, 1, 2), torus_sfh(3, 4, 2))
     assert product.total_rank == 6

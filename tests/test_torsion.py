@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import time
 import tracemalloc
 from operator import sub
 from pathlib import Path
@@ -32,6 +31,7 @@ from foxtorsion import (
     torsion_normal_form,
 )
 from foxtorsion import cli, torsion
+from foxtorsion._kernels import iadd_product
 from foxtorsion.errors import (
     InexactDivision,
     InputTooLarge,
@@ -50,8 +50,7 @@ from foxtorsion.torsion import (
 from foxtorsion.words import MAX_WORD_LETTERS
 
 from helpers import (
-    count_budget_work,
-    count_determinant_calls,
+    count_calls,
     dense_unit_elimination,
     det_cofactor_tuples,
     det_first_column,
@@ -541,17 +540,9 @@ def test_five_hundred_unit_generators_are_eliminated_quickly(monkeypatch):
     images = dict(base.abelianization.images, **{y: (2, -3) for y in ys})
     basis = AbelianizationMap(2, images, base.abelianization.basis_names)
     inp = TorsionInput(presentation, base.inclusion_words, basis)
-    calls = 0
-    is_unit = torsion._is_unit
-
-    def counted(entry):
-        nonlocal calls
-        calls += 1
-        return is_unit(entry)
-
-    monkeypatch.setattr(torsion, "_is_unit", counted)
+    calls = count_calls(monkeypatch, _is_unit, lambda entry: 1)
     got = sutured_torsion(inp)
-    assert calls <= 4 * len(ys)
+    assert len(calls) <= 4 * len(ys)
     assert got == expected_torsion(0, "S")
 
 
@@ -569,18 +560,17 @@ def test_four_by_four_unit_reduces_to_three_by_three(monkeypatch):
     # the one unit, -a^2 u^-1 at (2, 1): odd p + q and a negative coefficient
     matrix[2][1] = LaurentPoly.monomial((2, -1), -1)
     expected = det_cofactor(matrix)
-    dims = count_determinant_calls(monkeypatch)
+    dims = count_calls(monkeypatch, det_cofactor, len)
     assert determinant(matrix) == expected
-    assert dims == {"det_cofactor": [3], "det_bareiss": []}
+    assert dims == [3]
 
 
-def test_matrix_without_units_reaches_bareiss_whole(monkeypatch):
-    # the name is historical: the expansion now takes the whole matrix
+def test_matrix_without_units_reaches_cofactor_whole(monkeypatch):
     matrix = _nonunit_matrix(random.Random(71), 5)
     expected = det_bareiss(matrix)
-    dims = count_determinant_calls(monkeypatch)
+    dims = count_calls(monkeypatch, det_cofactor, len)
     assert determinant(matrix) == expected
-    assert dims == {"det_cofactor": [5], "det_bareiss": []}
+    assert dims == [5]
 
 
 def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
@@ -588,10 +578,10 @@ def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
     # than MAX_TERM_PRODUCTS; the 11x11 one needs 3.83 million.  Quickly in
     # work, not seconds: 1,626,888 pairs are multiplied before the refusal.
     matrix = _nonunit_matrix(random.Random(73), 12)
-    work = count_budget_work(monkeypatch)
+    pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
         determinant(matrix)
-    assert 0 < work["term_pairs"] <= MAX_TERM_PRODUCTS
+    assert 0 < sum(pairs) <= MAX_TERM_PRODUCTS
 
 
 @pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])
@@ -608,8 +598,10 @@ def test_cofactor_keeps_only_minors_that_hold_the_rows_zero_further_left(
     assert det_cofactor(matrix) == det_first_column(matrix)
 
 
-def test_sparse_matrix_has_no_dimension_budget():
-    # tridiagonal without units: at most r + 1 nonzero minors of size r
+def test_sparse_matrix_has_no_dimension_budget(monkeypatch):
+    # tridiagonal without units: at most r + 1 nonzero minors of size r, so
+    # the expansion multiplies term pairs quadratic in n (2,638 at n = 30,
+    # 10,678 at 60 and 42,958 at 120), far below MAX_TERM_PRODUCTS
     n = 60
     x = LaurentPoly.monomial((1,))
     a, b, c = x + 2, x - 3, 2 * x
@@ -621,9 +613,9 @@ def test_sparse_matrix_has_no_dimension_budget():
     expected, previous = a, LaurentPoly.one(1)
     for _ in range(n - 1):
         expected, previous = a * expected - b * c * previous, expected
-    start = time.perf_counter()
+    pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     assert determinant(matrix) == expected
-    assert time.perf_counter() - start < 2.0
+    assert sum(pairs) == 10_678
 
 
 # -- normal form and duality --------------------------------------------------
@@ -779,17 +771,16 @@ def test_torsion_is_invariant_under_tietze_moves(seed, surface):
     assert apply_witness(got, verdict.witness) == expected.representative
 
 
-def test_tietze_enlarged_matrix_skips_bareiss(monkeypatch):
+def test_tietze_enlarged_matrix_reduces_by_unit_pivots(monkeypatch):
     enlarged = tietze_enlarge(random.Random(9121), lyon_input(2, "Sprime"), 4)
     matrix = fox_matrix(enlarged)
     assert len(matrix) == 7
-    dims = count_determinant_calls(monkeypatch)
+    dims = count_calls(monkeypatch, det_cofactor, len)
     determinant(matrix)
-    assert dims["det_bareiss"] == []
-    assert len(dims["det_cofactor"]) == 1 and dims["det_cofactor"][0] <= 3
+    assert len(dims) == 1 and dims[0] <= 3
 
 
 def test_family_matrix_reaches_cofactor_unreduced(monkeypatch):
-    dims = count_determinant_calls(monkeypatch)
+    dims = count_calls(monkeypatch, det_cofactor, len)
     sutured_torsion(lyon_input(4, "S"))
-    assert dims == {"det_cofactor": [3], "det_bareiss": []}
+    assert dims == [3]

@@ -2,14 +2,13 @@ import json
 import os
 import random
 import re
-import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import Presentation, Word, parse_word, render_word
+from foxtorsion import Presentation, Word, parse_word, render_word, words
 from foxtorsion.cli import main
 from foxtorsion.words import MAX_EXPANDED_LETTERS, MAX_NESTING, MAX_WORD_LETTERS
 from foxtorsion.errors import (
@@ -19,7 +18,7 @@ from foxtorsion.errors import (
     WordSizeError,
 )
 
-from helpers import random_word, reference_parse_word
+from helpers import count_calls, random_word, reference_parse_word
 
 GENS = ("a", "b", "x")
 
@@ -368,27 +367,22 @@ def test_a_size_error_comes_before_a_later_parse_error():
             parse_word(text, GENS)
 
 
-def _timed_parse(text):
-    start = time.perf_counter()
-    word = parse_word(text, GENS)
-    return word, time.perf_counter() - start
-
-
-def test_parsing_a_full_budget_of_tokens_is_linear():
-    # One token per letter of the budget.  Re-reducing the accumulated word
-    # on every atom, as a fold through Word.__mul__ does, takes tens of
-    # seconds here; one pass takes milliseconds.
+def test_parsing_a_full_budget_of_tokens_is_linear(monkeypatch):
+    # One token per letter of the budget, so linear work pushes at most that
+    # many letters through _push_reduced: the memo pushes only the first of
+    # each distinct token, 3 and then 6.  Re-reducing the accumulated word on
+    # every atom, as a fold through Word.__mul__ does, pushes about 200 million.
     tokens = ["a", "b^-1", "x"] * (MAX_WORD_LETTERS // 3) + ["a"] * (MAX_WORD_LETTERS % 3)
-    word, seconds = _timed_parse(" ".join(tokens))
-    assert len(word) == MAX_WORD_LETTERS
-    assert seconds < 1.0
+    pushed = count_calls(monkeypatch, words._push_reduced, lambda stack, letters: len(letters))
+    assert len(parse_word(" ".join(tokens), GENS)) == MAX_WORD_LETTERS
+    assert sum(pushed) <= len(tokens)
     # The second half inverts the first, so the reduced word stays long until
     # the inverse letters cancel it down to the identity, pair by pair.
     half = tokens[: MAX_WORD_LETTERS // 2]
     inverse = {"a": "a^-1", "b^-1": "b", "x": "x^-1"}
-    word, seconds = _timed_parse(" ".join(half + [inverse[t] for t in reversed(half)]))
-    assert word.is_identity
-    assert seconds < 1.0
+    pushed.clear()
+    assert parse_word(" ".join(half + [inverse[t] for t in reversed(half)]), GENS).is_identity
+    assert sum(pushed) <= len(tokens)
 
 
 # -- the token loop against the reference parser ---------------------------------
@@ -465,14 +459,17 @@ def test_the_memo_keeps_no_expanded_power():
     assert peak < 64_000
 
 
-def test_cancelling_powers_are_refused_within_the_expansion_budget(tmp_path, capsys):
+def test_cancelling_powers_are_refused_within_the_expansion_budget(
+    tmp_path, capsys, monkeypatch
+):
     # Every pair cancels, so the word stays short; without the budget this
-    # 3,399-character line would expand 4,000,000 letters.
+    # 3,399-character line would push 4,000,000 letters.  Eight powers push
+    # MAX_EXPANDED_LETTERS, and the ninth is refused before it is pushed.
     line = " ".join(["a^10000 a^-10000"] * 200)
-    start = time.perf_counter()
+    pushed = count_calls(monkeypatch, words._push_reduced, lambda stack, letters: len(letters))
     with pytest.raises(WordSizeError, match=f"expand to more than {MAX_EXPANDED_LETTERS}"):
         parse_word(line, GENS)
-    assert time.perf_counter() - start < 0.1
+    assert pushed == [10_000] * 8
     # the same line as an inclusion word of the Lyon S file, through the CLI
     path = tmp_path / "cancelling.tor"
     path.write_text(
