@@ -7,6 +7,7 @@ term-dict inner loops live in `_kernels`.
 """
 
 import math
+from itertools import accumulate as running_sums
 from operator import add, neg, sub
 
 from .errors import (
@@ -47,12 +48,7 @@ def smith_normal_form(matrix):
 
     t = 0
     while t < min(m, n):
-        # pick the nonzero entry of smallest magnitude as pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+        best = _pivot(A, t)
         if best is None:
             break
         i, j = best
@@ -77,24 +73,37 @@ def smith_normal_form(matrix):
         if dirty:
             continue
 
-        # enforce the divisibility chain before moving on
-        stuck = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    row_op(t, i, -1)
-                    stuck = True
-                    break
-            if stuck:
-                break
-        if stuck:
-            continue
+        # enforce the divisibility chain before moving on: add the first row
+        # holding an entry the pivot does not divide (a unit divides all)
+        p = A[t][t]
+        if p not in (1, -1):
+            rows = range(t + 1, m)
+            stuck = next((i for i in rows if any(x % p for x in A[i][t + 1 :])), None)
+            if stuck is not None:
+                row_op(t, stuck, -1)
+                continue
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
 
     return [A[i][i] for i in range(min(m, n))], U
+
+
+def _pivot(A, t):
+    """Position of the nonzero entry of smallest magnitude in rows and columns
+    t onward, the first in row-major order; a unit ends the search, as no
+    nonzero entry is smaller."""
+    best, size = None, 0
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x and (best is None or abs(x) < size):
+                if x in (1, -1):
+                    return i, j
+                best, size = (i, j), abs(x)
+    return best
 
 
 def integer_rank(matrix):
@@ -398,6 +407,11 @@ class AbelianizationMap:
             raise RankMismatch("one basis name per coordinate is required")
         if len(set(self.basis_names)) != self.rank:
             raise InvalidBasis(f"duplicate basis names in {list(self.basis_names)}")
+        # the exponent step of each signed letter
+        self._steps = {}
+        for name, vec in self.images.items():
+            self._steps[name, 1] = vec
+            self._steps[name, -1] = tuple(-e for e in vec)
 
     def word_exponents(self, word):
         """Exponent vector of a Word, the last entry of ``prefix_exponents``,
@@ -413,18 +427,21 @@ class AbelianizationMap:
 
     def prefix_exponents(self, word):
         """Exponent vectors of all len(word) + 1 prefixes of a Word, shortest
-        first: entry i is ``word_exponents`` of the first i letters.  One pass
-        over the letters; raises UnknownGenerator for a letter without an
-        image."""
-        acc = (0,) * self.rank
-        prefixes = [acc]
-        for name, sign in word.letters:
-            img = self.images.get(name)
-            if img is None:
-                raise UnknownGenerator(f"no abelianized image for generator {name!r}")
-            acc = tuple(map(add if sign > 0 else sub, acc, img))
-            prefixes.append(acc)
-        return prefixes
+        first: entry i is ``word_exponents`` of the first i letters.  The
+        letters' steps, after a zero step, are summed per coordinate by
+        ``itertools.accumulate``; raises UnknownGenerator for a letter without
+        an image."""
+        steps = self._steps
+        try:
+            rows = [(0,) * self.rank] + [steps[letter] for letter in word.letters]
+        except KeyError as exc:
+            name, _ = exc.args[0]
+            raise UnknownGenerator(
+                f"no abelianized image for generator {name!r}"
+            ) from None
+        if not self.rank:
+            return rows
+        return list(zip(*map(running_sums, zip(*rows))))
 
     def __call__(self, element):
         """Apply the induced ring map to a Word or GroupRingElement."""

@@ -50,11 +50,12 @@ from .words import Presentation, parse_word, render_word
 _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
 # The most generators a file may declare.  With a defining relator y a^-1 b
-# for each generator y beyond three and no [basis], `torsion` took 17 ms at 53
-# generators, 89 ms at 100 and 0.54 s at 203 on a 2-vCPU VM, most of it in
-# the Smith normal form of the relator matrix, whose pivot search is cubic.
-# With a [basis] it took 9, 24 and 98 ms, most of it in fox_matrix, which
-# calls fox_derivative once per generator and word: 41,209 calls at 203.
+# for each generator y beyond three and no [basis], `torsion` took 18 ms at 53
+# generators, 74 ms at 100 and 0.37 s at 203 on a 2-vCPU VM, most of it in
+# the Smith normal form of the relator matrix, whose column operations each
+# walk every row.  With a [basis] it took 11, 35 and 164 ms, most of it in
+# fox_matrix, which calls fox_derivative once per generator and word: 41,209
+# calls at 203.
 MAX_GENERATORS = 100
 
 # The most digits, after its sign, of a [basis] image field.  Exponents then

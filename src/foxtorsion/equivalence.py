@@ -67,21 +67,21 @@ def _match(t1, t2, U, v):
 
     U is unimodular, so the map is injective: with equal sizes, the image is
     the target when each mapped term is found there times the sign read from
-    the first term.  The scan stops at the first miss."""
+    the first term.  In rank 2 the scan stops at the first miss."""
     source, target = t1.representative.terms, t2.representative.terms
     if len(source) != len(target):
         return None
-    if len(v) == 2:
-        (a, b), (c, d) = U
-        s, t = v
-        image = (
-            ((a * x + b * y + s, c * x + d * y + t), k) for (x, y), k in source.items()
-        )
-    else:
-        image = ((_apply(U, v, e), k) for e, k in source.items())
+    if len(v) < 2:
+        image = {_apply(U, v, e): k for e, k in source.items()}
+        if image == target:
+            return 1
+        return -1 if image == {e: -k for e, k in target.items()} else None
+    (a, b), (c, d) = U
+    s, t = v
+    get = target.get
     sign = None
-    for e, k in image:
-        found = target.get(e)
+    for (x, y), k in source.items():
+        found = get((a * x + b * y + s, c * x + d * y + t))
         if sign is None:
             sign = 1 if found == k else -1
         if found != sign * k:

@@ -85,7 +85,7 @@ class LatticePolygon:
 
 
 def _primitive(vector):
-    g = math.gcd(*(abs(c) for c in vector))
+    g = math.gcd(*vector)
     return tuple(c // g for c in vector), g
 
 
@@ -152,11 +152,11 @@ def newton_polytope(support_set):
         direction, length = _primitive(tuple(b - a for a, b in zip(lo, hi)))
         neg = tuple(-c for c in direction)
         return LatticePolygon(1, (lo, hi), ((direction, length), (neg, length)))
-    edges = tuple(
-        _primitive((w[0] - v[0], w[1] - v[1]))
-        for v, w in zip(verts, verts[1:] + verts[:1])
-    )
-    return LatticePolygon(2, tuple(verts), edges)
+    edges = []
+    for dx, dy in _cycle_edges(verts):
+        g = math.gcd(dx, dy)
+        edges.append(((dx // g, dy // g), g))
+    return LatticePolygon(2, tuple(verts), tuple(edges))
 
 
 def sfh_polytope(hull):
@@ -181,32 +181,27 @@ def _apply(U, v, point):
 
 
 def _cycle_edges(vertices):
-    n = len(vertices)
-    return [
-        (
-            vertices[(i + 1) % n][0] - vertices[i][0],
-            vertices[(i + 1) % n][1] - vertices[i][1],
-        )
-        for i in range(n)
-    ]
+    """The vectors from each vertex of a polygon to the next, closing the cycle."""
+    nxt = vertices[1:] + vertices[:1]
+    return [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vertices, nxt)]
 
 
 def _solve_map(e0, e1, f0, f1):
     """Integer U with U e0 = f0 and U e1 = f1, if it exists and is unimodular."""
-    det = e0[0] * e1[1] - e0[1] * e1[0]
+    (p0, q0), (p1, q1) = e0, e1
+    det = p0 * q1 - q0 * p1
     if det == 0:
         return None
     # U = [f0 f1] * adj([e0 e1]) / det, with columns e_i, f_i
-    raw = (
-        (f0[0] * e1[1] - f1[0] * e0[1], -f0[0] * e1[0] + f1[0] * e0[0]),
-        (f0[1] * e1[1] - f1[1] * e0[1], -f0[1] * e1[0] + f1[1] * e0[0]),
-    )
-    if any(c % det for row in raw for c in row):
+    (r0, s0), (r1, s1) = f0, f1
+    a, b = r0 * q1 - r1 * q0, r1 * p0 - r0 * p1
+    c, d = s0 * q1 - s1 * q0, s1 * p0 - s0 * p1
+    if a % det or b % det or c % det or d % det:
         return None
-    U = tuple(tuple(c // det for c in row) for row in raw)
-    if abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) != 1:
+    a, b, c, d = a // det, b // det, c // det, d // det
+    if abs(a * d - b * c) != 1:
         return None
-    return U
+    return (a, b), (c, d)
 
 
 def _completion(d):
@@ -244,6 +239,9 @@ def iter_affine_maps(p1, p2):
     Hulls of rank < 2 are padded to Z^2 with zero coordinates and each map is
     cut back to their ranks: rank 1 gets U = ((1,),) and ((-1,),), rank 0 the
     empty map, and hulls of different ranks compare by lattice shape alone.
+    Rank-2 maps, and the padded maps of lower ranks, are solved, applied to
+    the vertices and checked in straight-line integer arithmetic; ``_apply``
+    serves only ``equivalence``, for terms of rank < 2 and ``apply_witness``.
     """
     if p1.dimension != p2.dimension:
         return []
@@ -267,12 +265,13 @@ def iter_affine_maps(p1, p2):
                 if U is not None:
                     anchored.append((U, cycle[0], target[j]))
     r1, r2 = len(p1.vertices[0]), len(p2.vertices[0])
-    target_vertices = set(target)
+    target_set = set(target)
     found = []
     seen = set()
-    for U, x, y in anchored:
-        v = tuple(b - a for a, b in zip(_apply(U, (0, 0), x), y))
-        if {_apply(U, v, p) for p in source} != target_vertices:
+    for U, (sx, sy), (tx, ty) in anchored:
+        (a, b), (c, d) = U
+        v = s, t = tx - a * sx - b * sy, ty - c * sx - d * sy
+        if {(a * p + b * q + s, c * p + d * q + t) for p, q in source} != target_set:
             continue
         key = (tuple(row[:r1] for row in U[:r2]), v[:r2])
         if key not in seen:

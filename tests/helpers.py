@@ -16,6 +16,7 @@ from foxtorsion import (
 )
 from foxtorsion import words
 from foxtorsion._kernels import accumulate
+from foxtorsion.polytope import _apply, _completion, _pad
 from foxtorsion.errors import InputTooLarge, ParseError, RankMismatch, WordSizeError
 
 
@@ -99,6 +100,75 @@ def apply_affine(terms, U, v, sign=1):
         )
         out[key] = out.get(key, 0) + sign * coeff
     return {k: c for k, c in out.items() if c}
+
+
+def _reference_cycle_edges(vertices):
+    n = len(vertices)
+    return [
+        (
+            vertices[(i + 1) % n][0] - vertices[i][0],
+            vertices[(i + 1) % n][1] - vertices[i][1],
+        )
+        for i in range(n)
+    ]
+
+
+def _reference_solve_map(e0, e1, f0, f1):
+    """Integer U with U e0 = f0 and U e1 = f1, if it exists and is unimodular."""
+    det = e0[0] * e1[1] - e0[1] * e1[0]
+    if det == 0:
+        return None
+    raw = (
+        (f0[0] * e1[1] - f1[0] * e0[1], -f0[0] * e1[0] + f1[0] * e0[0]),
+        (f0[1] * e1[1] - f1[1] * e0[1], -f0[1] * e1[0] + f1[1] * e0[0]),
+    )
+    if any(c % det for row in raw for c in row):
+        return None
+    U = tuple(tuple(c // det for c in row) for row in raw)
+    if abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) != 1:
+        return None
+    return U
+
+
+def reference_affine_maps(p1, p2):
+    """`polytope.iter_affine_maps` with every map solved by index arithmetic and
+    applied through the generic `polytope._apply`, the reference for its maps
+    and their order (the first map that matches is the printed witness)."""
+    if p1.dimension != p2.dimension:
+        return []
+    source = [_pad(p) for p in p1.vertices]
+    target = [_pad(q) for q in p2.vertices]
+    anchored = []
+    if p1.dimension == 0:
+        anchored.append((((1, 0), (0, 1)), source[0], target[0]))
+    elif p1.dimension == 1:
+        d1, d2 = _pad(p1.edges[0][0]), _pad(p2.edges[0][0])
+        c1 = _completion(d1)
+        for d, y in ((d2, target[0]), (tuple(-c for c in d2), target[1])):
+            anchored.append(
+                (_reference_solve_map(d1, c1, d, _completion(d)), source[0], y)
+            )
+    else:
+        f = _reference_cycle_edges(target)
+        for cycle in (source, source[::-1]):
+            e = _reference_cycle_edges(cycle)
+            for j in range(len(target)):
+                U = _reference_solve_map(e[0], e[1], f[j], f[(j + 1) % len(f)])
+                if U is not None:
+                    anchored.append((U, cycle[0], target[j]))
+    r1, r2 = len(p1.vertices[0]), len(p2.vertices[0])
+    target_vertices = set(target)
+    found = []
+    seen = set()
+    for U, x, y in anchored:
+        v = tuple(b - a for a, b in zip(_apply(U, (0, 0), x), y))
+        if {_apply(U, v, p) for p in source} != target_vertices:
+            continue
+        key = (tuple(row[:r1] for row in U[:r2]), v[:r2])
+        if key not in seen:
+            seen.add(key)
+            found.append(key)
+    return found
 
 
 def count_calls(monkeypatch, function, measure):

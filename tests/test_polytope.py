@@ -23,7 +23,7 @@ from foxtorsion import (
 )
 from foxtorsion.errors import RankUnsupported, ZeroTorsion
 
-from helpers import random_laurent, random_unimodular
+from helpers import random_laurent, random_unimodular, reference_affine_maps
 
 
 def poly2(terms):
@@ -382,6 +382,58 @@ def test_maps_carry_vertices_and_decide_equivalence():
             hull_mismatch(h1, h2) is None and bool(maps)
         )
     assert nonempty > 100
+
+
+@st.composite
+def hull_pairs(draw):
+    """Two point sets of ranks 0-2, each as (rank, points): a set against
+    itself, against its image under a random unimodular map plus a
+    translation, or against an unrelated set of any of those ranks.  Half the
+    sets lie on one line, so segments are common in rank 2."""
+
+    def points(rank):
+        vector = st.tuples(*[st.integers(-6, 6)] * rank)
+        count = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            return [draw(vector) for _ in range(count)]
+        base, step = draw(vector), draw(vector)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+        return [tuple(b + t * c for b, c in zip(base, step)) for t in ts]
+
+    rank = draw(st.integers(0, 2))
+    first = points(rank)
+    kind = draw(st.sampled_from(("self", "image", "other")))
+    if kind == "other":
+        other = draw(st.integers(0, 2))
+        return kind, (rank, first), (other, points(other))
+    if kind == "self":
+        return kind, (rank, first), (rank, first)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    U = random_unimodular(rng) if rank == 2 else ((rng.choice((1, -1)),),)[:rank]
+    v = [draw(st.integers(-9, 9)) for _ in range(rank)]
+    image = [
+        tuple(sum(U[i][j] * p[j] for j in range(rank)) + v[i] for i in range(rank))
+        for p in first
+    ]
+    return kind, (rank, first), (rank, image)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hull_pairs())
+def test_affine_maps_equal_the_reference_in_order(case):
+    """The straight-line enumerator gives the reference's maps in its order,
+    on hulls whose edges match the all-points reference."""
+    kind, *sets = case
+    hulls = []
+    for rank, points in sets:
+        hull = newton_polytope(SupportSet(rank, frozenset(points)))
+        assert (hull.dimension, hull.vertices, hull.edges) == _reference_hull(
+            rank, points
+        )
+        hulls.append(hull)
+    maps = iter_affine_maps(*hulls)
+    assert maps == reference_affine_maps(*hulls)
+    assert maps or kind == "other"
 
 
 # -- doubling -----------------------------------------------------------------
