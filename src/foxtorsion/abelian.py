@@ -413,24 +413,12 @@ class AbelianizationMap:
             self._steps[name, 1] = vec
             self._steps[name, -1] = tuple(-e for e in vec)
 
-    def word_exponents(self, word):
-        """Exponent vector of a Word, the last entry of ``prefix_exponents``,
-        as one running sum; raises UnknownGenerator for a letter without an
-        image."""
-        acc = (0,) * self.rank
-        for name, sign in word.letters:
-            img = self.images.get(name)
-            if img is None:
-                raise UnknownGenerator(f"no abelianized image for generator {name!r}")
-            acc = tuple(map(add if sign > 0 else sub, acc, img))
-        return acc
-
     def prefix_exponents(self, word):
         """Exponent vectors of all len(word) + 1 prefixes of a Word, shortest
-        first: entry i is ``word_exponents`` of the first i letters.  The
-        letters' steps, after a zero step, are summed per coordinate by
-        ``itertools.accumulate``; raises UnknownGenerator for a letter without
-        an image."""
+        first: entry i is the exponent vector of the first i letters, and the
+        last entry is the word's own.  The letters' steps, after a zero step,
+        are summed per coordinate by ``itertools.accumulate``; raises
+        UnknownGenerator for a letter without an image."""
         steps = self._steps
         try:
             rows = [(0,) * self.rank] + [steps[letter] for letter in word.letters]
@@ -450,7 +438,7 @@ class AbelianizationMap:
         return LaurentPoly._raw(
             self.rank,
             accumulate(
-                (self.word_exponents(word), coeff)
+                (self.prefix_exponents(word)[-1], coeff)
                 for word, coeff in element.terms.items()
             ),
         )
@@ -482,8 +470,12 @@ def abelianize_presentation(presentation, user_basis=None):
         for name in names:
             if name not in user_basis.images:
                 raise InvalidBasis(f"user basis has no image for generator {name!r}")
+        # fewer images than coordinates cannot generate Z^r; refused before
+        # the relator check and the Smith normal form, which grow with r
+        if user_basis.rank > len(names):
+            raise InvalidBasis("user basis images do not generate Z^r")
         for rel in presentation.relators:
-            if any(user_basis.word_exponents(rel)):
+            if any(user_basis.prefix_exponents(rel)[-1]):
                 raise InvalidBasis(
                     f"user basis does not kill relator {render_word(rel)!r}"
                 )

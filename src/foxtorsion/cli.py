@@ -31,6 +31,7 @@ from .errors import (
     InputEncodingError,
     InputFileError,
     InputTooLarge,
+    NotBalanced,
     RankUnsupported,
     UsageError,
 )
@@ -66,7 +67,9 @@ MAX_BASIS_DIGITS = 1000
 
 def parse_torsion_file(text):
     """The TorsionInput of a file's text.  Errors come in a fixed order: sections,
-    generator budget, [basis] lines, presentation, inclusion words, basis map."""
+    generator budget, [basis] lines, balance, presentation, inclusion words,
+    basis map.  The balance check counts lines, so an unbalanced file is
+    refused before any word is parsed."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +138,12 @@ def parse_torsion_file(text):
             ) from None
     if "basis" in sections and names is None:
         raise InputFileError("section [basis] needs a 'names = ...' line")
+    # one word per line; the message is fox_matrix's
+    deficiency = len(generators) - len(sections["relators"])
+    if deficiency != len(sections["inclusion"]):
+        raise NotBalanced(
+            f"deficiency {deficiency} != {len(sections['inclusion'])} inclusion words"
+        )
 
     presentation = Presentation(generators, [line for _, line in sections["relators"]])
     inclusion = [parse_word(line, generators) for _, line in sections["inclusion"]]

@@ -63,19 +63,28 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _push_reduced(stack, letters):
-    """Push letters onto a freely reduced stack, each cancelling its inverse
-    on top; the stack stays freely reduced."""
+def _push_reduced(stack, atom):
+    """Push a freely reduced atom onto a freely reduced stack.  Only the
+    junction can cancel: the atom's leading letters cancel the inverses on
+    top of the stack, and the rest is appended in one ``extend``."""
+    i = 0
+    for name, sign in atom:
+        if not stack or stack[-1] != (name, -sign):
+            break
+        stack.pop()
+        i += 1
+    stack.extend(atom[i:] if i else atom)
+
+
+def _reduce(letters):
+    """The freely reduced form of any letter sequence, letter by letter."""
+    stack = []
     for name, sign in letters:
         if stack and stack[-1][0] == name and stack[-1][1] == -sign:
             stack.pop()
         else:
             stack.append((name, sign))
-    return stack
-
-
-def _reduce(letters):
-    return tuple(_push_reduced([], letters))
+    return tuple(stack)
 
 
 class Word:
@@ -171,12 +180,12 @@ def parse_word(text, names):
 
     One loop over the matches of one token pattern, each an atom with the
     exponent right after it, or a '(', a stray character or the end: each
-    '(' saves the enclosing sequence's letter stack, and each atom's letters
-    are pushed onto the current freely reduced stack or cancel against its
-    top; a power reduces its atom once.  A per-call memo maps the text of
-    each name term of at most one letter (``a``, ``a^-1``, ``a^0``) to that
-    letter and its inverse, so a repeated token is pushed or cancelled with
-    one comparison and no call.  Longer powers are never kept, so the memo
+    '(' saves the enclosing sequence's letter stack, and each atom, freely
+    reduced, cancels against the top of the current freely reduced stack at
+    their junction and is appended; a power reduces its atom once.  A
+    per-call memo maps the text of each name term of at most one letter
+    (``a``, ``a^-1``, ``a^0``) to that letter and its inverse, so a repeated
+    token is pushed or cancelled with one comparison and no call.  Longer powers are never kept, so the memo
     holds no expanded power however many distinct ones a text has.  The
     result equals folding the syntax tree through ``Word.__mul__`` and
     ``Word.__pow__``, errors included, left to right.

@@ -10,11 +10,11 @@ from foxtorsion import (
     LaurentPoly,
     Presentation,
     TorsionInput,
-    Word,
     abelianize_presentation,
     torsion,
+    words,
 )
-from foxtorsion import words
+from foxtorsion.words import Word
 from foxtorsion._kernels import accumulate
 from foxtorsion.polytope import _apply, _completion, _pad
 from foxtorsion.errors import InputTooLarge, ParseError, RankMismatch, WordSizeError
@@ -358,7 +358,9 @@ _REFERENCE_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
 def reference_parse_word(text, names):
     """`words.parse_word` without its memo or expansion budget, the reference
     for its outcomes: one token regex and one exponent regex per atom, and
-    every atom's letters pushed through `words._push_reduced`."""
+    every atom pushed letter by letter, each letter cancelling its inverse on
+    top of the stack, where `words._push_reduced` cancels only at the
+    junction and appends the rest at once."""
     names = set(names)
     open_parens = []  # (position of the '(', the enclosing sequence's stack)
     stack = []  # the current sequence's letters so far, freely reduced
@@ -408,4 +410,8 @@ def reference_parse_word(text, names):
             atom = words._reduce(atom * k)
         if len(stack) + len(atom) > words.MAX_WORD_LETTERS:
             raise WordSizeError("product exceeds the word size limit")
-        words._push_reduced(stack, atom)
+        for name, sign in atom:
+            if stack and stack[-1] == (name, -sign):
+                stack.pop()
+            else:
+                stack.append((name, sign))

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from foxtorsion import (
     AbelianizationMap,
-    GroupRingElement,
     LaurentPoly,
     Presentation,
-    Word,
     abelianize_presentation,
-    integer_rank,
     parse_word,
-    smith_normal_form,
 )
-from foxtorsion.abelian import render_terms
+from foxtorsion.abelian import integer_rank, render_terms, smith_normal_form
+from foxtorsion.groupring import GroupRingElement
+from foxtorsion.words import Word
 from foxtorsion.errors import (
     InexactDivision,
     InvalidBasis,
@@ -214,7 +212,7 @@ def test_snf_basis_kills_relators():
             continue
         zero = (0,) * phi.rank
         for rel in pres.relators:
-            assert phi.word_exponents(rel) == zero
+            assert phi.prefix_exponents(rel)[-1] == zero
 
 
 def test_invalid_basis_violating_relator():
@@ -227,6 +225,14 @@ def test_invalid_basis_not_generating():
     # images lie in 2Z x Z, relator condition holds but index is 2
     bad = AbelianizationMap(2, {"a": (2, 0), "b": (-2, 3), "x": (0, 2)}, ("s", "t"))
     with pytest.raises(InvalidBasis):
+        abelianize_presentation(LYON_PRES, bad)
+
+
+def test_invalid_basis_wider_than_the_generators():
+    # three images cannot generate Z^4; refused before the relator check,
+    # which this basis would fail too
+    bad = AbelianizationMap(4, {"a": (1, 0, 0, 0), "b": (0, 1, 0, 0), "x": (0, 0, 1, 0)})
+    with pytest.raises(InvalidBasis, match="do not generate"):
         abelianize_presentation(LYON_PRES, bad)
 
 
@@ -286,18 +292,24 @@ def test_prefix_exponents_unknown_generator():
     with pytest.raises(UnknownGenerator, match="'z'"):
         LYON_BASIS.prefix_exponents(Word((("a", 1), ("z", 1))))
     with pytest.raises(UnknownGenerator, match="'z'"):
-        LYON_BASIS.word_exponents(Word((("a", 1), ("z", 1), ("a", -1))))
+        LYON_BASIS(Word((("a", 1), ("z", 1), ("a", -1))))
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
 @pytest.mark.parametrize("max_len", [0, 1, 12, 500])
 def test_word_exponents_is_the_last_prefix(rank, max_len):
+    # the word's exponent vector, the signed sum of its letters' images, is
+    # the last prefix; the basis check and the ring map read it there
     rng = random.Random(101 * rank + max_len)
     images = {name: tuple(rng.randint(-3, 3) for _ in range(rank)) for name in "abc"}
     phi = AbelianizationMap(rank, images)
     for _ in range(20):
         w = random_word(rng, max_len=max_len)
-        assert phi.word_exponents(w) == phi.prefix_exponents(w)[-1]
+        exponents = tuple(
+            sum(sign * images[name][k] for name, sign in w.letters) for k in range(rank)
+        )
+        assert phi.prefix_exponents(w)[-1] == exponents
+        assert phi(w) == LaurentPoly.monomial(exponents)
 
 
 def test_apply_map_is_ring_homomorphism():

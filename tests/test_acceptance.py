@@ -14,29 +14,26 @@ from math import comb
 
 from foxtorsion import (
     AbelianizationMap,
-    GroupRingElement,
     LaurentPoly,
     TorsionClass,
-    Word,
-    apply_witness,
     compare_torsion,
+    newton_polytope,
+    support,
+    sutured_torsion,
+)
+from foxtorsion.equivalence import apply_witness
+from foxtorsion.groupring import GroupRingElement, fox_derivative
+from foxtorsion.lyon import LyonCase, lyon_input, lyon_surface_words, surface_block_poly
+from foxtorsion.polytope import polygon_affine_equivalent
+from foxtorsion.sfh import tensor_ranks, torus_sfh
+from foxtorsion.torsion import (
     det_bareiss,
     det_cofactor,
-    fox_derivative,
-    lyon_input,
-    lyon_surface_words,
-    LyonCase,
-    newton_polytope,
-    polygon_affine_equivalent,
-    support,
-    surface_block_poly,
-    sutured_torsion,
-    tensor_ranks,
+    determinant,
     torsion_normal_form,
-    torus_sfh,
 )
+from foxtorsion.words import Word
 from foxtorsion.cli import main
-from foxtorsion.torsion import determinant
 
 from helpers import apply_affine, random_laurent, random_unimodular, random_word
 

@@ -15,8 +15,17 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import cli, expected_torsion, lyon_input, render_word
+from foxtorsion import (
+    Presentation,
+    TorsionInput,
+    abelianize_presentation,
+    cli,
+    parse_word,
+    sutured_torsion,
+)
+from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion._kernels import iadd_product
+from foxtorsion.abelian import smith_normal_form
 from foxtorsion.cli import (
     MAX_BASIS_DIGITS,
     MAX_FAMILY_N,
@@ -25,12 +34,12 @@ from foxtorsion.cli import (
     main,
     parse_torsion_file,
 )
-from foxtorsion.errors import InputFileError
+from foxtorsion.errors import InputFileError, NotBalanced
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.polytope import iter_affine_maps, newton_polytope
 from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
 from foxtorsion.torsion import FOX_BLOCK, MAX_TERM_PRODUCTS
-from foxtorsion.words import MAX_WORD_LETTERS
+from foxtorsion.words import MAX_WORD_LETTERS, render_word
 
 from helpers import count_calls
 
@@ -296,6 +305,69 @@ def test_torsion_command_not_balanced(tmp_path, capsys):
     code, report, _ = run(capsys, "torsion", str(path))
     assert code == 1
     assert report["error"]["type"] == "NotBalanced"
+
+
+def test_an_unbalanced_file_gets_the_library_message():
+    presentation = Presentation(("a", "b"))
+    words = [parse_word("a", presentation.generators)]
+    tinput = TorsionInput(presentation, words, abelianize_presentation(presentation))
+    with pytest.raises(NotBalanced) as library:
+        sutured_torsion(tinput)
+    with pytest.raises(NotBalanced) as from_file:
+        parse_torsion_file(UNBALANCED_FILE)
+    assert str(from_file.value) == str(library.value) == "deficiency 2 != 1 inclusion words"
+
+
+def _many_relators_file():
+    """100 generators and 5,000 six-letter relators: 160 KB, unbalanced."""
+    rng = random.Random(5000)
+    names = [f"g{i}" for i in range(100)]
+    relators = "".join(
+        " ".join(f"{rng.choice(names)}^{rng.choice((1, -1))}" for _ in range(6)) + "\n"
+        for _ in range(5000)
+    )
+    return f"[generators]\n{' '.join(names)}\n[relators]\n{relators}[inclusion]\ng0\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_many_relators_file(), id="relators"),
+    pytest.param(
+        "[generators]\na b x\n[relators]\n" + "a^20000\n" * 400 + "[inclusion]\na\n",
+        id="powers",
+    ),
+])
+def test_an_unbalanced_file_is_refused_before_any_word_is_parsed(
+    tmp_path, capsys, monkeypatch, text
+):
+    path = tmp_path / "unbalanced.tor"
+    path.write_text(text)
+    parsed = count_calls(monkeypatch, parse_word, lambda text, names: len(text))
+    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix: len(matrix))
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert code == 1
+    assert report["error"]["type"] == "NotBalanced"
+    assert parsed == [] and snf == []
+
+
+def test_a_basis_of_more_names_than_generators_is_refused_before_the_snf(
+    tmp_path, capsys, monkeypatch
+):
+    # 3,200 names over 3 generators: the images kill the relator
+    # x^3 b^-2 a^-2 in every coordinate, but cannot generate Z^3200
+    r = 3200
+    names = " ".join(f"t{i}" for i in range(r))
+    images = "".join(f"{g} = {' '.join([e] * r)}\n" for g, e in zip("abx", "1 -1 0".split()))
+    text = LYON_S0.split("[basis]")[0] + f"[basis]\nnames = {names}\n{images}"
+    path = tmp_path / "wide.tor"
+    path.write_text(text)
+    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix: len(matrix))
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert code == 1
+    assert report["error"] == {
+        "type": "InvalidBasis",
+        "message": "user basis images do not generate Z^r",
+    }
+    assert snf == []
 
 
 def test_torsion_command_missing_file(capsys):
@@ -603,7 +675,8 @@ def _assert_json_error(capsys, path, error_type):
 
 def test_torsion_command_duplicate_generators(tmp_path, capsys):
     path = tmp_path / "dup.tor"
-    path.write_text("[generators]\na a x\n[relators]\nx\n[inclusion]\na\n")
+    # balanced, since the balance check comes before the presentation's
+    path.write_text("[generators]\na a x\n[relators]\nx\n[inclusion]\na\na\n")
     _assert_json_error(capsys, path, "DuplicateGenerator")
 
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from foxtorsion import (
     LaurentPoly,
     TorsionClass,
-    apply_witness,
     compare_torsion,
-    expected_torsion,
     newton_polytope,
     support,
 )
-from foxtorsion.equivalence import _match
+from foxtorsion.equivalence import _match, apply_witness
+from foxtorsion.lyon import expected_torsion
 
 from helpers import apply_affine, count_calls, random_laurent, random_unimodular
 

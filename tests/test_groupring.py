@@ -3,12 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import (
-    GroupRingElement,
-    Word,
-    fox_derivative,
-    parse_word,
-)
+from foxtorsion import parse_word
+from foxtorsion.groupring import GroupRingElement, fox_derivative
+from foxtorsion.words import Word
 from foxtorsion._kernels import accumulate
 
 from helpers import random_word

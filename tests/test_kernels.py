@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import LaurentPoly, Word
+from foxtorsion import LaurentPoly
+from foxtorsion.words import Word
 from foxtorsion._kernels import accumulate, add_terms, iadd_product, iadd_scaled, mul_terms
 from foxtorsion.errors import InexactDivision
 

@@ -3,21 +3,22 @@ import pytest
 from foxtorsion import (
     AbelianizationMap,
     LaurentPoly,
-    LyonCase,
     TorsionClass,
+    parse_word,
+    sutured_torsion,
+)
+from foxtorsion.groupring import fox_derivative
+from foxtorsion.lyon import (
+    LyonCase,
     alexander_coefficients,
     expected_torsion,
-    fox_derivative,
     lyon_input,
     lyon_surface_words,
-    parse_word,
-    render_word,
     surface_block_poly,
-    sutured_torsion,
-    torsion_normal_form,
 )
+from foxtorsion.torsion import det_cofactor, torsion_normal_form
+from foxtorsion.words import render_word
 from foxtorsion.errors import UnsupportedN
-from foxtorsion.torsion import det_cofactor
 
 from helpers import substitute
 

@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import (
-    LaurentPoly,
+from foxtorsion import LaurentPoly, TorsionClass, newton_polytope, sfh_polytope, support
+from foxtorsion.abelian import smith_normal_form
+from foxtorsion.lyon import expected_torsion
+from foxtorsion.polytope import (
     SupportSet,
-    TorsionClass,
     affine_dimension,
-    expected_torsion,
     hull_mismatch,
     iter_affine_maps,
-    newton_polytope,
     polygon_affine_equivalent,
-    sfh_polytope,
-    support,
-    smith_normal_form,
 )
 from foxtorsion.errors import RankUnsupported, ZeroTorsion
 

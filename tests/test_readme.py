@@ -6,6 +6,7 @@ import io
 import re
 from pathlib import Path
 
+import foxtorsion
 from foxtorsion.cli import cmd_compare
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -52,3 +53,18 @@ def test_compare_example_prints_its_commented_verdict():
     report, _ = cmd_compare(*(str(README.parent / p) for p in command.split()[3:]))
     verdict = report["torsion_verdict"]
     assert f"{verdict['kind']}: {verdict['reason']}" == comment.strip()
+
+
+def test_the_package_exports_the_library_example_and_the_benchmark_names():
+    surface = {
+        "AbelianizationMap", "BACKEND", "LaurentPoly", "Presentation",
+        "TorsionClass", "TorsionInput", "abelianize_presentation",
+        "compare_torsion", "errors", "newton_polytope", "parse_word",
+        "sfh_polytope", "support", "sutured_torsion",
+    }
+    assert sorted(foxtorsion.__all__) == sorted(surface)
+    namespace = {}
+    exec("from foxtorsion import *", namespace)
+    assert set(namespace) - {"__builtins__"} == surface
+    imported = re.search(r"from foxtorsion import \((.*?)\)", library_example(), re.S)
+    assert set(imported.group(1).replace(",", " ").split()) <= surface

@@ -2,9 +2,14 @@ from math import comb
 
 import pytest
 
-from foxtorsion import GradedRanks, tensor_ranks, torus_sfh
 from foxtorsion.errors import InputTooLarge, NonpositiveP, OddSutureCount
-from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
+from foxtorsion.sfh import (
+    MAX_BINOMIAL_ROW,
+    MAX_TABLE_LENGTH,
+    GradedRanks,
+    tensor_ranks,
+    torus_sfh,
+)
 
 
 def test_two_suture_examples():
@@ -84,7 +89,8 @@ def test_tensor_commutative_associative():
 
 
 def test_minus_one_case_totals_match_torsion():
-    from foxtorsion import lyon_input, sutured_torsion
+    from foxtorsion import sutured_torsion
+    from foxtorsion.lyon import lyon_input
 
     product = tensor_ranks(torus_sfh(2, 1, 2), torus_sfh(3, 4, 2))
     torsion_total = sutured_torsion(lyon_input(-1, "S")).coefficient_sum()

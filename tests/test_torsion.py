@@ -15,21 +15,14 @@ from foxtorsion import (
     Presentation,
     TorsionClass,
     TorsionInput,
-    Word,
     abelianize_presentation,
-    apply_witness,
     compare_torsion,
-    det_bareiss,
-    det_cofactor,
-    determinant,
-    expected_torsion,
-    fox_derivative,
-    fox_matrix,
-    lyon_input,
     parse_word,
     sutured_torsion,
-    torsion_normal_form,
 )
+from foxtorsion.equivalence import apply_witness
+from foxtorsion.groupring import fox_derivative
+from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion import cli, torsion
 from foxtorsion._kernels import iadd_product
 from foxtorsion.errors import (
@@ -45,9 +38,14 @@ from foxtorsion.torsion import (
     _is_unit,
     _normalize,
     _period_step,
+    det_bareiss,
+    det_cofactor,
+    determinant,
     fox_determinant,
+    fox_matrix,
+    torsion_normal_form,
 )
-from foxtorsion.words import MAX_WORD_LETTERS
+from foxtorsion.words import MAX_WORD_LETTERS, Word
 
 from helpers import (
     count_calls,

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxtorsion import Presentation, Word, parse_word, render_word, words
+from foxtorsion import Presentation, parse_word, words
 from foxtorsion.cli import main
-from foxtorsion.words import MAX_EXPANDED_LETTERS, MAX_NESTING, MAX_WORD_LETTERS
+from foxtorsion.words import (
+    MAX_EXPANDED_LETTERS,
+    MAX_NESTING,
+    MAX_WORD_LETTERS,
+    Word,
+    render_word,
+)
 from foxtorsion.errors import (
     InvalidGeneratorName,
     ParseError,
