@@ -33,7 +33,8 @@ def smith_normal_form(matrix):
     the Smith normal form, nonnegative with d1 | d2 | ..., and U is the
     unimodular m x m row transform with U * matrix * V = diag(factors) for a
     unimodular V.  V is never formed: column operations act on the working
-    copy of the matrix only.
+    copy of the matrix only, and only on the rows where the pivot column is
+    nonzero.
     """
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
@@ -54,8 +55,10 @@ def smith_normal_form(matrix):
         i, j = best
         A[t], A[i] = A[i], A[t]
         U[t], U[i] = U[i], U[t]
-        for row in A:
-            row[t], row[j] = row[j], row[t]
+        # rows above t are zero from column t on, so column operations skip them
+        if j != t:
+            for row in A[t:]:
+                row[t], row[j] = row[j], row[t]
 
         dirty = False
         for i in range(t + 1, m):
@@ -63,10 +66,12 @@ def smith_normal_form(matrix):
                 row_op(i, t, A[i][t] // A[t][t])
                 if A[i][t]:
                     dirty = True
+        # column t is now nonzero only in row t and the rows left with a remainder
+        rows = [row for row in A[t:] if row[t]]
         for j in range(t + 1, n):
             if A[t][j]:
                 q = A[t][j] // A[t][t]
-                for row in A:  # col_j -= q * col_t
+                for row in rows:  # col_j -= q * col_t
                     row[j] -= q * row[t]
                 if A[t][j]:
                     dirty = True

@@ -51,12 +51,11 @@ from .words import Presentation, parse_word, render_word
 _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
 # The most generators a file may declare.  With a defining relator y a^-1 b
-# for each generator y beyond three and no [basis], `torsion` took 18 ms at 53
-# generators, 74 ms at 100 and 0.37 s at 203 on a 2-vCPU VM, most of it in
-# the Smith normal form of the relator matrix, whose column operations each
-# walk every row.  With a [basis] it took 11, 35 and 164 ms, most of it in
-# fox_matrix, which calls fox_derivative once per generator and word: 41,209
-# calls at 203.
+# for each generator y beyond three, `torsion` took 18-21 ms at 53
+# generators, 56-62 ms at 100 and 0.15-0.23 s at 203 on a 2-vCPU VM with no
+# [basis], and 17-21, 49-57 and 156-195 ms with one.  Either way most of it
+# is fox_matrix, which calls fox_derivative once per generator and word:
+# 41,209 calls at 203.
 MAX_GENERATORS = 100
 
 # The most digits, after its sign, of a [basis] image field.  Exponents then

@@ -13,15 +13,17 @@ sign and decimal digits of any script (Unicode Nd), and whitespace is ignored
 except between names: a name is read as long as it goes, so touching names
 are one name (``ab``), while a parenthesis or an exponent ends an atom and a
 name may follow it directly (``a^1b`` is ``a b``).  Parentheses nest at most
-``MAX_NESTING`` deep, and the empty string denotes the identity.  The canonical renderer emits the ``a^-1`` exponent form, so
-rendered words re-parse to themselves.
+``MAX_NESTING`` deep, and the empty string denotes the identity.  The
+canonical renderer emits the ``a^-1`` exponent form, so rendered words
+re-parse to themselves.
 
-``parse_word`` reads one term per regex match.  A per-call memo maps the
-text of each term of at most one letter (``a``, ``a^-1``, ``a^0``) to that
-letter, so a repeated token costs one dict lookup and one comparison with
-the top of the letter stack.  Parse time is linear in the text plus the
-letters that powers and parenthesized groups expand to, and
-``MAX_EXPANDED_LETTERS`` bounds those.
+``parse_word`` reads the text one whitespace-separated chunk at a time, by
+``str.split``.  A per-call memo maps each chunk that is one term of at most
+one letter (``a``, ``a^-1``, ``a^0``) to that letter, so a repeated chunk
+costs one dict lookup and one comparison with the top of the letter stack;
+the token pattern runs once on each other chunk.  Parse time is linear in
+the text plus the letters that powers and parenthesized groups expand to,
+and ``MAX_EXPANDED_LETTERS`` bounds those.
 """
 
 import re
@@ -44,9 +46,9 @@ MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
 # Parse time is linear in the text plus the letters that powers and groups
 # expand to, and a power may cancel what the one before it pushed: 200 pairs
-# "a^10000 a^-10000", 3,399 characters, expand 4,000,000 letters (1.7 s on a
+# "a^10000 a^-10000", 3,399 characters, expand 4,000,000 letters (0.5 s on a
 # 2-vCPU VM).  So the letters pushed by atoms of more than one letter may
-# total this many; the line above is refused at its ninth power, in about 20 ms.
+# total this many; the line above is refused at its ninth power, in about 10 ms.
 # No recorded test text needs more than 40,000, and a full-size word still
 # fits inside three pairs of parentheses, each of which pushes it again.
 MAX_EXPANDED_LETTERS = 4 * MAX_WORD_LETTERS
@@ -55,12 +57,11 @@ MAX_EXPANDED_LETTERS = 4 * MAX_WORD_LETTERS
 MAX_NESTING = 100
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# After whitespace: (1) an atom, a (2) name or a ')', with the (3) signed
-# exponent right after it, whose (4) digits may be missing (a malformed
-# exponent); or a (5) '(', a (6) stray character, or the end.
-_TOKEN_RE = re.compile(
-    rf"\s*(?:((?:({_NAME_RE.pattern})|\))(?:\^([+-]?(\d*)))?)|(\()|(.)|\Z)", re.S
-)
+# Within a chunk of non-whitespace: (1) an atom, a (2) name or a ')', with
+# the (3) signed exponent right after it, whose (4) digits may be missing (a
+# malformed exponent); or a (5) '(' or a (6) stray character.  Every
+# character starts a match, so the matches cover the chunk.
+_TOKEN_RE = re.compile(rf"((?:({_NAME_RE.pattern})|\))(?:\^([+-]?(\d*)))?)|(\()|(.)", re.S)
 
 
 def _push_reduced(stack, atom):
@@ -85,6 +86,38 @@ def _reduce(letters):
         else:
             stack.append((name, sign))
     return tuple(stack)
+
+
+def _chunk_start(text, chunk, pos):
+    """Where ``chunk``, the next chunk of ``text.split()`` that the token
+    pattern reads in place, starts: its first occurrence at or after ``pos``,
+    the end of the last one, with whitespace or an end of the text on both
+    sides.  The chunks skipped since ``pos`` were each one known name with a
+    well-formed exponent, and ``chunk`` is not, so none of them equals it; the
+    check on both sides rules out an occurrence inside one of them."""
+    size = len(chunk)
+    while True:
+        start = text.index(chunk, pos)
+        end = start + size
+        if (not start or text[start - 1].isspace()) and (
+            end == len(text) or text[end].isspace()
+        ):
+            return start
+        pos = start + 1
+
+
+def _power(atom, k):
+    """The k-th power, k >= 0, of a freely reduced atom, freely reduced, with
+    no letter-by-letter reduction.  Written u c u^-1 with c cyclically
+    reduced, the atom's power is u c^k u^-1: only the junctions of the copies
+    can cancel, and those of c do not."""
+    n = len(atom)
+    if not k or not n:
+        return ()
+    i = 0  # the length of u
+    while 2 * i + 1 < n and atom[i][0] == atom[-1 - i][0] and atom[i][1] == -atom[-1 - i][1]:
+        i += 1
+    return atom[:i] + atom[i : n - i] * k + atom[n - i :]
 
 
 class Word:
@@ -178,22 +211,26 @@ def render_word(w):
 def parse_word(text, names):
     """Parse the word grammar over the given generator names into a reduced Word.
 
-    One loop over the matches of one token pattern, each an atom with the
-    exponent right after it, or a '(', a stray character or the end: each
-    '(' saves the enclosing sequence's letter stack, and each atom, freely
-    reduced, cancels against the top of the current freely reduced stack at
-    their junction and is appended; a power reduces its atom once.  A
-    per-call memo maps the text of each name term of at most one letter
-    (``a``, ``a^-1``, ``a^0``) to that letter and its inverse, so a repeated
-    token is pushed or cancelled with one comparison and no call.  Longer powers are never kept, so the memo
-    holds no expanded power however many distinct ones a text has.  The
-    result equals folding the syntax tree through ``Word.__mul__`` and
-    ``Word.__pow__``, errors included, left to right.
+    The text is read one ``str.split`` chunk at a time.  A per-call memo maps
+    each chunk that is one name term of at most one letter (``a``, ``a^-1``,
+    ``a^0``) to that letter and its inverse, so a repeated chunk is pushed or
+    cancelled with one lookup and one comparison with the top of the letter
+    stack.  Any other chunk goes through the token pattern: a chunk that is
+    one known name with a well-formed exponent in one match on its own text,
+    the rest (parentheses, touching terms, errors) match by match in place,
+    so that positions count from the start of the text.  Each '(' saves the
+    enclosing sequence's letter stack, and each atom, freely reduced, cancels
+    against the top of the current freely reduced stack at their junction and
+    is appended.  A group that reduces to u c u^-1, with c cyclically
+    reduced, has the k-th power u c^k u^-1, built without reducing.  Powers
+    are never kept, so the memo holds no expanded power however many distinct
+    ones a text has.  The result equals folding the syntax tree through
+    ``Word.__mul__`` and ``Word.__pow__``, errors included, left to right.
 
     Time is linear in the text plus the letters that atoms of more than one
     letter expand to (powers and parenthesized groups, counted once per push);
     those may total MAX_EXPANDED_LETTERS.  An atom of one letter costs a
-    token of text and is not counted.
+    chunk of text and is not counted.
 
     Raises ParseError (with position) for unknown generator names, malformed
     exponents, unbalanced parentheses, parentheses nested deeper than
@@ -202,13 +239,13 @@ def parse_word(text, names):
     words beyond MAX_WORD_LETTERS and expansions beyond MAX_EXPANDED_LETTERS.
     """
     names = set(names)
-    memo = {}  # name atom text -> () or (letter, its inverse)
+    memo = {}  # chunk of one name term of at most one letter -> () or (letter, inverse)
     open_parens = []  # (position of the '(', the enclosing sequence's stack)
     stack = []  # the current sequence's letters so far, freely reduced
     expanded = 0  # letters pushed by atoms of more than one letter
-    for token in _TOKEN_RE.finditer(text):
-        term = token[1]
-        hit = memo.get(term)
+    located = 0  # where the last chunk read in place ends
+    for chunk in text.split():
+        hit = memo.get(chunk)
         if hit is not None:
             if hit:
                 if len(stack) == MAX_WORD_LETTERS:
@@ -219,60 +256,71 @@ def parse_word(text, names):
                 else:
                     stack.append(letter)
             continue
-        if term is None:
-            if token[5]:
-                if len(open_parens) == MAX_NESTING:
-                    message = f"parentheses nested deeper than {MAX_NESTING}"
-                    raise ParseError(message, token.start(5))
-                open_parens.append((token.start(5), stack))
-                stack = []
-                continue
-            if token[6]:
-                raise ParseError(f"unexpected character {token[6]!r}", token.start(6))
-            if open_parens:
-                raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
-            return Word._from_reduced(stack)
-        name = token[2]
-        if name:
-            if name not in names:
-                raise ParseError(f"unknown generator {name!r}", token.start(1))
-            atom = ((name, 1),)
+        token = _TOKEN_RE.match(chunk)
+        if token.end() == len(chunk) and token[2] in names and token[4] != "":
+            # one known name with a well-formed exponent, if any: no error
+            # with a position can come, so a match on the chunk alone will do
+            tokens = (token,)
         else:
-            if not open_parens:
-                raise ParseError("unbalanced parentheses: unexpected ')'", token.start(1))
-            atom = stack
-            stack = open_parens.pop()[1]
-        size = len(atom)
-        if token[3] is not None:
-            digits = token[4]
-            if not digits:
-                raise ParseError("malformed exponent", token.start(3))
-            # Longer runs exceed MAX_EXPONENT; int() would meet its string limit.
-            if len(digits) > len(str(MAX_EXPONENT)):
-                raise WordSizeError(
-                    f"exponent with {len(digits)} digits exceeds {MAX_EXPONENT}"
-                )
-            k = int(token[3])
-            if abs(k) > MAX_EXPONENT:
-                raise WordSizeError(f"exponent magnitude {k} exceeds {MAX_EXPONENT}")
-            if k < 0:
-                atom, k = [(g, -sign) for g, sign in reversed(atom)], -k
-            size *= k
-            if size > MAX_WORD_LETTERS:
-                raise WordSizeError("power exceeds the word size limit")
-            # a power of one letter is reduced already
-            atom = _reduce(atom * k) if len(atom) > 1 else atom * k
-        if size > 1:
-            expanded += size
-            if expanded > MAX_EXPANDED_LETTERS:
-                raise WordSizeError(
-                    f"powers and groups expand to more than {MAX_EXPANDED_LETTERS} letters"
-                )
-        if len(stack) + len(atom) > MAX_WORD_LETTERS:
-            raise WordSizeError("product exceeds the word size limit")
-        if name and size <= 1:
-            memo[term] = (atom[0], (name, -atom[0][1])) if atom else ()
-        _push_reduced(stack, atom)
+            start = _chunk_start(text, chunk, located)
+            located = start + len(chunk)
+            tokens = _TOKEN_RE.finditer(text, start, located)
+        for token in tokens:
+            term = token[1]
+            if term is None:
+                if token[5]:
+                    if len(open_parens) == MAX_NESTING:
+                        message = f"parentheses nested deeper than {MAX_NESTING}"
+                        raise ParseError(message, token.start(5))
+                    open_parens.append((token.start(5), stack))
+                    stack = []
+                    continue
+                raise ParseError(f"unexpected character {token[6]!r}", token.start(6))
+            name = token[2]
+            if name:
+                if name not in names:
+                    raise ParseError(f"unknown generator {name!r}", token.start(1))
+                atom = ((name, 1),)
+            else:
+                if not open_parens:
+                    raise ParseError("unbalanced parentheses: unexpected ')'", token.start(1))
+                atom = stack
+                stack = open_parens.pop()[1]
+            size = len(atom)
+            if token[3] is not None:
+                digits = token[4]
+                if not digits:
+                    raise ParseError("malformed exponent", token.start(3))
+                # Longer runs exceed MAX_EXPONENT; int() would meet its string limit.
+                if len(digits) > len(str(MAX_EXPONENT)):
+                    raise WordSizeError(
+                        f"exponent with {len(digits)} digits exceeds {MAX_EXPONENT}"
+                    )
+                k = int(token[3])
+                if abs(k) > MAX_EXPONENT:
+                    raise WordSizeError(f"exponent magnitude {k} exceeds {MAX_EXPONENT}")
+                if k < 0:
+                    atom = ((name, -1),) if name else [(g, -sign) for g, sign in reversed(atom)]
+                    k = -k
+                size *= k
+                if size > MAX_WORD_LETTERS:
+                    raise WordSizeError("power exceeds the word size limit")
+                # a power of one letter is reduced already
+                atom = atom * k if name else _power(atom, k)
+            if size > 1:
+                expanded += size
+                if expanded > MAX_EXPANDED_LETTERS:
+                    raise WordSizeError(
+                        f"powers and groups expand to more than {MAX_EXPANDED_LETTERS} letters"
+                    )
+            if len(stack) + len(atom) > MAX_WORD_LETTERS:
+                raise WordSizeError("product exceeds the word size limit")
+            if name and size <= 1 and len(term) == len(chunk):
+                memo[chunk] = (atom[0], (name, -atom[0][1])) if atom else ()
+            _push_reduced(stack, atom)
+    if open_parens:
+        raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
+    return Word._from_reduced(stack)
 
 
 class Presentation:

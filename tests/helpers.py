@@ -16,6 +16,7 @@ from foxtorsion import (
 )
 from foxtorsion.words import Word
 from foxtorsion._kernels import accumulate
+from foxtorsion.abelian import _pivot
 from foxtorsion.polytope import _apply, _completion, _pad
 from foxtorsion.errors import InputTooLarge, ParseError, RankMismatch, WordSizeError
 
@@ -415,3 +416,55 @@ def reference_parse_word(text, names):
                 stack.pop()
             else:
                 stack.append((name, sign))
+
+
+def reference_smith_normal_form(matrix):
+    """`abelian.smith_normal_form` with every column operation and column swap
+    walking every row, the reference for its ``(factors, U)``: the rows it
+    skips hold zeros in the columns it changes."""
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
+
+    t = 0
+    while t < min(m, n):
+        best = _pivot(A, t)
+        if best is None:
+            break
+        i, j = best
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                row_op(i, t, A[i][t] // A[t][t])
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if A[t][j]:
+                q = A[t][j] // A[t][t]
+                for row in A:
+                    row[j] -= q * row[t]
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        p = A[t][t]
+        if p not in (1, -1):
+            rows = range(t + 1, m)
+            stuck = next((i for i in rows if any(x % p for x in A[i][t + 1 :])), None)
+            if stuck is not None:
+                row_op(t, stuck, -1)
+                continue
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return [A[i][i] for i in range(min(m, n))], U

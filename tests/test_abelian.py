@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from foxtorsion import (
     parse_word,
 )
 from foxtorsion.abelian import integer_rank, render_terms, smith_normal_form
+from foxtorsion.cli import parse_torsion_file
 from foxtorsion.groupring import GroupRingElement
 from foxtorsion.words import Word
 from foxtorsion.errors import (
@@ -24,7 +26,13 @@ from foxtorsion.errors import (
     UnknownGenerator,
 )
 
-from helpers import laurent_polys, random_laurent, random_word, substitute
+from helpers import (
+    laurent_polys,
+    random_laurent,
+    random_word,
+    reference_smith_normal_form,
+    substitute,
+)
 
 
 # -- Smith normal form --------------------------------------------------------
@@ -110,6 +118,41 @@ def test_smith_normal_form_row_transform_recorded(matrix, factors, U):
     # recorded at 1fc1839, when the function also formed V: the elimination
     # order, and so every printed basis, is unchanged
     assert smith_normal_form(matrix) == (factors, U)
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Matrices up to 7 x 7 with entries in [-4, 4], many of them 0, so that
+    non-unit pivots, remainders and the divisibility step all come up."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_integer_matrices())
+def test_smith_normal_form_equals_the_all_rows_reference(matrix):
+    assert smith_normal_form(matrix) == reference_smith_normal_form(matrix)
+
+
+@pytest.mark.parametrize("name", ["generators-100.tor", "generators-100-basis.tor"])
+def test_smith_normal_form_equals_the_reference_on_the_generator_files(name):
+    path = os.path.join(os.path.dirname(__file__), "golden", name)
+    with open(path, encoding="utf-8") as fh:
+        tinput = parse_torsion_file(fh.read())
+    pres = tinput.presentation
+    index = {g: i for i, g in enumerate(pres.generators)}
+    relator_matrix = [[0] * len(pres.relators) for _ in pres.generators]
+    for j, rel in enumerate(pres.relators):
+        for g, sign in rel.letters:
+            relator_matrix[index[g]][j] += sign
+    images = tinput.abelianization.images
+    image_matrix = [
+        [images[g][i] for g in pres.generators] for i in range(tinput.abelianization.rank)
+    ]
+    for matrix in (relator_matrix, image_matrix):
+        assert smith_normal_form(matrix) == reference_smith_normal_form(matrix)
 
 
 def snf_rank(matrix):

@@ -265,7 +265,7 @@ def outcome(compute):
     try:
         return ("word", compute().letters)
     except (ParseError, WordSizeError) as exc:
-        return (type(exc).__name__, str(exc))
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
 
 
 def trees(depth):
@@ -506,3 +506,129 @@ def test_the_expansion_budget_boundary(text, accepted):
     else:
         with pytest.raises(WordSizeError, match="expand to more than"):
             parse_word(text, GENS)
+
+
+# -- the chunked tokenizer against the reference parser ---------------------------
+#
+# parse_word reads the text by text.split() chunks, serves the chunks it has
+# seen from its memo, and runs the token pattern only over the others, at their
+# place in the text.  These texts cut terms, exponents and groups across
+# chunks with Unicode whitespace, and repeat fragments so that the memo serves
+# some chunks and others with the same text inside them do not.
+
+CHUNK_NAMES = ("a", "b", "x", "ab")
+SEPARATORS = ("", " ", "\t", "\n", "\x1c", "\x1f", "\xa0", "\u2003", "\u3000", " \u3000\t")
+UNICODE_EXPONENTS = ("^\u0663", "^-\u0661", "^+\uff12", "^\u0660", "^-\u09e7\u09e6")
+chunk_fragments = st.one_of(
+    st.builds(
+        lambda name, exponent: name + exponent,
+        st.sampled_from(CHUNK_NAMES),
+        st.sampled_from(EXPONENTS + UNICODE_EXPONENTS),
+    ),
+    # touching names, a '^' at either edge of a chunk, groups cut across
+    # chunks, stray characters
+    st.sampled_from([
+        "abx", "a1", "ba^2", "a^2b", "a^-1b^2x", "x^-1ab", "a^", "^2", "^", "^-1",
+        "(", ")", ")(", "()", ")^2", ")^-1", "(a", "b)", "b)^-2", "(ab", "a)^\u0662",
+        "*", "\xb2", "\xe9", "a^\xb2",
+    ]),
+)
+chunk_size_fragments = st.builds(
+    lambda template, size: template.format(size=size, half=size // 2),
+    st.sampled_from(["a^{size}", "b^-{size}", "(a b^-1)^{half}", "(ab x a^-1)^{half}"]),
+    st.sampled_from([MAX_WORD_LETTERS // 2, MAX_WORD_LETTERS, MAX_WORD_LETTERS + 1]),
+)
+
+
+@st.composite
+def chunked_texts(draw):
+    fragments = draw(st.lists(chunk_fragments, max_size=10))
+    fragments = fragments * draw(st.integers(1, 3))
+    fragments += draw(st.lists(chunk_size_fragments, max_size=2))
+    fragments = draw(st.permutations(fragments))
+    separators = draw(st.lists(
+        st.sampled_from(SEPARATORS), min_size=len(fragments) + 1, max_size=len(fragments) + 1
+    ))
+    return separators[0] + "".join(f + s for f, s in zip(fragments, separators[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(chunked_texts())
+def test_chunked_parse_matches_the_reference(text):
+    # The reference has no expansion budget, so the budget is lifted here;
+    # the boundary tests above check it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "MAX_EXPANDED_LETTERS", 10 * MAX_EXPANDED_LETTERS)
+        got = outcome(lambda: parse_word(text, CHUNK_NAMES))
+    assert got == outcome(lambda: reference_parse_word(text, CHUNK_NAMES))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a chunk the memo misses, whose text also sits inside chunks it served
+        "ab ab ab b", "b^-1 ab^-1 ab^-1 (b^-1)", "a^2b a^2 ab a^2b qq",
+        "ab^2 ab^2 b^2 )", "a a\u3000a\xa0(a\x1c)^2 ) ", "x ab x b^-1 b^-1) x",
+        "(a ) )", "a^\u0663\u2003b^-\u0661 a^\u0663 ^2", "a^2 ab^2 ^2",
+        "ab^2 ab^2\tb^", "a^2 a^", "b a a^-1 b^- ",
+    ],
+)
+def test_chunk_positions_match_the_reference(text):
+    assert outcome(lambda: parse_word(text, CHUNK_NAMES)) == outcome(
+        lambda: reference_parse_word(text, CHUNK_NAMES)
+    )
+
+
+def test_split_and_the_token_pattern_agree_on_whitespace():
+    # parse_word splits with str.split() and locates chunks with str.isspace,
+    # while the reference skips r"\s": every code point is whitespace to all
+    # three or to none.
+    chars = "".join(map(chr, range(0x110000)))
+    by_pattern = set(re.findall(r"\s", chars))
+    assert {c for c in chars if not c.split()} == by_pattern
+    assert {c for c in chars if c.isspace()} == by_pattern
+
+
+class CountingPattern:
+    """A compiled pattern that counts the matches it makes."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matches = 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+    def finditer(self, *args):
+        for token in self.pattern.finditer(*args):
+            self.matches += 1
+            yield token
+
+
+def test_the_token_pattern_runs_once_per_distinct_term(monkeypatch):
+    rng = random.Random(27)
+    terms = ("a", "a^-1", "b", "b^-1", "x", "x^+1", "x^-1", "a^1", "b^0")
+    text = " ".join(rng.choice(terms) for _ in range(5000))
+    pattern = CountingPattern(words._TOKEN_RE)
+    monkeypatch.setattr(words, "_TOKEN_RE", pattern)
+    assert parse_word(text, GENS) == reference_parse_word(text, GENS)
+    assert 0 < pattern.matches <= len(set(text.split()))
+
+
+def test_a_group_power_is_not_reduced_letter_by_letter(monkeypatch):
+    # u c u^-1 with c cyclically reduced has the power u c^k u^-1, so the
+    # letters come from one repetition of c, with no free reduction
+    texts = ("(a b)^10000", "(a b a^-1)^6666", "(b a x^-1 a^-1 b^-1)^-4000")
+    expected = [reference_parse_word(text, GENS) for text in texts]
+    reduced = count_calls(monkeypatch, words._reduce, lambda letters: len(letters))
+    assert [parse_word(text, GENS) for text in texts] == expected
+    assert reduced == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters_strategy, st.integers(0, 6))
+def test_power_of_a_reduced_atom_equals_its_reduced_repetition(raw, k):
+    atom = Word(raw).letters
+    assert tuple(words._power(atom, k)) == words._reduce(atom * k)
+    assert tuple(words._power(list(atom), k)) == words._reduce(atom * k)
