@@ -51,9 +51,9 @@ from .words import Presentation, parse_word, render_word
 _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
 # The most generators a file may declare.  With a defining relator y a^-1 b
-# for each generator y beyond three, `torsion` took 18-21 ms at 53
-# generators, 56-62 ms at 100 and 0.15-0.23 s at 203 on a 2-vCPU VM with no
-# [basis], and 17-21, 49-57 and 156-195 ms with one.  Either way most of it
+# for each generator y beyond three, `torsion` took 10-13 ms at 53
+# generators, 33-36 ms at 100 and 0.14-0.16 s at 203 on a 2-vCPU VM with no
+# [basis], and 8-10, 24-31 and 94-134 ms with one.  Either way most of it
 # is fox_matrix, which calls fox_derivative once per generator and word:
 # 41,209 calls at 203.
 MAX_GENERATORS = 100
@@ -145,7 +145,8 @@ def parse_torsion_file(text):
         )
 
     presentation = Presentation(generators, [line for _, line in sections["relators"]])
-    inclusion = [parse_word(line, generators) for _, line in sections["inclusion"]]
+    known = frozenset(generators)
+    inclusion = [parse_word(line, known) for _, line in sections["inclusion"]]
     user = None if names is None else AbelianizationMap(len(names), images, names)
     return TorsionInput(presentation, inclusion, abelianize_presentation(presentation, user))
 

@@ -96,11 +96,16 @@ def fox_derivative(word, name):
     The prefixes are distinct, so the term dict is built in one pass with
     no summing: two occurrences of g give prefixes of different lengths,
     and a +g at i and a -g at j give equal lengths only if i = j + 1, the
-    pair g^-1 g that a reduced word does not hold.
+    pair g^-1 g that a reduced word does not hold.  Each prefix Word is
+    made with ``Word.__new__`` and one slot store, as ``Word._from_reduced``
+    would, without a classmethod call per term.
     """
     letters = word.letters
-    return GroupRingElement._raw({
-        Word._from_reduced(letters[:i] if sign > 0 else letters[: i + 1]): sign
-        for i, (lname, sign) in enumerate(letters)
-        if lname == name
-    })
+    new = Word.__new__
+    terms = {}
+    for i, (lname, sign) in enumerate(letters):
+        if lname == name:
+            u = new(Word)
+            u.letters = letters[:i] if sign > 0 else letters[: i + 1]
+            terms[u] = sign
+    return GroupRingElement._raw(terms)

@@ -6,7 +6,8 @@ those of the relators, one row per generator.  The result is only meaningful
 up to a sign and a monomial factor, which the normal form strips.  Each word is
 differentiated in blocks of at most FOX_BLOCK letters by Fox's product rule
 d(uv) = du + u dv, so a column costs time linear in its word's length and
-memory bounded by the block size.
+memory bounded by the block size; each entry sums the blocks' terms in one
+inline dict loop, with no generator or kernel call per entry.
 
 Before the determinant, each column whose word is mostly a power v^k, whose
 Fox derivatives are geometric sums in the image U of v, is multiplied by the
@@ -16,9 +17,11 @@ is kept when it has fewer terms than the column.  The determinant of the
 cleared matrix is then divided by those binomials, which
 `LaurentPoly.exact_div` does in one pass.  The determinant itself first
 eliminates unit pivots (+-monomial entries, which every Tietze relator
-y w^-1 contributes) on sparse rows, lowest Markowitz cost first, while more
-than 3 rows are left; each step touches only the rows that meet the pivot's
-column.  It then densifies the rest once and expands it along the
+y w^-1 contributes) on sparse rows of term dicts, lowest Markowitz cost
+first, while more than 3 rows are left; each step touches only the rows that
+meet the pivot's column, updates each of their entries in place on a copy
+through `iadd_scaled`, and keeps the product of the pivots as a sign and an
+exponent tuple.  It then densifies the rest once and expands it along the
 columns over memoized minors, with no division, at any size.  The expansion
 packs each exponent vector into one integer, in fields wide enough that a
 sum of n exponents never carries, and sums each signed product into its
@@ -33,9 +36,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import lshift, sub
+from operator import add, lshift, neg, sub
 
-from ._kernels import accumulate, iadd_product
+from ._kernels import iadd_product, iadd_scaled
 from .abelian import AbelianizationMap, LaurentPoly
 from .errors import (
     InexactDivision,
@@ -153,9 +156,14 @@ def torsion_normal_form(poly):
 # where the whole word would cost O(L^2) in both.  On the `long-words` design
 # (seed 7, 250 to 1,000 letters per word, a 2-vCPU VM) the Fox matrices took
 # 3.2-3.5 ms per operation with blocks of 16 to 48 letters, 3.9 ms at 8, 3.8 ms
-# at 64, 4.9 ms at 128 and 13.7 ms for whole words.  32 sits in the flat part
-# with half the calls of 16, and every Lyon word at n = 1 (at most 7 letters)
-# stays one block.
+# at 64, 4.9 ms at 128 and 13.7 ms for whole words.  Once the entries were
+# summed inline, 16, 24, 32 and 48 were timed again in process, in two runs of
+# 10 interleaved rounds on the seed-7 `long-words` and `tietze` designs: on
+# `long-words` 16 and 24 ran 2-8 % under 32 (1.3-2.4 ms per operation) and
+# beat it in 7 to 9 of 10 rounds, on `tietze` 32 beat each of them in 5 to 9
+# of 10, and 48 lost on `long-words`.  No size won 9 of 10 rounds in both
+# runs and on both designs, so 32 stays: the flat part with half the calls
+# of 16, and every Lyon word at n = 1 (at most 7 letters) stays one block.
 FOX_BLOCK = 32
 
 
@@ -190,7 +198,9 @@ def fox_matrix(torsion_input):
     ``fox_derivative(w_j, g_i)``, so entry (i, j) equals
     ``phi(fox_derivative(w_j, g_i))`` term for term, without mapping any
     prefix again.  The prefixes are kept with the input, so `fox_determinant`
-    reads the same ones when it clears the columns.
+    reads the same ones when it clears the columns.  Each entry sums its
+    terms in one inline dict loop, the idiom of `mul_terms`, since feeding a
+    generator to a summing kernel is slower.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
@@ -199,21 +209,24 @@ def fox_matrix(torsion_input):
             f"deficiency {pres.deficiency} != {len(torsion_input.inclusion_words)} "
             "inclusion words"
         )
+    rank = phi.rank
     columns = [(_fox_blocks(w), p) for w, p in torsion_input._word_prefixes]
-    return [
-        [
-            LaurentPoly._raw(
-                phi.rank,
-                accumulate(
-                    (prefix[s + len(u.letters)], c)
-                    for s, block in blocks
-                    for u, c in fox_derivative(block, g).terms.items()
-                ),
-            )
-            for blocks, prefix in columns
-        ]
-        for g in pres.generators
-    ]
+    matrix = []
+    for g in pres.generators:
+        row = []
+        for blocks, prefix in columns:
+            terms = {}
+            for s, block in blocks:
+                for u, c in fox_derivative(block, g).terms.items():
+                    k = prefix[s + len(u.letters)]
+                    cur = terms.get(k, 0) + c
+                    if cur:
+                        terms[k] = cur
+                    else:
+                        del terms[k]
+            row.append(LaurentPoly._raw(rank, terms))
+        matrix.append(row)
+    return matrix
 
 
 def _square_rank(matrix):
@@ -340,9 +353,9 @@ def det_bareiss(matrix):
 UNIT_PIVOT_FLOOR = 3
 
 
-def _is_unit(entry):
-    """Whether a Laurent polynomial is +-(monomial), a unit of the ring."""
-    return len(entry.terms) == 1 and abs(next(iter(entry.terms.values()))) == 1
+def _is_unit(terms):
+    """Whether a term dict is +-(monomial), a unit of the Laurent ring."""
+    return len(terms) == 1 and abs(next(iter(terms.values()))) == 1
 
 
 def determinant(matrix):
@@ -350,56 +363,69 @@ def determinant(matrix):
 
     While more than UNIT_PIVOT_FLOOR rows are left, the unit entry u = A[p][q]
     of lowest Markowitz cost (r - 1)(c - 1), ties to the first in row-major
-    order, is eliminated: rows are dicts {column: nonzero entry} and columns
+    order, is eliminated: rows are dicts {column: term dict} and columns
     sets of rows, so r and c are their sizes.  Only the rows meeting column q
-    change, by row_i -= A[i][q] * u^-1 * row_p, with no division, and the
-    determinant gains the factor +-u, signed by the parity of p's and q's
-    positions among the rows and columns left.  `det_cofactor` expands the
-    rest.  The floor guards against fill, which made the Lyon family's 3x3
-    determinants about 4x slower.
+    change, by row_i -= A[i][q] * u^-1 * row_p, with no division: each
+    entry is copied once and takes one `iadd_scaled` call per term of
+    A[i][q], so no polynomial is made for a product, its negation or their
+    sum.  The determinant gains the factor +-u, signed by the parity of p's
+    and q's positions among the rows and columns left; the product of those
+    factors is kept as a sign and an exponent tuple.  `det_cofactor` expands
+    the rest.  The floor guards against fill, which made the Lyon family's
+    3x3 determinants about 4x slower.
     """
     rank = _square_rank(matrix)
-    zero = LaurentPoly.zero(rank)
     rows = {i: {} for i in range(len(matrix))}
     cols = {j: set() for j in range(len(matrix))}
     units = set()
 
-    def put(i, j, entry):
-        if entry.is_zero:
+    def put(i, j, terms):
+        if terms:
+            rows[i][j] = terms
+            cols[j].add(i)
+        else:
             rows[i].pop(j, None)
             cols[j].discard(i)
-        else:
-            rows[i][j] = entry
-            cols[j].add(i)
-        (units.add if _is_unit(entry) else units.discard)((i, j))
+        (units.add if _is_unit(terms) else units.discard)((i, j))
 
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
-            if not entry.is_zero:
-                put(i, j, entry)
-    factor = LaurentPoly.one(rank)
+            if entry.terms:
+                put(i, j, entry.terms)
+    sign = 1
+    shift = (0,) * rank
     while len(rows) > UNIT_PIVOT_FLOOR and units:
         _, p, q = min(((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j) for i, j in units)
         position = sum(i < p for i in rows) + sum(j < q for j in cols)
         pivot = rows.pop(p)
-        u = pivot.pop(q)
-        factor = factor * (-u if position % 2 else u)
-        ((exps, coeff),) = u.terms.items()
+        ((exps, coeff),) = pivot.pop(q).items()
+        sign *= -coeff if position % 2 else coeff
+        shift = tuple(map(add, shift, exps))
         for j in pivot:
             cols[j].discard(p)
             units.discard((p, j))
         # u^-1 = coeff * x^-exps, as coeff is +-1
-        inverse_shift = tuple(-e for e in exps)
-        pivot = {j: e.shifted(inverse_shift) * coeff for j, e in pivot.items()}
+        inverse = tuple(map(neg, exps))
+        pivot = {
+            j: {tuple(map(add, k, inverse)): coeff * v for k, v in e.items()}
+            for j, e in pivot.items()
+        }
         for i in cols.pop(q):
             units.discard((i, q))
             if i != p:
                 row = rows[i]
                 m = row.pop(q)
                 for j, e in pivot.items():
-                    put(i, j, row.get(j, zero) - m * e)
-    det = det_cofactor([[row.get(j, zero) for j in cols] for row in rows.values()])
-    return det if factor == LaurentPoly.one(rank) else factor * det
+                    entry = dict(row.get(j, ()))
+                    for k, c in m.items():
+                        iadd_scaled(entry, e, k, -c)
+                    put(i, j, entry)
+    zero = LaurentPoly.zero(rank)
+    det = det_cofactor([
+        [LaurentPoly._raw(rank, row[j]) if j in row else zero for j in cols]
+        for row in rows.values()
+    ])
+    return det if sign == 1 and not any(shift) else det.shifted(shift) * sign
 
 
 def _period_step(word, prefix):

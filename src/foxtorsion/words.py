@@ -27,7 +27,7 @@ and ``MAX_EXPANDED_LETTERS`` bounds those.
 """
 
 import re
-from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     DuplicateGenerator,
@@ -156,7 +156,7 @@ class Word:
         return not self.letters
 
     def generator_names(self):
-        return {name for name, _ in self.letters}
+        return set(map(itemgetter(0), self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -200,16 +200,30 @@ class Word:
 
 
 def render_word(w):
-    """Canonical text for a word: syllables like ``a^3 b^-2``, identity is ``''``."""
-    return " ".join([
-        name if k == 1 else f"{name}^{k}"
-        for (name, sign), run in groupby(w.letters)
-        for k in (sign * len(list(run)),)
-    ])
+    """Canonical text for a word: syllables like ``a^3 b^-2``, identity is ``''``.
+
+    One loop over the letters counts each run of equal letters; a sentinel
+    after the last letter closes the last run."""
+    syllables = []
+    prev = None
+    k = 0
+    for letter in w.letters + (None,):
+        if letter == prev:
+            k += 1
+        else:
+            if k:
+                name, sign = prev
+                syllables.append(name if k == sign == 1 else f"{name}^{sign * k}")
+            prev = letter
+            k = 1
+    return " ".join(syllables)
 
 
 def parse_word(text, names):
     """Parse the word grammar over the given generator names into a reduced Word.
+
+    ``names`` is any iterable of names; a set or frozenset is used as given,
+    so a caller parsing many words over one generator list builds it once.
 
     The text is read one ``str.split`` chunk at a time.  A per-call memo maps
     each chunk that is one name term of at most one letter (``a``, ``a^-1``,
@@ -238,7 +252,8 @@ def parse_word(text, names):
     MAX_EXPONENT (a digit run longer than MAX_EXPONENT's is rejected unread),
     words beyond MAX_WORD_LETTERS and expansions beyond MAX_EXPANDED_LETTERS.
     """
-    names = set(names)
+    if not isinstance(names, (set, frozenset)):
+        names = set(names)
     memo = {}  # chunk of one name term of at most one letter -> () or (letter, inverse)
     open_parens = []  # (position of the '(', the enclosing sequence's stack)
     stack = []  # the current sequence's letters so far, freely reduced
@@ -331,17 +346,21 @@ class Presentation:
         for name in names:
             if not _NAME_RE.fullmatch(name):
                 raise InvalidGeneratorName(f"invalid generator name {name!r}")
-        if len(set(names)) != len(names):
+        known = set(names)
+        if len(known) != len(names):
             raise DuplicateGenerator(f"duplicate generator names in {list(names)}")
         rels = []
         for r in relators:
-            word = r if isinstance(r, Word) else parse_word(str(r), names)
-            unknown = word.generator_names() - set(names)
+            if not isinstance(r, Word):
+                # parse_word refuses unknown names itself
+                rels.append(parse_word(str(r), known))
+                continue
+            unknown = r.generator_names() - known
             if unknown:
                 raise UnknownGenerator(
-                    f"relator {render_word(word)!r} uses unknown generators {sorted(unknown)}"
+                    f"relator {render_word(r)!r} uses unknown generators {sorted(unknown)}"
                 )
-            rels.append(word)
+            rels.append(r)
         self.generators = names
         self.relators = tuple(rels)
 

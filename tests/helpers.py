@@ -3,6 +3,7 @@ implementations for the test suite."""
 
 import re
 import sys
+from itertools import groupby
 
 from hypothesis import strategies as st
 
@@ -304,7 +305,7 @@ def _dense_unit_pivot(A):
     best = None
     for i, row in enumerate(A):
         for j, entry in enumerate(row):
-            if torsion._is_unit(entry):
+            if torsion._is_unit(entry.terms):
                 cost = (row_counts[i] - 1) * (col_counts[j] - 1)
                 if best is None or cost < best[0]:
                     best = (cost, i, j)
@@ -354,6 +355,16 @@ def dense_unit_elimination(matrix):
 
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([()])|)")
 _REFERENCE_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
+
+
+def reference_render_word(w):
+    """`words.render_word` as it was written with `itertools.groupby`, one
+    list per run of equal letters, the reference for its one-loop count."""
+    return " ".join([
+        name if k == 1 else f"{name}^{k}"
+        for (name, sign), run in groupby(w.letters)
+        for k in (sign * len(list(run)),)
+    ])
 
 
 def reference_parse_word(text, names):

@@ -24,7 +24,7 @@ from foxtorsion.errors import (
     WordSizeError,
 )
 
-from helpers import count_calls, random_word, reference_parse_word
+from helpers import count_calls, random_word, reference_parse_word, reference_render_word
 
 GENS = ("a", "b", "x")
 
@@ -159,6 +159,56 @@ letters_strategy = st.lists(
 def test_render_parse_round_trip(raw):
     w = Word(raw)
     assert parse_word(render_word(w), GENS) == w
+
+
+# runs of one signed letter, up to 60 long, over names that are prefixes of
+# one another, so that equal names with opposite signs meet at a run's end
+syllables_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "ab", "a1", "ab_2", "b"]),
+        st.sampled_from([1, -1]),
+        st.one_of(st.integers(1, 3), st.integers(4, 60)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllables_strategy)
+def test_render_word_matches_the_groupby_reference(syllables):
+    letters = [(name, sign) for name, sign, k in syllables for _ in range(k)]
+    # unreduced, so that runs of a and a^-1 touch; then reduced, as parsed
+    for w in (Word._from_reduced(letters), Word(letters)):
+        assert render_word(w) == reference_render_word(w)
+
+
+def test_render_word_on_edge_words():
+    cases = {
+        (): "",
+        (("a", 1),): "a",
+        (("a", -1),): "a^-1",
+        (("ab", 1),) * 500: "ab^500",
+        (("a", 1), ("a", 1), ("a", -1), ("ab", 1), ("a1", -1), ("a1", -1)): "a^2 a^-1 ab a1^-2",
+    }
+    for letters, text in cases.items():
+        w = Word._from_reduced(letters)
+        assert render_word(w) == reference_render_word(w) == text
+
+
+@pytest.mark.parametrize("kind", [set, frozenset])
+def test_parse_word_uses_a_given_set_uncopied(kind):
+    """A set or frozenset of names is looked up as given: a copy would
+    answer the lookups itself, and the watched set would see none."""
+    seen = []
+
+    class Watched(kind):
+        def __contains__(self, name):
+            seen.append(name)
+            return kind.__contains__(self, name)
+
+    text = "a b^-1 (x a)^3"
+    assert parse_word(text, Watched(GENS)) == parse_word(text, GENS)
+    assert set(seen) == set(GENS)
 
 
 @settings(max_examples=100, deadline=None)
