@@ -19,7 +19,7 @@ from .errors import (
 )
 from ._kernels import accumulate, add_terms, iadd_scaled, mul_terms
 from .groupring import GroupRingElement
-from .words import Word, render_word
+from .words import _NAME_RE, Word, render_word
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,9 @@ def render_terms(terms, names):
 
 
 class AbelianizationMap:
-    """Generator images in Z^r inducing the ring map onto the free abelianization."""
+    """Generator images in Z^r inducing the ring map onto the free abelianization.
+
+    Basis names are distinct and follow the generator-name grammar."""
 
     def __init__(self, rank, images, basis_names=None):
         self.rank = int(rank)
@@ -412,6 +414,9 @@ class AbelianizationMap:
             raise RankMismatch("one basis name per coordinate is required")
         if len(set(self.basis_names)) != self.rank:
             raise InvalidBasis(f"duplicate basis names in {list(self.basis_names)}")
+        for name in self.basis_names:
+            if not _NAME_RE.fullmatch(name):
+                raise InvalidBasis(f"invalid basis name {name!r}")
         # the exponent step of each signed letter
         self._steps = {}
         for name, vec in self.images.items():

@@ -23,6 +23,7 @@ dumps support points and hull vertices for external plotting.
 
 import argparse
 import json
+import re
 import sys
 
 from .abelian import AbelianizationMap, abelianize_presentation, render_terms
@@ -62,6 +63,9 @@ MAX_GENERATORS = 100
 # stay near 1,007 digits and hull areas near 2,020 (100 generators, 20,000
 # letters), under the 4,300 that str() and so json print.
 MAX_BASIS_DIGITS = 1000
+# A [basis] image field: ASCII decimal digits after an optional sign, so that
+# int()'s other forms ('1_0', Unicode digits) are refused.
+_FIELD_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_torsion_file(text):
@@ -109,6 +113,10 @@ def parse_torsion_file(text):
 
     names = None
     images = {}
+    if "basis" in sections and "names" in generators:
+        raise InputFileError(
+            "generator 'names' clashes with the [basis] line 'names = ...'"
+        )
     for lineno, line in sections.get("basis", ()):
         if "=" not in line:
             raise InputFileError(
@@ -118,23 +126,26 @@ def parse_torsion_file(text):
         key = key.strip()
         fields = value.split()
         if key == "names":
+            if names is not None:
+                raise InputFileError(f"line {lineno}: duplicate basis line 'names'")
             names = tuple(fields)
             continue
         if key not in generators:
             raise InputFileError(
                 f"line {lineno}: basis image for unknown generator {key!r}"
             )
+        if key in images:
+            raise InputFileError(f"line {lineno}: duplicate basis image for {key!r}")
         if any(len(f.lstrip("+-")) > MAX_BASIS_DIGITS for f in fields):
             raise InputTooLarge(
                 f"line {lineno}: basis image for {key!r} has a field of more "
                 f"than {MAX_BASIS_DIGITS} digits"
             )
-        try:
-            images[key] = tuple(int(f) for f in fields)
-        except ValueError:
+        if not all(map(_FIELD_RE.fullmatch, fields)):
             raise InputFileError(
                 f"line {lineno}: non-integer exponent in basis image for {key!r}"
-            ) from None
+            )
+        images[key] = tuple(map(int, fields))
     if "basis" in sections and names is None:
         raise InputFileError("section [basis] needs a 'names = ...' line")
     # one word per line; the message is fox_matrix's

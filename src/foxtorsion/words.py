@@ -21,13 +21,15 @@ re-parse to themselves.
 ``str.split``.  A per-call memo maps each chunk that is one term of at most
 one letter (``a``, ``a^-1``, ``a^0``) to that letter, so a repeated chunk
 costs one dict lookup and one comparison with the top of the letter stack;
-the token pattern runs once on each other chunk.  Parse time is linear in
+the token pattern runs once on each other chunk.  A chunk read in place,
+so that positions count from the start of the text, starts where the text's
+run of non-whitespace with the same ordinal does.  Parse time is linear in
 the text plus the letters that powers and parenthesized groups expand to,
 and ``MAX_EXPANDED_LETTERS`` bounds those.
 """
 
 import re
-from operator import itemgetter
+from operator import itemgetter, length_hint
 
 from .errors import (
     DuplicateGenerator,
@@ -62,6 +64,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # malformed exponent); or a (5) '(' or a (6) stray character.  Every
 # character starts a match, so the matches cover the chunk.
 _TOKEN_RE = re.compile(rf"((?:({_NAME_RE.pattern})|\))(?:\^([+-]?(\d*)))?)|(\()|(.)", re.S)
+# The chunks of str.split(), in place: it and \s agree on every code point.
+_CHUNK_RE = re.compile(r"\S+")
 
 
 def _push_reduced(stack, atom):
@@ -86,24 +90,6 @@ def _reduce(letters):
         else:
             stack.append((name, sign))
     return tuple(stack)
-
-
-def _chunk_start(text, chunk, pos):
-    """Where ``chunk``, the next chunk of ``text.split()`` that the token
-    pattern reads in place, starts: its first occurrence at or after ``pos``,
-    the end of the last one, with whitespace or an end of the text on both
-    sides.  The chunks skipped since ``pos`` were each one known name with a
-    well-formed exponent, and ``chunk`` is not, so none of them equals it; the
-    check on both sides rules out an occurrence inside one of them."""
-    size = len(chunk)
-    while True:
-        start = text.index(chunk, pos)
-        end = start + size
-        if (not start or text[start - 1].isspace()) and (
-            end == len(text) or text[end].isspace()
-        ):
-            return start
-        pos = start + 1
 
 
 def _power(atom, k):
@@ -232,7 +218,10 @@ def parse_word(text, names):
     stack.  Any other chunk goes through the token pattern: a chunk that is
     one known name with a well-formed exponent in one match on its own text,
     the rest (parentheses, touching terms, errors) match by match in place,
-    so that positions count from the start of the text.  Each '(' saves the
+    so that positions count from the start of the text.  Such a chunk starts
+    where the text's run of non-whitespace with the same ordinal does; the
+    split iterator's length hint gives the ordinal, and the runs' starts are
+    listed once per call, when the first chunk needs one.  Each '(' saves the
     enclosing sequence's letter stack, and each atom, freely reduced, cancels
     against the top of the current freely reduced stack at their junction and
     is appended.  A group that reduces to u c u^-1, with c cyclically
@@ -258,8 +247,9 @@ def parse_word(text, names):
     open_parens = []  # (position of the '(', the enclosing sequence's stack)
     stack = []  # the current sequence's letters so far, freely reduced
     expanded = 0  # letters pushed by atoms of more than one letter
-    located = 0  # where the last chunk read in place ends
-    for chunk in text.split():
+    rest = iter(text.split())  # the chunks still to come, and how many
+    starts = None  # where each chunk starts, listed when one is first read in place
+    for chunk in rest:
         hit = memo.get(chunk)
         if hit is not None:
             if hit:
@@ -277,9 +267,11 @@ def parse_word(text, names):
             # with a position can come, so a match on the chunk alone will do
             tokens = (token,)
         else:
-            start = _chunk_start(text, chunk, located)
-            located = start + len(chunk)
-            tokens = _TOKEN_RE.finditer(text, start, located)
+            if starts is None:
+                starts = [m.start() for m in _CHUNK_RE.finditer(text)]
+            # the chunk's ordinal is the count of chunks less those still to come
+            start = starts[len(starts) - 1 - length_hint(rest)]
+            tokens = _TOKEN_RE.finditer(text, start, start + len(chunk))
         for token in tokens:
             term = token[1]
             if term is None:

@@ -292,6 +292,17 @@ def test_duplicate_basis_names_rejected():
         AbelianizationMap(2, {"a": (1, 0)}, ("s",))
 
 
+@pytest.mark.parametrize("name", ["1", "u^2", "_u", "u v", "", "\u00e9"])
+def test_basis_names_follow_the_generator_name_grammar(name):
+    with pytest.raises(InvalidBasis, match="invalid basis name"):
+        AbelianizationMap(2, {"a": (1, 0)}, ("a", name))
+    # the length and duplicate checks come first
+    with pytest.raises(RankMismatch):
+        AbelianizationMap(2, {"a": (1, 0)}, (name,))
+    with pytest.raises(InvalidBasis, match="duplicate basis names"):
+        AbelianizationMap(2, {"a": (1, 0)}, (name, name))
+
+
 def test_image_of_the_wrong_length_rejected():
     with pytest.raises(RankMismatch, match="image of 'b' has length 3, expected 2"):
         AbelianizationMap(2, {"a": (1, 0), "b": (0, 1, 0)})

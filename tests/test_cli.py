@@ -34,7 +34,7 @@ from foxtorsion.cli import (
     main,
     parse_torsion_file,
 )
-from foxtorsion.errors import InputFileError, NotBalanced
+from foxtorsion.errors import InputFileError, NotBalanced, ParseError
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.polytope import iter_affine_maps, newton_polytope
 from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
@@ -798,6 +798,73 @@ def test_torsion_command_rejects_a_basis_without_names(tmp_path, capsys):
     path.write_text(LYON_S0.replace("names = a u\n", ""))
     report = _assert_json_error(capsys, path, "InputFileError")
     assert "needs a 'names = ...' line" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("a = 5 7", "line 17: duplicate basis image for 'a'"),
+        ("names = p q", "line 17: duplicate basis line 'names'"),
+    ],
+)
+def test_torsion_command_rejects_a_repeated_basis_line(tmp_path, capsys, extra, message):
+    # the last line used to win: a repeated image was then blamed on the
+    # relator, and a repeated names line renamed the report's variables
+    path = tmp_path / "repeated.tor"
+    path.write_text(LYON_S0 + extra + "\n")
+    report = _assert_json_error(capsys, path, "InputFileError")
+    assert report["error"]["message"] == message
+
+
+@pytest.mark.parametrize("field", ["1_0", "0x1", "1.0", "+-1", "1e1", "٣"])
+def test_basis_image_fields_are_ascii_decimal_integers(field):
+    # int() reads each of the first and last, as 10 and 3
+    text = LYON_S0.replace("x = 0 2", f"x = 0 {field}")
+    with pytest.raises(InputFileError, match="line 16: non-integer exponent in basis image for 'x'"):
+        parse_torsion_file(text)
+
+
+def test_basis_image_fields_may_carry_a_sign(tmp_path, capsys):
+    path = tmp_path / "signs.tor"
+    path.write_text(LYON_S0.replace("a = 1 0", "a = +1 -0").replace("x = 0 2", "x = -0 +2"))
+    code, report, _ = run(capsys, "torsion", str(path))
+    assert code == 0
+    assert report["input"]["basis"]["images"] == {"a": [1, 0], "b": [-1, 3], "x": [0, 2]}
+
+
+@pytest.mark.parametrize("names", ["1 u^2", "a u^2", "a _u", "a (u)"])
+def test_torsion_command_rejects_basis_names_outside_the_name_grammar(
+    tmp_path, capsys, names
+):
+    # '1 u^2' used to be accepted, and printed u^2^2 in its polynomial
+    path = tmp_path / "badnames.tor"
+    path.write_text(LYON_S0.replace("names = a u", f"names = {names}"))
+    report = _assert_json_error(capsys, path, "InvalidBasis")
+    assert report["error"]["message"].startswith("invalid basis name ")
+
+
+def test_a_generator_named_names_clashes_with_a_basis(tmp_path, capsys):
+    # its image line would be read as the basis names
+    path = tmp_path / "names.tor"
+    path.write_text(LYON_S0.replace("x", "names"))
+    report = _assert_json_error(capsys, path, "InputFileError")
+    assert "generator 'names' clashes" in report["error"]["message"]
+    # without a [basis], the name is an ordinary generator
+    path.write_text(LYON_S0.replace("x", "names").split("[basis]")[0])
+    code, renamed, _ = run(capsys, "torsion", str(path))
+    path.write_text(LYON_S0.split("[basis]")[0])
+    assert code == 0
+    assert renamed["torsion"] == run(capsys, "torsion", str(path))[1]["torsion"]
+
+
+def test_basis_refusals_keep_the_stated_error_order():
+    # [basis] lines come before balance, and the basis map after the words
+    unbalanced = LYON_S0.replace("b a (b a^-1)^1\n", "") + "a = 5 7\n"
+    with pytest.raises(InputFileError, match="duplicate basis image"):
+        parse_torsion_file(unbalanced)
+    unknown = LYON_S0.replace("names = a u", "names = a u^2").replace("b a (b", "q a (b")
+    with pytest.raises(ParseError, match="unknown generator 'q'"):
+        parse_torsion_file(unknown)
 
 
 # -- the contract on mutated files ---------------------------------------------

@@ -621,6 +621,16 @@ def test_chunked_parse_matches_the_reference(text):
         "ab^2 ab^2 b^2 )", "a a\u3000a\xa0(a\x1c)^2 ) ", "x ab x b^-1 b^-1) x",
         "(a ) )", "a^\u0663\u2003b^-\u0661 a^\u0663 ^2", "a^2 ab^2 ^2",
         "ab^2 ab^2\tb^", "a^2 a^", "b a a^-1 b^- ",
+        # a chunk the memo missed whose text sits inside chunks that the memo
+        # (a^-1) and the one-term path (b^2, x^-3) served
+        "a^-1 b^2 a^-1 b^2 ^-1", "b^2 x^-3 a^-1 a^-1 x^-3 ^2", "a^-1 b^2 (a^-1 b^2)^-1 ^-1",
+        # the chunk read in place is the first one, or the last
+        "^2 a b", "(a b) a a", "q", "a b a^-1 )", "b^2 b^2 a a (",
+        # an error in the last of more than 1,000 chunks the memo served
+        pytest.param(" ".join(["a", "b^-1", "x"] * 400) + " a^", id="1200 memo chunks, a^"),
+        pytest.param("\t".join(["b", "a^-1"] * 600) + "\u3000(b", id="1200 memo chunks, (b"),
+        # the separators \x1c, \xa0 and \u3000 around chunks read in place
+        "a\x1c(b\xa0a)^2\u3000^2", "\x1ca^\xa0b\u3000", "\u3000ab\u3000a\x1cab\xa0b)",
     ],
 )
 def test_chunk_positions_match_the_reference(text):
@@ -630,9 +640,9 @@ def test_chunk_positions_match_the_reference(text):
 
 
 def test_split_and_the_token_pattern_agree_on_whitespace():
-    # parse_word splits with str.split() and locates chunks with str.isspace,
-    # while the reference skips r"\s": every code point is whitespace to all
-    # three or to none.
+    # parse_word splits with str.split() and locates chunks by their ordinal
+    # among the runs of r"\S", while the reference skips r"\s": every code
+    # point is whitespace to all three or to none.
     chars = "".join(map(chr, range(0x110000)))
     by_pattern = set(re.findall(r"\s", chars))
     assert {c for c in chars if not c.split()} == by_pattern
@@ -654,6 +664,39 @@ class CountingPattern:
         for token in self.pattern.finditer(*args):
             self.matches += 1
             yield token
+
+
+class CountingChunks:
+    """The chunk pattern, counting the times the chunk starts are listed."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.listings = 0
+
+    def finditer(self, *args):
+        self.listings += 1
+        return self.pattern.finditer(*args)
+
+
+def test_chunk_starts_are_listed_only_for_a_chunk_read_in_place(monkeypatch):
+    rng = random.Random(29)
+    chunks = CountingChunks(words._CHUNK_RE)
+    monkeypatch.setattr(words, "_CHUNK_RE", chunks)
+    # one token per letter, and syllables with exponents: the line shapes of
+    # inclusion words and relators, which the memo and the one-term path serve
+    texts = []
+    for _ in range(20):
+        word = random_word(rng, GENS, 1000)
+        texts.append(" ".join(name if sign == 1 else f"{name}^-1" for name, sign in word.letters))
+        texts.append(render_word(word))
+    for text in texts:
+        assert parse_word(text, GENS) == reference_parse_word(text, GENS)
+    assert chunks.listings == 0
+    # however many chunks are read in place, the starts are listed once
+    for text in ("(a b)^2", "a^2b", "(a b)^2 " * 50 + "b a b^2", " ".join(["(a", "b)"] * 200)):
+        chunks.listings = 0
+        outcome(lambda: parse_word(text, CHUNK_NAMES))
+        assert chunks.listings == 1
 
 
 def test_the_token_pattern_runs_once_per_distinct_term(monkeypatch):
