@@ -51,12 +51,15 @@ from .words import Presentation, parse_word, render_word
 
 _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
-# The most generators a file may declare.  With a defining relator y a^-1 b
-# for each generator y beyond three, `torsion` took 10-13 ms at 53
-# generators, 33-36 ms at 100 and 0.14-0.16 s at 203 on a 2-vCPU VM with no
-# [basis], and 8-10, 24-31 and 94-134 ms with one.  Either way most of it
-# is fox_matrix, which calls fox_derivative once per generator and word:
-# 41,209 calls at 203.
+# The most generators a file may declare.  These times are for sparse
+# relators: with a defining relator y a^-1 b for each generator y beyond
+# three, `torsion` took 10-13 ms at 53 generators, 33-36 ms at 100 and
+# 0.14-0.16 s at 203 on a 2-vCPU VM with no [basis], and 8-10, 24-31 and
+# 94-134 ms with one.  Either way most of it is fox_matrix, which calls
+# fox_derivative once per generator and word: 41,209 calls at 203.  Dense
+# relators pass every budget yet load slowly, in the Smith normal form:
+# 98 relators over 100 generators with exponent sums in [-1, 1] took 3-4 s,
+# and in [-2, 2] 12-16 s.
 MAX_GENERATORS = 100
 
 # The most digits, after its sign, of a [basis] image field.  Exponents then

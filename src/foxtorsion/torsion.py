@@ -242,10 +242,12 @@ def _square_rank(matrix):
     return ranks.pop()
 
 
-# det_cofactor multiplies at most this many pairs of terms in all.  On a
-# 2-vCPU VM tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
+# det_cofactor multiplies at most this many pairs of terms in all, and so does
+# determinant's unit elimination before it.  On a 2-vCPU VM
+# tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
 # tests/inputs/rank11-commutators.tor reaches 2,572,418 with a fifth column
-# that alone takes 1.1 s, and is refused before it.
+# that alone takes 1.1 s, and is refused before it.  No recorded input's
+# elimination needs more than a few hundred.
 MAX_TERM_PRODUCTS = 2_560_000
 
 
@@ -370,9 +372,12 @@ def determinant(matrix):
     A[i][q], so no polynomial is made for a product, its negation or their
     sum.  The determinant gains the factor +-u, signed by the parity of p's
     and q's positions among the rows and columns left; the product of those
-    factors is kept as a sign and an exponent tuple.  `det_cofactor` expands
-    the rest.  The floor guards against fill, which made the Lyon family's
-    3x3 determinants about 4x slower.
+    factors is kept as a sign and an exponent tuple.  Before a step updates
+    its rows, its term pairs, len(A[i][q]) times the terms of the pivot row
+    summed over those rows, are added to a running count, and InputTooLarge
+    is raised once the count passes MAX_TERM_PRODUCTS.  `det_cofactor`
+    expands the rest, on a count of its own.  The floor guards against fill,
+    which made the Lyon family's 3x3 determinants about 4x slower.
     """
     rank = _square_rank(matrix)
     rows = {i: {} for i in range(len(matrix))}
@@ -394,11 +399,15 @@ def determinant(matrix):
                 put(i, j, entry.terms)
     sign = 1
     shift = (0,) * rank
+    products = 0
     while len(rows) > UNIT_PIVOT_FLOOR and units:
         _, p, q = min(((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j) for i, j in units)
         position = sum(i < p for i in rows) + sum(j < q for j in cols)
         pivot = rows.pop(p)
         ((exps, coeff),) = pivot.pop(q).items()
+        products += sum(map(len, pivot.values())) * sum(len(rows[i][q]) for i in cols[q] if i != p)
+        if products > MAX_TERM_PRODUCTS:
+            raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
         sign *= -coeff if position % 2 else coeff
         shift = tuple(map(add, shift, exps))
         for j in pivot:

@@ -21,11 +21,11 @@ re-parse to themselves.
 ``str.split``.  A per-call memo maps each chunk that is one term of at most
 one letter (``a``, ``a^-1``, ``a^0``) to that letter, so a repeated chunk
 costs one dict lookup and one comparison with the top of the letter stack;
-the token pattern runs once on each other chunk.  A chunk read in place,
-so that positions count from the start of the text, starts where the text's
-run of non-whitespace with the same ordinal does.  Parse time is linear in
-the text plus the letters that powers and parenthesized groups expand to,
-and ``MAX_EXPANDED_LETTERS`` bounds those.
+the token pattern runs once on each other chunk, on the chunk's own text.
+Positions are computed only when a ParseError is raised: the chunk starts
+where the text's run of non-whitespace with the same ordinal does.  Parse
+time is linear in the text plus the letters that powers and parenthesized
+groups expand to, and ``MAX_EXPANDED_LETTERS`` bounds those.
 """
 
 import re
@@ -65,6 +65,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # character starts a match, so the matches cover the chunk.
 _TOKEN_RE = re.compile(rf"((?:({_NAME_RE.pattern})|\))(?:\^([+-]?(\d*)))?)|(\()|(.)", re.S)
 # The chunks of str.split(), in place: it and \s agree on every code point.
+# Read only to give a ParseError its position.
 _CHUNK_RE = re.compile(r"\S+")
 
 
@@ -205,6 +206,12 @@ def render_word(w):
     return " ".join(syllables)
 
 
+def _position(text, left, offset):
+    """The position in ``text`` of ``offset`` in the chunk that has ``left``
+    chunks after it, counted among the text's runs of non-whitespace."""
+    return [m.start() for m in _CHUNK_RE.finditer(text)][-1 - left] + offset
+
+
 def parse_word(text, names):
     """Parse the word grammar over the given generator names into a reduced Word.
 
@@ -215,20 +222,21 @@ def parse_word(text, names):
     each chunk that is one name term of at most one letter (``a``, ``a^-1``,
     ``a^0``) to that letter and its inverse, so a repeated chunk is pushed or
     cancelled with one lookup and one comparison with the top of the letter
-    stack.  Any other chunk goes through the token pattern: a chunk that is
-    one known name with a well-formed exponent in one match on its own text,
-    the rest (parentheses, touching terms, errors) match by match in place,
-    so that positions count from the start of the text.  Such a chunk starts
-    where the text's run of non-whitespace with the same ordinal does; the
-    split iterator's length hint gives the ordinal, and the runs' starts are
-    listed once per call, when the first chunk needs one.  Each '(' saves the
-    enclosing sequence's letter stack, and each atom, freely reduced, cancels
-    against the top of the current freely reduced stack at their junction and
-    is appended.  A group that reduces to u c u^-1, with c cyclically
-    reduced, has the k-th power u c^k u^-1, built without reducing.  Powers
-    are never kept, so the memo holds no expanded power however many distinct
-    ones a text has.  The result equals folding the syntax tree through
-    ``Word.__mul__`` and ``Word.__pow__``, errors included, left to right.
+    stack.  Any other chunk goes through the token pattern on its own text:
+    in one match when that match covers the chunk, else match by match.  A
+    position is computed only where a ParseError is raised: the chunk starts
+    where the text's run of non-whitespace with the same ordinal does, the
+    split iterator's length hint gives the ordinal, and the token's offset
+    in the chunk is added.  Each '(' saves the enclosing sequence's letter
+    stack with the count of chunks after its own and its offset there, so
+    its position is found only if it is never closed.  Each atom, freely
+    reduced, cancels against the top of the current freely reduced stack at
+    their junction and is appended.  A group that reduces to u c u^-1, with
+    c cyclically reduced, has the k-th power u c^k u^-1, built without
+    reducing.  Powers are never kept, so the memo holds no expanded power
+    however many distinct ones a text has.  The result equals folding the
+    syntax tree through ``Word.__mul__`` and ``Word.__pow__``, errors
+    included, left to right.
 
     Time is linear in the text plus the letters that atoms of more than one
     letter expand to (powers and parenthesized groups, counted once per push);
@@ -244,11 +252,10 @@ def parse_word(text, names):
     if not isinstance(names, (set, frozenset)):
         names = set(names)
     memo = {}  # chunk of one name term of at most one letter -> () or (letter, inverse)
-    open_parens = []  # (position of the '(', the enclosing sequence's stack)
+    open_parens = []  # (chunks after the one holding the '(', its offset there, outer stack)
     stack = []  # the current sequence's letters so far, freely reduced
     expanded = 0  # letters pushed by atoms of more than one letter
     rest = iter(text.split())  # the chunks still to come, and how many
-    starts = None  # where each chunk starts, listed when one is first read in place
     for chunk in rest:
         hit = memo.get(chunk)
         if hit is not None:
@@ -262,42 +269,37 @@ def parse_word(text, names):
                     stack.append(letter)
             continue
         token = _TOKEN_RE.match(chunk)
-        if token.end() == len(chunk) and token[2] in names and token[4] != "":
-            # one known name with a well-formed exponent, if any: no error
-            # with a position can come, so a match on the chunk alone will do
-            tokens = (token,)
-        else:
-            if starts is None:
-                starts = [m.start() for m in _CHUNK_RE.finditer(text)]
-            # the chunk's ordinal is the count of chunks less those still to come
-            start = starts[len(starts) - 1 - length_hint(rest)]
-            tokens = _TOKEN_RE.finditer(text, start, start + len(chunk))
+        tokens = (token,) if token.end() == len(chunk) else _TOKEN_RE.finditer(chunk)
         for token in tokens:
             term = token[1]
             if term is None:
                 if token[5]:
                     if len(open_parens) == MAX_NESTING:
-                        message = f"parentheses nested deeper than {MAX_NESTING}"
-                        raise ParseError(message, token.start(5))
-                    open_parens.append((token.start(5), stack))
+                        where = _position(text, length_hint(rest), token.start(5))
+                        raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", where)
+                    open_parens.append((length_hint(rest), token.start(5), stack))
                     stack = []
                     continue
-                raise ParseError(f"unexpected character {token[6]!r}", token.start(6))
+                where = _position(text, length_hint(rest), token.start(6))
+                raise ParseError(f"unexpected character {token[6]!r}", where)
             name = token[2]
             if name:
                 if name not in names:
-                    raise ParseError(f"unknown generator {name!r}", token.start(1))
+                    where = _position(text, length_hint(rest), token.start(1))
+                    raise ParseError(f"unknown generator {name!r}", where)
                 atom = ((name, 1),)
             else:
                 if not open_parens:
-                    raise ParseError("unbalanced parentheses: unexpected ')'", token.start(1))
+                    where = _position(text, length_hint(rest), token.start(1))
+                    raise ParseError("unbalanced parentheses: unexpected ')'", where)
                 atom = stack
-                stack = open_parens.pop()[1]
+                stack = open_parens.pop()[2]
             size = len(atom)
             if token[3] is not None:
                 digits = token[4]
                 if not digits:
-                    raise ParseError("malformed exponent", token.start(3))
+                    where = _position(text, length_hint(rest), token.start(3))
+                    raise ParseError("malformed exponent", where)
                 # Longer runs exceed MAX_EXPONENT; int() would meet its string limit.
                 if len(digits) > len(str(MAX_EXPONENT)):
                     raise WordSizeError(
@@ -326,7 +328,8 @@ def parse_word(text, names):
                 memo[chunk] = (atom[0], (name, -atom[0][1])) if atom else ()
             _push_reduced(stack, atom)
     if open_parens:
-        raise ParseError("unbalanced parentheses: missing ')'", open_parens[-1][0])
+        left, offset, _ = open_parens[-1]
+        raise ParseError("unbalanced parentheses: missing ')'", _position(text, left, offset))
     return Word._from_reduced(stack)
 
 

@@ -24,7 +24,8 @@ from foxtorsion.equivalence import apply_witness
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion import cli, torsion
-from foxtorsion._kernels import iadd_product
+from foxtorsion._kernels import iadd_product, iadd_scaled
+from foxtorsion.abelian import smith_normal_form
 from foxtorsion.errors import (
     InexactDivision,
     InputTooLarge,
@@ -582,6 +583,59 @@ def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
     with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
         determinant(matrix)
     assert 0 < sum(pairs) <= MAX_TERM_PRODUCTS
+
+
+def _dense_relators_input(m):
+    """m generators and m - 2 relators whose exponents, drawn from [-200, 200],
+    are the columns of the first random matrix with free cokernel; the
+    inclusion words are g1 and g2.  A relator syllable g^k gives a Fox entry
+    of |k| terms, so the rows that a unit pivot updates are dense."""
+    seed = 0
+    while True:
+        rng = random.Random(seed)
+        exponents = [[rng.randint(-200, 200) for _ in range(m - 2)] for _ in range(m)]
+        if all(f <= 1 for f in smith_normal_form(exponents)[0]):
+            break
+        seed += 1
+    gens = [f"g{i + 1}" for i in range(m)]
+    relators = [
+        " ".join(f"{g}^{row[j]}" for g, row in zip(gens, exponents) if row[j]) for j in range(m - 2)
+    ]
+    text = "\n".join(["[generators]", *gens, "[relators]", *relators, "[inclusion]", "g1", "g2"])
+    return cli.parse_torsion_file(text)
+
+
+def test_unit_elimination_counts_its_term_pairs_against_the_budget(monkeypatch):
+    # Each elimination step adds len(A[i][q]) * (terms of the pivot row),
+    # summed over the rows i it updates, to a running count before it
+    # updates them.  These four steps take 16, 36, 16 and 22 pairs, and the
+    # 3x3 rest needs 132 cofactor pairs.
+    inp = tietze_enlarge(random.Random(4), lyon_input(2, "Sprime"), 4)
+    pairs = count_calls(monkeypatch, iadd_scaled, lambda acc, src, shift, coeff: len(src))
+    dims = count_calls(monkeypatch, det_cofactor, len)
+    # at exactly its 90 pairs the elimination completes, and the cofactor refuses
+    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", 90)
+    with pytest.raises(InputTooLarge, match="more than 90 term products"):
+        fox_determinant(inp)
+    assert (sum(pairs), dims) == (90, [3])
+    # one pair fewer and the fourth step is refused before it multiplies
+    pairs.clear()
+    dims.clear()
+    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", 89)
+    with pytest.raises(InputTooLarge, match="more than 89 term products"):
+        fox_determinant(inp)
+    assert (sum(pairs), dims) == (68, [])
+
+
+def test_dense_relators_are_refused_before_the_elimination_fills(monkeypatch):
+    # One elimination step here would multiply 5,102,120 pairs (7.7 s on a
+    # 2-vCPU VM), twice the budget, so it is refused before it starts.
+    inp = _dense_relators_input(24)
+    pairs = count_calls(monkeypatch, iadd_scaled, lambda acc, src, shift, coeff: len(src))
+    dims = count_calls(monkeypatch, det_cofactor, len)
+    with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
+        fox_determinant(inp)
+    assert (sum(pairs), dims) == (0, [])
 
 
 @pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from foxtorsion import Presentation, parse_word, words
 from foxtorsion.cli import main
+from foxtorsion.lyon import SURFACES, LyonCase, lyon_presentation, lyon_surface_words
 from foxtorsion.words import (
     MAX_EXPANDED_LETTERS,
     MAX_NESTING,
@@ -561,8 +562,9 @@ def test_the_expansion_budget_boundary(text, accepted):
 # -- the chunked tokenizer against the reference parser ---------------------------
 #
 # parse_word reads the text by text.split() chunks, serves the chunks it has
-# seen from its memo, and runs the token pattern only over the others, at their
-# place in the text.  These texts cut terms, exponents and groups across
+# seen from its memo, and runs the token pattern only over the others, each on
+# its own text; an error's position adds the chunk's start, found by its
+# ordinal.  These texts cut terms, exponents and groups across
 # chunks with Unicode whitespace, and repeat fragments so that the memo serves
 # some chunks and others with the same text inside them do not.
 
@@ -624,13 +626,23 @@ def test_chunked_parse_matches_the_reference(text):
         # a chunk the memo missed whose text sits inside chunks that the memo
         # (a^-1) and the one-term path (b^2, x^-3) served
         "a^-1 b^2 a^-1 b^2 ^-1", "b^2 x^-3 a^-1 a^-1 x^-3 ^2", "a^-1 b^2 (a^-1 b^2)^-1 ^-1",
-        # the chunk read in place is the first one, or the last
+        # the chunk the memo misses is the first one, or the last
         "^2 a b", "(a b) a a", "q", "a b a^-1 )", "b^2 b^2 a a (",
         # an error in the last of more than 1,000 chunks the memo served
         pytest.param(" ".join(["a", "b^-1", "x"] * 400) + " a^", id="1200 memo chunks, a^"),
         pytest.param("\t".join(["b", "a^-1"] * 600) + "\u3000(b", id="1200 memo chunks, (b"),
-        # the separators \x1c, \xa0 and \u3000 around chunks read in place
+        # the separators \x1c, \xa0 and \u3000 around chunks the memo missed
         "a\x1c(b\xa0a)^2\u3000^2", "\x1ca^\xa0b\u3000", "\u3000ab\u3000a\x1cab\xa0b)",
+        # a missing ')' whose '(' sits more than 1,000 memo-served chunks
+        # before the end, or inside a chunk with text before it
+        pytest.param("b (a " + "b a^-1 x " * 400 + "b", id="missing ) before 1200 memo chunks"),
+        pytest.param("a ab(b " + "x\t" * 1100 + "a^-1", id="missing ) inside a chunk"),
+        pytest.param("(a (b) " + "a\xa0" * 1000 + "(x", id="missing ), the last of two"),
+        # parentheses nested too deep, the '('s spread over chunks
+        pytest.param("a " + "( (( a(" * 26 + " b", id="nesting over chunks"),
+        pytest.param("x(( " * 50 + "a^2 ( b", id="nesting, the last '(' alone"),
+        # an unknown name after a chunk that closed a group
+        "(a b)^2 q", "(a b) yb", "(a (b x)^-1)a q", "a (b)^2\u3000y^2 x",
     ],
 )
 def test_chunk_positions_match_the_reference(text):
@@ -678,24 +690,33 @@ class CountingChunks:
         return self.pattern.finditer(*args)
 
 
-def test_chunk_starts_are_listed_only_for_a_chunk_read_in_place(monkeypatch):
+def test_chunk_starts_are_listed_only_when_a_parse_fails(monkeypatch):
     rng = random.Random(29)
     chunks = CountingChunks(words._CHUNK_RE)
     monkeypatch.setattr(words, "_CHUNK_RE", chunks)
     # one token per letter, and syllables with exponents: the line shapes of
-    # inclusion words and relators, which the memo and the one-term path serve
+    # inclusion words and relators; then groups and touching terms
     texts = []
     for _ in range(20):
         word = random_word(rng, GENS, 1000)
         texts.append(" ".join(name if sign == 1 else f"{name}^-1" for name, sign in word.letters))
         texts.append(render_word(word))
+    texts += ["(a b)^2", "a^2b", "(a b)^2 " * 50 + "b a b^2", " ".join(["(a", "b)"] * 200)]
     for text in texts:
         assert parse_word(text, GENS) == reference_parse_word(text, GENS)
+    for surface in SURFACES:
+        lyon_presentation(surface)
+        for n in (-1, 0, 1, 7, 40, 150):
+            lyon_surface_words(LyonCase(n, surface))
     assert chunks.listings == 0
-    # however many chunks are read in place, the starts are listed once
-    for text in ("(a b)^2", "a^2b", "(a b)^2 " * 50 + "b a b^2", " ".join(["(a", "b)"] * 200)):
+    # a failing parse lists them once, wherever its error is
+    failing = (
+        "q", "a^2b q", "(a b)^2 " * 50 + "(b", " ".join(["(a", "b)"] * 200) + " )",
+        "a " * 300 + "a^", "(" * (MAX_NESTING + 1), "b a*b",
+    )
+    for text in failing:
         chunks.listings = 0
-        outcome(lambda: parse_word(text, CHUNK_NAMES))
+        assert outcome(lambda: parse_word(text, GENS))[0] == "ParseError"
         assert chunks.listings == 1
 
 
