@@ -11,10 +11,10 @@ inline dict loop, with no generator or kernel call per entry.
 
 Before the determinant, each column whose word is mostly a power v^k, whose
 Fox derivatives are geometric sums in the image U of v, is multiplied by the
-binomial x^U - 1.  The word alone decides U: at least half of its letters
-must take step U from the previous occurrence of their letter; the product
-is kept when it has fewer terms than the column.  The determinant of the
-cleared matrix is then divided by those binomials, which
+binomial x^U - 1.  The column alone decides U: at least half of the sorted
+terms of its largest entry must take step U from their predecessor; the
+product is kept when it has fewer terms than the column.  The determinant of
+the cleared matrix is then divided by those binomials, which
 `LaurentPoly.exact_div` does in one pass.  The determinant itself first
 eliminates unit pivots (+-monomial entries, which every Tietze relator
 y w^-1 contributes) on sparse rows of term dicts, lowest Markowitz cost
@@ -32,11 +32,10 @@ that the expansion multiplies.
 Bareiss elimination stays only as the tests' reference.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from operator import add, lshift, neg, sub
+from operator import add, itemgetter, lshift, neg, sub
 
 from ._kernels import iadd_product, iadd_scaled
 from .abelian import AbelianizationMap, LaurentPoly
@@ -69,15 +68,6 @@ class TorsionInput:
                     f"inclusion word {render_word(w)!r} uses unknown generators "
                     f"{sorted(unknown)}"
                 )
-
-    @cached_property
-    def _word_prefixes(self):
-        """(word, its ``prefix_exponents``) for each Fox matrix column,
-        inclusion words first: mapped once, for `fox_matrix` and
-        `_clear_columns`."""
-        phi = self.abelianization
-        words = self.inclusion_words + self.presentation.relators
-        return [(w, phi.prefix_exponents(w)) for w in words]
 
 
 class TorsionClass:
@@ -197,10 +187,9 @@ def fox_matrix(torsion_input):
     ``prefix_exponents`` already holds.  The terms come in the order of
     ``fox_derivative(w_j, g_i)``, so entry (i, j) equals
     ``phi(fox_derivative(w_j, g_i))`` term for term, without mapping any
-    prefix again.  The prefixes are kept with the input, so `fox_determinant`
-    reads the same ones when it clears the columns.  Each entry sums its
-    terms in one inline dict loop, the idiom of `mul_terms`, since feeding a
-    generator to a summing kernel is slower.
+    prefix again.  Each entry sums its terms in one inline dict loop, the
+    idiom of `mul_terms`, since feeding a generator to a summing kernel is
+    slower.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
@@ -210,7 +199,8 @@ def fox_matrix(torsion_input):
             "inclusion words"
         )
     rank = phi.rank
-    columns = [(_fox_blocks(w), p) for w, p in torsion_input._word_prefixes]
+    words = torsion_input.inclusion_words + pres.relators
+    columns = [(_fox_blocks(w), phi.prefix_exponents(w)) for w in words]
     matrix = []
     for g in pres.generators:
         row = []
@@ -437,66 +427,45 @@ def determinant(matrix):
     return det if sign == 1 and not any(shift) else det.shifted(shift) * sign
 
 
-def _period_step(word, prefix):
-    """The exponent step U that at least half of ``word``'s letters take
-    from the previous occurrence of their letter, or None; ``prefix`` is the
-    word's ``prefix_exponents``.
+def _period_step(column):
+    """The exponent step that at least half of the terms of the column's
+    largest entry take from their lexicographic predecessor, or None.
 
-    Clearing with x^U - 1 shortens a column only when more than half of its
-    terms e have e + U among its terms too; along a block v^k such pairs
-    come from consecutive occurrences of one letter, |v| letters apart.
-    So the pairs of consecutive occurrences are first grouped by letter
-    distance, with integers only: the most frequent distance must hold at
-    least half as many pairs as the word has letters, else no step is
-    taken.  The most frequent nonzero step of those pairs
-    is U (x^0 - 1 = 0 clears nothing), and it too must be taken by at least
-    half as many pairs as the word has letters.
+    A geometric sum of c * x^(a + iU) lies on one line, and lexicographic
+    order is a group order, so its sorted neighbours all differ by the same
+    one of +-U.  Sorting makes the choice independent of dict order.
     """
-    letters = word.letters
-    last = {}
-    ends = defaultdict(list)  # letter distance -> the positions closing a pair
-    for i, letter in enumerate(letters):
-        ends[i - last.get(letter, i)].append(i)
-        last[letter] = i
-    ends.pop(0, None)  # first occurrences
-    if not ends:
-        return None
-    d = max(ends, key=lambda d: len(ends[d]))
-    if 2 * len(ends[d]) < len(letters):
-        return None
-    steps = Counter(tuple(map(sub, prefix[i], prefix[i - d])) for i in ends[d])
-    del steps[prefix[0]]
-    step = max(steps, key=steps.get, default=None)
-    return step if 2 * steps[step] >= len(letters) else None
+    terms = sorted(max(column, key=len))
+    steps = Counter(tuple(map(sub, b, a)) for a, b in zip(terms, terms[1:]))
+    step, count = max(steps.items(), key=itemgetter(1), default=(None, 0))
+    return step if 2 * count >= len(terms) else None
 
 
-def _clear_columns(matrix, torsion_input):
+def _clear_columns(matrix):
     """Clear geometric-sum denominators from the columns of a Fox matrix M,
     in place, and return {column index: divisor} for the cleared columns.
 
     A word holding a power v^k has Fox derivatives that are multiples of the
     geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
     so multiplying its column by V - 1 collapses them.  For column j the
-    step U is the `_period_step` of its word, read from the input's
-    prefixes that `fox_matrix` mapped; the column
-    (x^U - 1) * column is formed and kept when it has fewer terms.  The
-    result is C = M * diag(divisors), 1 for the columns left alone, so
+    step U is the `_period_step` of its terms; the column (x^U - 1) * column
+    is formed and kept when it has fewer terms.  The result is
+    C = M * diag(divisors), 1 for the columns left alone, so
     det M = det C / (product of the divisors), and each division is exact
     because the Laurent ring is a domain.  No power rule is needed for that:
     any nonzero U would do, and the step only has to make C small.
     """
-    rank = torsion_input.abelianization.rank
     divisors = {}
-    for j, (word, prefix) in enumerate(torsion_input._word_prefixes):
+    for j in range(len(matrix)):
         column = [row[j].terms for row in matrix if row[j].terms]
         size = sum(map(len, column))
         # a nonzero multiple of x^U - 1 has at least two terms
         if size <= 2 * len(column):
             continue
-        step = _period_step(word, prefix)
+        step = _period_step(column)
         if step is None:
             continue
-        divisor = LaurentPoly._raw(rank, {step: 1, (0,) * rank: -1})
+        divisor = LaurentPoly._raw(len(step), {step: 1, (0,) * len(step): -1})
         cleared = [row[j] * divisor for row in matrix]
         if sum(len(e.terms) for e in cleared) < size:
             for row, entry in zip(matrix, cleared):
@@ -514,7 +483,7 @@ def fox_determinant(torsion_input):
     this code, reported as InternalInexactDivision.
     """
     matrix = fox_matrix(torsion_input)
-    divisors = _clear_columns(matrix, torsion_input)
+    divisors = _clear_columns(matrix)
     det = determinant(matrix)
     for divisor in divisors.values():
         try:

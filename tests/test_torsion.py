@@ -239,7 +239,7 @@ def periodic_inputs(draw):
 def test_cleared_determinant_equals_the_plain_one(inp):
     matrix = fox_matrix(inp)
     cleared = fox_matrix(inp)
-    for j in _clear_columns(cleared, inp):
+    for j in _clear_columns(cleared):
         size = sum(len(row[j].terms) for row in matrix)
         assert sum(len(row[j].terms) for row in cleared) < size
     assert fox_determinant(inp) == determinant(matrix)
@@ -247,21 +247,24 @@ def test_cleared_determinant_equals_the_plain_one(inp):
 
 CLEARED_EXAMPLES = (
     # (first inclusion word, the step of its column's divisor x^U - 1 or
-    # None); the rest is the Lyon input for surface S at n = 0, basis (a, u)
+    # None); the rest is the Lyon input for surface S at n = 0, basis (a, u).
+    # The step is read from the sorted terms of the column's largest entry.
+    # 11 of the 11 steps between the 12 terms are (2, -3)
     ("(a b^-1)^12 b^2", (2, -3)),
-    # the block covers the word, but the commutator's step is 0
+    # the commutator's image is 0, so the largest entry has 3 terms, whose
+    # 2 steps differ
     ("(a b a^-1 b^-1)^12 x a^-1 b x", None),
-    # two periodic blocks in one column: the more frequent step wins
+    # two geometric sums in one entry of 14 terms: the more frequent step,
+    # 10 of 13, wins
     ("(a b^-1)^3 (a x)^11", (1, 2)),
     ("(a b^-1)^11 (a x)^3", (2, -3)),
-    # a block covering less than half of the word is left alone, although
-    # clearing with (2, -3) would save one of its 15 terms
-    ("(a b^-1)^5 b a b^-1 x a x^-1 b^-1", None),
-    # no step repeats often enough to shorten the column
+    # 4 of the 6 steps of the 7-term entry are (2, -3), and clearing takes
+    # the column from 15 to 14 terms
+    ("(a b^-1)^5 b a b^-1 x a x^-1 b^-1", (2, -3)),
+    # no entry has more than 2 terms, so no product could be shorter
     ("a b x^-1 a^-1 x b", None),
-    # letter distance 2 covers six of the ten letters, but the most common
-    # step (1, -2) only four, although clearing with it would save two of
-    # the column's 10 terms
+    # the largest entry has 5 terms; (1, -4) and (0, 2) take 2 of its 4
+    # steps each, short of half the terms
     ("(a x^-1)^3 (a^-1 x)^2", None),
 )
 
@@ -276,7 +279,7 @@ def test_cleared_determinant_examples(text, step):
         base.abelianization,
     )
     matrix = fox_matrix(inp)
-    divisors = _clear_columns(matrix, inp)
+    divisors = _clear_columns(matrix)
     if step is None:
         assert 0 not in divisors
     else:
@@ -284,18 +287,53 @@ def test_cleared_determinant_examples(text, step):
     assert fox_determinant(inp) == determinant(fox_matrix(inp))
 
 
-def test_word_without_a_repeated_letter_has_no_period_step():
-    phi = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1)})
-    word = parse_word("a b^-1", ("a", "b"))
-    assert _period_step(word, phi.prefix_exponents(word)) is None
+def test_matrix_of_binomial_entries_is_left_alone():
+    # no entry has more than 2 terms, so the size test skips every column
+    x = (1, 0)
+    matrix = [
+        [poly2({(0, 0): 1, x: -1}), poly2({(0, 2): 1, (3, 1): 1})],
+        [poly2({x: 1}), poly2({(0, 0): 1, x: 1})],
+    ]
+    assert _clear_columns(matrix) == {}
+    assert matrix[0][0] == poly2({(0, 0): 1, x: -1})
+
+
+def test_column_without_a_majority_step_has_no_period_step():
+    base = lyon_input(0, "S")
+    pres = base.presentation
+    word = parse_word("(a x^-1)^3 (a^-1 x)^2", pres.generators)
+    inp = TorsionInput(pres, (word, base.inclusion_words[1]), base.abelianization)
+    column = [row[0].terms for row in fox_matrix(inp) if row[0].terms]
+    assert max(map(len, column)) == 5
+    assert _period_step(column) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(
+            st.tuples(*[st.integers(-3, 3)] * rank).filter(any),
+            st.tuples(*[st.integers(-20, 20)] * rank),
+        )
+    ),
+    st.integers(3, 30),
+    st.integers(-5, 5).filter(bool),
+)
+def test_geometric_sum_is_cleared_to_a_binomial(step_and_base, k, c):
+    step, base = step_and_base
+    terms = {tuple(a + i * u for a, u in zip(base, step)): c for i in range(k)}
+    assert _period_step([terms]) in {step, tuple(-u for u in step)}
+    matrix = [[LaurentPoly(len(step), terms)]]
+    assert list(_clear_columns(matrix)) == [0]
+    assert len(matrix[0][0].terms) == 2
 
 
 def test_column_that_would_not_shrink_is_left_alone():
-    # both inclusion words of n = 2 take a step at half of their letters,
-    # but (x^U - 1) * column has as many terms as the column or more
+    # both inclusion columns of n = 2 have a step, (2, -3), but
+    # (x^U - 1) * column has as many terms as the column or more
     inp = lyon_input(2, "S")
     matrix = fox_matrix(inp)
-    assert _clear_columns(matrix, inp) == {}
+    assert _clear_columns(matrix) == {}
     assert matrix == fox_matrix(inp)
 
 
@@ -309,7 +347,7 @@ def test_unapplied_column_divisor_is_an_internal_error(monkeypatch, capsys):
     with pytest.raises(InexactDivision):
         fox_determinant(inp).exact_div(divisor)
     monkeypatch.setattr(
-        torsion, "_clear_columns", lambda matrix, torsion_input: {0: divisor}
+        torsion, "_clear_columns", lambda matrix: {0: divisor}
     )
     with pytest.raises(InternalInexactDivision):
         sutured_torsion(inp)
@@ -323,7 +361,7 @@ def test_family_clears_both_inclusion_columns_not_the_relator(surface):
     inp = lyon_input(150, surface)
     matrix = fox_matrix(inp)
     longest = max(len(e.terms) for row in matrix for e in row)
-    divisors = _clear_columns(matrix, inp)
+    divisors = _clear_columns(matrix)
     assert sorted(divisors) == [0, 1]
     # the geometric sums of about n terms collapse to a few terms
     assert longest > 150
