@@ -471,10 +471,16 @@ def abelianize_presentation(presentation, user_basis=None):
 
     Without ``user_basis`` the basis comes from the Smith normal form of the
     relator exponent matrix; a finite cyclic factor raises NontrivialTorsion.
-    A supplied basis is validated (kills every relator, generates Z^r) and
-    returned verbatim.
+    A supplied basis is validated (kills every relator, has as many
+    coordinates as the free part of H_1, generates Z^r) and returned verbatim.
     """
     names = presentation.generators
+    # row i of the m x k matrix holds generator i's exponent sum in each relator
+    index = {name: i for i, name in enumerate(names)}
+    M = [[0] * len(presentation.relators) for _ in names]
+    for j, rel in enumerate(presentation.relators):
+        for name, sign in rel.letters:
+            M[index[name]][j] += sign
 
     if user_basis is not None:
         for name in names:
@@ -489,6 +495,14 @@ def abelianize_presentation(presentation, user_basis=None):
                 raise InvalidBasis(
                     f"user basis does not kill relator {render_word(rel)!r}"
                 )
+        # H_1 has free rank m - rank_Q(M): fewer coordinates would present a
+        # quotient of its free part, and more cannot be generated
+        free_rank = len(names) - integer_rank(M)
+        if user_basis.rank != free_rank:
+            raise InvalidBasis(
+                f"user basis has rank {user_basis.rank}, but the free part of H_1 "
+                f"has rank {free_rank}"
+            )
         if user_basis.rank:
             gmat = [
                 [user_basis.images[name][i] for name in names]
@@ -499,12 +513,6 @@ def abelianize_presentation(presentation, user_basis=None):
                 raise InvalidBasis("user basis images do not generate Z^r")
         return user_basis
 
-    # row i of the m x k matrix holds generator i's exponent sum in each relator
-    index = {name: i for i, name in enumerate(names)}
-    M = [[0] * len(presentation.relators) for _ in names]
-    for j, rel in enumerate(presentation.relators):
-        for name, sign in rel.letters:
-            M[index[name]][j] += sign
     factors, U = smith_normal_form(M)
     for d in factors:
         if d > 1:

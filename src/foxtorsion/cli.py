@@ -355,9 +355,6 @@ def cmd_sfh_torus(p, q, n):
 # entry point
 
 
-_COMMANDS = ("torsion", "compare", "family", "sfh-torus")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises UsageError, so that a bad command line gets a JSON report too,
     where argparse would print usage and exit 2.  Subparsers inherit it."""
@@ -368,6 +365,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The parser and its subparsers by command name; each subparser sets
+    ``run`` to the handler of its parsed arguments."""
     parser = _ArgumentParser(
         prog="foxtorsion",
         description="Exact torsion polynomials of sutured manifolds via Fox calculus.",
@@ -376,26 +375,30 @@ def _build_parser():
 
     p_tor = sub.add_parser("torsion", help="torsion of one presentation file")
     p_tor.add_argument("file")
+    p_tor.set_defaults(run=lambda args: cmd_torsion(args.file))
 
     p_cmp = sub.add_parser("compare", help="compare the torsion of two files")
     p_cmp.add_argument("file1")
     p_cmp.add_argument("file2")
+    p_cmp.set_defaults(run=lambda args: cmd_compare(args.file1, args.file2))
 
     p_fam = sub.add_parser("family", help="built-in twisted-band knot family")
     p_fam.add_argument("--n", type=int, required=True)
     p_fam.add_argument("--surface", choices=("S", "Sprime"), required=True)
+    p_fam.set_defaults(run=lambda args: cmd_family(args.n, args.surface))
 
     p_sfh = sub.add_parser("sfh-torus", help="solid-torus graded rank table")
     p_sfh.add_argument("p", type=int)
     p_sfh.add_argument("q", type=int)
     p_sfh.add_argument("n", type=int)
+    p_sfh.set_defaults(run=lambda args: cmd_sfh_torus(args.p, args.q, args.n))
 
-    for p in (p_tor, p_cmp, p_fam, p_sfh):
+    for p in sub.choices.values():
         p.add_argument("--json", metavar="PATH", help="also write the report here")
         p.add_argument(
             "--plot-data", metavar="PATH", help="write support/hull points here"
         )
-    return parser
+    return parser, sub.choices
 
 
 def _error_report(command, kind, exc):
@@ -419,19 +422,13 @@ def _write_files(args, report, plot):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, commands = _build_parser()
+    command = argv[0] if argv and argv[0] in commands else None
     args = plot = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         command = args.command
-        if command == "torsion":
-            report, plot = cmd_torsion(args.file)
-        elif command == "compare":
-            report, plot = cmd_compare(args.file1, args.file2)
-        elif command == "family":
-            report, plot = cmd_family(args.n, args.surface)
-        else:
-            report, plot = cmd_sfh_torus(args.p, args.q, args.n)
+        report, plot = args.run(args)
     except FoxTorsionError as exc:
         report = _error_report(command, type(exc).__name__, exc)
     except OSError as exc:

@@ -86,7 +86,8 @@ class LatticePolygon:
 
 def _primitive(vector):
     g = math.gcd(*vector)
-    return tuple(c // g for c in vector), g
+    # a list builds the tuple faster than a generator, and this runs per hull edge
+    return tuple([c // g for c in vector]), g
 
 
 def _hull_2d(points):
@@ -152,11 +153,7 @@ def newton_polytope(support_set):
         direction, length = _primitive(tuple(b - a for a, b in zip(lo, hi)))
         neg = tuple(-c for c in direction)
         return LatticePolygon(1, (lo, hi), ((direction, length), (neg, length)))
-    edges = []
-    for dx, dy in _cycle_edges(verts):
-        g = math.gcd(dx, dy)
-        edges.append(((dx // g, dy // g), g))
-    return LatticePolygon(2, tuple(verts), tuple(edges))
+    return LatticePolygon(2, tuple(verts), tuple(map(_primitive, _cycle_edges(verts))))
 
 
 def sfh_polytope(hull):

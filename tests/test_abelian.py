@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
@@ -277,6 +277,51 @@ def test_invalid_basis_wider_than_the_generators():
     bad = AbelianizationMap(4, {"a": (1, 0, 0, 0), "b": (0, 1, 0, 0), "x": (0, 0, 1, 0)})
     with pytest.raises(InvalidBasis, match="do not generate"):
         abelianize_presentation(LYON_PRES, bad)
+
+
+@pytest.mark.parametrize("basis", [
+    pytest.param(AbelianizationMap(0, {"a": (), "b": (), "x": ()}, ()), id="rank0"),
+    pytest.param(AbelianizationMap(1, {"a": (1,), "b": (2,), "x": (2,)}, ("t",)), id="rank1"),
+])
+def test_invalid_basis_below_the_free_rank(basis):
+    # each kills x^3 b^-2 a^-2 and generates Z^r, yet H_1 has free rank 2: the
+    # torsion would be a polynomial over a quotient of the free part
+    with pytest.raises(
+        InvalidBasis, match=f"rank {basis.rank}, but the free part of H_1 has rank 2"
+    ):
+        abelianize_presentation(LYON_PRES, basis)
+
+
+@st.composite
+def presentations(draw):
+    names = ("a", "b", "c", "d")
+    letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=8).map(Word), max_size=3))
+    return Presentation(names, relators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_smith_basis_is_accepted_and_a_coordinate_fewer_refused(pres, data):
+    try:
+        phi = abelianize_presentation(pres)
+    except NontrivialTorsion:
+        assume(False)
+    assert abelianize_presentation(pres, phi) is phi
+    assume(phi.rank)
+    # dropping coordinate i still kills every relator and generates Z^(r-1)
+    i = data.draw(st.integers(0, phi.rank - 1))
+
+    def drop(v):
+        return v[:i] + v[i + 1:]
+
+    fewer = AbelianizationMap(
+        phi.rank - 1, {g: drop(v) for g, v in phi.images.items()}, drop(phi.basis_names)
+    )
+    with pytest.raises(
+        InvalidBasis, match=f"rank {fewer.rank}, but the free part of H_1 has rank {phi.rank}"
+    ):
+        abelianize_presentation(pres, fewer)
 
 
 def test_invalid_basis_missing_generator():

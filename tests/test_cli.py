@@ -768,22 +768,23 @@ def test_torsion_command_rejects_basis_images_beyond_the_digit_budget(
 
 
 def test_torsion_command_prints_basis_images_at_the_digit_budget(tmp_path, capsys):
-    # every basis kills the commutators; a c and b d give a hexagon, the
-    # square [0, N + 1]^2 less the triangles at its corners 0 (legs N) and
-    # (N + 1, N + 1) (legs 1), of doubled area N^2 + 4N + 1
+    # H_1 of the free group on a, b is Z^2, and the images A = (N, N - 1) and
+    # B = (1, 1) have determinant 1, so they are a basis of it.  The torsion
+    # d(a b a b^-1 a)/da = 1 + AB + A^2 is a triangle of doubled area 2 in
+    # every basis, with vertices 0, (N + 1, N) and (2N, 2N - 2) in this one
     big = "9" * MAX_BASIS_DIGITS
+    n = int(big)
     path = tmp_path / "digits.tor"
     path.write_text(
-        "[generators]\na b c d\n[relators]\nc d c^-1 d^-1\na b a^-1 b^-1\n"
-        "[inclusion]\na c\nb d\n[basis]\nnames = s t\n"
-        f"a = {big} 0\nb = 0 {big}\nc = 1 0\nd = 0 1\n"
+        "[generators]\na b\n[relators]\n[inclusion]\na b a b^-1 a\nb\n"
+        f"[basis]\nnames = s t\na = {big} {n - 1}\nb = 1 1\n"
     )
     code, report, _ = run(capsys, "torsion", str(path))
     assert code == 0
     polygon = report["torsion"]["polygon"]
     assert polygon["dimension"] == 2
-    n = int(big)
-    assert polygon["doubled_area"] == n * n + 4 * n + 1
+    assert sorted(polygon["vertices"]) == [[0, 0], [n + 1, n], [2 * n, 2 * n - 2]]
+    assert polygon["doubled_area"] == 2
 
 
 def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
@@ -791,6 +792,22 @@ def test_torsion_command_rejects_duplicate_basis_names(tmp_path, capsys):
     path.write_text(LYON_S0.replace("names = a u", "names = a a"))
     report = _assert_json_error(capsys, path, "InvalidBasis")
     assert "duplicate basis names" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "basis, rank",
+    [("names =\na =\nb =\nx =\n", 0), ("names = t\na = 1\nb = 2\nx = 2\n", 1)],
+    ids=["rank0", "rank1"],
+)
+def test_torsion_command_rejects_a_basis_below_the_free_rank(tmp_path, capsys, basis, rank):
+    # either basis kills the relator and generates Z^r; both used to be
+    # accepted, and printed the torsion 6 and a polynomial in one variable
+    path = tmp_path / "narrow.tor"
+    path.write_text(LYON_S0.split("[basis]")[0] + "[basis]\n" + basis)
+    report = _assert_json_error(capsys, path, "InvalidBasis")
+    assert report["error"]["message"] == (
+        f"user basis has rank {rank}, but the free part of H_1 has rank 2"
+    )
 
 
 def test_torsion_command_rejects_a_basis_without_names(tmp_path, capsys):
