@@ -503,14 +503,13 @@ def abelianize_presentation(presentation, user_basis=None):
                 f"user basis has rank {user_basis.rank}, but the free part of H_1 "
                 f"has rank {free_rank}"
             )
-        if user_basis.rank:
-            gmat = [
-                [user_basis.images[name][i] for name in names]
-                for i in range(user_basis.rank)
-            ]
-            factors, _ = smith_normal_form(gmat)
-            if factors.count(1) != user_basis.rank:
-                raise InvalidBasis("user basis images do not generate Z^r")
+        gmat = [
+            [user_basis.images[name][i] for name in names]
+            for i in range(user_basis.rank)
+        ]
+        factors, _ = smith_normal_form(gmat)
+        if factors.count(1) != user_basis.rank:
+            raise InvalidBasis("user basis images do not generate Z^r")
         return user_basis
 
     factors, U = smith_normal_form(M)
@@ -525,8 +524,5 @@ def abelianize_presentation(presentation, user_basis=None):
     images = {
         name: tuple(U[i][j] for i in free_rows) for j, name in enumerate(names)
     }
-    if not presentation.relators:
-        basis_names = names
-    else:
-        basis_names = tuple(f"t{i + 1}" for i in range(rank))
-    return AbelianizationMap(rank, images, basis_names)
+    # with no relators U is the identity, so the generators are the basis
+    return AbelianizationMap(rank, images, None if presentation.relators else names)

@@ -12,6 +12,7 @@ affine maps, which is what makes the integer side-length ratios meaningful.
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .abelian import integer_rank
 from .errors import RankUnsupported, ZeroTorsion
@@ -47,9 +48,10 @@ class LatticePolygon:
 
     For dimension 2 the vertices are counterclockwise starting from the
     lexicographically smallest one; ``edges[i]`` is the (primitive direction,
-    lattice length) of the edge from ``vertices[i]`` to the next vertex.
-    Segments store both endpoints and the two opposite edge records, so the
-    zero-sum edge invariant holds in every dimension.
+    lattice length) of the edge from ``vertices[i]`` to the next vertex,
+    closing the cycle.  A segment gets its two opposite edge records by the
+    same rule, so the zero-sum edge invariant and Pick's lattice-point count
+    hold in every dimension.
     """
 
     dimension: int
@@ -75,12 +77,9 @@ class LatticePolygon:
         return abs(total)
 
     def lattice_point_count(self):
-        """Number of lattice points in the hull (boundary included), via Pick."""
-        if self.dimension == 0:
-            return 1
+        """Number of lattice points in the hull (boundary included), via Pick:
+        a point (no edges) counts 1, a segment (two edges of length L) L + 1."""
         boundary = sum(length for _, length in self.edges)
-        if self.dimension == 1:
-            return boundary // 2 + 1
         return (self.doubled_area() + boundary + 2) // 2
 
 
@@ -147,13 +146,10 @@ def newton_polytope(support_set):
     else:
         verts = sorted({min(points), max(points)})
     if len(verts) == 1:
+        # a zero vector has no primitive direction
         return LatticePolygon(0, (verts[0],), ())
-    if len(verts) == 2:
-        lo, hi = verts
-        direction, length = _primitive(tuple(b - a for a, b in zip(lo, hi)))
-        neg = tuple(-c for c in direction)
-        return LatticePolygon(1, (lo, hi), ((direction, length), (neg, length)))
-    return LatticePolygon(2, tuple(verts), tuple(map(_primitive, _cycle_edges(verts))))
+    edges = tuple(map(_primitive, _cycle_edges(verts)))
+    return LatticePolygon(min(len(verts) - 1, 2), tuple(verts), edges)
 
 
 def sfh_polytope(hull):
@@ -178,9 +174,9 @@ def _apply(U, v, point):
 
 
 def _cycle_edges(vertices):
-    """The vectors from each vertex of a polygon to the next, closing the cycle."""
+    """The vectors from each vertex of a hull to the next, closing the cycle."""
     nxt = vertices[1:] + vertices[:1]
-    return [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vertices, nxt)]
+    return [tuple(map(sub, b, a)) for a, b in zip(vertices, nxt)]
 
 
 def _solve_map(e0, e1, f0, f1):

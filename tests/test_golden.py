@@ -14,13 +14,18 @@ x = (2^71, 2), so its exponents, and the packed keys of the determinant,
 exceed a machine word.  ``generators-100.tor`` is the largest file the CLI
 accepts (``cli.MAX_GENERATORS``), with no ``[basis]``, so it pins the row
 transform of the largest Smith normal form; ``generators-100-basis.tor`` is
-the same file with a ``[basis]``.  Each ``PLOTS`` case compares the
-``--plot-data`` file of a command instead of its stdout.  The reports were
-recorded at commit 1fba6be, the three small files' reports and the plot
-file at c5ee2b9, the wide file's report at 12bc922, before the determinant
-packed its keys, and the two 100-generator reports at 1fc1839, before the
-Smith normal form dropped its column transform; a change that alters any of
-them changes the CLI's output.
+the same file with a ``[basis]``.  ``rank0.tor`` has no free part, so its
+torsion is a constant and its hull one point; ``rank0-basis.tor`` is the
+same file with an empty ``[basis]``, which the generation check accepts.
+Each ``PLOTS`` case compares the ``--plot-data`` file of a command instead
+of its stdout.  The reports were recorded at commit 1fba6be, the three small
+files' reports and the plot file at c5ee2b9, the wide file's report at
+12bc922, before the determinant packed its keys, the two 100-generator
+reports at 1fc1839, before the Smith normal form dropped its column
+transform, and the two rank-0 reports at 2d535ce, before the point and
+segment branches of the hull and the rank-0 branch of the basis check were
+folded into the general code.  A change that alters any of them changes
+the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -48,7 +53,7 @@ CASES = {
         f"torsion-{name}": ["torsion", f"{name}.tor"]
         for name in (
             "rank1", "antisymmetric", "rank3", "wide",
-            "generators-100", "generators-100-basis",
+            "generators-100", "generators-100-basis", "rank0", "rank0-basis",
         )
     },
 }

@@ -223,6 +223,52 @@ def test_rank_one_hull():
     assert hull.edge_length_multiset() == (4, 4)
 
 
+@st.composite
+def supports_up_to_rank_two(draw):
+    """Supports in ranks 0-2 with coordinates in [-4, 4], except that a third
+    of the rank-2 draws are base + t * step on one line, with base, step and
+    t in [-4, 4]; so points and segments are common in every rank."""
+    rank = draw(st.integers(0, 2))
+    vector = st.tuples(*[st.integers(-4, 4)] * rank)
+    count = draw(st.integers(1, 12))
+    if rank == 2 and draw(st.integers(0, 2)) == 0:
+        base, step = draw(vector), draw(vector)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+        return 2, [(base[0] + t * step[0], base[1] + t * step[1]) for t in ts]
+    return rank, [draw(vector) for _ in range(count)]
+
+
+def _lattice_points_in_hull(rank, points):
+    """Lattice points of the hull, enumerated over the bounding box: inside a
+    polygon means on the left of or on every counterclockwise edge of
+    ``_reference_hull``; on a segment, collinear with its ends."""
+    if rank == 0:
+        return 1
+    if rank == 1:
+        return max(points)[0] - min(points)[0] + 1
+    dimension, vertices, _ = _reference_hull(rank, points)
+    if dimension == 0:
+        return 1
+    box = [range(min(c), max(c) + 1) for c in zip(*points)]
+    sides = list(zip(vertices, vertices[1:] + vertices[:1]))
+    return sum(
+        all(
+            (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) >= 0
+            for a, b in sides
+        )
+        for x in box[0]
+        for y in box[1]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(supports_up_to_rank_two())
+def test_lattice_point_count_matches_enumeration(case):
+    rank, points = case
+    hull = newton_polytope(SupportSet(rank, frozenset(points)))
+    assert hull.lattice_point_count() == _lattice_points_in_hull(rank, points)
+
+
 def test_hexagon_slopes_and_lengths():
     # plotted with the second variable horizontal: slopes -2/3, -1/6, 0 with
     # lattice lengths 1, 1, 4 at family parameter 1
