@@ -341,12 +341,12 @@ def cmd_family(n, surface):
 
 
 def cmd_sfh_torus(p, q, n):
-    table = torus_sfh(p, q, n)
+    table = torus_sfh(p, n)
     report = {
         "command": "sfh-torus",
         "arguments": {"p": p, "q": q, "sutures": n},
-        "ranks": [[grading, rank] for grading, rank in table.ranks],
-        "total_rank": table.total_rank,
+        "ranks": [[grading, rank] for grading, rank in table.items()],
+        "total_rank": sum(table.values()),
     }
     return report, None
 

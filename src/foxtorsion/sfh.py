@@ -1,7 +1,8 @@
-"""Graded rank tables for sutured solid tori and tensor-product bookkeeping."""
+"""Graded rank tables for sutured solid tori and tensor-product bookkeeping.
 
-from bisect import bisect_left
-from dataclasses import dataclass
+A rank table is a plain dict {grading: rank} with integer gradings in
+increasing order and positive ranks; a grading it omits has rank zero.
+"""
 
 from ._kernels import accumulate
 from .errors import InputTooLarge, NonpositiveP, OddSutureCount
@@ -16,47 +17,13 @@ MAX_BINOMIAL_ROW = 10_000
 MAX_TABLE_LENGTH = MAX_BINOMIAL_ROW + 1
 
 
-@dataclass(frozen=True)
-class GradedRanks:
-    """Finitely supported map from an integer grading to nonnegative ranks."""
-
-    ranks: tuple  # sorted ((grading, rank), ...) with rank > 0
-
-    @classmethod
-    def from_dict(cls, table):
-        items = []
-        for grading, rank in sorted(table.items()):
-            rank = int(rank)
-            if rank < 0:
-                raise ValueError(f"negative rank {rank} at grading {grading}")
-            if rank:
-                items.append((int(grading), rank))
-        return cls(tuple(items))
-
-    def as_dict(self):
-        return dict(self.ranks)
-
-    def __getitem__(self, grading):
-        # (grading,) sorts before every (grading, rank), so one binary search
-        # of the sorted pairs finds the grading or where it would be
-        i = bisect_left(self.ranks, (grading,))
-        if i < len(self.ranks) and self.ranks[i][0] == grading:
-            return self.ranks[i][1]
-        return 0
-
-    @property
-    def total_rank(self):
-        return sum(rank for _, rank in self.ranks)
-
-
-def torus_sfh(p, q, n):
+def torus_sfh(p, n):
     """Rank table of the solid torus whose sutures are n parallel (p, q) curves.
 
     With n = 2k + 2 the rank at grading i is C(k, i // p) for 0 <= i < p(k+1)
-    and zero elsewhere.  The parameter q does not enter the pattern; it is
-    accepted so callers can keep the full suture description.  Tables beyond
-    ``MAX_BINOMIAL_ROW`` or ``MAX_TABLE_LENGTH`` raise InputTooLarge before
-    any rank is computed.
+    and zero elsewhere; q does not enter the pattern, so it is not a parameter.
+    Tables beyond ``MAX_BINOMIAL_ROW`` or ``MAX_TABLE_LENGTH`` raise
+    InputTooLarge before any rank is computed.
     """
     if p < 1:
         raise NonpositiveP(f"longitudinal winding p must be >= 1, got {p}")
@@ -80,11 +47,10 @@ def torus_sfh(p, q, n):
     row = [1]
     for j in range(k):
         row.append(row[j] * (k - j) // (j + 1))
-    return GradedRanks(tuple((i, row[i // p]) for i in range(p * (k + 1))))
+    return {i: row[i // p] for i in range(p * (k + 1))}
 
 
 def tensor_ranks(g1, g2):
-    """Convolution of two graded rank tables; total ranks multiply."""
-    return GradedRanks.from_dict(
-        accumulate((i + j, r1 * r2) for i, r1 in g1.ranks for j, r2 in g2.ranks)
-    )
+    """Convolution of two rank tables, as a rank table; total ranks multiply."""
+    pairs = ((i + j, r1 * r2) for i, r1 in g1.items() for j, r2 in g2.items())
+    return dict(sorted(accumulate(pairs).items()))

@@ -155,18 +155,18 @@ def test_criterion_7_recurrence_closed_form_and_primed_block():
 
 def test_criterion_8_torus_rank_tables():
     with criterion(8, 1.0, "solid-torus ranks 2, 3, tensor 6; binomial pattern"):
-        two = torus_sfh(2, 1, 2)
-        three = torus_sfh(3, 4, 2)
-        assert two.total_rank == 2
-        assert three.total_rank == 3
-        assert tensor_ranks(two, three).total_rank == 6
+        two = torus_sfh(2, 2)
+        three = torus_sfh(3, 2)
+        assert sum(two.values()) == 2
+        assert sum(three.values()) == 3
+        assert sum(tensor_ranks(two, three).values()) == 6
         for p in range(1, 5):
             for k in range(0, 6):
-                table = torus_sfh(p, 1, 2 * k + 2)
+                table = torus_sfh(p, 2 * k + 2)
                 direct = sum(comb(k, i // p) for i in range(p * (k + 1)))
-                assert table.total_rank == direct == p * 2**k
+                assert sum(table.values()) == direct == p * 2**k
                 for i in range(p * (k + 1)):
-                    assert table[i] == comb(k, i // p)
+                    assert table.get(i, 0) == comb(k, i // p)
 
 
 def test_criterion_9_property_suites():

@@ -817,6 +817,17 @@ def test_torsion_command_rejects_a_basis_without_names(tmp_path, capsys):
     assert "needs a 'names = ...' line" in report["error"]["message"]
 
 
+def test_torsion_command_rejects_a_basis_line_without_equals(tmp_path, capsys):
+    path = tmp_path / "noequals.tor"
+    text = LYON_S_MINUS1.split("[basis]")[0] + "[basis]\nnames = a u\na 1 0\n"
+    assert text.splitlines()[9] == "a 1 0"
+    path.write_text(text)
+    report = _assert_json_error(capsys, path, "InputFileError")
+    assert report["error"]["message"] == (
+        "line 10: basis lines must look like 'key = values'"
+    )
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

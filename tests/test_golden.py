@@ -24,8 +24,10 @@ files' reports and the plot file at c5ee2b9, the wide file's report at
 reports at 1fc1839, before the Smith normal form dropped its column
 transform, and the two rank-0 reports at 2d535ce, before the point and
 segment branches of the hull and the rank-0 branch of the basis check were
-folded into the general code.  A change that alters any of them changes
-the CLI's output.
+folded into the general code.  The three ``sfh-torus`` reports, for
+(p, q, n) = (3, 4, 2), (2, 1, 6) and (5, 2, 8), were recorded at fa17c52,
+before rank tables became plain dicts and ``torus_sfh`` lost its unused q.
+A change that alters any of them changes the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -55,6 +57,10 @@ CASES = {
             "rank1", "antisymmetric", "rank3", "wide",
             "generators-100", "generators-100-basis", "rank0", "rank0-basis",
         )
+    },
+    **{
+        f"sfh-torus-{p}-{q}-{n}": ["sfh-torus", str(p), str(q), str(n)]
+        for p, q, n in ((3, 4, 2), (2, 1, 6), (5, 2, 8))
     },
 }
 
