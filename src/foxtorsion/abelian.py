@@ -8,7 +8,7 @@ term-dict inner loops live in `_kernels`.
 
 import math
 from itertools import accumulate as running_sums
-from operator import add, neg, sub
+from operator import add, sub
 
 from .errors import (
     InexactDivision,
@@ -18,7 +18,6 @@ from .errors import (
     UnknownGenerator,
 )
 from ._kernels import accumulate, add_terms, iadd_scaled, mul_terms
-from .groupring import GroupRingElement
 from .words import _NAME_RE, Word, render_word
 
 
@@ -189,12 +188,6 @@ class LaurentPoly:
         value = int(value)
         return cls._raw(rank, {(0,) * rank: value} if value else {})
 
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        coeff = int(coeff)
-        exps = tuple(int(e) for e in exps)
-        return cls._raw(len(exps), {exps: coeff} if coeff else {})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -259,12 +252,6 @@ class LaurentPoly:
         return LaurentPoly._raw(
             self.rank,
             {tuple(map(add, k, offset)): v for k, v in self.terms.items()},
-        )
-
-    def reflected(self):
-        """Exponent-wise negation (the inversion map on the grading group)."""
-        return LaurentPoly._raw(
-            self.rank, {tuple(map(neg, k)): v for k, v in self.terms.items()}
         )
 
     def exact_div(self, divisor):
@@ -442,14 +429,13 @@ class AbelianizationMap:
         return list(zip(*map(running_sums, zip(*rows))))
 
     def __call__(self, element):
-        """Apply the induced ring map to a Word or GroupRingElement."""
-        if isinstance(element, Word):
-            element = GroupRingElement.from_word(element)
+        """Apply the induced ring map to a Word, as {word: 1}, or to a
+        group-ring element such as a Fox derivative."""
+        terms = {element: 1} if isinstance(element, Word) else element.terms
         return LaurentPoly._raw(
             self.rank,
             accumulate(
-                (self.prefix_exponents(word)[-1], coeff)
-                for word, coeff in element.terms.items()
+                (self.prefix_exponents(word)[-1], coeff) for word, coeff in terms.items()
             ),
         )
 

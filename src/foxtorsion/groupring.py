@@ -1,79 +1,27 @@
-"""Integer group-ring elements over a free group, and Fox derivatives.
+"""Fox derivatives of free-group words, as integer group-ring elements.
 
 The derivative convention is left-to-right: d(uw) = du * aug(w) + u * dw,
 which on single letters gives dg/dg = 1 and d(g^-1)/dg = -g^-1.
+
+A group-ring element exists here only as a Fox result: its terms, equality
+and repr.  The ring arithmetic (sums, products, augmentation) serves only
+the tests' Fox identities, so it lives on the test subclass in
+``tests/helpers.py``.
 """
 
-from ._kernels import accumulate, add_terms
 from .words import Word, render_word
 
 
 class GroupRingElement:
-    """Finite integer combination of free-group words."""
+    """Finite integer combination of free-group words: {Word: coefficient}."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms or ()
-        self.terms = accumulate((word, int(coeff)) for word, coeff in items)
 
     @classmethod
     def _raw(cls, terms):
         e = cls.__new__(cls)
         e.terms = terms
         return e
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({Word.identity(): 1})
-
-    @classmethod
-    def from_word(cls, word, coeff=1):
-        return cls({word: coeff})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def augmentation(self):
-        return sum(self.terms.values())
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return GroupRingElement._raw(add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return GroupRingElement._raw({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return GroupRingElement.zero()
-            return GroupRingElement._raw({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return GroupRingElement._raw(
-            accumulate(
-                (wa * wb, ca * cb)
-                for wa, ca in self.terms.items()
-                for wb, cb in other.terms.items()
-            )
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms

@@ -3,8 +3,10 @@
 For each n >= -1 the two genus-one surfaces of the n-th knot have
 complementary sutured manifolds presented on generators a, b, x with a single
 relator; the surface generators include as explicit words in a and b.  This
-module builds those inputs, the closed-form torsion oracles, and the shared
-two-generator block polynomial with its recurrence.
+module builds those inputs and the closed-form torsion oracles that ``family``
+checks its result against.  The two-generator block polynomial with its
+recurrence, and the Alexander coefficients, serve only the acceptance tests
+and live in ``tests/helpers.py`` and ``tests/test_lyon.py``.
 
 The primed surface uses the words on the positive boundary side, so the
 pipeline computes the reflected torsion; that is harmless exactly when the
@@ -14,7 +16,7 @@ result is centrally symmetric, which the family pipeline records as a flag.
 from dataclasses import dataclass
 
 from .abelian import AbelianizationMap, LaurentPoly, abelianize_presentation
-from .errors import InexactDivision, UnsupportedN
+from .errors import UnsupportedN
 from .torsion import TorsionInput, torsion_normal_form
 from .words import Presentation, parse_word
 
@@ -86,32 +88,6 @@ def _poly2(pairs):
     return LaurentPoly(2, pairs)
 
 
-def surface_block_poly(n):
-    """Determinant of the surface-word derivative block, as a polynomial in (a, b).
-
-    Computed by the exact recurrence  p(n+1) = a * p(n) + b^(n+2) * s  from the
-    n = -1 seed, where s = 1 + a + ab + ab^2; the closed form
-    b * (a^(n+1) * (1+b+b^2+ab^2) - b^(n+1) * s) / (a - b) is recomputed by
-    exact division as a transcription check.  Returned in normal form (minimum
-    exponents zero, positive leading coefficient).
-    """
-    if n < -1:
-        raise UnsupportedN(f"family parameter must satisfy n >= -1, got {n}")
-    a = LaurentPoly.monomial((1, 0))
-    s = _poly2([((0, 0), 1), ((1, 0), 1), ((1, 1), 1), ((1, 2), 1)])
-    value = _poly2([((0, 1), -1), ((0, 2), -1)])  # seed at n = -1
-    for m in range(-1, n):
-        value = a * value + LaurentPoly.monomial((0, m + 2)) * s
-    sa = _poly2([((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 2), 1)])
-    numerator = LaurentPoly.monomial((0, 1)) * (
-        LaurentPoly.monomial((n + 1, 0)) * sa - LaurentPoly.monomial((0, n + 1)) * s
-    )
-    closed = numerator.exact_div(a - LaurentPoly.monomial((0, 1)))
-    if closed != value:
-        raise InexactDivision("recurrence and closed form disagree; transcription error")
-    return torsion_normal_form(value).representative
-
-
 def expected_torsion(case_or_n, surface=None):
     """Closed-form torsion oracle for one family member, as a normalized class.
 
@@ -143,7 +119,3 @@ def expected_torsion(case_or_n, surface=None):
     quotient = (first - second).exact_div(denominator)
     return torsion_normal_form(quotient * prefactor)
 
-
-def alexander_coefficients(n):
-    """(top, middle) coefficients of the family's symmetric degree-1 polynomial."""
-    return (6 + 12 * n, -(11 + 24 * n))

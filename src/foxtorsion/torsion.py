@@ -94,12 +94,10 @@ class TorsionClass:
     def coefficient_sum(self):
         return self.representative.coefficient_sum()
 
-    def reflect(self):
-        return TorsionClass(self.representative.reflected())
-
     def is_centrally_symmetric(self):
-        """Whether ``reflect() == self``, decided by lookups: the mirrored terms
-        {M - e: c}, M the maximum exponents, equal the terms or their negatives."""
+        """Whether the class equals its reflection (every exponent negated),
+        decided by lookups: the mirrored terms {M - e: c}, M the maximum
+        exponents, equal the terms or their negatives."""
         terms = self.representative.terms
         top = tuple(map(max, zip(*terms)))
         mirrored = {tuple(map(sub, top, e)): c for e, c in terms.items()}

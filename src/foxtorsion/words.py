@@ -1,8 +1,12 @@
 """Free-group words, presentations, and the word grammar.
 
 Words are immutable, freely reduced sequences of signed letters; a generator
-is its name, a string.  The text grammar, used both in the library and in CLI
-input files:
+is its name, a string.  They are built in one way, from letters already
+reduced (``Word._from_reduced``), by the parser below and by the Fox
+calculus.  The group operations (reducing constructor, product, inverse,
+power) serve only the tests, as references for the parser and to build
+inputs, so they live on the test subclass in ``tests/helpers.py``.  The text
+grammar, used both in the library and in CLI input files:
 
     word  :=  term*
     term  :=  atom ('^' integer)?
@@ -82,17 +86,6 @@ def _push_reduced(stack, atom):
     stack.extend(atom[i:] if i else atom)
 
 
-def _reduce(letters):
-    """The freely reduced form of any letter sequence, letter by letter."""
-    stack = []
-    for name, sign in letters:
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((name, sign))
-    return tuple(stack)
-
-
 def _power(atom, k):
     """The k-th power, k >= 0, of a freely reduced atom, freely reduced, with
     no letter-by-letter reduction.  Written u c u^-1 with c cyclically
@@ -108,20 +101,10 @@ def _power(atom, k):
 
 
 class Word:
-    """A freely reduced word; the empty word is the identity."""
+    """A freely reduced word; the empty word is the identity.  Words are
+    built by `parse_word` and by `fox_derivative` from reduced letters."""
 
     __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        letters = tuple(letters)
-        if len(letters) > MAX_WORD_LETTERS:
-            raise WordSizeError(
-                f"word with {len(letters)} letters exceeds the limit of {MAX_WORD_LETTERS}"
-            )
-        for name, sign in letters:
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        self.letters = _reduce(letters)
 
     @classmethod
     def _from_reduced(cls, letters):
@@ -130,51 +113,8 @@ class Word:
         w.letters = tuple(letters)
         return w
 
-    @classmethod
-    def identity(cls):
-        return cls._from_reduced(())
-
-    @classmethod
-    def generator(cls, name, sign=1):
-        return cls(((name, sign),))
-
-    @property
-    def is_identity(self):
-        return not self.letters
-
     def generator_names(self):
         return set(map(itemgetter(0), self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __mul__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        if len(self.letters) + len(other.letters) > MAX_WORD_LETTERS:
-            raise WordSizeError("product exceeds the word size limit")
-        return Word(self.letters + other.letters)
-
-    def inverse(self):
-        return Word._from_reduced(
-            tuple((name, -sign) for name, sign in reversed(self.letters))
-        )
-
-    def __invert__(self):
-        return self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if abs(k) > MAX_EXPONENT:
-            raise WordSizeError(f"exponent magnitude {k} exceeds {MAX_EXPONENT}")
-        if k == 0:
-            return Word.identity()
-        if k < 0:
-            return self.inverse() ** (-k)
-        if len(self.letters) * k > MAX_WORD_LETTERS:
-            raise WordSizeError("power exceeds the word size limit")
-        return Word(self.letters * k)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
@@ -235,8 +175,8 @@ def parse_word(text, names):
     c cyclically reduced, has the k-th power u c^k u^-1, built without
     reducing.  Powers are never kept, so the memo holds no expanded power
     however many distinct ones a text has.  The result equals folding the
-    syntax tree through ``Word.__mul__`` and ``Word.__pow__``, errors
-    included, left to right.
+    syntax tree through the product and power of the test ``Word`` in
+    ``tests/helpers.py``, errors included, left to right.
 
     Time is linear in the text plus the letters that atoms of more than one
     letter expand to (powers and parenthesized groups, counted once per push);

@@ -1,25 +1,231 @@
 """Shared randomized-input builders, a call counter and reference
-implementations for the test suite."""
+implementations for the test suite.
+
+The product builds words only from reduced letters and group-ring elements
+only as Fox derivatives.  The operations the tests need beyond that live
+here: ``Word`` and ``GroupRingElement`` subclass the product classes with
+the free-group and group-ring operations, and the functions after them are
+the Laurent and oracle conveniences only tests call.  Instances of the
+subclasses compare and hash like the product's, so they mix freely with
+parsed words and Fox results.
+"""
 
 import re
 import sys
 from itertools import groupby
+from operator import neg
 
 from hypothesis import strategies as st
 
 from foxtorsion import (
     LaurentPoly,
     Presentation,
+    TorsionClass,
     TorsionInput,
     abelianize_presentation,
+    groupring,
     torsion,
     words,
 )
-from foxtorsion.words import Word
-from foxtorsion._kernels import accumulate
+from foxtorsion._kernels import accumulate, add_terms
 from foxtorsion.abelian import _pivot
+from foxtorsion.lyon import _poly2
 from foxtorsion.polytope import _apply, _completion, _pad
-from foxtorsion.errors import InputTooLarge, ParseError, RankMismatch, WordSizeError
+from foxtorsion.errors import (
+    InexactDivision,
+    InputTooLarge,
+    ParseError,
+    RankMismatch,
+    UnsupportedN,
+    WordSizeError,
+)
+
+
+def reduce_letters(letters):
+    """The freely reduced form of any letter sequence, letter by letter."""
+    stack = []
+    for name, sign in letters:
+        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((name, sign))
+    return tuple(stack)
+
+
+class Word(words.Word):
+    """`words.Word` with a reducing constructor and the group operations."""
+
+    __slots__ = ()
+
+    def __init__(self, letters=()):
+        letters = tuple(letters)
+        if len(letters) > words.MAX_WORD_LETTERS:
+            raise WordSizeError(
+                f"word with {len(letters)} letters exceeds the limit of {words.MAX_WORD_LETTERS}"
+            )
+        for name, sign in letters:
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+        self.letters = reduce_letters(letters)
+
+    @classmethod
+    def identity(cls):
+        return cls._from_reduced(())
+
+    @classmethod
+    def generator(cls, name, sign=1):
+        return cls(((name, sign),))
+
+    @property
+    def is_identity(self):
+        return not self.letters
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __mul__(self, other):
+        if not isinstance(other, words.Word):
+            return NotImplemented
+        if len(self.letters) + len(other.letters) > words.MAX_WORD_LETTERS:
+            raise WordSizeError("product exceeds the word size limit")
+        return Word(self.letters + other.letters)
+
+    def inverse(self):
+        return Word._from_reduced(
+            tuple((name, -sign) for name, sign in reversed(self.letters))
+        )
+
+    def __invert__(self):
+        return self.inverse()
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if abs(k) > words.MAX_EXPONENT:
+            raise WordSizeError(f"exponent magnitude {k} exceeds {words.MAX_EXPONENT}")
+        if k == 0:
+            return Word.identity()
+        if k < 0:
+            return self.inverse() ** (-k)
+        if len(self.letters) * k > words.MAX_WORD_LETTERS:
+            raise WordSizeError("power exceeds the word size limit")
+        return Word(self.letters * k)
+
+
+class GroupRingElement(groupring.GroupRingElement):
+    """`groupring.GroupRingElement` with the ring operations.  An operand may
+    be a product element, a Fox derivative say, on either side."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = accumulate((word, int(coeff)) for word, coeff in items)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({Word.identity(): 1})
+
+    @classmethod
+    def from_word(cls, word, coeff=1):
+        return cls({word: coeff})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def augmentation(self):
+        return sum(self.terms.values())
+
+    def __add__(self, other):
+        if not isinstance(other, groupring.GroupRingElement):
+            return NotImplemented
+        return GroupRingElement._raw(add_terms(self.terms, other.terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GroupRingElement._raw({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, groupring.GroupRingElement):
+            return NotImplemented
+        return self + (-GroupRingElement._raw(other.terms))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 0:
+                return GroupRingElement.zero()
+            return GroupRingElement._raw({w: c * other for w, c in self.terms.items()})
+        if not isinstance(other, groupring.GroupRingElement):
+            return NotImplemented
+        return GroupRingElement._raw(
+            accumulate(
+                (Word._from_reduced(wa.letters) * wb, ca * cb)
+                for wa, ca in self.terms.items()
+                for wb, cb in other.terms.items()
+            )
+        )
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        if isinstance(other, groupring.GroupRingElement):
+            return GroupRingElement._raw(other.terms) * self
+        return NotImplemented
+
+
+def monomial(exps, coeff=1):
+    """The Laurent monomial coeff * x^exps, of rank len(exps)."""
+    coeff = int(coeff)
+    exps = tuple(int(e) for e in exps)
+    return LaurentPoly._raw(len(exps), {exps: coeff} if coeff else {})
+
+
+def reflected(poly):
+    """Exponent-wise negation (the inversion map on the grading group)."""
+    return LaurentPoly._raw(poly.rank, {tuple(map(neg, k)): v for k, v in poly.terms.items()})
+
+
+def reflect(t):
+    """The torsion class of the reflected representative."""
+    return TorsionClass(reflected(t.representative))
+
+
+def surface_block_poly(n):
+    """Determinant of the surface-word derivative block, as a polynomial in (a, b).
+
+    Computed by the exact recurrence  p(n+1) = a * p(n) + b^(n+2) * s  from the
+    n = -1 seed, where s = 1 + a + ab + ab^2; the closed form
+    b * (a^(n+1) * (1+b+b^2+ab^2) - b^(n+1) * s) / (a - b) is recomputed by
+    exact division as a transcription check.  Returned in normal form (minimum
+    exponents zero, positive leading coefficient).
+    """
+    if n < -1:
+        raise UnsupportedN(f"family parameter must satisfy n >= -1, got {n}")
+    a = monomial((1, 0))
+    s = _poly2([((0, 0), 1), ((1, 0), 1), ((1, 1), 1), ((1, 2), 1)])
+    value = _poly2([((0, 1), -1), ((0, 2), -1)])  # seed at n = -1
+    for m in range(-1, n):
+        value = a * value + monomial((0, m + 2)) * s
+    sa = _poly2([((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 2), 1)])
+    numerator = monomial((0, 1)) * (
+        monomial((n + 1, 0)) * sa - monomial((0, n + 1)) * s
+    )
+    closed = numerator.exact_div(a - monomial((0, 1)))
+    if closed != value:
+        raise InexactDivision("recurrence and closed form disagree; transcription error")
+    return torsion.torsion_normal_form(value).representative
+
+
+def tensor_ranks(g1, g2):
+    """Convolution of two rank tables, as a rank table; total ranks multiply."""
+    pairs = ((i + j, r1 * r2) for i, r1 in g1.items() for j, r2 in g2.items())
+    return dict(sorted(accumulate(pairs).items()))
 
 
 def random_word(rng, names=("a", "b", "c"), max_len=12):
@@ -38,7 +244,7 @@ def random_laurent(rng, rank=2, max_terms=6, exp_span=3, coeff_span=4, nonzero=F
             terms[exps] = coeff
     poly = LaurentPoly(rank, terms)
     if nonzero and poly.is_zero:
-        poly = LaurentPoly.monomial((1,) * rank, 1 + rng.randint(0, coeff_span))
+        poly = monomial((1,) * rank, 1 + rng.randint(0, coeff_span))
     return poly
 
 
@@ -221,7 +427,7 @@ def tietze_enlarge(rng, torsion_input, added):
         raise ValueError("multiplying relators needs at least two of them")
     pres = torsion_input.presentation
     gens = list(pres.generators)
-    relators = list(pres.relators)
+    relators = [Word._from_reduced(r.letters) for r in pres.relators]
     defining = []
     for i in range(added):
         w = random_word(rng, names=tuple(gens), max_len=3)
@@ -234,8 +440,9 @@ def tietze_enlarge(rng, torsion_input, added):
         c = random_word(rng, names=tuple(gens), max_len=2)
         relators[i] = relators[i] * _conjugate(c, relators[j] ** rng.choice((1, -1)))
     inclusion = [
-        w * _conjugate(random_word(rng, names=tuple(gens), max_len=2),
-                       relators[rng.choice(defining)])
+        Word._from_reduced(w.letters)
+        * _conjugate(random_word(rng, names=tuple(gens), max_len=2),
+                     relators[rng.choice(defining)])
         for w in torsion_input.inclusion_words
     ]
     enlarged = Presentation(gens, relators)
@@ -419,7 +626,7 @@ def reference_parse_word(text, names):
                 atom, k = [(g, -sign) for g, sign in reversed(atom)], -k
             if len(atom) * k > words.MAX_WORD_LETTERS:
                 raise WordSizeError("power exceeds the word size limit")
-            atom = words._reduce(atom * k)
+            atom = reduce_letters(atom * k)
         if len(stack) + len(atom) > words.MAX_WORD_LETTERS:
             raise WordSizeError("product exceeds the word size limit")
         for name, sign in atom:

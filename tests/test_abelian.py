@@ -16,8 +16,7 @@ from foxtorsion import (
 )
 from foxtorsion.abelian import integer_rank, render_terms, smith_normal_form
 from foxtorsion.cli import parse_torsion_file
-from foxtorsion.groupring import GroupRingElement
-from foxtorsion.words import Word
+from foxtorsion.groupring import fox_derivative
 from foxtorsion.errors import (
     InexactDivision,
     InvalidBasis,
@@ -27,7 +26,10 @@ from foxtorsion.errors import (
 )
 
 from helpers import (
+    GroupRingElement,
+    Word,
     laurent_polys,
+    monomial,
     random_laurent,
     random_word,
     reference_smith_normal_form,
@@ -364,7 +366,7 @@ def test_apply_map_examples():
     )
     assert LYON_BASIS(e) == LaurentPoly(2, {(0, 0): 1, (0, 2): 1, (0, 4): 1})
     assert LYON_BASIS(Word(())) == LaurentPoly.one(2)
-    assert LYON_BASIS(parse_word("a b^2", gens)) == LaurentPoly.monomial((-1, 6))
+    assert LYON_BASIS(parse_word("a b^2", gens)) == monomial((-1, 6))
 
 
 def test_apply_map_unknown_generator():
@@ -408,7 +410,29 @@ def test_word_exponents_is_the_last_prefix(rank, max_len):
             sum(sign * images[name][k] for name, sign in w.letters) for k in range(rank)
         )
         assert phi.prefix_exponents(w)[-1] == exponents
-        assert phi(w) == LaurentPoly.monomial(exponents)
+        assert phi(w) == monomial(exponents)
+
+
+def test_the_ring_map_reads_the_last_prefix_of_each_word():
+    # a Word maps as {word: 1}, to x^(its last prefix); an element, term by
+    # term, to the sum of its coefficients times those monomials
+    rng = random.Random(59)
+    phi = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1), "c": (2, -1)})
+    for _ in range(100):
+        w = random_word(rng)
+        assert phi(w) == monomial(phi.prefix_exponents(w)[-1])
+        e = GroupRingElement(
+            {random_word(rng): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+        )
+        want = LaurentPoly.zero(2)
+        for word, coeff in e.terms.items():
+            want = want + monomial(phi.prefix_exponents(word)[-1], coeff)
+        assert phi(e) == want
+    # parsed words and Fox derivatives are the product's own classes
+    w = parse_word("a b^2 c^-1 a", ("a", "b", "c"))
+    assert phi(w) == monomial(phi.prefix_exponents(w)[-1])
+    d = fox_derivative(w, "a")
+    assert phi(d) == monomial((0, 0)) + monomial(phi.prefix_exponents(w)[-2])
 
 
 def test_apply_map_is_ring_homomorphism():
@@ -498,8 +522,8 @@ def binomial_divisions(draw):
     top, bottom = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
     c = draw(st.integers(-5, 5).filter(bool))
     divisor = LaurentPoly(rank, {top: c, bottom: -c})
-    monomial = LaurentPoly.monomial(draw(exps), draw(st.integers(-9, 9).filter(bool)))
-    return f, divisor, monomial
+    perturbation = monomial(draw(exps), draw(st.integers(-9, 9).filter(bool)))
+    return f, divisor, perturbation
 
 
 def _quotient_or_inexact(dividend, divide):
@@ -555,7 +579,7 @@ def test_binomial_division_runs_along_lines():
     assert num.exact_div(den) == LaurentPoly(1, {(2 * i,): 1 for i in range(k)})
     # the odd exponents form a second line, whose sum is 1, not 0
     with pytest.raises(InexactDivision):
-        (num + LaurentPoly.monomial((1,))).exact_div(den)
+        (num + monomial((1,))).exact_div(den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -573,7 +597,7 @@ def test_laurent_ring_laws(c1, c2, c3):
 def test_substitute_monomial_map():
     # a -> a, b -> u^3 a^-1 sends a*b^2 to a^-1 u^6
     p = LaurentPoly(2, {(1, 2): 1})
-    assert substitute(p, [(1, 0), (-1, 3)]) == LaurentPoly.monomial((-1, 6))
+    assert substitute(p, [(1, 0), (-1, 3)]) == monomial((-1, 6))
 
 
 def test_substitute_is_ring_homomorphism():
@@ -638,7 +662,7 @@ def render_reference(poly, names):
 @example(LaurentPoly.zero(0))
 @example(LaurentPoly.zero(3))
 @example(LaurentPoly(0, {(): -1}))
-@example(LaurentPoly.monomial((0, -1, 1), -1))
+@example(monomial((0, -1, 1), -1))
 @example(LaurentPoly(2, {(1, 0): 2, (0, 1): -1, (2, -1): 1, (-1, 2): -5}))
 def test_one_sort_serves_terms_and_rendering(poly):
     names = ("a", "u", "x")[: poly.rank]

@@ -22,20 +22,29 @@ from foxtorsion import (
     sutured_torsion,
 )
 from foxtorsion.equivalence import apply_witness
-from foxtorsion.groupring import GroupRingElement, fox_derivative
-from foxtorsion.lyon import LyonCase, lyon_input, lyon_surface_words, surface_block_poly
+from foxtorsion.groupring import fox_derivative
+from foxtorsion.lyon import LyonCase, lyon_input, lyon_surface_words
 from foxtorsion.polytope import polygon_affine_equivalent
-from foxtorsion.sfh import tensor_ranks, torus_sfh
+from foxtorsion.sfh import torus_sfh
 from foxtorsion.torsion import (
     det_bareiss,
     det_cofactor,
     determinant,
     torsion_normal_form,
 )
-from foxtorsion.words import Word
 from foxtorsion.cli import main
 
-from helpers import apply_affine, random_laurent, random_unimodular, random_word
+from helpers import (
+    GroupRingElement,
+    Word,
+    apply_affine,
+    monomial,
+    random_laurent,
+    random_unimodular,
+    random_word,
+    surface_block_poly,
+    tensor_ranks,
+)
 
 
 @contextmanager
@@ -103,7 +112,7 @@ def test_criterion_4_minus_one_pair():
         h2 = newton_polytope(support(t2))
         assert h1.edge_length_multiset() == (1, 1, 4, 4)
         assert h2.edge_length_multiset() == (1, 1, 2, 2)
-        assert h1.vertex_count == h2.vertex_count == 4
+        assert len(h1.vertices) == len(h2.vertices) == 4
         assert polygon_affine_equivalent(h1, h2) is False
 
 
@@ -130,20 +139,20 @@ def test_criterion_7_recurrence_closed_form_and_primed_block():
     with criterion(7, 5.0, "block recurrence = closed form (-1..8); primed block agrees"):
         sa = poly2({(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 2): 1})
         sb = poly2({(0, 0): 1, (1, 0): 1, (1, 1): 1, (1, 2): 1})
-        a = LaurentPoly.monomial((1, 0))
-        b = LaurentPoly.monomial((0, 1))
+        a = monomial((1, 0))
+        b = monomial((0, 1))
         free_ab = AbelianizationMap(2, {"a": (1, 0), "b": (0, 1)}, ("a", "b"))
         recur = poly2({(0, 1): -1, (0, 2): -1})
         for n in range(-1, 9):
             # independent closed-form evaluation by exact division
             numerator = b * (
-                LaurentPoly.monomial((n + 1, 0)) * sa
-                - LaurentPoly.monomial((0, n + 1)) * sb
+                monomial((n + 1, 0)) * sa
+                - monomial((0, n + 1)) * sb
             )
             closed = numerator.exact_div(a - b)
             assert closed == recur, n
             assert torsion_normal_form(recur).representative == surface_block_poly(n)
-            recur = a * recur + LaurentPoly.monomial((0, n + 2)) * sb
+            recur = a * recur + monomial((0, n + 2)) * sb
         for n in range(-1, 6):
             words = lyon_surface_words(LyonCase(n, "Sprime"))
             block = [
@@ -184,7 +193,7 @@ def test_criterion_9_property_suites():
 
         for _ in range(200):
             p = random_laurent(rng, nonzero=True)
-            unit = LaurentPoly.monomial(
+            unit = monomial(
                 (rng.randint(-4, 4), rng.randint(-4, 4)), rng.choice((1, -1))
             )
             assert torsion_normal_form(unit * p) == torsion_normal_form(p)

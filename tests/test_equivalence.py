@@ -15,7 +15,7 @@ from foxtorsion import (
 from foxtorsion.equivalence import _match, apply_witness
 from foxtorsion.lyon import expected_torsion
 
-from helpers import apply_affine, count_calls, random_laurent, random_unimodular
+from helpers import apply_affine, count_calls, monomial, random_laurent, random_unimodular
 
 
 def classify(terms, rank=2):
@@ -62,7 +62,7 @@ def test_compare_builds_each_hull_once(monkeypatch):
 
 def test_unit_multiple_is_equivalent_with_identity_witness():
     p = LaurentPoly(2, {(1, 0): 2, (0, 3): -1, (2, 2): 1})
-    unit = LaurentPoly.monomial((-2, 5), -1)
+    unit = monomial((-2, 5), -1)
     verdict = compare_torsion(TorsionClass(p), TorsionClass(unit * p))
     assert verdict.kind == "Equivalent"
     assert verdict.witness.matrix == ((1, 0), (0, 1))

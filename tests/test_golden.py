@@ -27,7 +27,14 @@ segment branches of the hull and the rank-0 branch of the basis check were
 folded into the general code.  The three ``sfh-torus`` reports, for
 (p, q, n) = (3, 4, 2), (2, 1, 6) and (5, 2, 8), were recorded at fa17c52,
 before rank tables became plain dicts and ``torus_sfh`` lost its unused q.
-A change that alters any of them changes the CLI's output.
+Four cases reach command paths no other case does, and were recorded at
+81303e1, before the code that only tests called left ``src/``:
+``compare rank1.tor rank1.tor`` (a segment hull, matched by the rank-1
+map), ``compare rank1.tor example.tor`` (the ``rank`` verdict), and
+``compare zero.tor zero.tor`` with ``torsion zero.tor``, whose class is 0
+(``zero.tor``'s inclusion word is its relator), so compare answers with
+the identity witness.  A change that alters any of them changes the CLI's
+output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -46,6 +53,9 @@ CASES = {
     "torsion-long-words": ["torsion", "long-words.tor"],
     "compare-example-example": ["compare", "example.tor", "example.tor"],
     "compare-example-long-words": ["compare", "example.tor", "long-words.tor"],
+    "compare-rank1-rank1": ["compare", "rank1.tor", "rank1.tor"],
+    "compare-rank1-example": ["compare", "rank1.tor", "example.tor"],
+    "compare-zero-zero": ["compare", "zero.tor", "zero.tor"],
     **{
         f"family-{surface}-{n}": ["family", "--n", str(n), "--surface", surface]
         for surface in ("S", "Sprime")
@@ -56,6 +66,7 @@ CASES = {
         for name in (
             "rank1", "antisymmetric", "rank3", "wide",
             "generators-100", "generators-100-basis", "rank0", "rank0-basis",
+            "zero",
         )
     },
     **{

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import parse_word
-from foxtorsion.groupring import GroupRingElement, fox_derivative
-from foxtorsion.words import Word
+from foxtorsion.groupring import fox_derivative
 from foxtorsion._kernels import accumulate
 
-from helpers import random_word
+from helpers import GroupRingElement, Word, random_word
 
 GENS = ("a", "b", "x")
 
@@ -47,7 +46,7 @@ def test_fox_derivative_surface_word_at_n0():
 
 
 def test_fox_derivative_other_generator_is_zero():
-    assert fox_derivative(word("a b a^-1"), "x").is_zero
+    assert fox_derivative(word("a b a^-1"), "x") == GroupRingElement.zero()
 
 
 def test_ring_identity():
@@ -76,7 +75,7 @@ def test_leibniz_rule_randomized():
         w = random_word(rng)
         g = rng.choice(("a", "b", "c"))
         aug_w = GroupRingElement.from_word(w).augmentation()
-        product_rule = fox_derivative(u, g) * aug_w + GroupRingElement.from_word(
+        product_rule = GroupRingElement(fox_derivative(u, g).terms) * aug_w + GroupRingElement.from_word(
             u
         ) * fox_derivative(w, g)
         classical = fox_derivative(u, g) + GroupRingElement.from_word(

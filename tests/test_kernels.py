@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import LaurentPoly
-from foxtorsion.words import Word
 from foxtorsion._kernels import accumulate, add_terms, iadd_product, iadd_scaled, mul_terms
 from foxtorsion.errors import InexactDivision
 
-from helpers import random_word
+from helpers import Word, monomial, random_word, reflected
 
 
 def rand_terms(rng, nterms, rank=2, span=6, coeff=10**6):
@@ -237,7 +236,7 @@ def test_shift_reflect_and_min_exponents_in_every_rank(data):
     assert p.shifted(offset).terms == {
         by_index(add, k, offset): v for k, v in terms.items()
     }
-    assert p.reflected().terms == {
+    assert reflected(p).terms == {
         by_index(neg, k): v for k, v in terms.items()
     }
     if terms:
@@ -264,7 +263,7 @@ def test_exact_div_in_every_rank(data):
     else:
         d = LaurentPoly(rank, data.draw(term_dicts(rank, max_size=4)))
     if d.is_zero:
-        d = LaurentPoly.monomial(data.draw(exponents(rank)), 2)
+        d = monomial(data.draw(exponents(rank)), 2)
     n = LaurentPoly(rank, ref_mul(q.terms, d.terms))
     assert n.exact_div(d) == q
     extra = data.draw(term_dicts(rank, max_size=2))

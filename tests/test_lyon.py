@@ -10,17 +10,15 @@ from foxtorsion import (
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import (
     LyonCase,
-    alexander_coefficients,
     expected_torsion,
     lyon_input,
     lyon_surface_words,
-    surface_block_poly,
 )
 from foxtorsion.torsion import det_cofactor, torsion_normal_form
 from foxtorsion.words import render_word
 from foxtorsion.errors import UnsupportedN
 
-from helpers import substitute
+from helpers import substitute, surface_block_poly
 
 
 def poly2(terms):
@@ -148,6 +146,11 @@ def test_coefficient_sums_both_surfaces():
     for n in range(-1, 7):
         for surface in ("S", "Sprime"):
             assert expected_torsion(n, surface).coefficient_sum() == abs(6 + 12 * n)
+
+
+def alexander_coefficients(n):
+    """(top, middle) coefficients of the family's symmetric degree-1 polynomial."""
+    return (6 + 12 * n, -(11 + 24 * n))
 
 
 def test_alexander_coefficients():

@@ -6,9 +6,10 @@ from foxtorsion.errors import InputTooLarge, NonpositiveP, OddSutureCount
 from foxtorsion.sfh import (
     MAX_BINOMIAL_ROW,
     MAX_TABLE_LENGTH,
-    tensor_ranks,
     torus_sfh,
 )
+
+from helpers import tensor_ranks
 
 
 def test_two_suture_examples():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from operator import sub
 from pathlib import Path
@@ -46,15 +47,18 @@ from foxtorsion.torsion import (
     fox_matrix,
     torsion_normal_form,
 )
-from foxtorsion.words import MAX_WORD_LETTERS, Word
+from foxtorsion.words import MAX_WORD_LETTERS
 
 from helpers import (
     count_calls,
     dense_unit_elimination,
     det_cofactor_tuples,
     det_first_column,
+    Word,
     laurent_polys,
+    monomial,
     random_laurent,
+    reflect,
     tietze_enlarge,
 )
 
@@ -446,7 +450,7 @@ def wide_exponent_matrices(draw):
     if shape == "extreme" and rank:
         axis = draw(st.integers(0, rank - 1))
         e = tuple(draw(st.sampled_from((big, -big))) if i == axis else 0 for i in range(rank))
-        return [[LaurentPoly.monomial(e, draw(coeffs)) for _ in range(n)] for _ in range(n)]
+        return [[monomial(e, draw(coeffs)) for _ in range(n)] for _ in range(n)]
     exps = st.tuples(*[st.sampled_from((0, 1, -1, big, -big))] * rank)
     poly = st.dictionaries(exps, coeffs, min_size=1, max_size=3 if n <= 3 else 2)
     entry = st.one_of(st.just({}), poly)
@@ -492,7 +496,7 @@ def unit_rich_matrices(draw):
     n = draw(st.integers(1, 7))
     rank = draw(st.integers(0, 2))
     exps = st.tuples(*[st.integers(-2, 2)] * rank)
-    unit = st.builds(LaurentPoly.monomial, exps, st.sampled_from((1, -1)))
+    unit = st.builds(monomial, exps, st.sampled_from((1, -1)))
     poly = st.builds(
         LaurentPoly,
         st.just(rank),
@@ -597,7 +601,7 @@ def _nonunit_matrix(rng, n):
 def test_four_by_four_unit_reduces_to_three_by_three(monkeypatch):
     matrix = _nonunit_matrix(random.Random(67), 4)
     # the one unit, -a^2 u^-1 at (2, 1): odd p + q and a negative coefficient
-    matrix[2][1] = LaurentPoly.monomial((2, -1), -1)
+    matrix[2][1] = monomial((2, -1), -1)
     expected = det_cofactor(matrix)
     dims = count_calls(monkeypatch, det_cofactor, len)
     assert determinant(matrix) == expected
@@ -695,7 +699,7 @@ def test_sparse_matrix_has_no_dimension_budget(monkeypatch):
     # the expansion multiplies term pairs quadratic in n (2,638 at n = 30,
     # 10,678 at 60 and 42,958 at 120), far below MAX_TERM_PRODUCTS
     n = 60
-    x = LaurentPoly.monomial((1,))
+    x = monomial((1,))
     a, b, c = x + 2, x - 3, 2 * x
     matrix = [[LaurentPoly.zero(1)] * n for _ in range(n)]
     for i in range(n):
@@ -734,7 +738,7 @@ def test_unit_invariance_randomized():
     rng = random.Random(53)
     for _ in range(200):
         p = random_laurent(rng, nonzero=True)
-        unit = LaurentPoly.monomial(
+        unit = monomial(
             (rng.randint(-4, 4), rng.randint(-4, 4)), rng.choice((1, -1))
         )
         assert torsion_normal_form(unit * p) == torsion_normal_form(p)
@@ -756,7 +760,7 @@ def test_reflect_examples():
         poly2({(1, 0): 1, (0, 3): 1}) * poly2({(0, 0): 1, (0, 1): 1, (0, 2): 1})
     )  # (b + x^3)(1 + x + x^2)
     assert symmetric.is_centrally_symmetric()
-    assert TorsionClass(LaurentPoly.monomial((3, -2), 5)).is_centrally_symmetric()
+    assert TorsionClass(monomial((3, -2), 5)).is_centrally_symmetric()
     assert not TorsionClass(
         poly2({(0, 0): 1, (1, 0): 1, (0, 1): 1})
     ).is_centrally_symmetric()
@@ -766,7 +770,7 @@ def test_reflect_is_involution():
     rng = random.Random(61)
     for _ in range(100):
         t = TorsionClass(random_laurent(rng))
-        assert t.reflect().reflect() == t
+        assert reflect(reflect(t)) == t
 
 
 def normalize_reference(poly):
@@ -826,7 +830,7 @@ def mirror_cases(draw):
 @given(mirror_cases())
 def test_mirror_lookup_agrees_with_reflection(case):
     kind, change, t = case
-    assert t.is_centrally_symmetric() == (t.reflect() == t)
+    assert t.is_centrally_symmetric() == (reflect(t) == t)
     if kind != "random" and change is None:
         assert t.is_centrally_symmetric()
 
@@ -834,10 +838,10 @@ def test_mirror_lookup_agrees_with_reflection(case):
 def test_mirror_lookup_on_the_zero_class_and_in_rank_0():
     for rank in range(4):
         zero = TorsionClass(LaurentPoly.zero(rank))
-        assert zero.is_centrally_symmetric() and zero.reflect() == zero
+        assert zero.is_centrally_symmetric() and reflect(zero) == zero
     for c in (1, -1, 7):
         t = TorsionClass(LaurentPoly.constant(0, c))
-        assert t.is_centrally_symmetric() and t.reflect() == t
+        assert t.is_centrally_symmetric() and reflect(t) == t
 
 
 def test_family_coefficient_sums():
@@ -876,3 +880,93 @@ def test_family_matrix_reaches_cofactor_unreduced(monkeypatch):
     dims = count_calls(monkeypatch, det_cofactor, len)
     sutured_torsion(lyon_input(4, "S"))
     assert dims == [3]
+
+
+# -- Fox's fundamental formula ---------------------------------------------------
+#
+# In the group ring w - 1 = sum_g (dw/dg)(g - 1) (Fox 1953, Free differential
+# calculus I).  Abelianized, with d_i = x^phi(g_i) - 1, column j of the
+# uncleared `fox_matrix` satisfies  sum_i M[i][j] d_i = x^phi(w_j) - 1,  which
+# is 0 for a relator column.  Replacing row k by sum_i d_i row_i multiplies
+# the determinant by d_k and leaves the row (x^phi(w_j) - 1 on the l
+# inclusion columns, 0 on the relator columns), so expanding along it gives
+#   det M * d_k = sum_{j<l} (-1)^(k+j) (x^phi(w_j) - 1) det M_kj
+# with the minors M_kj taken by `det_cofactor` on the uncleared matrix.  The
+# right side uses no clearing, unit elimination, key packing or binomial
+# division, so it checks `fox_determinant` against minors that use none.
+
+TESTS_DIR = Path(__file__).parent
+# No determinant to check: fox_determinant takes over 0.1 s on the first two,
+# and refuses the third with InputTooLarge.
+NO_ROW_CHECK = {"random-words-2000.tor", "budget-power.tor", "rank11-commutators.tor"}
+
+
+def _fundamental_inputs(workdir):
+    """(name, TorsionInput): every golden and tests/inputs file, the seed-7
+    `tietze` and `long-words` design files, and Lyon S and S' at four n."""
+    sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
+    import workloads
+
+    found = []
+    for path in sorted([*TESTS_DIR.glob("golden/*.tor"), *TESTS_DIR.glob("inputs/*.tor")]):
+        found.append((path.name, cli.load_torsion_file(str(path))))
+    for name in ("tietze", "long-words"):
+        for i, op in enumerate(workloads.WORKLOADS[name].design(7, str(workdir))):
+            found.append((f"{name}:{i}", cli.load_torsion_file(op.inputs[0])))
+    for n in (-1, 0, 7, 150):
+        for surface in ("S", "Sprime"):
+            found.append((f"lyon {n} {surface}", lyon_input(n, surface)))
+    return found
+
+
+@pytest.fixture(scope="module")
+def fundamental_inputs(tmp_path_factory):
+    return _fundamental_inputs(tmp_path_factory.mktemp("designs"))
+
+
+def _minus_one(exponents):
+    """x^exponents - 1."""
+    return monomial(exponents) - monomial((0,) * len(exponents))
+
+
+def _word_minus_one(tinput, word):
+    return _minus_one(tinput.abelianization.prefix_exponents(word)[-1])
+
+
+def test_fox_columns_satisfy_the_fundamental_formula(fundamental_inputs):
+    assert len(fundamental_inputs) == 15 + 13 + 11 + 8
+    for name, tinput in fundamental_inputs:
+        phi = tinput.abelianization
+        matrix = fox_matrix(tinput)
+        d = [_minus_one(phi.images[g]) for g in tinput.presentation.generators]
+        zero = LaurentPoly.zero(phi.rank)
+        l = len(tinput.inclusion_words)
+        for j, w in enumerate(tinput.inclusion_words + tinput.presentation.relators):
+            column = zero
+            for row, d_i in zip(matrix, d):
+                column = column + row[j] * d_i
+            assert column == (_word_minus_one(tinput, w) if j < l else zero), (name, j)
+
+
+def test_the_determinant_satisfies_the_row_replacement(fundamental_inputs):
+    checked = 0
+    for name, tinput in fundamental_inputs:
+        phi = tinput.abelianization
+        d = [_minus_one(phi.images[g]) for g in tinput.presentation.generators]
+        k = next((i for i, d_i in enumerate(d) if not d_i.is_zero), None)
+        if name in NO_ROW_CHECK or not phi.rank or not tinput.inclusion_words or k is None:
+            continue
+        matrix = fox_matrix(tinput)
+        expansion = LaurentPoly.zero(phi.rank)
+        for j, w in enumerate(tinput.inclusion_words):
+            minor = [
+                [e for c, e in enumerate(row) if c != j]
+                for r, row in enumerate(matrix)
+                if r != k
+            ]
+            term = _word_minus_one(tinput, w) * det_cofactor(minor)
+            expansion = expansion + (-term if (k + j) % 2 else term)
+        assert fox_determinant(tinput) * d[k] == expansion, name
+        checked += 1
+    # the 15 files less the two of rank 0 and the three above
+    assert checked == 10 + 13 + 11 + 8

@@ -15,7 +15,6 @@ from foxtorsion.words import (
     MAX_EXPANDED_LETTERS,
     MAX_NESTING,
     MAX_WORD_LETTERS,
-    Word,
     render_word,
 )
 from foxtorsion.errors import (
@@ -25,7 +24,14 @@ from foxtorsion.errors import (
     WordSizeError,
 )
 
-from helpers import count_calls, random_word, reference_parse_word, reference_render_word
+from helpers import (
+    Word,
+    count_calls,
+    random_word,
+    reduce_letters,
+    reference_parse_word,
+    reference_render_word,
+)
 
 GENS = ("a", "b", "x")
 
@@ -48,7 +54,7 @@ def test_parse_relator_word():
 
 def test_parse_empty_is_identity():
     assert parse_word("", GENS) == Word.identity()
-    assert parse_word("   ", GENS).is_identity
+    assert parse_word("   ", GENS) == Word()
 
 
 def test_parse_reduces_across_atoms():
@@ -59,7 +65,7 @@ def test_parse_reduces_across_atoms():
 
 def test_parse_nested_and_negative_powers():
     assert parse_word("((a b)^2)^-1", GENS) == parse_word("b^-1 a^-1 b^-1 a^-1", GENS)
-    assert parse_word("x^0", GENS).is_identity
+    assert parse_word("x^0", GENS) == Word()
 
 
 def test_parse_unknown_generator_reports_position():
@@ -119,7 +125,7 @@ def test_word_size_limit():
     with pytest.raises(WordSizeError):
         parse_word("(a b)^100000", GENS)
     with pytest.raises(WordSizeError):
-        parse_word("a b", GENS) ** 100000
+        Word(lets("a b")) ** 100000
     with pytest.raises(WordSizeError, match="letters exceeds the limit"):
         Word([("a", 1)] * (MAX_WORD_LETTERS + 1))
 
@@ -130,20 +136,20 @@ def test_word_letters_need_a_unit_sign():
 
 
 def test_invert_example():
-    w = parse_word("a b^-1", GENS)
+    w = Word(lets("a B"))
     assert w.inverse().letters == lets("b A")
     assert ~w == w.inverse()
 
 
 def test_power_example():
-    w = parse_word("b a^-1", GENS)
+    w = Word(lets("b A"))
     assert (w ** 3).letters == lets("b A b A b A")
     assert w ** -2 == (w.inverse()) ** 2
 
 
 def test_multiply_cancellation_example():
-    left = parse_word("a b", GENS)
-    right = parse_word("b^-1 a", GENS)
+    left = Word(lets("a b"))
+    right = Word(lets("B a"))
     assert (left * right).letters == lets("a a")
 
 
@@ -431,14 +437,14 @@ def test_parsing_a_full_budget_of_tokens_is_linear(monkeypatch):
     # every atom, as a fold through Word.__mul__ does, pushes about 200 million.
     tokens = ["a", "b^-1", "x"] * (MAX_WORD_LETTERS // 3) + ["a"] * (MAX_WORD_LETTERS % 3)
     pushed = count_calls(monkeypatch, words._push_reduced, lambda stack, letters: len(letters))
-    assert len(parse_word(" ".join(tokens), GENS)) == MAX_WORD_LETTERS
+    assert len(parse_word(" ".join(tokens), GENS).letters) == MAX_WORD_LETTERS
     assert sum(pushed) <= len(tokens)
     # The second half inverts the first, so the reduced word stays long until
     # the inverse letters cancel it down to the identity, pair by pair.
     half = tokens[: MAX_WORD_LETTERS // 2]
     inverse = {"a": "a^-1", "b^-1": "b", "x": "x^-1"}
     pushed.clear()
-    assert parse_word(" ".join(half + [inverse[t] for t in reversed(half)]), GENS).is_identity
+    assert parse_word(" ".join(half + [inverse[t] for t in reversed(half)]), GENS) == Word()
     assert sum(pushed) <= len(tokens)
 
 
@@ -512,7 +518,7 @@ def test_the_memo_keeps_no_expanded_power():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert word.is_identity
+    assert word == Word()
     assert peak < 64_000
 
 
@@ -732,17 +738,19 @@ def test_the_token_pattern_runs_once_per_distinct_term(monkeypatch):
 
 def test_a_group_power_is_not_reduced_letter_by_letter(monkeypatch):
     # u c u^-1 with c cyclically reduced has the power u c^k u^-1, so the
-    # letters come from one repetition of c, with no free reduction
+    # letters come from one repetition of c, with no free reduction: each
+    # power is one `_power` call on the group's reduced letters, and src/
+    # holds no letter-by-letter reducer (test_reach keeps it out)
     texts = ("(a b)^10000", "(a b a^-1)^6666", "(b a x^-1 a^-1 b^-1)^-4000")
     expected = [reference_parse_word(text, GENS) for text in texts]
-    reduced = count_calls(monkeypatch, words._reduce, lambda letters: len(letters))
+    powers = count_calls(monkeypatch, words._power, lambda atom, k: (len(atom), k))
     assert [parse_word(text, GENS) for text in texts] == expected
-    assert reduced == []
+    assert powers == [(2, 10000), (3, 6666), (5, 4000)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(letters_strategy, st.integers(0, 6))
 def test_power_of_a_reduced_atom_equals_its_reduced_repetition(raw, k):
     atom = Word(raw).letters
-    assert tuple(words._power(atom, k)) == words._reduce(atom * k)
-    assert tuple(words._power(list(atom), k)) == words._reduce(atom * k)
+    assert tuple(words._power(atom, k)) == reduce_letters(atom * k)
+    assert tuple(words._power(list(atom), k)) == reduce_letters(atom * k)
