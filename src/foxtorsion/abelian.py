@@ -25,7 +25,7 @@ from .words import _NAME_RE, Word, render_word
 # integer matrices
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, transform=True):
     """Invariant factors of an integer matrix and a row transform to them.
 
     Returns (factors, U): ``factors`` are the min(m, n) diagonal entries of
@@ -33,14 +33,15 @@ def smith_normal_form(matrix):
     unimodular m x m row transform with U * matrix * V = diag(factors) for a
     unimodular V.  V is never formed: column operations act on the working
     copy of the matrix only, and only on the rows where the pivot column is
-    nonzero.
+    nonzero.  With ``transform=False`` U's rows are empty: the same pivots and
+    row operations run, without U's entries, which can grow far past the matrix's.
     """
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    U = [[int(i == j) for j in range(m)] if transform else [] for i in range(m)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [x - q * y for x, y in zip(A[i], A[j])]
@@ -455,10 +456,12 @@ class AbelianizationMap:
 def abelianize_presentation(presentation, user_basis=None):
     """Free-part abelianization of a presentation.
 
-    Without ``user_basis`` the basis comes from the Smith normal form of the
-    relator exponent matrix; a finite cyclic factor raises NontrivialTorsion.
-    A supplied basis is validated (kills every relator, has as many
-    coordinates as the free part of H_1, generates Z^r) and returned verbatim.
+    On both paths H_1 is read off one Smith normal form of the relator
+    exponent matrix, and a finite cyclic factor raises NontrivialTorsion.
+    Without ``user_basis`` the basis is the free rows of its row transform.  A
+    supplied basis is validated (kills every relator, has as many coordinates
+    as the free part of H_1, generates Z^r) and returned verbatim; its Smith
+    normal forms build no transform.
     """
     names = presentation.generators
     # row i of the m x k matrix holds generator i's exponent sum in each relator
@@ -473,7 +476,7 @@ def abelianize_presentation(presentation, user_basis=None):
             if name not in user_basis.images:
                 raise InvalidBasis(f"user basis has no image for generator {name!r}")
         # fewer images than coordinates cannot generate Z^r; refused before
-        # the relator check and the Smith normal form, which grow with r
+        # the relator check and the Smith normal forms, which grow with r
         if user_basis.rank > len(names):
             raise InvalidBasis("user basis images do not generate Z^r")
         for rel in presentation.relators:
@@ -481,24 +484,8 @@ def abelianize_presentation(presentation, user_basis=None):
                 raise InvalidBasis(
                     f"user basis does not kill relator {render_word(rel)!r}"
                 )
-        # H_1 has free rank m - rank_Q(M): fewer coordinates would present a
-        # quotient of its free part, and more cannot be generated
-        free_rank = len(names) - integer_rank(M)
-        if user_basis.rank != free_rank:
-            raise InvalidBasis(
-                f"user basis has rank {user_basis.rank}, but the free part of H_1 "
-                f"has rank {free_rank}"
-            )
-        gmat = [
-            [user_basis.images[name][i] for name in names]
-            for i in range(user_basis.rank)
-        ]
-        factors, _ = smith_normal_form(gmat)
-        if factors.count(1) != user_basis.rank:
-            raise InvalidBasis("user basis images do not generate Z^r")
-        return user_basis
 
-    factors, U = smith_normal_form(M)
+    factors, U = smith_normal_form(M, transform=user_basis is None)
     for d in factors:
         if d > 1:
             raise NontrivialTorsion(
@@ -506,9 +493,20 @@ def abelianize_presentation(presentation, user_basis=None):
             )
     # the zero factors come last, so rows past the nonzero ones span the free part
     free_rows = range(sum(map(bool, factors)), len(names))
-    rank = len(free_rows)
-    images = {
-        name: tuple(U[i][j] for i in free_rows) for j, name in enumerate(names)
-    }
-    # with no relators U is the identity, so the generators are the basis
-    return AbelianizationMap(rank, images, None if presentation.relators else names)
+    if user_basis is None:
+        images = {name: tuple(U[i][j] for i in free_rows) for j, name in enumerate(names)}
+        # with no relators U is the identity, so the generators are the basis
+        return AbelianizationMap(len(free_rows), images, None if presentation.relators else names)
+
+    # fewer coordinates would present a quotient of the free part of H_1, and
+    # more cannot be generated
+    if user_basis.rank != len(free_rows):
+        raise InvalidBasis(
+            f"user basis has rank {user_basis.rank}, but the free part of H_1 "
+            f"has rank {len(free_rows)}"
+        )
+    gmat = [[user_basis.images[name][i] for name in names] for i in range(user_basis.rank)]
+    factors, _ = smith_normal_form(gmat, transform=False)
+    if factors.count(1) != user_basis.rank:
+        raise InvalidBasis("user basis images do not generate Z^r")
+    return user_basis

@@ -380,8 +380,8 @@ def reference_affine_maps(p1, p2):
 
 
 def count_calls(monkeypatch, function, measure):
-    """Record ``measure(*args)`` for every call of ``function``, one entry per
-    call, for as long as the monkeypatch lasts.
+    """Record ``measure(*args, **kwargs)`` for every call of ``function``, one
+    entry per call, for as long as the monkeypatch lasts.
 
     The wrapper replaces ``function`` at every ``foxtorsion`` module that
     binds it, found by identity, so calls through any import are seen.  A
@@ -390,9 +390,9 @@ def count_calls(monkeypatch, function, measure):
     """
     calls = []
 
-    def counted(*args):
-        calls.append(measure(*args))
-        return function(*args)
+    def counted(*args, **kwargs):
+        calls.append(measure(*args, **kwargs))
+        return function(*args, **kwargs)
 
     bindings = [
         (module, name)

@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
@@ -136,6 +136,13 @@ def small_integer_matrices(draw):
 @given(small_integer_matrices())
 def test_smith_normal_form_equals_the_all_rows_reference(matrix):
     assert smith_normal_form(matrix) == reference_smith_normal_form(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_matrices())
+def test_smith_normal_form_without_its_transform_has_the_same_factors(matrix):
+    factors, _ = smith_normal_form(matrix)
+    assert smith_normal_form(matrix, transform=False) == (factors, [[] for _ in matrix])
 
 
 @pytest.mark.parametrize("name", ["generators-100.tor", "generators-100-basis.tor"])
@@ -324,6 +331,36 @@ def test_smith_basis_is_accepted_and_a_coordinate_fewer_refused(pres, data):
         InvalidBasis, match=f"rank {fewer.rank}, but the free part of H_1 has rank {phi.rank}"
     ):
         abelianize_presentation(pres, fewer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+@example(Presentation(("a", "b", "c", "d"), ("a^2",)))
+@example(Presentation(("a", "b", "c", "d"), ("a^2 b^-4", "a^-2 b^-2 c^3")))
+def test_both_paths_refuse_a_finite_factor_of_h1_alike(pres):
+    """A [basis] of the free rows of the row transform kills every relator
+    and generates Z^r, so it is refused with NontrivialTorsion exactly when
+    the path without a [basis] refuses, and accepted otherwise."""
+    index = {g: i for i, g in enumerate(pres.generators)}
+    M = [[0] * len(pres.relators) for _ in pres.generators]
+    for j, rel in enumerate(pres.relators):
+        for g, sign in rel.letters:
+            M[index[g]][j] += sign
+    factors, U = smith_normal_form(M)
+    free_rows = range(sum(map(bool, factors)), len(pres.generators))
+    basis = AbelianizationMap(
+        len(free_rows), {g: tuple(U[i][j] for i in free_rows) for g, j in index.items()}
+    )
+    outcomes = []
+    for user in (None, basis):
+        try:
+            abelianize_presentation(pres, user)
+            outcomes.append("free")
+        except NontrivialTorsion:
+            outcomes.append("torsion")
+    event(outcomes[0])
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("torsion" if any(d > 1 for d in factors) else "free")
 
 
 def test_invalid_basis_missing_generator():

@@ -25,7 +25,7 @@ from foxtorsion import (
 )
 from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion._kernels import iadd_product
-from foxtorsion.abelian import smith_normal_form
+from foxtorsion.abelian import integer_rank, smith_normal_form
 from foxtorsion.cli import (
     MAX_BASIS_DIGITS,
     MAX_FAMILY_N,
@@ -342,7 +342,7 @@ def test_an_unbalanced_file_is_refused_before_any_word_is_parsed(
     path = tmp_path / "unbalanced.tor"
     path.write_text(text)
     parsed = count_calls(monkeypatch, parse_word, lambda text, names: len(text))
-    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix: len(matrix))
+    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix, **_: len(matrix))
     code, report, _ = run(capsys, "torsion", str(path))
     assert code == 1
     assert report["error"]["type"] == "NotBalanced"
@@ -360,7 +360,7 @@ def test_a_basis_of_more_names_than_generators_is_refused_before_the_snf(
     text = LYON_S0.split("[basis]")[0] + f"[basis]\nnames = {names}\n{images}"
     path = tmp_path / "wide.tor"
     path.write_text(text)
-    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix: len(matrix))
+    snf = count_calls(monkeypatch, smith_normal_form, lambda matrix, **_: len(matrix))
     code, report, _ = run(capsys, "torsion", str(path))
     assert code == 1
     assert report["error"] == {
@@ -368,6 +368,22 @@ def test_a_basis_of_more_names_than_generators_is_refused_before_the_snf(
         "message": "user basis images do not generate Z^r",
     }
     assert snf == []
+
+
+@pytest.mark.parametrize("name", ["generators-100-basis.tor", "rank0-basis.tor", "wide.tor"])
+def test_a_basis_file_loads_with_smith_normal_forms_that_build_no_transform(
+    monkeypatch, name
+):
+    # one pass over the relator matrix for H_1 and one over the images for
+    # generation; the row transform U is built only when it is the basis
+    text = (Path(__file__).parent / "golden" / name).read_text()
+    snf = count_calls(
+        monkeypatch, smith_normal_form, lambda matrix, transform=True: transform
+    )
+    rank = count_calls(monkeypatch, integer_rank, lambda matrix: 1)
+    parse_torsion_file(text)
+    assert snf == [False, False]
+    assert rank == []
 
 
 def test_torsion_command_missing_file(capsys):

@@ -33,7 +33,12 @@ Four cases reach command paths no other case does, and were recorded at
 map), ``compare rank1.tor example.tor`` (the ``rank`` verdict), and
 ``compare zero.tor zero.tor`` with ``torsion zero.tor``, whose class is 0
 (``zero.tor``'s inclusion word is its relator), so compare answers with
-the identity witness.  A change that alters any of them changes the CLI's
+the identity witness.  ``finite-h1.tor`` has H_1 = Z/2 + Z, and its
+report, recorded at 672821d, is a NontrivialTorsion refusal (exit 1);
+``finite-h1-basis.tor`` is the same file with a ``[basis]`` that kills the
+relator and generates Z, and its report, recorded after both paths came to
+read H_1 from one Smith normal form, is the same refusal, where 672821d
+printed the torsion 2.  A change that alters any of them changes the CLI's
 output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
@@ -41,6 +46,7 @@ through ``python -m foxtorsion`` in a subprocess of the running interpreter,
 which needs no pytest.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -66,7 +72,7 @@ CASES = {
         for name in (
             "rank1", "antisymmetric", "rank3", "wide",
             "generators-100", "generators-100-basis", "rank0", "rank0-basis",
-            "zero",
+            "zero", "finite-h1", "finite-h1-basis",
         )
     },
     **{
@@ -94,8 +100,10 @@ def test_report_is_byte_identical(case, capsys, monkeypatch):
 
     monkeypatch.chdir(GOLDEN)
     code = main(CASES[case])
-    assert capsys.readouterr().out == expected(case)
-    assert code == 0
+    out = capsys.readouterr().out
+    assert out == expected(case)
+    # exit 0 exactly when the report has no error
+    assert code == int("error" in json.loads(out))
 
 
 def test_plot_data_is_byte_identical(tmp_path, capsys, monkeypatch):

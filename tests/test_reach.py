@@ -20,12 +20,13 @@ that names no function, fails too, so the list cannot go stale.
 import ast
 import contextlib
 import io
+import json
 import os
 import sys
 
 import pytest
 
-from test_golden import CASES, GOLDEN, PLOTS
+from test_golden import CASES, GOLDEN, PLOTS, expected
 from test_readme import library_example
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -178,7 +179,9 @@ def reach(tmp_path_factory):
 
 def test_the_traffic_runs_the_commands_and_their_refusals(reach):
     _, _, exits = reach
-    assert {case: exits[case] for case in [*CASES, *PLOTS]} == dict.fromkeys([*CASES, *PLOTS], 0)
+    # a golden case exits 1 exactly when its report names an error
+    golden = {case: int("error" in json.loads(expected(case))) for case in [*CASES, *PLOTS]}
+    assert {case: exits[case] for case in golden} == golden
     assert [exits["unknown-command"], *(exits[name] for name in REFUSED_FILES)] == [1, 1, 1]
 
 

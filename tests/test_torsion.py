@@ -899,17 +899,22 @@ TESTS_DIR = Path(__file__).parent
 # No determinant to check: fox_determinant takes over 0.1 s on the first two,
 # and refuses the third with InputTooLarge.
 NO_ROW_CHECK = {"random-words-2000.tor", "budget-power.tor", "rank11-commutators.tor"}
+# No torsion at all: H_1 has a finite factor, and the golden reports pin the
+# NontrivialTorsion refusal.
+REFUSED = {"finite-h1.tor", "finite-h1-basis.tor"}
 
 
 def _fundamental_inputs(workdir):
-    """(name, TorsionInput): every golden and tests/inputs file, the seed-7
-    `tietze` and `long-words` design files, and Lyon S and S' at four n."""
+    """(name, TorsionInput): every golden and tests/inputs file outside
+    ``REFUSED``, the seed-7 `tietze` and `long-words` design files, and Lyon
+    S and S' at four n."""
     sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
     import workloads
 
     found = []
     for path in sorted([*TESTS_DIR.glob("golden/*.tor"), *TESTS_DIR.glob("inputs/*.tor")]):
-        found.append((path.name, cli.load_torsion_file(str(path))))
+        if path.name not in REFUSED:
+            found.append((path.name, cli.load_torsion_file(str(path))))
     for name in ("tietze", "long-words"):
         for i, op in enumerate(workloads.WORKLOADS[name].design(7, str(workdir))):
             found.append((f"{name}:{i}", cli.load_torsion_file(op.inputs[0])))
