@@ -7,9 +7,9 @@ Laurent ring.  `mul_terms` and `iadd_scaled` add keys as exponent tuples and
 so are Laurent-only.  `iadd_product` adds keys as plain integers: it serves
 `torsion.det_cofactor`, which packs each exponent vector into one int so that
 adding keys adds the vectors, and it keeps zero sums for its caller to drop
-once.  `iadd_scaled` serves exact division by leading terms and the unit
-elimination of `torsion.determinant`, which calls it once per term of the
-multiplier on a copy of each entry it updates.  These five functions are the
+once.  `iadd_scaled` serves exact division by leading terms, which only
+the tests' reference determinant `torsion.det_bareiss` reaches; the
+benchmark's traces wrap it.  These five functions are the
 inner loops of every ring operation.  `accumulate` and `add_terms` sum
 through one zero-dropping loop, `_sum_into`; `mul_terms`, `iadd_scaled` and
 `iadd_product` keep their own inline loops, because feeding that loop a

@@ -53,10 +53,12 @@ _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
 # The most generators a file may declare.  These times are for sparse
 # relators: with a defining relator y a^-1 b for each generator y beyond
-# three, `torsion` took 10-13 ms at 53 generators, 33-36 ms at 100 and
-# 0.14-0.16 s at 203 on a 2-vCPU VM with no [basis], and 8-10, 24-31 and
-# 94-134 ms with one.  Either way most of it is fox_matrix, which calls
-# fox_derivative once per generator and word: 41,209 calls at 203.  Dense
+# three, `torsion` took 9-10 ms at 53 generators, 25-26 ms at 100 and
+# 94-98 ms at 203 with no [basis], and 9, 24-25 and 82-88 ms with one (best
+# of 7 in-process runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit COMMIT,
+# 2026-10-20).  The Tietze moves leave a, b and x, so the Fox matrix is
+# 3x3; what grows is the reduction, whose every move rereads the relators,
+# and the Smith normal form, about half of the time each at 203.  Dense
 # relators pass every budget yet load slowly, in the Smith normal form:
 # 98 relators over 100 generators with exponent sums in [-1, 1] took 3-4 s,
 # and in [-2, 2] 12-16 s.

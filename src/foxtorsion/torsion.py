@@ -3,11 +3,16 @@
 The torsion of a balanced input is the determinant of the square matrix whose
 columns are the abelianized Fox derivatives of the inclusion words followed by
 those of the relators, one row per generator.  The result is only meaningful
-up to a sign and a monomial factor, which the normal form strips.  Each word is
-differentiated in blocks of at most FOX_BLOCK letters by Fox's product rule
-d(uv) = du + u dv, so a column costs time linear in its word's length and
-memory bounded by the block size; each entry sums the blocks' terms in one
-inline dict loop, with no generator or kernel call per entry.
+up to a sign and a monomial factor, which the normal form strips.
+
+`sutured_torsion` first eliminates generators by Tietze moves on the words
+(`_tietze_reduce`), each of which removes a row and a column of the Fox
+matrix that cross at a unit, so the matrix shrinks and the class stays.
+
+Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
+product rule d(uv) = du + u dv, so a column costs time linear in its word's
+length and memory bounded by the block size; each entry sums the blocks'
+terms in one inline dict loop, with no generator or kernel call per entry.
 
 Before the determinant, each column whose word is mostly a power v^k, whose
 Fox derivatives are geometric sums in the image U of v, is multiplied by the
@@ -15,29 +20,19 @@ binomial x^U - 1.  The column alone decides U: at least half of the sorted
 terms of its largest entry must take step U from their predecessor; the
 product is kept when it has fewer terms than the column.  The determinant of
 the cleared matrix is then divided by those binomials, which
-`LaurentPoly.exact_div` does in one pass.  The determinant itself first
-eliminates unit pivots (+-monomial entries, which every Tietze relator
-y w^-1 contributes) on sparse rows of term dicts, lowest Markowitz cost
-first, while more than 3 rows are left; each step touches only the rows that
-meet the pivot's column, updates each of their entries in place on a copy
-through `iadd_scaled`, and keeps the product of the pivots as a sign and an
-exponent tuple.  It then densifies the rest once and expands it along the
-columns over memoized minors, with no division, at any size.  The expansion
-packs each exponent vector into one integer, in fields wide enough that a
-sum of n exponents never carries, and sums each signed product into its
-minor in place; the term dicts stay sparse, so the cost follows the term
-pairs, not the exponent box.  The value is exact, not just its class up to
-units.  3x3 is the floor because elimination there would fill the entries
-that the expansion multiplies.
-Bareiss elimination stays only as the tests' reference.
+`LaurentPoly.exact_div` does in one pass.  The determinant itself is a
+Laplace expansion along the columns over memoized minors (`det_cofactor`),
+on packed exponent keys, with no division, at any size; the value is exact,
+not just its class up to units.  Bareiss elimination stays only as the
+tests' reference.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, itemgetter, lshift, sub
+from operator import itemgetter, lshift, sub
 
-from ._kernels import iadd_product, iadd_scaled
+from ._kernels import iadd_product
 from .abelian import AbelianizationMap, LaurentPoly
 from .errors import (
     InexactDivision,
@@ -47,7 +42,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .groupring import fox_derivative
-from .words import Presentation, Word, render_word
+from .words import Presentation, Word, _push_reduced, render_word
 
 
 @dataclass(frozen=True)
@@ -223,12 +218,10 @@ def _square_rank(matrix):
     return ranks.pop()
 
 
-# det_cofactor multiplies at most this many pairs of terms in all, and so does
-# determinant's unit elimination before it.  On a 2-vCPU VM
-# tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
+# det_cofactor multiplies at most this many pairs of terms in all.  On a
+# 2-vCPU VM tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
 # tests/inputs/rank11-commutators.tor reaches 2,572,418 with a fifth column
-# that alone takes 1.1 s, and is refused before it.  No recorded input's
-# elimination needs more than a few hundred.
+# that alone takes 1.1 s, and is refused before it.
 MAX_TERM_PRODUCTS = 2_560_000
 
 
@@ -332,89 +325,6 @@ def det_bareiss(matrix):
     return result if sign == 1 else -result
 
 
-# determinant eliminates unit pivots only while the matrix is larger than this
-UNIT_PIVOT_FLOOR = 3
-
-
-def _is_unit(terms):
-    """Whether a term dict is +-(monomial), a unit of the Laurent ring."""
-    return len(terms) == 1 and abs(next(iter(terms.values()))) == 1
-
-
-def determinant(matrix):
-    """Exact determinant of a square Laurent matrix.
-
-    While more than UNIT_PIVOT_FLOOR rows are left, the unit entry u = A[p][q]
-    of lowest Markowitz cost (r - 1)(c - 1), ties to the first in row-major
-    order, is eliminated: rows are dicts {column: term dict} and columns
-    sets of rows, so r and c are their sizes.  Only the rows meeting column q
-    change, by row_i -= A[i][q] * u^-1 * row_p, with no division: each
-    entry is copied once and takes one `iadd_scaled` call per term of
-    A[i][q], so no polynomial is made for a product, its negation or their
-    sum.  The determinant gains the factor +-u, signed by the parity of p's
-    and q's positions among the rows and columns left; the product of those
-    factors is kept as a sign and an exponent tuple.  Before a step updates
-    its rows, its term pairs, len(A[i][q]) times the terms of the pivot row
-    summed over those rows, are added to a running count, and InputTooLarge
-    is raised once the count passes MAX_TERM_PRODUCTS.  `det_cofactor`
-    expands the rest, on a count of its own.  The floor guards against fill:
-    on the cleared 3x3 matrices of the family's benchmark grid (n in
-    [-1, 150], both surfaces), elimination to floors 0-2 took 3.0 ms against
-    2.4 ms at 3, and S' at n = 1000 and 3000 took 1.5x as long (2-vCPU VM).
-    """
-    rank = _square_rank(matrix)
-    rows = {i: {} for i in range(len(matrix))}
-    cols = {j: set() for j in range(len(matrix))}
-    units = set()
-
-    def put(i, j, terms):
-        if terms:
-            rows[i][j] = terms
-            cols[j].add(i)
-        else:
-            rows[i].pop(j, None)
-            cols[j].discard(i)
-        (units.add if _is_unit(terms) else units.discard)((i, j))
-
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if entry.terms:
-                put(i, j, entry.terms)
-    sign = 1
-    shift = (0,) * rank
-    products = 0
-    while len(rows) > UNIT_PIVOT_FLOOR and units:
-        _, p, q = min(((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j) for i, j in units)
-        position = sum(i < p for i in rows) + sum(j < q for j in cols)
-        pivot = rows.pop(p)
-        ((exps, coeff),) = pivot.pop(q).items()
-        products += sum(map(len, pivot.values())) * sum(len(rows[i][q]) for i in cols[q] if i != p)
-        if products > MAX_TERM_PRODUCTS:
-            raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
-        sign *= -coeff if position % 2 else coeff
-        shift = tuple(map(add, shift, exps))
-        for j in pivot:
-            cols[j].discard(p)
-            units.discard((p, j))
-        for i in cols.pop(q):
-            units.discard((i, q))
-            if i != p:
-                row = rows[i]
-                # -A[i][q] * u^-1, term by term: u^-1 = coeff * x^-exps, as coeff is +-1
-                m = [(tuple(map(sub, k, exps)), -coeff * c) for k, c in row.pop(q).items()]
-                for j, e in pivot.items():
-                    entry = dict(row.get(j, ()))
-                    for k, c in m:
-                        iadd_scaled(entry, e, k, c)
-                    put(i, j, entry)
-    zero = LaurentPoly.zero(rank)
-    det = det_cofactor([
-        [LaurentPoly._raw(rank, row[j]) if j in row else zero for j in cols]
-        for row in rows.values()
-    ])
-    return det if sign == 1 and not any(shift) else det.shifted(shift) * sign
-
-
 def _period_step(column):
     """The exponent step that at least half of the terms of the column's
     largest entry take from their lexicographic predecessor, or None.
@@ -472,7 +382,7 @@ def fox_determinant(torsion_input):
     """
     matrix = fox_matrix(torsion_input)
     divisors = _clear_columns(matrix)
-    det = determinant(matrix)
+    det = det_cofactor(matrix)
     for divisor in divisors.values():
         try:
             det = det.exact_div(divisor)
@@ -483,7 +393,88 @@ def fox_determinant(torsion_input):
     return det
 
 
+def _eliminate(words, j, i, bound):
+    """The words after the Tietze move on the relator r = words[j] = u g^e v,
+    g = r[i] occurring once in r: every other word, in order, with g replaced
+    by (v u)^-e and freely reduced, and r dropped.  None as soon as the
+    letters written, counted word by word, pass ``bound``."""
+    r = words[j]
+    g, e = r[i]
+    vu = list(r[i + 1 :])
+    _push_reduced(vu, r[:i])
+    # g^-e -> v u and g^e -> (v u)^-1
+    images = {(g, -e): vu, (g, e): [(h, -sign) for h, sign in reversed(vu)]}
+    written = 0
+    reduced = []
+    for w in words[:j] + words[j + 1 :]:
+        if (g, 1) in w or (g, -1) in w:
+            stack = []
+            start = 0
+            for p, letter in enumerate(w):
+                if letter[0] == g:
+                    _push_reduced(stack, w[start:p])
+                    _push_reduced(stack, images[letter])
+                    start = p + 1
+                    if written + len(stack) > bound:
+                        return None
+            _push_reduced(stack, w[start:])
+            w = tuple(stack)
+        written += len(w)
+        reduced.append(w)
+    return reduced if written <= bound else None
+
+
+def _tietze_reduce(torsion_input):
+    """The input with generators eliminated by Tietze moves on its words, or
+    the input itself when no move is taken.
+
+    A move on a relator r = u g^e v in which g occurs once replaces g by
+    (v u)^-e in the other words (`_eliminate`) and drops g and r.  Moves are
+    tried cheapest first, by (|r| - 1) times the occurrences of g elsewhere,
+    and taken only when the words then hold no more letters than the
+    input's.  A refused move is not tried again while its relator's text
+    is unchanged.  One generator is always kept, so the matrix is never 0x0.
+
+    The abelianization stays the input's, which kills r, so by the chain
+    rule each reduced Fox column is the input's plus a multiple of r's,
+    without the row of g, where r's column holds the unit u dg^e/dg: the
+    determinant changes by a unit, and the class not at all.
+    """
+    pres = torsion_input.presentation
+    first = len(torsion_input.inclusion_words)
+    words = [w.letters for w in torsion_input.inclusion_words + pres.relators]
+    bound = sum(map(len, words))
+    generators = list(pres.generators)
+    # relator -> {(i, g)}: its moves not refused yet, g = r[i] occurring once in r
+    singles = {}
+    while len(generators) > 1:
+        occurrences = Counter(map(itemgetter(0), chain.from_iterable(words)))
+        moves = []
+        for j in range(first, len(words)):
+            r = words[j]
+            if r not in singles:
+                once = Counter(map(itemgetter(0), r))
+                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if once[g] == 1}
+            weight = len(r) - 1
+            moves += [(weight * (occurrences[g] - 1), j, i, g) for i, g in singles[r]]
+        for _, j, i, g in sorted(moves):
+            reduced = _eliminate(words, j, i, bound)
+            if reduced is not None:
+                break
+            singles[words[j]].discard((i, g))
+        else:
+            break
+        generators.remove(g)
+        words = reduced
+    if len(generators) == len(pres.generators):
+        return torsion_input
+    words = [Word._from_reduced(w) for w in words]
+    return TorsionInput(
+        Presentation(generators, words[first:]), words[:first], torsion_input.abelianization
+    )
+
+
 def sutured_torsion(torsion_input):
-    """Torsion class of a balanced input: the normal form of its Fox
-    matrix's determinant (`fox_determinant`)."""
-    return torsion_normal_form(fox_determinant(torsion_input))
+    """Torsion class of a balanced input: the normal form of the Fox
+    matrix's determinant (`fox_determinant`) after `_tietze_reduce`."""
+    return torsion_normal_form(fox_determinant(_tietze_reduce(torsion_input)))

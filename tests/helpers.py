@@ -503,63 +503,6 @@ def det_cofactor_tuples(matrix):
     return minors.get(tuple(range(n)), LaurentPoly.zero(rank))
 
 
-def _dense_unit_pivot(A):
-    """(p, q) of the unit entry of lowest Markowitz cost (r - 1)(c - 1), where
-    r and c count the nonzeros in its row and column; ties go to the first in
-    row-major order.  None when no entry is a unit."""
-    row_counts = [sum(not e.is_zero for e in row) for row in A]
-    col_counts = [sum(not row[j].is_zero for row in A) for j in range(len(A))]
-    best = None
-    for i, row in enumerate(A):
-        for j, entry in enumerate(row):
-            if torsion._is_unit(entry.terms):
-                cost = (row_counts[i] - 1) * (col_counts[j] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
-
-
-def _dense_eliminate_unit(A, p, q):
-    """The matrix B with det A = (-1)^(p+q) * A[p][q] * det B, for a unit A[p][q].
-
-    Column q is cleared with row_i -= A[i][q] * u^-1 * row_p, which needs no
-    division and keeps the determinant; expanding along the cleared column
-    leaves row p and column q out of B.
-    """
-    ((exps, coeff),) = A[p][q].terms.items()
-    # u^-1 = coeff * x^-exps, as coeff is +-1
-    inverse_shift = tuple(-e for e in exps)
-    pivot_row = [e.shifted(inverse_shift) for e in A[p]]
-    if coeff < 0:
-        pivot_row = [-e for e in pivot_row]
-    B = []
-    for i, row in enumerate(A):
-        if i == p:
-            continue
-        m = row[q]
-        B.append([
-            e if m.is_zero or pivot_row[j].is_zero else e - m * pivot_row[j]
-            for j, e in enumerate(row)
-            if j != q
-        ])
-    return B
-
-
-def dense_unit_elimination(matrix):
-    """(factor, core) with det(matrix) = factor * det(core): the unit
-    elimination of `torsion.determinant` on dense matrices, the reference for
-    its pivots, their order and its fill.  Each step recounts every row and
-    column and copies the whole matrix, so it is cubic in the dimension."""
-    rank = torsion._square_rank(matrix)
-    factor = LaurentPoly.one(rank)
-    while len(matrix) > torsion.UNIT_PIVOT_FLOOR and (pivot := _dense_unit_pivot(matrix)):
-        p, q = pivot
-        u = matrix[p][q]
-        factor = factor * (u if (p + q) % 2 == 0 else -u)
-        matrix = _dense_eliminate_unit(matrix, p, q)
-    return factor, matrix
-
-
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([()])|)")
 _REFERENCE_EXPONENT_RE = re.compile(r"\^([+-]?(\d*))")
 

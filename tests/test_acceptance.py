@@ -29,7 +29,7 @@ from foxtorsion.sfh import torus_sfh
 from foxtorsion.torsion import (
     det_bareiss,
     det_cofactor,
-    determinant,
+    fox_determinant,
     torsion_normal_form,
 )
 from foxtorsion.cli import main
@@ -44,6 +44,7 @@ from helpers import (
     random_word,
     surface_block_poly,
     tensor_ranks,
+    tietze_enlarge,
 )
 
 
@@ -189,7 +190,12 @@ def test_criterion_9_property_suites():
                 for _ in range(n)
             ]
             assert det_cofactor(matrix) == det_bareiss(matrix)
-            assert determinant(matrix) == det_cofactor(matrix)
+
+        # the Tietze reduction keeps the class of the unreduced Fox matrix
+        for _ in range(20):
+            n, surface = rng.randint(-1, 5), rng.choice(("S", "Sprime"))
+            inp = tietze_enlarge(rng, lyon_input(n, surface), rng.randint(1, 4))
+            assert sutured_torsion(inp) == torsion_normal_form(fox_determinant(inp))
 
         for _ in range(200):
             p = random_laurent(rng, nonzero=True)

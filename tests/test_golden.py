@@ -38,12 +38,19 @@ report, recorded at 672821d, is a NontrivialTorsion refusal (exit 1);
 ``finite-h1-basis.tor`` is the same file with a ``[basis]`` that kills the
 relator and generates Z, and its report, recorded after both paths came to
 read H_1 from one Smith normal form, is the same refusal, where 672821d
-printed the torsion 2.  A change that alters any of them changes the CLI's
-output.
+printed the torsion 2.  Four ``compare`` cases reach verdicts that no other
+traffic does, and were recorded at c386a17, before ``sutured_torsion`` reduced
+its words by Tietze moves: ``compare rank3.tor rank3.tor`` (``Inconclusive``
+in rank 3), ``compare rank0.tor rank0.tor`` (``Equivalent`` with the empty
+witness, through the dimension-0 anchor of the map search), ``compare
+zero.tor example.tor`` (``support_size``: one class is 0) and ``compare
+example.tor antisymmetric.tor`` (``coefficient_multiset``).  A change that
+alters any of them changes the CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
-which needs no pytest.
+which needs no pytest: each stdout byte for byte, and its exit status, 1
+exactly when the recorded report has an error.
 """
 
 import json
@@ -62,6 +69,10 @@ CASES = {
     "compare-rank1-rank1": ["compare", "rank1.tor", "rank1.tor"],
     "compare-rank1-example": ["compare", "rank1.tor", "example.tor"],
     "compare-zero-zero": ["compare", "zero.tor", "zero.tor"],
+    "compare-rank3-rank3": ["compare", "rank3.tor", "rank3.tor"],
+    "compare-rank0-rank0": ["compare", "rank0.tor", "rank0.tor"],
+    "compare-zero-example": ["compare", "zero.tor", "example.tor"],
+    "compare-example-antisymmetric": ["compare", "example.tor", "antisymmetric.tor"],
     **{
         f"family-{surface}-{n}": ["family", "--n", str(n), "--surface", surface]
         for surface in ("S", "Sprime")
@@ -123,7 +134,9 @@ def test_every_golden_report_has_a_case():
 
 
 def check_with_subprocesses():
-    """Number of cases whose ``python -m foxtorsion`` stdout differs."""
+    """Number of cases whose ``python -m foxtorsion`` stdout differs, or
+    whose exit status is not 1 exactly when the recorded report has an error
+    (0 for a plot case)."""
     src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     failed = 0
@@ -133,14 +146,18 @@ def check_with_subprocesses():
             path = os.path.join(tmp, case + ".json")
             runs.append((case, [*argv, "--plot-data", path], path))
         for case, argv, path in runs:
-            out = subprocess.run(
+            run = subprocess.run(
                 [sys.executable, "-m", "foxtorsion", *argv],
                 cwd=GOLDEN, env=env, capture_output=True, check=False,
-            ).stdout
+            )
+            out = run.stdout
+            status = 0
             if path is not None:
                 with open(path, "rb") as fh:
                     out = fh.read()
-            same = out == expected(case).encode("ascii")
+            else:
+                status = int("error" in json.loads(expected(case)))
+            same = out == expected(case).encode("ascii") and run.returncode == status
             failed += not same
             print(f"{'ok  ' if same else 'DIFF'} {case}")
     return failed

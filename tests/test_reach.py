@@ -45,6 +45,11 @@ ALLOWLIST = {
     "torsion.det_bareiss": _PINNED,
     "abelian.AbelianizationMap.__call__": _PINNED,
     "abelian.LaurentPoly.one": "only det_bareiss, a benchmark pin, reaches it",
+    "abelian.LaurentPoly.zero": "only det_bareiss, a benchmark pin, reaches it",
+    "_kernels.iadd_scaled": (
+        "perfbench/spans.py::TARGETS wraps it, and only det_bareiss, a benchmark "
+        "pin, reaches it, through _div_leading_terms"
+    ),
     "abelian.LaurentPoly._div_leading_terms": (
         "only det_bareiss, a benchmark pin, reaches it: the family oracles "
         "divide by binomials"

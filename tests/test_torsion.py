@@ -7,7 +7,7 @@ from operator import sub
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
@@ -25,33 +25,32 @@ from foxtorsion.equivalence import apply_witness
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion import cli, torsion
-from foxtorsion._kernels import iadd_product, iadd_scaled
+from foxtorsion._kernels import iadd_product
 from foxtorsion.abelian import smith_normal_form
 from foxtorsion.errors import (
     InexactDivision,
     InputTooLarge,
     InternalInexactDivision,
+    NontrivialTorsion,
     NotBalanced,
     UnknownGenerator,
 )
 from foxtorsion.torsion import (
     MAX_TERM_PRODUCTS,
     _clear_columns,
-    _is_unit,
     _normalize,
     _period_step,
+    _tietze_reduce,
     det_bareiss,
     det_cofactor,
-    determinant,
     fox_determinant,
     fox_matrix,
     torsion_normal_form,
 )
-from foxtorsion.words import MAX_WORD_LETTERS
+from foxtorsion.words import MAX_WORD_LETTERS, _push_reduced
 
 from helpers import (
     count_calls,
-    dense_unit_elimination,
     det_cofactor_tuples,
     det_first_column,
     Word,
@@ -246,7 +245,7 @@ def test_cleared_determinant_equals_the_plain_one(inp):
     for j in _clear_columns(cleared):
         size = sum(len(row[j].terms) for row in matrix)
         assert sum(len(row[j].terms) for row in cleared) < size
-    assert fox_determinant(inp) == determinant(matrix)
+    assert fox_determinant(inp) == det_cofactor(matrix)
 
 
 CLEARED_EXAMPLES = (
@@ -288,7 +287,7 @@ def test_cleared_determinant_examples(text, step):
         assert 0 not in divisors
     else:
         assert divisors[0] == LaurentPoly(2, {step: 1, (0, 0): -1})
-    assert fox_determinant(inp) == determinant(fox_matrix(inp))
+    assert fox_determinant(inp) == det_cofactor(fox_matrix(inp))
 
 
 def test_matrix_of_binomial_entries_is_left_alone():
@@ -388,11 +387,11 @@ def test_determinant_identity():
     one = LaurentPoly.one(2)
     zero = LaurentPoly.zero(2)
     matrix = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    assert determinant(matrix) == one
+    assert det_cofactor(matrix) == one
 
 
 def test_determinant_of_surface_matrix():
-    tclass = torsion_normal_form(determinant(fox_matrix(lyon_input(0, "S"))))
+    tclass = torsion_normal_form(det_cofactor(fox_matrix(lyon_input(0, "S"))))
     expected = TorsionClass(poly2({(1, 0): 1, (0, 6): 1}) * ONE_PLUS_U2_U4)
     assert tclass == expected
 
@@ -406,7 +405,7 @@ def test_two_generator_block_determinant():
     block = [
         [free_ab(fox_derivative(w, g)) for w in (alpha, beta)] for g in ("a", "b")
     ]
-    tclass = torsion_normal_form(determinant(block))
+    tclass = torsion_normal_form(det_cofactor(block))
     assert tclass == TorsionClass(poly2({(0, 0): 1, (1, 2): 1}))  # 1 + a b^2
 
 
@@ -475,12 +474,12 @@ def test_packed_cofactor_matches_the_tuple_key_expansion(matrix):
 def test_determinant_rejects_mixed_ranks():
     one, other = LaurentPoly.one(1), LaurentPoly.one(2)
     with pytest.raises(ValueError):
-        determinant([[one, other]])
+        det_cofactor([[one, other]])
     with pytest.raises(ValueError, match="different rings"):
-        determinant([[one, one], [one, other]])
+        det_cofactor([[one, one], [one, other]])
 
 
-@pytest.mark.parametrize("det", [det_cofactor, det_bareiss, determinant])
+@pytest.mark.parametrize("det", [det_cofactor, det_bareiss])
 def test_empty_matrix_has_no_ring_rank(det):
     with pytest.raises(ValueError, match="0x0 matrix has no ring rank"):
         det([])
@@ -491,8 +490,7 @@ def unit_rich_matrices(draw):
     """Square Laurent matrices of dimension 1-7 in rank 0-2, a third of whose
     entries are planted units +-(monomial), so that rows and columns often
     hold several; some get a zero row, or a row that is a unit multiple of
-    another, which makes them singular.  The "no_units" shape doubles every
-    unit, so that `determinant` expands the whole matrix."""
+    another, which makes them singular."""
     n = draw(st.integers(1, 7))
     rank = draw(st.integers(0, 2))
     exps = st.tuples(*[st.integers(-2, 2)] * rank)
@@ -504,10 +502,8 @@ def unit_rich_matrices(draw):
     )
     entry = st.one_of(st.just(LaurentPoly.zero(rank)), unit, poly)
     matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(("general", "zero_row", "dependent_row", "no_units")))
-    if shape == "no_units":
-        matrix = [[2 * e if _is_unit(e.terms) else e for e in row] for row in matrix]
-    elif shape == "zero_row":
+    shape = draw(st.sampled_from(("general", "zero_row", "dependent_row")))
+    if shape == "zero_row":
         matrix[draw(st.integers(0, n - 1))] = [LaurentPoly.zero(rank)] * n
     elif shape == "dependent_row" and n > 1:
         src, dst = draw(st.permutations(range(n)))[:2]
@@ -521,72 +517,36 @@ def unit_rich_matrices(draw):
 def test_determinant_paths_agree_exactly(matrix):
     expected = det_first_column(matrix)
     assert det_cofactor(matrix) == expected
-    assert determinant(matrix) == expected
     if len(matrix) <= 6:  # the reference Bareiss is slow on 7x7 without units
         assert det_bareiss(matrix) == expected
 
 
-def _sparse_unit_elimination(matrix):
-    """(factor, core) of `determinant`: the core it hands `det_cofactor`, and
-    its value when that expansion returns 1."""
-    cores = []
-
-    def captured(core):
-        cores.append(core)
-        return LaurentPoly.one(core[0][0].rank)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(torsion, "det_cofactor", captured)
-        factor = determinant(matrix)
-    (core,) = cores
-    return factor, core
-
-
-@settings(max_examples=200, deadline=None)
-@given(unit_rich_matrices())
-def test_sparse_unit_elimination_repeats_the_dense_reference(matrix):
-    # the same pivots in the same order: the same core, entry for entry
-    assert _sparse_unit_elimination(matrix) == dense_unit_elimination(matrix)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32),
-    st.integers(-1, 5),
-    st.sampled_from(("S", "Sprime")),
-    st.integers(1, 6),
-)
-def test_sparse_unit_elimination_repeats_the_dense_reference_after_tietze_moves(
-    seed, n, surface, added
-):
-    enlarged = tietze_enlarge(random.Random(seed), lyon_input(n, surface), added)
-    matrix = fox_matrix(enlarged)
-    assert _sparse_unit_elimination(matrix) == dense_unit_elimination(matrix)
-
-
-def test_five_hundred_unit_generators_are_eliminated_quickly(monkeypatch):
-    """The Lyon S n = 0 input with 500 generators y and relators y a^-1 b,
-    each y the image of a b^-1: a 503x503 Fox matrix whose y rows hold one
-    unit.  The elimination checks an entry for a unit only when it writes
-    it, 3N + 7 `_is_unit` calls for N such generators (307, 757 and 1,507 at
-    N = 100, 250 and 500), so the bound of 4N fails any rescan of the
-    matrix per pivot, and the floor of N fails an elimination that stops
-    asking the predicate and so passes the upper bound vacuously.  Calls
-    are counted, not seconds, so a slow machine or a slower Fox matrix
-    cannot fail it."""
+def _unit_generators_input(count):
+    """The Lyon S n = 0 input with ``count`` more generators y, each killed
+    by the relator y a^-1 b and mapped to the image of a b^-1."""
     base = lyon_input(0, "S")
-    ys = [f"y{i}" for i in range(1, 501)]
+    ys = [f"y{i}" for i in range(1, count + 1)]
     presentation = Presentation(
         base.presentation.generators + tuple(ys),
         base.presentation.relators + tuple(f"{y} a^-1 b" for y in ys),
     )
     images = dict(base.abelianization.images, **{y: (2, -3) for y in ys})
     basis = AbelianizationMap(2, images, base.abelianization.basis_names)
-    inp = TorsionInput(presentation, base.inclusion_words, basis)
-    calls = count_calls(monkeypatch, _is_unit, lambda entry: 1)
-    got = sutured_torsion(inp)
-    assert len(ys) <= len(calls) <= 4 * len(ys)
-    assert got == expected_torsion(0, "S")
+    return TorsionInput(presentation, base.inclusion_words, basis)
+
+
+def test_five_hundred_unit_generators_are_eliminated_quickly(monkeypatch):
+    """The 503 generators of `_unit_generators_input(500)` are reduced to a,
+    b and x before the Fox matrix is built: each y occurs once, in its own
+    relator, so its move costs 0 and changes no other word, while the Lyon
+    relator has no generator that occurs once.  The Fox matrix then makes
+    3 x 3 `fox_derivative` calls, one per generator and word, where the
+    503x503 matrix made 253,009.  Calls are counted, not seconds, so a slow
+    machine cannot fail it."""
+    inp = _unit_generators_input(500)
+    calls = count_calls(monkeypatch, fox_derivative, lambda word, g: 1)
+    assert sutured_torsion(inp) == expected_torsion(0, "S")
+    assert len(calls) == 9
 
 
 def _nonunit_matrix(rng, n):
@@ -598,24 +558,6 @@ def _nonunit_matrix(rng, n):
     ]
 
 
-def test_four_by_four_unit_reduces_to_three_by_three(monkeypatch):
-    matrix = _nonunit_matrix(random.Random(67), 4)
-    # the one unit, -a^2 u^-1 at (2, 1): odd p + q and a negative coefficient
-    matrix[2][1] = monomial((2, -1), -1)
-    expected = det_cofactor(matrix)
-    dims = count_calls(monkeypatch, det_cofactor, len)
-    assert determinant(matrix) == expected
-    assert dims == [3]
-
-
-def test_matrix_without_units_reaches_cofactor_whole(monkeypatch):
-    matrix = _nonunit_matrix(random.Random(71), 5)
-    expected = det_bareiss(matrix)
-    dims = count_calls(monkeypatch, det_cofactor, len)
-    assert determinant(matrix) == expected
-    assert dims == [5]
-
-
 def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
     # the 12x12 matrix without units needs 9.3 million term products, more
     # than MAX_TERM_PRODUCTS; the 11x11 one needs 3.83 million.  Quickly in
@@ -623,7 +565,7 @@ def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
     matrix = _nonunit_matrix(random.Random(73), 12)
     pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
-        determinant(matrix)
+        det_cofactor(matrix)
     assert 0 < sum(pairs) <= MAX_TERM_PRODUCTS
 
 
@@ -647,37 +589,17 @@ def _dense_relators_input(m):
     return cli.parse_torsion_file(text)
 
 
-def test_unit_elimination_counts_its_term_pairs_against_the_budget(monkeypatch):
-    # Each elimination step adds len(A[i][q]) * (terms of the pivot row),
-    # summed over the rows i it updates, to a running count before it
-    # updates them.  These four steps take 16, 36, 16 and 22 pairs, and the
-    # 3x3 rest needs 132 cofactor pairs.
-    inp = tietze_enlarge(random.Random(4), lyon_input(2, "Sprime"), 4)
-    pairs = count_calls(monkeypatch, iadd_scaled, lambda acc, src, shift, coeff: len(src))
-    dims = count_calls(monkeypatch, det_cofactor, len)
-    # at exactly its 90 pairs the elimination completes, and the cofactor refuses
-    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", 90)
-    with pytest.raises(InputTooLarge, match="more than 90 term products"):
-        fox_determinant(inp)
-    assert (sum(pairs), dims) == (90, [3])
-    # one pair fewer and the fourth step is refused before it multiplies
-    pairs.clear()
-    dims.clear()
-    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", 89)
-    with pytest.raises(InputTooLarge, match="more than 89 term products"):
-        fox_determinant(inp)
-    assert (sum(pairs), dims) == (68, [])
-
-
 def test_dense_relators_are_refused_before_the_elimination_fills(monkeypatch):
-    # One elimination step here would multiply 5,102,120 pairs (7.7 s on a
-    # 2-vCPU VM), twice the budget, so it is refused before it starts.
+    # Every generator occurs in its relators as powers g^k, mostly with
+    # |k| > 1, so the Tietze reduction keeps all 24, and the cofactor
+    # expansion of the 24x24 matrix is refused by its count of term pairs
+    # before it multiplies any.
     inp = _dense_relators_input(24)
-    pairs = count_calls(monkeypatch, iadd_scaled, lambda acc, src, shift, coeff: len(src))
-    dims = count_calls(monkeypatch, det_cofactor, len)
+    assert len(_tietze_reduce(inp).presentation.generators) == 24
+    pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
     with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
-        fox_determinant(inp)
-    assert (sum(pairs), dims) == (0, [])
+        sutured_torsion(inp)
+    assert sum(pairs) == 0
 
 
 @pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])
@@ -710,7 +632,7 @@ def test_sparse_matrix_has_no_dimension_budget(monkeypatch):
     for _ in range(n - 1):
         expected, previous = a * expected - b * c * previous, expected
     pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
-    assert determinant(matrix) == expected
+    assert det_cofactor(matrix) == expected
     assert sum(pairs) == 10_678
 
 
@@ -747,12 +669,12 @@ def test_unit_invariance_randomized():
 def test_column_permutation_leaves_class_unchanged():
     rng = random.Random(59)
     matrix = fox_matrix(lyon_input(1, "S"))
-    base = torsion_normal_form(determinant(matrix))
+    base = torsion_normal_form(det_cofactor(matrix))
     for _ in range(5):
         cols = list(range(3))
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in matrix]
-        assert torsion_normal_form(determinant(permuted)) == base
+        assert torsion_normal_form(det_cofactor(permuted)) == base
 
 
 def test_reflect_examples():
@@ -868,11 +790,13 @@ def test_torsion_is_invariant_under_tietze_moves(seed, surface):
 
 
 def test_tietze_enlarged_matrix_reduces_by_unit_pivots(monkeypatch):
+    # Each Tietze move on the words removes a row and a column of the Fox
+    # matrix that cross at a unit, so the 7x7 matrix reaches the
+    # expansion at 3x3 or smaller.
     enlarged = tietze_enlarge(random.Random(9121), lyon_input(2, "Sprime"), 4)
-    matrix = fox_matrix(enlarged)
-    assert len(matrix) == 7
+    assert len(fox_matrix(enlarged)) == 7
     dims = count_calls(monkeypatch, det_cofactor, len)
-    determinant(matrix)
+    sutured_torsion(enlarged)
     assert len(dims) == 1 and dims[0] <= 3
 
 
@@ -880,6 +804,73 @@ def test_family_matrix_reaches_cofactor_unreduced(monkeypatch):
     dims = count_calls(monkeypatch, det_cofactor, len)
     sutured_torsion(lyon_input(4, "S"))
     assert dims == [3]
+
+
+def _letters(inp):
+    return sum(len(w.letters) for w in inp.inclusion_words + inp.presentation.relators)
+
+
+@st.composite
+def reducible_inputs(draw):
+    """Balanced inputs with generators to eliminate: a Lyon input enlarged
+    by `tietze_enlarge`, or four generators with up to three relators of at
+    most six letters, which often hold a generator once (with either sign,
+    and letters on both sides of it), abelianized by the Smith normal
+    form."""
+    if draw(st.booleans()):
+        base = lyon_input(draw(st.integers(-1, 5)), draw(st.sampled_from(("S", "Sprime"))))
+        return tietze_enlarge(random.Random(draw(st.integers(0, 2**32))), base, draw(st.integers(1, 6)))
+    names = ("a", "b", "c", "d")
+    letters = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letters, max_size=6).map(Word), min_size=4, max_size=4))
+    relators = draw(st.integers(0, 3))
+    pres = Presentation(names, words[:relators])
+    try:
+        phi = abelianize_presentation(pres)
+    except NontrivialTorsion:
+        assume(False)
+    return TorsionInput(pres, words[relators:], phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_inputs())
+def test_reduced_words_give_the_class_of_the_unreduced_matrix(inp):
+    reduced = _tietze_reduce(inp)
+    assert reduced.presentation.generators
+    assert reduced.abelianization is inp.abelianization
+    assert sutured_torsion(inp) == torsion_normal_form(fox_determinant(inp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_inputs())
+def test_reduced_words_hold_no_more_letters_than_the_input(inp):
+    assert _letters(_tietze_reduce(inp)) <= _letters(inp)
+
+
+@pytest.mark.parametrize("n", [-1, 7, 150])
+def test_family_inputs_are_not_reduced(n):
+    # No generator occurs once in the relator of S, and replacing a, the
+    # one that does on S', lengthens every inclusion word of S'.
+    for surface in ("S", "Sprime"):
+        inp = lyon_input(n, surface)
+        assert _tietze_reduce(inp) is inp
+
+
+def test_refused_moves_write_letters_linear_in_the_input(monkeypatch):
+    """Every move is refused here: y_i := (a b)^-10 grows the first inclusion
+    word, (y1 ... y10)^50, by 19 letters at each of its 50 occurrences,
+    while its relator y_i (a b)^10 has 21.  A trial stops once the letters
+    it has written pass the input's 712, so the reduction writes fewer
+    letters than generators x input letters, the order of the per-generator
+    Fox walk that it replaces; writing each trial's words out in full would
+    take 14,500."""
+    ys = [f"y{i}" for i in range(1, 11)]
+    pres = Presentation(["a", "b", *ys], [f"{y} (a b)^10" for y in ys])
+    inclusion = [parse_word(f"({' '.join(ys)})^50", pres.generators), parse_word("a b", "ab")]
+    inp = TorsionInput(pres, inclusion, abelianize_presentation(pres))
+    written = count_calls(monkeypatch, _push_reduced, lambda stack, atom: len(atom))
+    assert _tietze_reduce(inp) is inp
+    assert 0 < sum(written) <= len(pres.generators) * _letters(inp)
 
 
 # -- Fox's fundamental formula ---------------------------------------------------
