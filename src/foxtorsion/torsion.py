@@ -435,12 +435,15 @@ def _tietze_reduce(torsion_input):
     input's.  A refused move is not tried again while its relator's text
     is unchanged.  One generator is always kept, so the matrix is never 0x0.
 
-    The abelianization stays the input's, which kills r, so by the chain
-    rule each reduced Fox column is the input's plus a multiple of r's,
-    without the row of g, where r's column holds the unit u dg^e/dg: the
-    determinant changes by a unit, and the class not at all.
+    The abelianization stays the input's.  A move uses only a relator r
+    that it kills, so by the chain rule each reduced Fox column is the
+    input's plus a multiple of r's, without the row of g, where r's column
+    holds the unit u dg^e/dg: the determinant changes by a unit, and the
+    class not at all.  A map built by `abelianize_presentation` kills every
+    relator; a library caller's map need not.
     """
     pres = torsion_input.presentation
+    phi = torsion_input.abelianization
     first = len(torsion_input.inclusion_words)
     words = [w.letters for w in torsion_input.inclusion_words + pres.relators]
     bound = sum(map(len, words))
@@ -454,7 +457,8 @@ def _tietze_reduce(torsion_input):
             r = words[j]
             if r not in singles:
                 once = Counter(map(itemgetter(0), r))
-                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if once[g] == 1}
+                kills = not any(phi.prefix_exponents(Word._from_reduced(r))[-1])
+                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if kills and once[g] == 1}
             weight = len(r) - 1
             moves += [(weight * (occurrences[g] - 1), j, i, g) for i, g in singles[r]]
         for _, j, i, g in sorted(moves):
@@ -470,7 +474,7 @@ def _tietze_reduce(torsion_input):
         return torsion_input
     words = [Word._from_reduced(w) for w in words]
     return TorsionInput(
-        Presentation(generators, words[first:]), words[:first], torsion_input.abelianization
+        Presentation(generators, words[first:]), words[:first], phi
     )
 
 

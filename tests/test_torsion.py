@@ -815,8 +815,8 @@ def reducible_inputs(draw):
     """Balanced inputs with generators to eliminate: a Lyon input enlarged
     by `tietze_enlarge`, or four generators with up to three relators of at
     most six letters, which often hold a generator once (with either sign,
-    and letters on both sides of it), abelianized by the Smith normal
-    form."""
+    and letters on both sides of it), abelianized by the Smith normal form
+    or mapped by images drawn at random, which need not kill the relators."""
     if draw(st.booleans()):
         base = lyon_input(draw(st.integers(-1, 5)), draw(st.sampled_from(("S", "Sprime"))))
         return tietze_enlarge(random.Random(draw(st.integers(0, 2**32))), base, draw(st.integers(1, 6)))
@@ -825,6 +825,11 @@ def reducible_inputs(draw):
     words = draw(st.lists(st.lists(letters, max_size=6).map(Word), min_size=4, max_size=4))
     relators = draw(st.integers(0, 3))
     pres = Presentation(names, words[:relators])
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 2))
+        vectors = st.tuples(*[st.integers(-1, 1)] * rank)
+        images = {g: draw(vectors) for g in names}
+        return TorsionInput(pres, words[relators:], AbelianizationMap(rank, images))
     try:
         phi = abelianize_presentation(pres)
     except NontrivialTorsion:
