@@ -53,15 +53,14 @@ _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
 # The most generators a file may declare.  These times are for sparse
 # relators: with a defining relator y a^-1 b for each generator y beyond
-# three, `torsion` took 9-10 ms at 53 generators, 25-26 ms at 100 and
-# 94-98 ms at 203 with no [basis], and 9, 24-25 and 82-88 ms with one (best
-# of 7 in-process runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit COMMIT,
+# three, `torsion` took 6 ms at 53 generators, 15-16 ms at 100 and 54-60 ms
+# at 203 with no [basis], and 5-6, 14-15 and 50-55 ms with one (best of 7
+# in-process runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit 2246b30,
 # 2026-10-20).  The Tietze moves leave a, b and x, so the Fox matrix is
 # 3x3; what grows is the reduction, whose every move rereads the relators,
-# and the Smith normal form, about half of the time each at 203.  Dense
-# relators pass every budget yet load slowly, in the Smith normal form:
-# 98 relators over 100 generators with exponent sums in [-1, 1] took 3-4 s,
-# and in [-2, 2] 12-16 s.
+# and the Smith normal form.  Dense relators pass every budget yet load
+# slowly, in the Smith normal form: 98 relators over 100 generators with
+# exponent sums in [-1, 1] took 3-4 s, and in [-2, 2] 12-16 s.
 MAX_GENERATORS = 100
 
 # The most digits, after its sign, of a [basis] image field.  Exponents then
