@@ -521,29 +521,24 @@ def test_determinant_paths_agree_exactly(matrix):
         assert det_bareiss(matrix) == expected
 
 
-def _unit_generators_input(count):
-    """The Lyon S n = 0 input with ``count`` more generators y, each killed
-    by the relator y a^-1 b and mapped to the image of a b^-1."""
+def test_five_hundred_unit_generators_are_eliminated_quickly(monkeypatch):
+    """The Lyon S n = 0 input with 500 generators y and relators y a^-1 b,
+    each y the image of a b^-1, is reduced to a, b and x before the Fox
+    matrix is built: each y occurs once, in its own relator, so its move
+    costs 0 and changes no other word, while the Lyon relator has no
+    generator that occurs once.  The Fox matrix then makes 3 x 3
+    `fox_derivative` calls, one per generator and word, where the 503x503
+    matrix made 253,009.  Calls are counted, not seconds, so a slow machine
+    cannot fail it."""
     base = lyon_input(0, "S")
-    ys = [f"y{i}" for i in range(1, count + 1)]
+    ys = [f"y{i}" for i in range(1, 501)]
     presentation = Presentation(
         base.presentation.generators + tuple(ys),
         base.presentation.relators + tuple(f"{y} a^-1 b" for y in ys),
     )
     images = dict(base.abelianization.images, **{y: (2, -3) for y in ys})
     basis = AbelianizationMap(2, images, base.abelianization.basis_names)
-    return TorsionInput(presentation, base.inclusion_words, basis)
-
-
-def test_five_hundred_unit_generators_are_eliminated_quickly(monkeypatch):
-    """The 503 generators of `_unit_generators_input(500)` are reduced to a,
-    b and x before the Fox matrix is built: each y occurs once, in its own
-    relator, so its move costs 0 and changes no other word, while the Lyon
-    relator has no generator that occurs once.  The Fox matrix then makes
-    3 x 3 `fox_derivative` calls, one per generator and word, where the
-    503x503 matrix made 253,009.  Calls are counted, not seconds, so a slow
-    machine cannot fail it."""
-    inp = _unit_generators_input(500)
+    inp = TorsionInput(presentation, base.inclusion_words, basis)
     calls = count_calls(monkeypatch, fox_derivative, lambda word, g: 1)
     assert sutured_torsion(inp) == expected_torsion(0, "S")
     assert len(calls) == 9
