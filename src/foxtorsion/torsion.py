@@ -5,9 +5,13 @@ columns are the abelianized Fox derivatives of the inclusion words followed by
 those of the relators, one row per generator.  The result is only meaningful
 up to a sign and a monomial factor, which the normal form strips.
 
-`sutured_torsion` first eliminates generators by Tietze moves on the words
-(`_tietze_reduce`), each of which removes a row and a column of the Fox
-matrix that cross at a unit, so the matrix shrinks and the class stays.
+`sutured_torsion` first reduces the words (`_tietze_reduce`).  It deletes
+from the inclusion words every cyclic permutation of a relator that the
+abelianization kills, or of its inverse (`_delete_relators`), which
+subtracts a monomial multiple of the relator's column from the word's and
+leaves the determinant exactly as it was.  Then it eliminates generators by
+Tietze moves on the words, each of which removes a row and a column of the
+Fox matrix that cross at a unit, so the matrix shrinks and the class stays.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -42,7 +46,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .groupring import fox_derivative
-from .words import Presentation, Word, _push_reduced, render_word
+from .words import Presentation, Word, _conjugator_length, _push_reduced, render_word
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,12 @@ def _square_rank(matrix):
 MAX_TERM_PRODUCTS = 2_560_000
 
 
+def _pack_column(column, shifts):
+    """The entries of a column as {packed key: coefficient} dicts, each
+    exponent vector e packed as the int sum of e_i << shifts[i]."""
+    return [{sum(map(lshift, k, shifts)): v for k, v in e.terms.items()} for e in column]
+
+
 def det_cofactor(matrix):
     """Determinant by Laplace expansion along the columns, right to left: the
     nonzero minors of the columns passed, keyed by increasing row tuples, take
@@ -242,7 +252,9 @@ def det_cofactor(matrix):
     for w = (n*M).bit_length() + 1, and no digit carries into its neighbour.
     Zero sums are dropped once per size, before the terms are counted, so
     the kept minors and the budget are those of the tuple-keyed expansion,
-    and only the determinant's keys are unpacked.  Only this core is packed:
+    and only the determinant's keys are unpacked.  A column is packed
+    (`_pack_column`) once the budget has admitted its products, so a refused
+    matrix packs no column past the last one.  Only this core is packed:
     each entry is packed once and multiplied into many minors, while packing
     inside one product (`mul_terms`) would unpack every term it returns,
     which made the products slower, not faster.
@@ -255,26 +267,24 @@ def det_cofactor(matrix):
     width = (n * bound).bit_length() + 1
     shifts = [width * (rank - 1 - i) for i in range(rank)]
 
-    def pack(terms):
-        return {sum(map(lshift, k, shifts)): v for k, v in terms.items()}
-
     def kept(minors, j):
         due = {i for i, f in enumerate(first) if f >= j}
         minors = {rows: {k: v for k, v in m.items() if v} for rows, m in minors.items()}
         return {rows: m for rows, m in minors.items() if m and due <= set(rows)}
 
-    columns = [[pack(e.terms) for e in column] for column in zip(*matrix)]
-    minors = kept({(i,): e for i, e in enumerate(columns[-1])}, n - 1)
+    columns = list(zip(*matrix))
+    minors = kept({(i,): e for i, e in enumerate(_pack_column(columns[-1], shifts))}, n - 1)
     products = 0
     for j in range(n - 2, -1, -1):
-        sizes = [len(entry) for entry in columns[j]]
+        sizes = [len(entry.terms) for entry in columns[j]]
         for rows, minor in minors.items():
             products += len(minor) * sum(s for i, s in enumerate(sizes) if i not in rows)
         if products > MAX_TERM_PRODUCTS:
             raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
+        column = _pack_column(columns[j], shifts)
         expanded = {}
         for rows, minor in minors.items():
-            for i, entry in enumerate(columns[j]):
+            for i, entry in enumerate(column):
                 if i not in rows and entry:
                     key = tuple(sorted(rows + (i,)))
                     sign = -1 if key.index(i) % 2 else 1
@@ -424,28 +434,157 @@ def _eliminate(words, j, i, bound):
     return reduced if written <= bound else None
 
 
+def _ends_with(stack, letters, start, m):
+    """Whether the stack's last m letters are letters[start : start + m]."""
+    return stack[-m:] == letters[start : start + m]
+
+
+def _delete_relators(words, relators, weights):
+    """The words, each with every subword that is a cyclic permutation of a
+    relator's cyclic core, or of its inverse, deleted, and freely reduced; a
+    word that loses nothing is returned as given.
+
+    Each rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q
+    whole, so a word is scanned (`_delete_rotations`) only for the cores
+    with a half in its text, which ``str.__contains__`` finds in C; most
+    words hold none.  A core's rotations are hashed when a word first needs
+    them, in O(|c|) by rolling a polynomial hash, modulo the prime 2^61 - 1,
+    of the letters' ``weights`` over them.  If a scan leaves a half of a
+    core it was not run for, the word is scanned again with that core too,
+    so the words returned hold no rotation of any core, unless two of its
+    rotations share a hash, which only leaves one of them in place.  Any
+    weights give an exact deletion: a hit is checked letter by letter.
+    """
+    mod = (1 << 61) - 1
+    base = 1_000_003
+    chars = {letter: chr(k) for k, letter in enumerate(weights)}
+    cores = []  # the letters of each core and of its inverse
+    halves = []  # (the text of a half, the index of its core)
+    for r in relators:
+        i = _conjugator_length(r)
+        core = list(r[i : len(r) - i])
+        for letters in (core, [(g, -e) for g, e in reversed(core)]) if core else ():
+            text = "".join(map(chars.__getitem__, letters))
+            k = (len(letters) + 1) // 2
+            halves += [(h, len(cores)) for h in (text[:k], text[k:]) if h]
+            cores.append(letters)
+    hashed = set()  # the indices of the cores hashed into table
+    table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
+    result = []
+    for word in words:
+        done = set()  # the cores this word was scanned for
+        while True:
+            text = "".join(map(chars.__getitem__, word))
+            found = {k for h, k in halves if h in text}
+            if found <= done:
+                break
+            for k in sorted(found - hashed):
+                letters = cores[k]
+                m = len(letters)
+                if m not in table:
+                    table[m] = (pow(base, m, mod), {})
+                top, rotations = table[m]
+                spin = (1 - top) % mod  # moves the first letter of a rotation last
+                doubled = letters + letters
+                ws = list(map(weights.__getitem__, letters))
+                h = 0
+                for w in ws:
+                    h = (h * base + w) % mod
+                for s, w in enumerate(ws):
+                    rotations.setdefault(h, (doubled, s))
+                    h = (h * base + w * spin) % mod
+            hashed |= found
+            done |= found
+            windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
+            scanned = _delete_rotations(word, windows, weights, base, mod)
+            if scanned is word:
+                break
+            word = scanned
+        result.append(word)
+    return result
+
+
+def _delete_rotations(word, windows, weights, base, mod):
+    """The word with every subword that ``windows`` holds deleted and freely
+    reduced, or the word itself when none is found.
+
+    ``windows`` lists (m, base^m, {hash: (letters, start)}) by increasing m,
+    a subword of length m being letters[start : start + m].  The word is
+    pushed letter by letter onto a freely reduced stack that keeps the hash
+    of every prefix, so after each push the hash of the last m letters takes
+    O(1) for each m; only a hit compares the real letters (`_ends_with`), so
+    the scan is linear in the letters times the number of lengths, and a
+    comparison costs what the match it confirms deletes.  A match is popped,
+    and the letters then pushed first cancel the inverses on top of the
+    stack.  Every window below the top was looked up when its last letter
+    was pushed, so the word returned holds no subword that ``windows``
+    holds.
+    """
+    stack = [None]  # a sentinel below the letters, which nothing cancels
+    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
+    cancel = False  # whether the next letter may cancel the top
+    for letter, w in zip(word, map(weights.__getitem__, word)):
+        if cancel:
+            if stack[-1] == (letter[0], -letter[1]):
+                stack.pop()
+                hashes.pop()
+                continue
+            cancel = False
+        h = (hashes[-1] * base + w) % mod
+        stack.append(letter)
+        hashes.append(h)
+        n = len(stack)
+        for m, top, rotations in windows:
+            if n <= m:
+                break
+            hit = rotations.get((h - hashes[-1 - m] * top) % mod)
+            if hit is not None and _ends_with(stack, *hit, m):
+                del stack[-m:]
+                del hashes[-m:]
+                cancel = True
+                break
+    return word if len(stack) == len(word) + 1 else tuple(stack[1:])
+
+
 def _tietze_reduce(torsion_input):
-    """The input with generators eliminated by Tietze moves on its words, or
-    the input itself when no move is taken.
+    """The input with relator rotations deleted from its inclusion words and
+    generators eliminated by Tietze moves on its words, or the input itself
+    when nothing is deleted and no move is taken.
 
-    A move on a relator r = u g^e v in which g occurs once replaces g by
-    (v u)^-e in the other words (`_eliminate`) and drops g and r.  Moves are
-    tried cheapest first, by (|r| - 1) times the occurrences of g elsewhere,
-    and taken only when the words then hold no more letters than the
-    input's.  A refused move is not tried again while its relator's text
-    is unchanged.  One generator is always kept, so the matrix is never 0x0.
+    Only relators r that the abelianization kills are used, and the kill
+    test is taken once per relator.  First every subword of an inclusion
+    word that is a cyclic permutation of r's cyclic core or of its inverse
+    is deleted (`_delete_relators`): deleting u r' v -> u v, r' a conjugate
+    of r^+-1, subtracts x^phi(u) dr'/dg = +-(monomial) * dr/dg from the
+    word's Fox column, a multiple of r's column, which stays in the matrix,
+    so the determinant does not change at all.  Relators are left as given.
 
-    The abelianization stays the input's.  A move uses only a relator r
-    that it kills, so by the chain rule each reduced Fox column is the
-    input's plus a multiple of r's, without the row of g, where r's column
-    holds the unit u dg^e/dg: the determinant changes by a unit, and the
-    class not at all.  A map built by `abelianize_presentation` kills every
-    relator; a library caller's map need not.
+    Then a move on a relator r = u g^e v in which g occurs once replaces g
+    by (v u)^-e in the other words (`_eliminate`) and drops g and r.  Moves
+    are tried cheapest first, by (|r| - 1) times the occurrences of g
+    elsewhere, and taken only when the words then hold no more letters than
+    they did after the deletion.  A refused move is not tried again while
+    its relator's text is unchanged.  One generator is always kept, so the
+    matrix is never 0x0.  A move keeps phi of every word, so the relators
+    it rewrites stay killed.
+
+    The abelianization stays the input's.  By the chain rule each reduced
+    Fox column is the input's plus a multiple of r's, without the row of g,
+    where r's column holds the unit u dg^e/dg: the determinant changes by a
+    unit, and the class not at all.  A map built by
+    `abelianize_presentation` kills every relator; a library caller's map
+    need not.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
     first = len(torsion_input.inclusion_words)
-    words = [w.letters for w in torsion_input.inclusion_words + pres.relators]
+    relators = [r.letters for r in pres.relators]
+    # kills[j]: whether phi kills the relator words[first + j]
+    kills = [not any(phi.prefix_exponents(r)[-1]) for r in pres.relators]
+    weights = {(g, e): e * i for i, g in enumerate(pres.generators, 1) for e in (1, -1)}
+    inclusion = [w.letters for w in torsion_input.inclusion_words]
+    killed = [r for r, k in zip(relators, kills) if k]
+    words = _delete_relators(inclusion, killed, weights) + relators
     bound = sum(map(len, words))
     generators = list(pres.generators)
     # relator -> {(i, g)}: its moves not refused yet, g = r[i] occurring once in r
@@ -456,9 +595,8 @@ def _tietze_reduce(torsion_input):
         for j in range(first, len(words)):
             r = words[j]
             if r not in singles:
-                once = Counter(map(itemgetter(0), r))
-                kills = not any(phi.prefix_exponents(Word._from_reduced(r))[-1])
-                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if kills and once[g] == 1}
+                once = Counter(map(itemgetter(0), r)) if kills[j - first] else {}
+                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if once.get(g) == 1}
             weight = len(r) - 1
             moves += [(weight * (occurrences[g] - 1), j, i, g) for i, g in singles[r]]
         for _, j, i, g in sorted(moves):
@@ -469,9 +607,13 @@ def _tietze_reduce(torsion_input):
         else:
             break
         generators.remove(g)
+        del kills[j - first]
         words = reduced
     if len(generators) == len(pres.generators):
-        return torsion_input
+        if words[:first] == inclusion:
+            return torsion_input
+        words = [Word._from_reduced(w) for w in words[:first]]
+        return TorsionInput(pres, words, phi)
     words = [Word._from_reduced(w) for w in words]
     return TorsionInput(
         Presentation(generators, words[first:]), words[:first], phi

@@ -86,6 +86,16 @@ def _push_reduced(stack, atom):
     stack.extend(atom[i:] if i else atom)
 
 
+def _conjugator_length(atom):
+    """The length of u where a freely reduced atom is u c u^-1 with c
+    cyclically reduced: its first and last letters cancel that deep."""
+    n = len(atom)
+    i = 0
+    while 2 * i + 1 < n and atom[i][0] == atom[-1 - i][0] and atom[i][1] == -atom[-1 - i][1]:
+        i += 1
+    return i
+
+
 def _power(atom, k):
     """The k-th power, k >= 0, of a freely reduced atom, freely reduced, with
     no letter-by-letter reduction.  Written u c u^-1 with c cyclically
@@ -94,9 +104,7 @@ def _power(atom, k):
     n = len(atom)
     if not k or not n:
         return ()
-    i = 0  # the length of u
-    while 2 * i + 1 < n and atom[i][0] == atom[-1 - i][0] and atom[i][1] == -atom[-1 - i][1]:
-        i += 1
+    i = _conjugator_length(atom)
     return atom[:i] + atom[i : n - i] * k + atom[n - i :]
 
 

@@ -44,8 +44,13 @@ its words by Tietze moves: ``compare rank3.tor rank3.tor`` (``Inconclusive``
 in rank 3), ``compare rank0.tor rank0.tor`` (``Equivalent`` with the empty
 witness, through the dimension-0 anchor of the map search), ``compare
 zero.tor example.tor`` (``support_size``: one class is 0) and ``compare
-example.tor antisymmetric.tor`` (``coefficient_multiset``).  A change that
-alters any of them changes the CLI's output.
+example.tor antisymmetric.tor`` (``coefficient_multiset``).
+``relator-conjugates.tor`` is the seed-7 ``tietze-0`` design file of the
+benchmark, a Lyon S input with four Tietze generators and no ``[basis]``,
+whose inclusion words hold conjugates of its relators; its report was
+recorded at d77f3d8, before those conjugates were deleted from the words
+ahead of the Tietze moves.  A change that alters any of them changes the
+CLI's output.
 
 Run as a script, ``python tests/test_golden.py`` checks the same cases
 through ``python -m foxtorsion`` in a subprocess of the running interpreter,
@@ -83,7 +88,7 @@ CASES = {
         for name in (
             "rank1", "antisymmetric", "rank3", "wide",
             "generators-100", "generators-100-basis", "rank0", "rank0-basis",
-            "zero", "finite-h1", "finite-h1-basis",
+            "zero", "finite-h1", "finite-h1-basis", "relator-conjugates",
         )
     },
     **{

@@ -38,7 +38,10 @@ from foxtorsion.errors import (
 from foxtorsion.torsion import (
     MAX_TERM_PRODUCTS,
     _clear_columns,
+    _delete_relators,
+    _ends_with,
     _normalize,
+    _pack_column,
     _period_step,
     _tietze_reduce,
     det_bareiss,
@@ -588,13 +591,15 @@ def test_dense_relators_are_refused_before_the_elimination_fills(monkeypatch):
     # Every generator occurs in its relators as powers g^k, mostly with
     # |k| > 1, so the Tietze reduction keeps all 24, and the cofactor
     # expansion of the 24x24 matrix is refused by its count of term pairs
-    # before it multiplies any.
+    # before it multiplies any, having packed only the last column.
     inp = _dense_relators_input(24)
     assert len(_tietze_reduce(inp).presentation.generators) == 24
     pairs = count_calls(monkeypatch, iadd_product, lambda acc, p, q, sign: len(p) * len(q))
+    packed = count_calls(monkeypatch, _pack_column, lambda column, shifts: 1)
     with pytest.raises(InputTooLarge, match=f"more than {MAX_TERM_PRODUCTS} term products"):
         sutured_torsion(inp)
     assert sum(pairs) == 0
+    assert 1 <= len(packed) <= 2
 
 
 @pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])
@@ -873,6 +878,149 @@ def test_refused_moves_write_letters_linear_in_the_input(monkeypatch):
     assert 0 < sum(written) <= len(pres.generators) * _letters(inp)
 
 
+# -- relator rotations deleted from the inclusion words --------------------------
+
+
+def _inverse(letters):
+    return tuple((g, -e) for g, e in reversed(letters))
+
+
+def _cyclic_core(letters):
+    """The cyclically reduced c of a reduced word u c u^-1, peeled a letter
+    pair at a time."""
+    while len(letters) > 1 and letters[0] == _inverse(letters[-1:])[0]:
+        letters = letters[1:-1]
+    return letters
+
+
+def _holds(word, part):
+    m = len(part)
+    return any(word[p : p + m] == part for p in range(len(word) - m + 1))
+
+
+def _killed(inp):
+    phi = inp.abelianization
+    return [r.letters for r in inp.presentation.relators if not any(phi.prefix_exponents(r)[-1])]
+
+
+@st.composite
+def padded_inputs(draw):
+    """Balanced inputs over a, b, c, d with one to three relators, whose
+    inclusion words hold conjugates c r' c^-1, inserted at random points,
+    of rotations r' of relators or of their inverses.  The map is the Smith
+    normal form's, which kills every relator, or drawn images, which may
+    kill some relators and not others."""
+    names = ("a", "b", "c", "d")
+    letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    relators = draw(
+        st.lists(st.lists(letter, max_size=6).map(Word).filter(lambda w: w.letters),
+                 min_size=1, max_size=3)
+    )
+    words = [list(w.letters) for w in draw(
+        st.lists(st.lists(letter, max_size=6).map(Word),
+                 min_size=4 - len(relators), max_size=4 - len(relators))
+    )]
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.sampled_from(relators)).letters
+        r = _inverse(r) if draw(st.booleans()) else r
+        s = draw(st.integers(0, len(r) - 1))
+        c = draw(st.lists(letter, max_size=3))
+        word = draw(st.sampled_from(words))
+        p = draw(st.integers(0, len(word)))
+        word[p:p] = c + list(r[s:] + r[:s]) + list(_inverse(c))
+    pres = Presentation(names, relators)
+    inclusion = [Word(w) for w in words]
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 2))
+        vectors = st.tuples(*[st.integers(-1, 1)] * rank)
+        images = {g: draw(vectors) for g in names}
+        return TorsionInput(pres, inclusion, AbelianizationMap(rank, images))
+    try:
+        phi = abelianize_presentation(pres)
+    except NontrivialTorsion:
+        assume(False)
+    return TorsionInput(pres, inclusion, phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_inputs())
+def test_deleting_relator_rotations_keeps_the_determinant(inp):
+    """With no Tietze move taken, `_tietze_reduce` only deletes rotations of
+    the killed relators' cores from the inclusion words: the Fox matrix's
+    determinant is the same polynomial before and after, the relators stay,
+    and no rotation of a killed core or of its inverse is left."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torsion, "_eliminate", lambda words, j, i, bound: None)
+        deleted = _tietze_reduce(inp)
+    assert deleted.presentation is inp.presentation
+    before = det_cofactor(fox_matrix(inp))
+    assert det_cofactor(fox_matrix(deleted)) == before
+    assert sutured_torsion(inp) == torsion_normal_form(before)
+    for core in map(_cyclic_core, _killed(inp)):
+        for part in (core, _inverse(core)):
+            rotations = {part[s:] + part[:s] for s in range(len(part))}
+            for w in deleted.inclusion_words:
+                assert not any(_holds(w.letters, q) for q in rotations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_inputs())
+def test_a_hash_hit_deletes_only_letters_that_match(inp):
+    """With every letter weighted 1, all windows of one length share a hash,
+    so every window of a core's length is a hit, and only the letter check
+    keeps the deletion exact."""
+    letters = [(g, e) for g in inp.presentation.generators for e in (1, -1)]
+    words = [w.letters for w in inp.inclusion_words]
+    alike = _delete_relators(words, _killed(inp), dict.fromkeys(letters, 1))
+    assert all(len(w) <= len(v) for w, v in zip(alike, words))
+    deleted = TorsionInput(inp.presentation, [Word._from_reduced(w) for w in alike],
+                           inp.abelianization)
+    assert det_cofactor(fox_matrix(deleted)) == det_cofactor(fox_matrix(inp))
+
+
+def test_a_conjugate_goes_and_its_conjugator_cancels():
+    # b a^-1 is a rotation of the inverse of the relator a b^-1, so it goes
+    # from x b a^-1 x^-1, and x x^-1 cancels; x^2 holds none and is returned
+    # as given.
+    pres = Presentation(["a", "b", "x"], ["a b^-1"])
+    inclusion = [parse_word("a x b a^-1 x^-1 b", pres.generators),
+                 parse_word("x^2", pres.generators)]
+    weights = {(g, e): e * i for i, g in enumerate("abx", 1) for e in (1, -1)}
+    deleted = _delete_relators([w.letters for w in inclusion], [pres.relators[0].letters], weights)
+    assert deleted == [(("a", 1), ("b", 1)), inclusion[1].letters]
+    assert deleted[1] is inclusion[1].letters
+
+
+def test_deletion_alone_returns_a_new_input_and_nothing_deleted_the_input():
+    pres = Presentation(["a", "b", "c"], ["a b a^-1 b^-1 c^2 a c^-2"])
+    phi = AbelianizationMap(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)})
+    kept = TorsionInput(pres, [parse_word("b c", "abc"), parse_word("c^3 b", "abc")], phi)
+    assert _tietze_reduce(kept) is kept
+    padded = TorsionInput(
+        pres, [parse_word("b (a b a^-1 b^-1 c^2 a c^-2)^-3 c", "abc"), kept.inclusion_words[1]], phi
+    )
+    deleted = _tietze_reduce(padded)
+    assert deleted.presentation is pres
+    assert deleted.inclusion_words == kept.inclusion_words
+    assert sutured_torsion(padded) == sutured_torsion(kept)
+
+
+def test_relator_deletion_is_linear_in_the_letters(monkeypatch):
+    """The inclusion word (a b a^-1 b^-1)^5000, 20,000 letters, against the
+    killed relator (a b a^-1 b^-1)^9 a b^-1 a^-1 b of 40 letters, whose
+    rotations it never holds but whose first half it holds everywhere.
+    Every window of a length divisible by 4 has zero abelian image, so a
+    filter on images would compare letters at every other position; the
+    rolling hash compares none.  Letters compared are counted, not seconds,
+    and must stay within twice the letters times the one core length."""
+    pres = Presentation(["a", "b"], ["(a b a^-1 b^-1)^9 a b^-1 a^-1 b"])
+    word = parse_word("(a b a^-1 b^-1)^5000", "ab")
+    inp = TorsionInput(pres, [word], AbelianizationMap(1, {"a": (1,), "b": (0,)}))
+    compared = count_calls(monkeypatch, _ends_with, lambda stack, letters, start, m: m)
+    assert _tietze_reduce(inp) is inp
+    assert sum(compared) <= 2 * len(word.letters) * 1
+
+
 # -- Fox's fundamental formula ---------------------------------------------------
 #
 # In the group ring w - 1 = sum_g (dw/dg)(g - 1) (Fox 1953, Free differential
@@ -930,7 +1078,7 @@ def _word_minus_one(tinput, word):
 
 
 def test_fox_columns_satisfy_the_fundamental_formula(fundamental_inputs):
-    assert len(fundamental_inputs) == 15 + 13 + 11 + 8
+    assert len(fundamental_inputs) == 16 + 13 + 11 + 8
     for name, tinput in fundamental_inputs:
         phi = tinput.abelianization
         matrix = fox_matrix(tinput)
@@ -964,5 +1112,5 @@ def test_the_determinant_satisfies_the_row_replacement(fundamental_inputs):
             expansion = expansion + (-term if (k + j) % 2 else term)
         assert fox_determinant(tinput) * d[k] == expansion, name
         checked += 1
-    # the 15 files less the two of rank 0 and the three above
-    assert checked == 10 + 13 + 11 + 8
+    # the 16 files less the two of rank 0 and the three above
+    assert checked == 11 + 13 + 11 + 8
