@@ -222,10 +222,11 @@ def _square_rank(matrix):
     return ranks.pop()
 
 
-# det_cofactor multiplies at most this many pairs of terms in all.  On a
-# 2-vCPU VM tests/inputs/random-words-2000.tor needs 2,557,561 (0.7 s), while
-# tests/inputs/rank11-commutators.tor reaches 2,572,418 with a fifth column
-# that alone takes 1.1 s, and is refused before it.
+# det_cofactor multiplies at most this many pairs of terms in all.
+# tests/inputs/random-words-2000.tor needs 2,557,539 (its `torsion` command
+# 0.50 s, best of 3 runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit ad001a9,
+# 2026-10-20), while tests/inputs/rank11-commutators.tor reaches 2,572,418
+# with a fifth column that alone takes 1.1 s, and is refused before it.
 MAX_TERM_PRODUCTS = 2_560_000
 
 
@@ -444,16 +445,18 @@ def _delete_relators(words, relators, weights):
     relator's cyclic core, or of its inverse, deleted, and freely reduced; a
     word that loses nothing is returned as given.
 
-    Each rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q
+    ``weights`` maps each letter of the generators, of either sign, to an
+    int.  Each rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q
     whole, so a word is scanned (`_delete_rotations`) only for the cores
-    with a half in its text, which ``str.__contains__`` finds in C; most
-    words hold none.  A core's rotations are hashed when a word first needs
-    them, in O(|c|) by rolling a polynomial hash, modulo a prime below 2^30,
-    of the letters' ``weights`` over them.  If a scan leaves a half of a
-    core it was not run for, the word is scanned again with that core too,
-    so the words returned hold no rotation of any core, unless two of its
-    rotations share a hash, which only leaves one of them in place.  Any
-    weights give an exact deletion: a hit is checked letter by letter.
+    with a half in its text, which ``str.__contains__`` finds in C: a word
+    that holds none, such as every family word, costs one string join.  A
+    core's rotations are hashed when a word first needs them, in O(|c|) by
+    rolling a polynomial hash of the letters' weights, modulo a prime below
+    2^30, over them.  If a scan leaves a half of a core it was not run for,
+    the word is scanned again with that core too, so the words returned hold
+    no rotation of any core, unless two of its rotations share a hash, which
+    only leaves one of them in place.  Any weights give an exact deletion: a
+    hit is checked letter by letter.
     """
     # the largest prime below 2^30: hashes stay one CPython digit, which made
     # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
@@ -471,8 +474,9 @@ def _delete_relators(words, relators, weights):
             j = 2 * len(cores)
             text = "".join(map(chars.__getitem__, core))
             inverse = text[::-1].translate(flip)
-            k = (len(core) + 1) // 2
-            halves += [(text[:k], j), (text[k:], j), (inverse[:k], j + 1), (inverse[k:], j + 1)]
+            cut = (len(core) + 1) // 2
+            halves += [(text[:cut], j), (text[cut:], j)]
+            halves += [(inverse[:cut], j + 1), (inverse[cut:], j + 1)]
             cores.append(core)
     halves = [(h, k) for h, k in halves if h]
     hashed = set()  # the indices of the cores hashed into table

@@ -888,7 +888,7 @@ def _inverse(letters):
 def _cyclic_core(letters):
     """The cyclically reduced c of a reduced word u c u^-1, peeled a letter
     pair at a time."""
-    while len(letters) > 1 and letters[0] == _inverse(letters[-1:])[0]:
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
         letters = letters[1:-1]
     return letters
 
@@ -996,9 +996,8 @@ def test_deletion_alone_returns_a_new_input_and_nothing_deleted_the_input():
     phi = AbelianizationMap(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)})
     kept = TorsionInput(pres, [parse_word("b c", "abc"), parse_word("c^3 b", "abc")], phi)
     assert _tietze_reduce(kept) is kept
-    padded = TorsionInput(
-        pres, [parse_word("b (a b a^-1 b^-1 c^2 a c^-2)^-3 c", "abc"), kept.inclusion_words[1]], phi
-    )
+    padded_word = parse_word("b (a b a^-1 b^-1 c^2 a c^-2)^-3 c", "abc")
+    padded = TorsionInput(pres, [padded_word, kept.inclusion_words[1]], phi)
     deleted = _tietze_reduce(padded)
     assert deleted.presentation is pres
     assert deleted.inclusion_words == kept.inclusion_words
