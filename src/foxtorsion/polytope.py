@@ -176,11 +176,14 @@ def _cycle_edges(vertices):
 
 
 def _solve_map(e0, e1, f0, f1):
-    """Integer U with U e0 = f0 and U e1 = f1, if it exists and is unimodular."""
+    """Integer U with U e0 = f0 and U e1 = f1, if it exists and is unimodular.
+
+    e0 and e1 must be linearly independent.  Every caller passes two
+    consecutive edges of a strict hull, never parallel, or a direction d and
+    its `_completion`, with det[d c] = 1.
+    """
     (p0, q0), (p1, q1) = e0, e1
     det = p0 * q1 - q0 * p1
-    if det == 0:
-        return None
     # U = [f0 f1] * adj([e0 e1]) / det, with columns e_i, f_i
     (r0, s0), (r1, s1) = f0, f1
     a, b = r0 * q1 - r1 * q0, r1 * p0 - r0 * p1

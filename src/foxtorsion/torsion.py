@@ -6,12 +6,16 @@ those of the relators, one row per generator.  The result is only meaningful
 up to a sign and a monomial factor, which the normal form strips.
 
 `sutured_torsion` first reduces the words (`_tietze_reduce`).  It deletes
-from the inclusion words every cyclic permutation of a relator that the
-abelianization kills, or of its inverse (`_delete_relators`), which
-subtracts a monomial multiple of the relator's column from the word's and
-leaves the determinant exactly as it was.  Then it eliminates generators by
-Tietze moves on the words, each of which removes a row and a column of the
-Fox matrix that cross at a unit, so the matrix shrinks and the class stays.
+from the inclusion words every cyclic permutation of the cyclic core of a
+relator that the abelianization kills, or of its inverse
+(`_delete_relators`): the cores and their inverses form one list, and a
+word is scanned, one letter at a time, for the cores with a half in its
+text, each window of the scan looked up among the rotations' hashes.  A
+deletion subtracts a monomial multiple of the relator's column from the
+word's and leaves the determinant exactly as it was.  Then it eliminates
+generators by Tietze moves on the words, each of which removes a row and a
+column of the Fox matrix that cross at a unit, so the matrix shrinks and
+the class stays.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -136,17 +140,9 @@ def torsion_normal_form(poly):
 # fox_matrix differentiates each word in consecutive blocks of at most this
 # many letters.  A block's derivative holds one prefix tuple per occurrence,
 # so time is O(L * FOX_BLOCK) and memory O(FOX_BLOCK^2) per word of L letters,
-# where the whole word would cost O(L^2) in both.  On the `long-words` design
-# (seed 7, 250 to 1,000 letters per word, a 2-vCPU VM) the Fox matrices took
-# 3.2-3.5 ms per operation with blocks of 16 to 48 letters, 3.9 ms at 8, 3.8 ms
-# at 64, 4.9 ms at 128 and 13.7 ms for whole words.  Once the entries were
-# summed inline, 16, 24, 32 and 48 were timed again in process, in two runs of
-# 10 interleaved rounds on the seed-7 `long-words` and `tietze` designs: on
-# `long-words` 16 and 24 ran 2-8 % under 32 (1.3-2.4 ms per operation) and
-# beat it in 7 to 9 of 10 rounds, on `tietze` 32 beat each of them in 5 to 9
-# of 10, and 48 lost on `long-words`.  No size won 9 of 10 rounds in both
-# runs and on both designs, so 32 stays: the flat part with half the calls
-# of 16, and every Lyon word at n = 1 (at most 7 letters) stays one block.
+# where the whole word would cost O(L^2) in both.  Sizes from 16 to 48 time
+# alike on the benchmark's designs; 32 makes half the calls of 16, and keeps
+# every Lyon word at n = 1 (at most 7 letters) one block.
 FOX_BLOCK = 32
 
 
@@ -222,11 +218,11 @@ def _square_rank(matrix):
     return ranks.pop()
 
 
-# det_cofactor multiplies at most this many pairs of terms in all.
-# tests/inputs/random-words-2000.tor needs 2,557,539 (its `torsion` command
-# 0.50 s, best of 3 runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit ad001a9,
-# 2026-10-20), while tests/inputs/rank11-commutators.tor reaches 2,572,418
-# with a fifth column that alone takes 1.1 s, and is refused before it.
+# det_cofactor multiplies at most this many pairs of terms in all, so its
+# time is bounded by counted work.  The budget lies between the counts of
+# tests/inputs/random-words-2000.tor (2,557,539 pairs, accepted) and
+# tests/inputs/rank11-commutators.tor (2,572,418, refused before the column
+# that would pass it).
 MAX_TERM_PRODUCTS = 2_560_000
 
 
@@ -446,17 +442,20 @@ def _delete_relators(words, relators, weights):
     word that loses nothing is returned as given.
 
     ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q
-    whole, so a word is scanned (`_delete_rotations`) only for the cores
-    with a half in its text, which ``str.__contains__`` finds in C: a word
-    that holds none, such as every family word, costs one string join.  A
-    core's rotations are hashed when a word first needs them, in O(|c|) by
-    rolling a polynomial hash of the letters' weights, modulo a prime below
-    2^30, over them.  If a scan leaves a half of a core it was not run for,
-    the word is scanned again with that core too, so the words returned hold
-    no rotation of any core, unless two of its rotations share a hash, which
-    only leaves one of them in place.  Any weights give an exact deletion: a
-    hit is checked letter by letter.
+    int.  Each core and each inverse is one entry of a list of cores, and
+    each entry's two halves are indexed by its position there.  Each
+    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
+    one-letter core is its own only half), so a word is scanned
+    (`_delete_rotations`) only for the cores with a half in its text, which
+    ``str.__contains__`` finds in C: a word that holds none, such as every
+    family word, costs one string join.  A core's rotations are hashed when
+    a word first needs them, by the scan's window formula over the prefix
+    hashes of the doubled core.  A deletion can expose a rotation of a core
+    the scan was not run for, so while the text left holds a half of such a
+    core, the word is scanned again with that core too.  The words returned
+    hold no rotation of any core, unless two of its rotations share a hash,
+    which only leaves one of them in place.  Any weights give an exact
+    deletion: a hit is checked letter by letter.
     """
     # the largest prime below 2^30: hashes stay one CPython digit, which made
     # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
@@ -464,21 +463,17 @@ def _delete_relators(words, relators, weights):
     mod = 1_073_741_789
     base = 32_771
     chars = {letter: chr(k) for k, letter in enumerate(weights)}
-    flip = {ord(c): chars[g, -e] for (g, e), c in chars.items()}  # a letter's inverse
-    cores = []  # the cyclic core of each relator
-    halves = []  # (the text of a half, 2 j for the j-th core or 2 j + 1 for its inverse)
+    cores = []  # the cyclic core of each relator, then its inverse
     for r in relators:
         i = _conjugator_length(r)
         core = r[i : len(r) - i]
         if core:
-            j = 2 * len(cores)
-            text = "".join(map(chars.__getitem__, core))
-            inverse = text[::-1].translate(flip)
-            cut = (len(core) + 1) // 2
-            halves += [(text[:cut], j), (text[cut:], j)]
-            halves += [(inverse[:cut], j + 1), (inverse[cut:], j + 1)]
-            cores.append(core)
-    halves = [(h, k) for h, k in halves if h]
+            cores += [core, tuple([(g, -e) for g, e in reversed(core)])]
+    halves = []  # (the text of a half, the index of its core)
+    for k, core in enumerate(cores):
+        text = "".join(map(chars.__getitem__, core))
+        cut = (len(core) + 1) // 2
+        halves += [(text[:cut], k), (text[cut:] or text, k)]
     hashed = set()  # the indices of the cores hashed into table
     table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
     result = []
@@ -490,24 +485,17 @@ def _delete_relators(words, relators, weights):
             if found <= done:
                 break
             for k in found - hashed:
-                core = cores[k // 2]
-                letters = tuple([(g, -e) for g, e in reversed(core)]) if k % 2 else core
-                m = len(letters)
-                if m not in table:
-                    table[m] = (pow(base, m, mod), {})
-                top, rotations = table[m]
-                spin = (1 - top) % mod  # moves the first letter of a rotation last
-                doubled = letters + letters
-                ws = list(map(weights.__getitem__, letters))
+                m = len(cores[k])
+                top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
+                doubled = cores[k] + cores[k]
+                ws = map(weights.__getitem__, doubled)
                 h = 0
-                for w in ws:
-                    h = (h * base + w) % mod
-                for s, w in enumerate(ws):
-                    rotations.setdefault(h, (doubled, s))
-                    h = (h * base + w * spin) % mod
+                prefix = [0] + [h := (h * base + w) % mod for w in ws]
+                for s in range(m):
+                    rotations.setdefault((prefix[s + m] - prefix[s] * top) % mod, (doubled, s))
             hashed |= found
             done |= found
-            windows = [(m, *table[m]) for m in sorted({len(cores[k // 2]) for k in done})]
+            windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
             scanned = _delete_rotations(word, windows, weights, base, mod)
             if scanned is word:
                 break
@@ -621,15 +609,11 @@ def _tietze_reduce(torsion_input):
         generators.remove(g)
         del kills[j - first]
         words = reduced
-    if len(generators) == len(pres.generators):
-        if words[:first] == inclusion:
-            return torsion_input
-        words = [Word._from_reduced(w) for w in words[:first]]
-        return TorsionInput(pres, words, phi)
-    words = [Word._from_reduced(w) for w in words]
-    return TorsionInput(
-        Presentation(generators, words[first:]), words[:first], phi
-    )
+    if len(generators) < len(pres.generators):
+        pres = Presentation(generators, [Word._from_reduced(w) for w in words[first:]])
+    if pres is not torsion_input.presentation or words[:first] != inclusion:
+        torsion_input = TorsionInput(pres, [Word._from_reduced(w) for w in words[:first]], phi)
+    return torsion_input
 
 
 def sutured_torsion(torsion_input):

@@ -1,7 +1,8 @@
-"""The README's examples run and print what their comments say, and the
-input files it names exist."""
+"""The README's examples run and print what their comments say, the input
+files it names exist, and its budget table gives each constant's value."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -68,3 +69,26 @@ def test_the_package_exports_the_library_example_and_the_benchmark_names():
     assert set(namespace) - {"__builtins__"} == surface
     imported = re.search(r"from foxtorsion import \((.*?)\)", library_example(), re.S)
     assert set(imported.group(1).replace(",", " ").split()) <= surface
+
+
+def budget_rows():
+    """{"module.NAME": value} for each row of the README's budget table; a
+    value is an int with thousands commas or a power written b^e."""
+    section = README.read_text(encoding="utf-8").split("## Budgets", 1)[1]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| ([\d,]+)(?:\^(\d+))? \|", section, re.M)
+    return {name: int(value.replace(",", "")) ** int(power or 1) for name, value, power in rows}
+
+
+def test_the_budget_table_gives_each_constant_its_value():
+    rows = budget_rows()
+    assert sorted(rows) == sorted([
+        "cli.MAX_GENERATORS", "cli.MAX_BASIS_DIGITS", "cli.MAX_FAMILY_N",
+        "torsion.MAX_TERM_PRODUCTS", "words.MAX_WORD_LETTERS",
+        "words.MAX_EXPANDED_LETTERS", "words.MAX_EXPONENT", "words.MAX_NESTING",
+        "sfh.MAX_BINOMIAL_ROW", "sfh.MAX_TABLE_LENGTH",
+    ])
+    actual = {}
+    for name in rows:
+        module, constant = name.split(".")
+        actual[name] = getattr(importlib.import_module(f"foxtorsion.{module}"), constant)
+    assert rows == actual

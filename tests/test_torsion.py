@@ -991,6 +991,16 @@ def test_a_conjugate_goes_and_its_conjugator_cancels():
     assert deleted[1] is inclusion[1].letters
 
 
+def test_a_deletion_that_exposes_another_core_is_scanned_again():
+    # Deleting c d exposes a b b a, a rotation of the core a a b b, whose
+    # halves a a and b b (and A A, B B of its inverse) the word a b c d b a
+    # does not hold: only a second scan, with that core too, empties it.
+    weights = {(g, e): e * i for i, g in enumerate("abcd", 1) for e in (1, -1)}
+    relators = [parse_word(r, "abcd").letters for r in ("c d", "a^2 b^2")]
+    word = parse_word("a b c d b a", "abcd").letters
+    assert _delete_relators([word], relators, weights) == [()]
+
+
 def test_deletion_alone_returns_a_new_input_and_nothing_deleted_the_input():
     pres = Presentation(["a", "b", "c"], ["a b a^-1 b^-1 c^2 a c^-2"])
     phi = AbelianizationMap(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)})
