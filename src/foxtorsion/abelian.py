@@ -7,7 +7,7 @@ term-dict inner loops live in `_kernels`.
 """
 
 import math
-from itertools import accumulate as running_sums
+from itertools import accumulate as running_sums, chain
 from operator import add, sub
 
 from .errors import (
@@ -17,7 +17,7 @@ from .errors import (
     RankMismatch,
     UnknownGenerator,
 )
-from ._kernels import accumulate, add_terms, iadd_scaled, mul_terms
+from ._kernels import accumulate, add_terms, div_binomial, iadd_scaled, mul_terms, pack, unpack
 from .words import _NAME_RE, Word, render_word
 
 
@@ -258,10 +258,10 @@ class LaurentPoly:
     def exact_div(self, divisor):
         """Exact quotient self / divisor in the Laurent ring.
 
-        A two-term divisor c * (x^A - x^B) takes one pass along lines
-        (`_div_binomial`); any other divisor goes through the leading-term
-        loop (`_div_leading_terms`).  Both raise InexactDivision exactly when
-        divisor does not divide self.
+        A two-term divisor c * (x^A - x^B) takes one pass along lines of
+        packed keys (`_div_binomial`); any other divisor goes through the
+        leading-term loop (`_div_leading_terms`).  Both raise InexactDivision
+        exactly when divisor does not divide self.
         """
         if not isinstance(divisor, LaurentPoly):
             divisor = LaurentPoly.constant(self.rank, divisor)
@@ -306,40 +306,24 @@ class LaurentPoly:
         )
 
     def _div_binomial(self, top, bottom, c):
-        """self / (c * (x^top - x^bottom)) for top != bottom, in one pass.
+        """self / (c * (x^top - x^bottom)) for top != bottom, by `div_binomial`
+        on packed keys, unpacked once.
 
-        With U = top - bottom and h = self / (c * x^bottom), the quotient q
-        satisfies q(e - U) - q(e) = h(e) for every e.  On each line
-        {e + tU} of exponents q is therefore minus the running sum of h in
-        increasing t, constant between the terms of h, and the division is
-        exact exactly when c divides every coefficient and every line's sum
-        of h is 0.
+        With M the largest |exponent| of self and of the divisor, the
+        dividend self / x^bottom and U = top - bottom lie within 2M, and the
+        point keying a line within 6M, so in fields of (6M).bit_length() + 1
+        bits no two lines share a key and every remainder is found.  The
+        binomial is turned so that U packs above 0.
         """
-        step = tuple(map(sub, top, bottom))
-        axis = next(i for i, s in enumerate(step) if s)
-        lines = {}  # point of the line with 0 <= e[axis] / U[axis] < 1 -> [(t, h)]
-        for exps, v in self.terms.items():
-            h, r = divmod(v, c)
-            if r:
-                raise InexactDivision("coefficient not divisible by the divisor's")
-            e = tuple(map(sub, exps, bottom))
-            t = e[axis] // step[axis]
-            base = tuple(x - t * s for x, s in zip(e, step))
-            lines.setdefault(base, []).append((t, h))
-        quot = {}
-        for base, points in lines.items():
-            points.sort()
-            run = 0
-            for (t, h), (t_next, _) in zip(points, points[1:]):
-                run += h
-                if run:
-                    e = tuple(x + t * s for x, s in zip(base, step))
-                    for _ in range(t, t_next):
-                        quot[e] = -run
-                        e = tuple(map(add, e, step))
-            if run + points[-1][1]:
-                raise InexactDivision("a line of exponents does not sum to zero")
-        return LaurentPoly._raw(self.rank, quot)
+        bound = max(map(abs, chain(top, bottom, chain.from_iterable(self.terms))))
+        width = (6 * bound).bit_length() + 1
+        shifts = [width * (self.rank - 1 - i) for i in range(self.rank)]
+        high, low = pack(dict.fromkeys((top, bottom)), shifts)
+        if high < low:
+            high, low, c = low, high, -c
+        dividend = {k - low: v for k, v in pack(self.terms, shifts).items()}
+        quot = div_binomial(dividend, high - low, c, width)
+        return LaurentPoly._raw(self.rank, unpack(quot, shifts, width))
 
     def sorted_terms(self):
         """(exponents, coefficient) pairs in graded-lex order, sorted as decorated

@@ -50,9 +50,9 @@ class NotBalanced(FoxTorsionError):
 
 
 class InternalInexactDivision(FoxTorsionError):
-    """A division that must be exact failed: a column divisor's binomial
-    division in `fox_determinant`, or a step of the reference Bareiss
-    elimination.
+    """A division that must be exact failed: the division of a determinant
+    by a column's binomial in `det_cofactor`, or a step of the reference
+    Bareiss elimination.
 
     This signals a defect in that code, never bad user input.
     """

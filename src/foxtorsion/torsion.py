@@ -22,25 +22,28 @@ product rule d(uv) = du + u dv, so a column costs time linear in its word's
 length and memory bounded by the block size; each entry sums the blocks'
 terms in one inline dict loop, with no generator or kernel call per entry.
 
-Before the determinant, each column whose word is mostly a power v^k, whose
-Fox derivatives are geometric sums in the image U of v, is multiplied by the
-binomial x^U - 1.  The column alone decides U: at least half of the sorted
-terms of its largest entry must take step U from their predecessor; the
-product is kept when it has fewer terms than the column.  The determinant of
-the cleared matrix is then divided by those binomials, which
-`LaurentPoly.exact_div` does in one pass.  The determinant itself is a
-Laplace expansion along the columns over memoized minors (`det_cofactor`),
-on packed exponent keys, with no division, at any size; the value is exact,
-not just its class up to units.  Bareiss elimination stays only as the
-tests' reference.
+The exact determinant is one stage on packed exponent keys
+(`det_cofactor`), each exponent vector one int, so that adding keys adds
+vectors.  It packs each column as a Laplace expansion along the columns
+reaches it, and clears it first: a column whose word is mostly a power v^k,
+whose Fox derivatives are geometric sums in the image U of v, is multiplied
+by the binomial x^U - 1, by shifting and merging its keys.  The column alone
+decides U: at least half of the sorted terms of its largest entry must take
+step U from their predecessor; the product is kept when it has fewer terms
+than the column.  The expansion over memoized minors then takes the cleared
+column, with no division, at any size.  At the end the determinant is
+divided by each kept binomial in one pass along lines of packed keys
+(`_kernels.div_binomial`), and unpacked once.  The value is exact, not just
+its class up to units.  Bareiss elimination stays only as the tests'
+reference.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, lshift, sub
+from operator import itemgetter, sub
 
-from ._kernels import iadd_product
+from ._kernels import div_binomial, iadd_product, pack, unpack
 from .abelian import AbelianizationMap, LaurentPoly
 from .errors import (
     InexactDivision,
@@ -100,10 +103,14 @@ class TorsionClass:
     def is_centrally_symmetric(self):
         """Whether the class equals its reflection (every exponent negated),
         decided by lookups: the mirrored terms {M - e: c}, M the maximum
-        exponents, equal the terms or their negatives."""
+        exponents, equal the terms or their negatives.  The mirror is taken
+        one coordinate column at a time and zipped back into tuples."""
         terms = self.representative.terms
-        top = tuple(map(max, zip(*terms)))
-        mirrored = {tuple(map(sub, top, e)): c for e, c in terms.items()}
+        columns = list(zip(*terms))
+        if not columns:  # the zero class, or a constant in rank 0
+            return True
+        flipped = [[m - x for x in column] for column, m in zip(columns, map(max, columns))]
+        mirrored = dict(zip(zip(*flipped), terms.values()))
         return mirrored == terms or mirrored == {e: -c for e, c in terms.items()}
 
     def render(self, names):
@@ -121,15 +128,22 @@ class TorsionClass:
 
 def _normalize(poly):
     """Shift to minimum exponent 0 and make the graded-lex smallest coefficient
-    positive, in one pass.  Graded-lex order is translation invariant, so a
-    decorated min finds that term before the shift."""
-    if poly.is_zero:
+    positive.  Graded-lex order is translation invariant, so a decorated min
+    finds that term before the shift.  The shift is taken one coordinate
+    column at a time, each column less its minimum, zipped back into
+    tuples."""
+    terms = poly.terms
+    if not terms:
         return poly
-    low = poly.min_exponents()
-    _, smallest = min([(sum(e), e) for e in poly.terms])
-    sign = -1 if poly.terms[smallest] < 0 else 1
-    terms = {tuple(map(sub, e, low)): sign * c for e, c in poly.terms.items()}
-    return LaurentPoly._raw(poly.rank, terms)
+    _, smallest = min(zip(map(sum, terms), terms))
+    values = terms.values() if terms[smallest] > 0 else [-c for c in terms.values()]
+    columns = list(zip(*terms))
+    low = list(map(min, columns))
+    if any(low):
+        shifted = [[x - m for x in column] for column, m in zip(columns, low)]
+        return LaurentPoly._raw(poly.rank, dict(zip(zip(*shifted), values)))
+    # already at minimum 0, as every rank-0 constant is
+    return LaurentPoly._raw(poly.rank, dict(zip(terms, values)))
 
 
 def torsion_normal_form(poly):
@@ -227,58 +241,128 @@ MAX_TERM_PRODUCTS = 2_560_000
 
 
 def _pack_column(column, shifts):
-    """The entries of a column as {packed key: coefficient} dicts, each
-    exponent vector e packed as the int sum of e_i << shifts[i]."""
-    return [{sum(map(lshift, k, shifts)): v for k, v in e.terms.items()} for e in column]
+    """The entries of a column as term dicts keyed by packed ints (`pack`)."""
+    return [pack(e.terms, shifts) for e in column]
+
+
+def _period_step(column):
+    """The packed step that at least half of the terms of the column's
+    largest entry take from their predecessor in key order, or None.
+
+    Packed keys sort in the lexicographic order of their exponents, a group
+    order, so the sorted terms of a geometric sum c * x^(a + iU), which lie
+    on one line, all differ from their neighbours by the one of +-U that
+    packs above 0.  Sorting makes the choice independent of dict order.
+    """
+    terms = sorted(max(column, key=len))
+    steps = Counter(map(sub, terms[1:], terms))
+    step, count = max(steps.items(), key=itemgetter(1), default=(None, 0))
+    return step if 2 * count >= len(terms) else None
+
+
+def _cleared(column):
+    """A packed column multiplied by x^U - 1, and U packed, or the column
+    and None when it is left alone.
+
+    A word holding a power v^k has Fox derivatives that are multiples of the
+    geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
+    so multiplying its column by V - 1 collapses them.  U is the
+    `_period_step` of the column's nonzero entries; each entry times
+    x^U - 1 is its keys shifted by U merged with its negation, and the
+    product is kept when the column then has fewer terms.  No power rule is
+    needed for exactness: any nonzero U would do, and the step only has to
+    make the column small.
+    """
+    nonzero = [e for e in column if e]
+    size = sum(map(len, nonzero))
+    # a nonzero multiple of x^U - 1 has at least two terms
+    if size <= 2 * len(nonzero):
+        return column, None
+    step = _period_step(nonzero)
+    if step is None:
+        return column, None
+    cleared = []
+    for entry in column:
+        product = {k + step: v for k, v in entry.items()}
+        for k, v in entry.items():
+            v = product.get(k, 0) - v
+            if v:
+                product[k] = v
+            else:
+                del product[k]
+        cleared.append(product)
+    if sum(map(len, cleared)) < size:
+        return cleared, step
+    return column, None
 
 
 def det_cofactor(matrix):
-    """Determinant by Laplace expansion along the columns, right to left: the
-    nonzero minors of the columns passed, keyed by increasing row tuples, take
-    each entry of the next column in a row they lack, signed by its position.
-    A minor lacking a row that is zero left of its columns is dropped, as no
-    column can add that row later.  No division.  Raises InputTooLarge before
-    the products of a column whose term pairs, len(entry) * len(minor) summed,
-    take the count since the first column past MAX_TERM_PRODUCTS.
+    """Exact determinant: a Laplace expansion along the columns on packed
+    exponent keys, with the columns cleared on the way and the determinant
+    divided exactly by their binomials at the end.
 
-    The expansion runs on packed keys: each exponent vector e becomes the int
-    sum of e_i << (w * (rank - 1 - i)), so adding keys adds vectors, and
-    `iadd_product` sums each signed product straight into its minor.  Every
-    term of a k x k minor is a sum of k entry exponents, so with M the largest
-    |exponent| of any entry its coordinates lie within +-n*M, below 2^(w-1)
-    for w = (n*M).bit_length() + 1, and no digit carries into its neighbour.
-    Zero sums are dropped once per size, before the terms are counted, so
-    the kept minors and the budget are those of the tuple-keyed expansion,
-    and only the determinant's keys are unpacked.  A column is packed
-    (`_pack_column`) once the budget has admitted its products, so a refused
-    matrix packs no column past the last one.  Only this core is packed:
-    each entry is packed once and multiplied into many minors, while packing
-    inside one product (`mul_terms`) would unpack every term it returns,
-    which made the products slower, not faster.
+    The expansion runs right to left: the nonzero minors of the columns
+    passed, keyed by increasing row tuples, take each entry of the next
+    column in a row they lack, signed by its position.  A minor lacking a
+    row that is zero left of its columns is dropped, as no column can add
+    that row later.  Raises InputTooLarge before the products of a column
+    whose term pairs, len(entry) * len(minor) summed over the cleared
+    entries, take the count since the first column past MAX_TERM_PRODUCTS.
+
+    Each exponent vector e becomes the int sum of e_i << (w * (rank - 1 - i)),
+    so adding keys adds vectors and keys sort as their vectors do
+    lexicographically.  A column is packed (`_pack_column`) and `_cleared`
+    when the expansion reaches it, before its pairs are counted, so a
+    refused matrix packs no column past the one refused.  The cleared
+    matrix is C = M * diag(x^U - 1 for the cleared columns), so det M is det
+    C divided by each binomial, which `div_binomial` does in one pass each,
+    exactly because the Laurent ring is a domain; a remainder is a defect of
+    this code, reported as InternalInexactDivision.  `iadd_product` sums
+    each signed product straight into its minor, and zero sums are dropped
+    once per size, before the terms are counted, so the kept minors and the
+    budget are those of the tuple-keyed expansion.  Only the quotient is
+    unpacked, one coordinate column at a time.  Products outside this stage
+    stay on tuples: packing inside one product (`mul_terms`) would unpack
+    every term it returns, which made the products slower, not faster.
+
+    With M the largest |exponent| of any entry, a clearing step, the
+    difference of two exponents of one entry, lies within 2M, so the width
+    is fixed before any column is packed: a cleared entry lies within 3M,
+    and the cleared determinant, a sum of n-fold products, within E = 3nM,
+    as does each quotient, whose terms lie between its dividend's.  So for
+    w = E.bit_length() + 1 every coordinate lies below 2^(w - 1), no field
+    carries, and the exact divisions need no more (see `div_binomial`).
     """
     rank = _square_rank(matrix)
     n = len(matrix)
     first = [next((j for j, e in enumerate(row) if not e.is_zero), n) for row in matrix]
     exponents = chain.from_iterable(k for row in matrix for e in row for k in e.terms)
     bound = max(map(abs, exponents), default=0)
-    width = (n * bound).bit_length() + 1
+    width = (3 * n * bound).bit_length() + 1
     shifts = [width * (rank - 1 - i) for i in range(rank)]
+    columns = list(zip(*matrix))
+    divisors = []  # the packed U of each column replaced by its product with x^U - 1
+
+    def packed(j):
+        column, step = _cleared(_pack_column(columns[j], shifts))
+        if step is not None:
+            divisors.append(step)
+        return column
 
     def kept(minors, j):
         due = {i for i, f in enumerate(first) if f >= j}
         minors = {rows: {k: v for k, v in m.items() if v} for rows, m in minors.items()}
         return {rows: m for rows, m in minors.items() if m and due <= set(rows)}
 
-    columns = list(zip(*matrix))
-    minors = kept({(i,): e for i, e in enumerate(_pack_column(columns[-1], shifts))}, n - 1)
+    minors = kept({(i,): e for i, e in enumerate(packed(n - 1))}, n - 1)
     products = 0
     for j in range(n - 2, -1, -1):
-        sizes = [len(entry.terms) for entry in columns[j]]
+        column = packed(j)
+        sizes = list(map(len, column))
         for rows, minor in minors.items():
             products += len(minor) * sum(s for i, s in enumerate(sizes) if i not in rows)
         if products > MAX_TERM_PRODUCTS:
             raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
-        column = _pack_column(columns[j], shifts)
         expanded = {}
         for rows, minor in minors.items():
             for i, entry in enumerate(column):
@@ -287,14 +371,16 @@ def det_cofactor(matrix):
                     sign = -1 if key.index(i) % 2 else 1
                     iadd_product(expanded.setdefault(key, {}), entry, minor, sign)
         minors = kept(expanded, j)
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    offset = sum(half << s for s in shifts)
     det = minors.get(tuple(range(n)), {})
-    return LaurentPoly._raw(
-        rank,
-        {tuple(((k + offset) >> s & mask) - half for s in shifts): v for k, v in det.items()},
-    )
+    for step in divisors:
+        try:
+            det = div_binomial(det, step, 1, width)
+        except InexactDivision as exc:
+            (u,) = unpack({step: 1}, shifts, width)
+            raise InternalInexactDivision(
+                f"the determinant is not a multiple of the column binomial x^{u} - 1"
+            ) from exc
+    return LaurentPoly._raw(rank, unpack(det, shifts, width))
 
 
 def det_bareiss(matrix):
@@ -332,72 +418,9 @@ def det_bareiss(matrix):
     return result if sign == 1 else -result
 
 
-def _period_step(column):
-    """The exponent step that at least half of the terms of the column's
-    largest entry take from their lexicographic predecessor, or None.
-
-    A geometric sum of c * x^(a + iU) lies on one line, and lexicographic
-    order is a group order, so its sorted neighbours all differ by the same
-    one of +-U.  Sorting makes the choice independent of dict order.
-    """
-    terms = sorted(max(column, key=len))
-    steps = Counter(tuple(map(sub, b, a)) for a, b in zip(terms, terms[1:]))
-    step, count = max(steps.items(), key=itemgetter(1), default=(None, 0))
-    return step if 2 * count >= len(terms) else None
-
-
-def _clear_columns(matrix):
-    """Clear geometric-sum denominators from the columns of a Fox matrix M,
-    in place, and return {column index: divisor} for the cleared columns.
-
-    A word holding a power v^k has Fox derivatives that are multiples of the
-    geometric sum (V^k - 1) / (V - 1), V the image of v (Fox's power rule),
-    so multiplying its column by V - 1 collapses them.  For column j the
-    step U is the `_period_step` of its terms; the column (x^U - 1) * column
-    is formed and kept when it has fewer terms.  The result is
-    C = M * diag(divisors), 1 for the columns left alone, so
-    det M = det C / (product of the divisors), and each division is exact
-    because the Laurent ring is a domain.  No power rule is needed for that:
-    any nonzero U would do, and the step only has to make C small.
-    """
-    divisors = {}
-    for j in range(len(matrix)):
-        column = [row[j].terms for row in matrix if row[j].terms]
-        size = sum(map(len, column))
-        # a nonzero multiple of x^U - 1 has at least two terms
-        if size <= 2 * len(column):
-            continue
-        step = _period_step(column)
-        if step is None:
-            continue
-        divisor = LaurentPoly._raw(len(step), {step: 1, (0,) * len(step): -1})
-        cleared = [row[j] * divisor for row in matrix]
-        if sum(len(e.terms) for e in cleared) < size:
-            for row, entry in zip(matrix, cleared):
-                row[j] = entry
-            divisors[j] = divisor
-    return divisors
-
-
 def fox_determinant(torsion_input):
-    """Exact determinant of ``fox_matrix(torsion_input)``.
-
-    The determinant is taken of the matrix with its columns cleared
-    (`_clear_columns`) and then divided by each column's divisor, one
-    binomial at a time.  A division that leaves a remainder is a defect of
-    this code, reported as InternalInexactDivision.
-    """
-    matrix = fox_matrix(torsion_input)
-    divisors = _clear_columns(matrix)
-    det = det_cofactor(matrix)
-    for divisor in divisors.values():
-        try:
-            det = det.exact_div(divisor)
-        except InexactDivision as exc:
-            raise InternalInexactDivision(
-                f"the determinant is not a multiple of the column divisor {divisor!r}"
-            ) from exc
-    return det
+    """Exact determinant of ``fox_matrix(torsion_input)`` (`det_cofactor`)."""
+    return det_cofactor(fox_matrix(torsion_input))
 
 
 def _eliminate(words, j, i, bound):

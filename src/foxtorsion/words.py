@@ -44,10 +44,11 @@ from .errors import (
 )
 
 # Words are stored fully expanded, so powers with huge exponents are rejected
-# instead of represented symbolically.  Parsing and fox_matrix are linear in
-# the letters (fox_matrix peaks at 3.3 MB on a random 20,000-letter word), so
-# this bounds what is stored and echoed back in reports; MAX_EXPANDED_LETTERS
-# bounds parse time.
+# instead of represented symbolically.  Parsing is linear in the letters, and
+# fox_matrix in the letters times the generators, since it walks each block
+# of a word once per generator (it peaks at 3.3 MB on a random 20,000-letter
+# word), so this bounds what is stored and echoed back in reports;
+# MAX_EXPANDED_LETTERS bounds parse time.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
 # Parse time is linear in the text plus the letters that powers and groups

@@ -467,8 +467,9 @@ def det_first_column(matrix):
 
 def det_cofactor_tuples(matrix):
     """`torsion.det_cofactor` on exponent-tuple keys, with a product, its
-    negation and a sum per term: the same expansion, kept minors and
-    MAX_TERM_PRODUCTS budget without the packed keys, as the reference for
+    negation and a sum per term, and with no column cleared: the same
+    expansion, kept minors and MAX_TERM_PRODUCTS count without the packed
+    keys, the clearing and the binomial division, as the reference for
     them."""
     rank = torsion._square_rank(matrix)
     n = len(matrix)

@@ -600,6 +600,36 @@ def test_binomial_division_matches_the_leading_term_loop(case):
         )
 
 
+@st.composite
+def corner_binomial_divisions(draw):
+    """(dividend, divisor) in rank 1-3 with exponents in [-M, M], M in 1-40,
+    that often sit at +-M: a divisor c * (x^A - x^B), A != B, whose ends may
+    be opposite corners, so that U = A - B reaches 2M, and a dividend
+    f * divisor plus zero to two more terms, so that the division is exact
+    or not."""
+    rank = draw(st.integers(1, 3))
+    big = draw(st.integers(1, 40))
+    coordinate = st.one_of(st.sampled_from((big, -big)), st.integers(-big, big))
+    exps = st.tuples(*[coordinate] * rank)
+    f = LaurentPoly(rank, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+    top, bottom = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    c = draw(st.integers(-4, 4).filter(bool))
+    divisor = LaurentPoly(rank, {top: c, bottom: -c})
+    extra = LaurentPoly(rank, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=2)))
+    return f * divisor + extra, divisor
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_binomial_divisions())
+def test_binomial_division_matches_the_leading_term_loop_at_the_corners(case):
+    """The packed binomial path returns the leading-term quotient, and
+    raises InexactDivision exactly when the leading-term loop does."""
+    dividend, divisor = case
+    assert _quotient_or_inexact(dividend, lambda d: d.exact_div(divisor)) == (
+        _quotient_or_inexact(dividend, lambda d: d._div_leading_terms(divisor))
+    )
+
+
 def test_binomial_division_of_zero_and_by_a_non_binomial():
     divisor = LaurentPoly(2, {(1, -2): 3, (-1, 0): -3})
     assert LaurentPoly.zero(2).exact_div(divisor) == LaurentPoly.zero(2)

@@ -20,6 +20,7 @@ from foxtorsion import (
     TorsionInput,
     abelianize_presentation,
     cli,
+    compare_torsion,
     parse_word,
     sutured_torsion,
 )
@@ -605,6 +606,27 @@ def test_family_at_the_budget(capsys):
     assert code == 0
     assert report["oracle_match"] is True
     assert len(report["torsion"]["support"]) == 12 * MAX_FAMILY_N + 6
+
+
+# The hull edge lengths of the family's torsions, which tell S from S' for
+# every n: {1, 1, 4, 4} and {1, 1, 2, 2}, with two edges of length n added
+# from n = 1 on.
+FAMILY_EDGES = {"S": [1, 1, 4, 4], "Sprime": [1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize("n", [-1, 0, 10, 40, 150, 1000, 3000])
+def test_family_hulls_tell_the_surfaces_apart_past_the_sweep(n):
+    """The paper's infinite family beyond the n <= 5 acceptance sweep: both
+    members match their oracles, their hulls have the edge lengths of
+    FAMILY_EDGES, and the two classes are told apart by those lengths."""
+    for surface, edges in FAMILY_EDGES.items():
+        report, _ = cmd_family(n, surface)
+        assert report["oracle_match"] is True
+        expected = sorted(edges + [n, n]) if n >= 1 else edges
+        assert report["torsion"]["polygon"]["edge_length_multiset"] == expected
+    verdict = compare_torsion(expected_torsion(n, "S"), expected_torsion(n, "Sprime"))
+    assert verdict.kind == "NotEquivalent"
+    assert verdict.reason == "edge_length_multiset"
 
 
 def test_sfh_torus_command(capsys):

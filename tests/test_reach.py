@@ -46,6 +46,9 @@ ALLOWLIST = {
     "abelian.AbelianizationMap.__call__": _PINNED,
     "abelian.LaurentPoly.one": "only det_bareiss, a benchmark pin, reaches it",
     "abelian.LaurentPoly.zero": "only det_bareiss, a benchmark pin, reaches it",
+    "abelian.LaurentPoly.min_exponents": (
+        "only det_bareiss, a benchmark pin, reaches it, through _div_leading_terms"
+    ),
     "_kernels.iadd_scaled": (
         "perfbench/spans.py::TARGETS wraps it, and only det_bareiss, a benchmark "
         "pin, reaches it, through _div_leading_terms"

@@ -25,7 +25,7 @@ from foxtorsion.equivalence import apply_witness
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import expected_torsion, lyon_input
 from foxtorsion import cli, torsion
-from foxtorsion._kernels import iadd_product
+from foxtorsion._kernels import iadd_product, pack, unpack
 from foxtorsion.abelian import smith_normal_form
 from foxtorsion.errors import (
     InexactDivision,
@@ -37,7 +37,7 @@ from foxtorsion.errors import (
 )
 from foxtorsion.torsion import (
     MAX_TERM_PRODUCTS,
-    _clear_columns,
+    _cleared,
     _delete_relators,
     _ends_with,
     _normalize,
@@ -240,15 +240,40 @@ def periodic_inputs(draw):
     return TorsionInput(pres, words[relators:], AbelianizationMap(rank, images))
 
 
+# packed columns in tests take fields of this many bits, far wider than any
+# exponent below, so the steps found do not depend on `det_cofactor`'s width
+TEST_WIDTH = 64
+
+
+def _packed_columns(matrix):
+    """The columns of a matrix packed as `det_cofactor` packs them, in fields
+    of TEST_WIDTH bits, and the shifts of those fields."""
+    rank = matrix[0][0].rank
+    shifts = [TEST_WIDTH * (rank - 1 - i) for i in range(rank)]
+    return [_pack_column(column, shifts) for column in zip(*matrix)], shifts
+
+
+def _steps(matrix):
+    """{column index: the step U, as an exponent tuple} for the columns that
+    `_cleared` multiplies by x^U - 1."""
+    columns, shifts = _packed_columns(matrix)
+    steps = {}
+    for j, column in enumerate(columns):
+        _, step = _cleared(column)
+        if step is not None:
+            (steps[j],) = unpack({step: 1}, shifts, TEST_WIDTH)
+    return steps
+
+
 @settings(max_examples=200, deadline=None)
 @given(periodic_inputs())
 def test_cleared_determinant_equals_the_plain_one(inp):
     matrix = fox_matrix(inp)
-    cleared = fox_matrix(inp)
-    for j in _clear_columns(cleared):
-        size = sum(len(row[j].terms) for row in matrix)
-        assert sum(len(row[j].terms) for row in cleared) < size
-    assert fox_determinant(inp) == det_cofactor(matrix)
+    for column in _packed_columns(matrix)[0]:
+        cleared, step = _cleared(column)
+        if step is not None:
+            assert sum(map(len, cleared)) < sum(map(len, column))
+    assert fox_determinant(inp) == det_cofactor_tuples(matrix)
 
 
 CLEARED_EXAMPLES = (
@@ -285,12 +310,8 @@ def test_cleared_determinant_examples(text, step):
         base.abelianization,
     )
     matrix = fox_matrix(inp)
-    divisors = _clear_columns(matrix)
-    if step is None:
-        assert 0 not in divisors
-    else:
-        assert divisors[0] == LaurentPoly(2, {step: 1, (0, 0): -1})
-    assert fox_determinant(inp) == det_cofactor(fox_matrix(inp))
+    assert _steps(matrix).get(0) == step
+    assert fox_determinant(inp) == det_cofactor_tuples(matrix)
 
 
 def test_matrix_of_binomial_entries_is_left_alone():
@@ -300,8 +321,8 @@ def test_matrix_of_binomial_entries_is_left_alone():
         [poly2({(0, 0): 1, x: -1}), poly2({(0, 2): 1, (3, 1): 1})],
         [poly2({x: 1}), poly2({(0, 0): 1, x: 1})],
     ]
-    assert _clear_columns(matrix) == {}
-    assert matrix[0][0] == poly2({(0, 0): 1, x: -1})
+    for column in _packed_columns(matrix)[0]:
+        assert _cleared(column) == (column, None)
 
 
 def test_column_without_a_majority_step_has_no_period_step():
@@ -309,7 +330,7 @@ def test_column_without_a_majority_step_has_no_period_step():
     pres = base.presentation
     word = parse_word("(a x^-1)^3 (a^-1 x)^2", pres.generators)
     inp = TorsionInput(pres, (word, base.inclusion_words[1]), base.abelianization)
-    column = [row[0].terms for row in fox_matrix(inp) if row[0].terms]
+    column = [entry for entry in _packed_columns(fox_matrix(inp))[0][0] if entry]
     assert max(map(len, column)) == 5
     assert _period_step(column) is None
 
@@ -328,34 +349,38 @@ def test_column_without_a_majority_step_has_no_period_step():
 def test_geometric_sum_is_cleared_to_a_binomial(step_and_base, k, c):
     step, base = step_and_base
     terms = {tuple(a + i * u for a, u in zip(base, step)): c for i in range(k)}
-    assert _period_step([terms]) in {step, tuple(-u for u in step)}
-    matrix = [[LaurentPoly(len(step), terms)]]
-    assert list(_clear_columns(matrix)) == [0]
-    assert len(matrix[0][0].terms) == 2
+    (column,), shifts = _packed_columns([[LaurentPoly(len(step), terms)]])
+    # of +-U, the step is the one that packs above 0
+    found = _period_step(column)
+    assert found > 0
+    assert unpack({found: 1}, shifts, TEST_WIDTH) in ({step: 1}, {tuple(-u for u in step): 1})
+    (cleared,), kept = _cleared(column)
+    assert kept == found
+    assert len(cleared) == 2
 
 
 def test_column_that_would_not_shrink_is_left_alone():
     # both inclusion columns of n = 2 have a step, (2, -3), but
     # (x^U - 1) * column has as many terms as the column or more
-    inp = lyon_input(2, "S")
-    matrix = fox_matrix(inp)
-    assert _clear_columns(matrix) == {}
-    assert matrix == fox_matrix(inp)
+    columns, _ = _packed_columns(fox_matrix(lyon_input(2, "S")))
+    for column in columns[:2]:
+        assert _period_step([entry for entry in column if entry]) is not None
+        assert _cleared(column) == (column, None)
 
 
 def test_unapplied_column_divisor_is_an_internal_error(monkeypatch, capsys):
-    """A divisor that `_clear_columns` reports but never applied leaves a
-    remainder: `fox_determinant` raises InternalInexactDivision, and the
-    `torsion` command prints it as one JSON error report and exits 1."""
+    """A binomial that clearing reports but never applied leaves a
+    remainder: `det_cofactor` raises InternalInexactDivision, and the
+    `torsion` command prints it as one JSON error report and exits 1.  The
+    patched `_cleared` leaves every column as it is but reports the step
+    packed as 2, U = (0, 2) in fields of the example's width."""
     path = str(Path(__file__).parent / "golden" / "example.tor")
     inp = cli.load_torsion_file(path)
-    divisor = poly2({(1, 0): 1, (0, 0): -1})
+    divisor = poly2({(0, 2): 1, (0, 0): -1})
     with pytest.raises(InexactDivision):
         fox_determinant(inp).exact_div(divisor)
-    monkeypatch.setattr(
-        torsion, "_clear_columns", lambda matrix: {0: divisor}
-    )
-    with pytest.raises(InternalInexactDivision):
+    monkeypatch.setattr(torsion, "_cleared", lambda column: (column, 2))
+    with pytest.raises(InternalInexactDivision, match=r"binomial x\^\(0, 2\) - 1"):
         sutured_torsion(inp)
     assert cli.main(["torsion", path]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -367,11 +392,11 @@ def test_family_clears_both_inclusion_columns_not_the_relator(surface):
     inp = lyon_input(150, surface)
     matrix = fox_matrix(inp)
     longest = max(len(e.terms) for row in matrix for e in row)
-    divisors = _clear_columns(matrix)
-    assert sorted(divisors) == [0, 1]
+    cleared = [_cleared(column) for column in _packed_columns(matrix)[0]]
+    assert [step is not None for _, step in cleared] == [True, True, False]
     # the geometric sums of about n terms collapse to a few terms
     assert longest > 150
-    assert max(len(e.terms) for row in matrix for e in row) <= 6
+    assert max(len(entry) for column, _ in cleared for entry in column) <= 6
     assert sutured_torsion(inp) == expected_torsion(150, surface)
 
 
@@ -442,8 +467,8 @@ def wide_exponent_matrices(draw):
     2^70, so keys collide and cancel; entries are often zero.  The
     "dependent_row" shape repeats a row up to sign, so the determinant is 0.
     In the "extreme" shape every entry is c x^(+-M e_axis), one sign for the
-    whole matrix, so each full product reaches +-n*M, the edge of the field
-    that n and M set."""
+    whole matrix, so each full product reaches +-n*M, a third of the 3nM
+    that sets the field width; `clearable_matrices` reaches further."""
     n = draw(st.integers(1, 6))
     rank = draw(st.integers(0, 3))
     big = draw(st.sampled_from((2, 3, 7, 2**31 - 1, 2**64, 2**70)))
@@ -472,6 +497,64 @@ def test_packed_cofactor_matches_the_tuple_key_expansion(matrix):
     got = det_cofactor(matrix)
     assert got == expected
     assert all(got.terms.values())
+
+
+@st.composite
+def clearable_matrices(draw):
+    """Square Laurent matrices of dimension 1-3 in rank 1-3 whose columns are
+    often geometric sums, so that `det_cofactor` clears them, with M up to
+    2^70.  In the "general" shape a column is plain, its entries drawn as in
+    `wide_exponent_matrices`, or periodic: each entry is zero or
+    c x^p (1 + x^U + ... + x^((k-1)U)), k in 3-5, sometimes plus one more
+    term, for one step U per column, whose coordinates are 0, +-1, +-2, +-3
+    or +-M, and p's 0, +-1 or +-M.  In the "extreme" shape every entry is
+    c (x^(-M e) + 1 + x^(M e)) for one axis e: each column is cleared by
+    x^(M e) - 1 to c (x^(2M e) - x^(-M e)), so the cleared determinant
+    reaches 2nM e, two thirds of the 3nM that sets the field width."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    big = draw(st.sampled_from((2, 3, 7, 2**31 - 1, 2**64, 2**70)))
+    coeffs = st.integers(-3, 3).filter(bool)
+    if draw(st.sampled_from(("general", "extreme"))) == "extreme":
+        axis = draw(st.integers(0, rank - 1))
+        e = tuple(big if i == axis else 0 for i in range(rank))
+        ends = (tuple(-x for x in e), (0,) * rank, e)
+        return [
+            [LaurentPoly(rank, dict.fromkeys(ends, draw(coeffs))) for _ in range(n)]
+            for _ in range(n)
+        ]
+    exps = st.tuples(*[st.sampled_from((0, 1, -1, big, -big))] * rank)
+    steps = st.tuples(*[st.sampled_from((0, 1, -1, 2, -2, 3, -3, big, -big))] * rank)
+    plain = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
+    columns = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            step = draw(steps.filter(any))
+            column = []
+            for _ in range(n):
+                if draw(st.integers(0, 3)) == 0:
+                    column.append({})
+                    continue
+                p, k, c = draw(exps), draw(st.integers(3, 5)), draw(coeffs)
+                terms = [(tuple(a + i * u for a, u in zip(p, step)), c) for i in range(k)]
+                if draw(st.booleans()):
+                    terms.append((draw(exps), draw(coeffs)))
+                column.append(terms)
+        else:
+            column = [draw(st.one_of(st.just({}), plain)) for _ in range(n)]
+        columns.append(column)
+    return [[LaurentPoly(rank, columns[j][i]) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(clearable_matrices())
+def test_cleared_cofactor_matches_the_references(matrix):
+    """The packed stage (clearing, expansion, binomial division, one unpack)
+    against the tuple-keyed expansion without clearing and against
+    fraction-free elimination."""
+    expected = det_cofactor_tuples(matrix)
+    assert det_cofactor(matrix) == expected
+    assert det_bareiss(matrix) == expected
 
 
 def test_determinant_rejects_mixed_ranks():
@@ -602,15 +685,16 @@ def test_dense_relators_are_refused_before_the_elimination_fills(monkeypatch):
     assert 1 <= len(packed) <= 2
 
 
-@pytest.mark.parametrize("n, surface, budget", [(7, "S", 486), (-1, "Sprime", 15)])
+@pytest.mark.parametrize("n, surface, budget", [(7, "S", 96), (-1, "Sprime", 15)])
 def test_cofactor_keeps_only_minors_that_hold_the_rows_zero_further_left(
     monkeypatch, n, surface, budget
 ):
     # The x row is zero in columns 0 and 1, and at n = -1 on S' the b row is
     # zero in column 0, so a 2x2 minor of columns 1 and 2 without them is not
     # kept: S keeps 2 of the 3 nonzero ones and S' keeps 1.  The budget is
-    # the term products of the kept minors; keeping the others as well would
-    # take 522 and 20.
+    # the term products of the kept minors, on the columns as cleared (at
+    # n = 7 on S both inclusion columns are); keeping the others as well
+    # would take 112 and 20.
     matrix = fox_matrix(lyon_input(n, surface))
     monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", budget)
     assert det_cofactor(matrix) == det_first_column(matrix)
@@ -1039,9 +1123,10 @@ def test_relator_deletion_is_linear_in_the_letters(monkeypatch):
 # the determinant by d_k and leaves the row (x^phi(w_j) - 1 on the l
 # inclusion columns, 0 on the relator columns), so expanding along it gives
 #   det M * d_k = sum_{j<l} (-1)^(k+j) (x^phi(w_j) - 1) det M_kj
-# with the minors M_kj taken by `det_cofactor` on the uncleared matrix.  The
-# right side uses no clearing, unit elimination, key packing or binomial
-# division, so it checks `fox_determinant` against minors that use none.
+# with the minors M_kj taken by `det_cofactor_tuples` on the uncleared
+# matrix.  The right side uses no clearing, unit elimination, key packing or
+# binomial division, so it checks `fox_determinant` against minors that use
+# none.
 
 TESTS_DIR = Path(__file__).parent
 # No determinant to check: fox_determinant takes over 0.1 s on the first two,
@@ -1117,7 +1202,7 @@ def test_the_determinant_satisfies_the_row_replacement(fundamental_inputs):
                 for r, row in enumerate(matrix)
                 if r != k
             ]
-            term = _word_minus_one(tinput, w) * det_cofactor(minor)
+            term = _word_minus_one(tinput, w) * det_cofactor_tuples(minor)
             expansion = expansion + (-term if (k + j) % 2 else term)
         assert fox_determinant(tinput) * d[k] == expansion, name
         checked += 1
