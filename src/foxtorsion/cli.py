@@ -51,16 +51,12 @@ from .words import Presentation, parse_word, render_word
 
 _SECTIONS = ("generators", "relators", "inclusion", "basis")
 
-# The most generators a file may declare.  These times are for sparse
-# relators: with a defining relator y a^-1 b for each generator y beyond
-# three, `torsion` took 6 ms at 53 generators, 15-16 ms at 100 and 54-60 ms
-# at 203 with no [basis], and 5-6, 14-15 and 50-55 ms with one (best of 7
-# in-process runs; 2-vCPU Intel Xeon VM, Python 3.11.7, commit 2246b30,
-# 2026-10-20).  The Tietze moves leave a, b and x, so the Fox matrix is
-# 3x3; what grows is the reduction, whose every move rereads the relators,
-# and the Smith normal form.  Dense relators pass every budget yet load
-# slowly, in the Smith normal form: 98 relators over 100 generators with
-# exponent sums in [-1, 1] took 3-4 s, and in [-2, 2] 12-16 s.
+# The most generators a file may declare.  With sparse relators, a defining
+# relator y a^-1 b for each generator y beyond three, the Tietze moves leave
+# a, b and x, so the Fox matrix is 3x3; what grows with the generators is the
+# reduction, whose every move rereads the relators, and the Smith normal
+# form.  Dense relators pass every budget yet load slowly, in the Smith
+# normal form.
 MAX_GENERATORS = 100
 
 # The most digits, after its sign, of a [basis] image field.  Exponents then
@@ -308,9 +304,8 @@ def cmd_compare(path1, path2):
 
 
 # The largest family parameter `family` computes.  The torsion support has
-# 12n + 6 points, 36,006 here, and the words about 2n letters.  n = 3000 takes
-# about 0.8 s and 85 MB with the report on a 2-vCPU VM, of which the Fox
-# matrix, linear in the words, takes 0.02 s.
+# 12n + 6 points, 36,006 here, and the words about 2n letters, in which the
+# Fox matrix is linear.
 MAX_FAMILY_N = 3000
 
 

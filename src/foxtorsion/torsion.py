@@ -9,13 +9,15 @@ up to a sign and a monomial factor, which the normal form strips.
 from the inclusion words every cyclic permutation of the cyclic core of a
 relator that the abelianization kills, or of its inverse
 (`_delete_relators`): the cores and their inverses form one list, and a
-word is scanned, one letter at a time, for the cores with a half in its
-text, each window of the scan looked up among the rotations' hashes.  A
-deletion subtracts a monomial multiple of the relator's column from the
-word's and leaves the determinant exactly as it was.  Then it eliminates
-generators by Tietze moves on the words, each of which removes a row and a
-column of the Fox matrix that cross at a unit, so the matrix shrinks and
-the class stays.
+word is scanned for the cores with a half in its text.  The scan jumps
+between the places where one alternation of the halves finds one, looks up
+only the windows within a core length of them among the rotations' hashes,
+keeps the word left as slices of its text, and cancels the conjugator
+around a deletion in bulk.  A deletion subtracts a monomial multiple of
+the relator's column from the word's and leaves the determinant exactly as
+it was.  Then it eliminates generators by Tietze moves on the words, each
+of which removes a row and a column of the Fox matrix that cross at a
+unit, so the matrix shrinks and the class stays.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -38,6 +40,7 @@ its class up to units.  Bareiss elimination stays only as the tests'
 reference.
 """
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -308,6 +311,9 @@ def det_cofactor(matrix):
     that row later.  Raises InputTooLarge before the products of a column
     whose term pairs, len(entry) * len(minor) summed over the cleared
     entries, take the count since the first column past MAX_TERM_PRODUCTS.
+    A minor's pairs are len(minor) times the column's terms less those of
+    its own rows, so counting costs O(|rows|) a minor, and the count stops
+    at the first minor that passes the budget.
 
     Each exponent vector e becomes the int sum of e_i << (w * (rank - 1 - i)),
     so adding keys adds vectors and keys sort as their vectors do
@@ -359,10 +365,14 @@ def det_cofactor(matrix):
     for j in range(n - 2, -1, -1):
         column = packed(j)
         sizes = list(map(len, column))
+        total = sum(sizes)
         for rows, minor in minors.items():
-            products += len(minor) * sum(s for i, s in enumerate(sizes) if i not in rows)
-        if products > MAX_TERM_PRODUCTS:
-            raise InputTooLarge(f"the determinant needs more than {MAX_TERM_PRODUCTS} term products")
+            # the minor takes the entries of the rows it lacks
+            products += len(minor) * (total - sum(map(sizes.__getitem__, rows)))
+            if products > MAX_TERM_PRODUCTS:
+                raise InputTooLarge(
+                    f"the determinant needs more than {MAX_TERM_PRODUCTS} term products"
+                )
         expanded = {}
         for rows, minor in minors.items():
             for i, entry in enumerate(column):
@@ -454,119 +464,273 @@ def _eliminate(words, j, i, bound):
     return reduced if written <= bound else None
 
 
-def _ends_with(stack, letters, start, m):
-    """Whether the stack's last m letters are letters[start : start + m]."""
-    return tuple(stack[-m:]) == letters[start : start + m]
-
-
 def _delete_relators(words, relators, weights):
     """The words, each with every subword that is a cyclic permutation of a
     relator's cyclic core, or of its inverse, deleted, and freely reduced; a
     word that loses nothing is returned as given.
 
     ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each core and each inverse is one entry of a list of cores, and
+    int.  Each letter is written as one character and each word as its
+    text.  Each core and each inverse is one entry of a list of cores, and
     each entry's two halves are indexed by its position there.  Each
     rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
     one-letter core is its own only half), so a word is scanned
     (`_delete_rotations`) only for the cores with a half in its text, which
     ``str.__contains__`` finds in C: a word that holds none, such as every
     family word, costs one string join.  A core's rotations are hashed when
-    a word first needs them, by the scan's window formula over the prefix
-    hashes of the doubled core.  A deletion can expose a rotation of a core
-    the scan was not run for, so while the text left holds a half of such a
-    core, the word is scanned again with that core too.  The words returned
-    hold no rotation of any core, unless two of its rotations share a hash,
-    which only leaves one of them in place.  Any weights give an exact
-    deletion: a hit is checked letter by letter.
+    a word first needs them, each from the one before by the rolling hash's
+    step, to the values the scan's window formula gives.  A window matches
+    only a rotation in the tables, which holds a half of its core, so the
+    scans search one alternation of the halves of the cores the words hold
+    for where a rotation can end.  It is compiled once a call, and again
+    only when a deletion joins the halves of a core that no word held, so
+    it grows with the cores the words need, not with all of them.  A
+    deletion can expose a rotation of a core the scan was not run for, so
+    while the text left holds a half of such a core, the word is scanned
+    again with that core too.  The words returned hold no rotation of any
+    core, unless two of its rotations share a hash, which only leaves one of
+    them in place.  Any weights give an exact deletion: a hit is checked
+    letter by letter.
     """
     # the largest prime below 2^30: hashes stay one CPython digit, which made
     # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
     # and a collision costs only a letter check
     mod = 1_073_741_789
     base = 32_771
-    chars = {letter: chr(k) for k, letter in enumerate(weights)}
-    cores = []  # the cyclic core of each relator, then its inverse
+    # no pattern treats chr(0) to chr(35), which precede "$", as special, and
+    # a text of them is ASCII, which str.translate maps fastest; past ASCII no
+    # character is special either
+    chars = {letter: chr(k if k < 36 else 128 + k) for k, letter in enumerate(weights)}
+    flip = {ord(c): chars[g, -e] for (g, e), c in chars.items()}  # a letter's text -> its inverse's
+    cores = []  # the text of the cyclic core of each relator, then of its inverse
     for r in relators:
         i = _conjugator_length(r)
-        core = r[i : len(r) - i]
-        if core:
-            cores += [core, tuple([(g, -e) for g, e in reversed(core)])]
+        if 2 * i < len(r):
+            core = "".join(map(chars.__getitem__, r[i : len(r) - i]))
+            cores += [core, core.translate(flip)[::-1]]
     halves = []  # (the text of a half, the index of its core)
     for k, core in enumerate(cores):
-        text = "".join(map(chars.__getitem__, core))
         cut = (len(core) + 1) // 2
-        halves += [(text[:cut], k), (text[cut:] or text, k)]
+        halves += [(core[:cut], k), (core[cut:] or core, k)]
     hashed = set()  # the indices of the cores hashed into table
     table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
+    texts = ["".join(map(chars.__getitem__, word)) for word in words]
+    founds = [{k for h, k in halves if h in text} for text in texts]
+    needed = set().union(*founds)  # the cores whose halves the alternation holds
+    if needed:
+        text_weights = dict(zip(chars.values(), weights.values()))
+        near = re.compile("|".join([h for h, k in halves if k in needed]))
     result = []
-    for word in words:
+    for word, text, found in zip(words, texts, founds):
         done = set()  # the cores this word was scanned for
-        while True:
-            text = "".join(map(chars.__getitem__, word))
-            found = {k for h, k in halves if h in text}
-            if found <= done:
-                break
+        while not found <= done:
             for k in found - hashed:
                 m = len(cores[k])
                 top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
-                doubled = cores[k] + cores[k]
-                ws = map(weights.__getitem__, doubled)
+                ws = list(map(text_weights.__getitem__, cores[k]))
                 h = 0
-                prefix = [0] + [h := (h * base + w) % mod for w in ws]
-                for s in range(m):
-                    rotations.setdefault((prefix[s + m] - prefix[s] * top) % mod, (doubled, s))
+                for w in ws:
+                    h = (h * base + w) % mod
+                # rotation s + 1 is rotation s less its first letter, shifted, plus it
+                lead = pow(base, m - 1, mod)
+                doubled = cores[k] + cores[k]
+                for s, w in enumerate(ws):
+                    rotations.setdefault(h, (doubled, s))
+                    h = ((h - w * lead) * base + w) % mod
             hashed |= found
             done |= found
             windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
-            scanned = _delete_rotations(word, windows, weights, base, mod)
-            if scanned is word:
+            runs = _delete_rotations(text, windows, text_weights, base, mod, near, flip)
+            if runs is None:
                 break
-            word = scanned
+            word = tuple(chain.from_iterable(word[s:e] for s, e in runs))
+            text = "".join([text[s:e] for s, e in runs])
+            found = {k for h, k in halves if h in text}
+            if not found <= needed:
+                # a deletion joined the halves of a core no word held
+                needed |= found
+                near = re.compile("|".join([h for h, k in halves if k in needed]))
         result.append(word)
     return result
 
 
-def _delete_rotations(word, windows, weights, base, mod):
-    """The word with every subword that ``windows`` holds deleted and freely
-    reduced, or the word itself when none is found.
+def _prefix_hashes(text, weights, base, mod):
+    """[0] and the hash of each nonempty prefix of the text."""
+    h = 0
+    return [0] + [h := (h * base + w) % mod for w in map(weights.__getitem__, text)]
 
-    ``windows`` lists (m, base^m, {hash: (letters, start)}) by increasing m,
-    a subword of length m being letters[start : start + m].  The word is
-    pushed letter by letter onto a freely reduced stack that keeps the hash
-    of every prefix, so after each push the hash of the last m letters takes
-    O(1) for each m; only a hit compares the real letters (`_ends_with`), so
-    the scan is linear in the letters times the number of lengths, and a
-    comparison costs what the match it confirms deletes.  A match is popped,
-    and the letters then pushed first cancel the inverses on top of the
-    stack.  Every window below the top was looked up when its last letter
-    was pushed, so the word returned holds no subword that ``windows``
-    holds.
-    """
-    stack = [None]  # a sentinel below the letters, which nothing cancels
-    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
-    cancel = False  # whether the next letter may cancel the top
-    for letter, w in zip(word, map(weights.__getitem__, word)):
-        if cancel:
-            if stack[-1] == (letter[0], -letter[1]):
-                stack.pop()
-                hashes.pop()
-                continue
-            cancel = False
-        h = (hashes[-1] * base + w) % mod
-        stack.append(letter)
+
+def _top(text, runs, k):
+    """The last k characters (all, if fewer) of the concatenation of
+    text[s:e] over the (s, e) in runs."""
+    s, e = runs[-1] if runs else (0, 0)
+    if e - s >= k:
+        return text[e - k : e]
+    parts = []
+    for s, e in reversed(runs):
+        if k <= 0:
+            break
+        parts.append(text[max(s, e - k) : e])
+        k -= e - s
+    return "".join(reversed(parts))
+
+
+def _pop(runs, k):
+    """Remove the last k characters of the concatenation that runs spells."""
+    while k:
+        s, e = runs[-1]
+        if e - s > k:
+            runs[-1] = (s, e - k)
+            return
+        runs.pop()
+        k -= e - s
+
+
+def _cancel(runs, text, rev, i):
+    """How many letters of the text from i on cancel, in order, the letters
+    on top of the stack that runs spells, which loses them.
+
+    ``rev`` is the text of the word's inverse, so the inverse of the top
+    letters text[e - k : e], read from the top, is rev[n - e : n - e + k].
+    A conjugator is pushed as one run, so each run is first compared whole;
+    a run that does not cancel whole has its common length galloped (1, 2,
+    4, ... letters) and then bisected, comparing slices in C, so a
+    cancellation of k letters costs O(log k) comparisons."""
+    n = len(text)
+    j = i
+    while runs and j < n:
+        s, e = runs[-1]
+        size = min(e - s, n - j)
+        if text[j : j + size] == rev[n - e : n - e + size]:
+            low = size
+        else:
+            # text[j : j + low] cancels and text[j : j + high] does not
+            low, high = 0, 1
+            while text[j : j + high] == rev[n - e : n - e + high]:
+                low, high = high, 2 * high
+            high = min(high, size)
+            while high - low > 1:
+                mid = (low + high) // 2
+                if text[j : j + mid] == rev[n - e : n - e + mid]:
+                    low = mid
+                else:
+                    high = mid
+        j += low
+        if low < e - s:
+            runs[-1] = (s, e - low)
+            break
+        runs.pop()
+    return j - i
+
+
+def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, runs, start):
+    """Push text[i:stop] onto the stack, looking up after each push the
+    window of each length in ``windows`` that the letter ends; return the
+    position after the last letter pushed and the length of the window that
+    it ended and that matched, or 0 when none did.
+
+    The stack is ``runs`` and then text[start:i], and ``hashes`` holds the
+    prefix hashes of its last len(hashes) - 1 letters, from any base: a
+    window longer than those letters is not looked up.  ``windows`` lists
+    (m, base^m, {hash: (text, s)}) by increasing m, a window of length m
+    being text[s : s + m].  The hash of the last m letters takes O(1) from
+    the prefix hashes, and only a hit compares the letters, so a comparison
+    costs what the match it confirms deletes."""
+    h = hashes[-1]
+    for c in text[i:stop]:
+        i += 1
+        h = (h * base + weights[c]) % mod
         hashes.append(h)
-        n = len(stack)
+        n = len(hashes)
         for m, top, rotations in windows:
             if n <= m:
                 break
             hit = rotations.get((h - hashes[-1 - m] * top) % mod)
-            if hit is not None and _ends_with(stack, *hit, m):
-                del stack[-m:]
-                del hashes[-m:]
-                cancel = True
+            if hit is not None:
+                rotation, s = hit
+                if i - m >= start:
+                    window = text[i - m : i]
+                else:
+                    window = _top(text, runs, m - i + start) + text[start:i]
+                if window == rotation[s : s + m]:
+                    return i, m
+    return i, 0
+
+
+def _delete_rotations(text, windows, weights, base, mod, near, flip):
+    """The runs (start, end) of the text that are left once every subword
+    that ``windows`` holds is deleted and the word freely reduced, or None
+    when none is found.
+
+    The deletion is that of a scan that pushes the letters one at a time
+    onto a stack, looks up after each push the window of every length that
+    ends at the new letter (`_push_hashed`), deletes the first that matches,
+    and lets the letters after a deletion cancel the inverses on top of the
+    stack.  This scan does that work in Python only where a window can
+    match.  Every window that matches holds a half that ``near`` finds, so
+    only the windows ending within span letters of where ``near`` finds a
+    half are looked up, span being the longest window.  Each search starts
+    span - 1 letters back, finds the first half from there, and sends the
+    scan at least span letters on.
+
+    The stack is kept as runs of the text: the letters up to a found half
+    join the top run as one slice, and only its last span - 1 letters are
+    hashed, as pushes, since the windows around the half reach that far
+    back.  Letters are therefore hashed at most once, unless a deletion cuts
+    below the hashes kept.  A deletion cuts the runs, and the letters after
+    it cancel the stack's top in bulk (`_cancel`).  A window that crosses
+    the junction ends within span - 1 letters after it.  When the hashes
+    left still reach a window back, those letters are looked up as pushed;
+    otherwise they are looked up only when a half lies within span - 1
+    letters on either side of the junction, after the stack's last
+    2 (span - 1) letters are hashed again, so a run of short deletions
+    hashes each letter a bounded number of times.  Every window looked up is
+    one that the letter-by-letter scan looks up on the same stack, with the
+    same hash and the same letter check, and every window it skips holds no
+    half, so the deletions are the same.
+    """
+    n = len(text)
+    reach = windows[-1][0] - 1  # how far back the longest window reaches
+    runs = []  # the stack below its top run, as (start, end) slices of the text
+    below = 0  # the letters in runs
+    start = i = hot = 0  # the top run is text[start:i]; windows ending up to hot are looked up
+    hashes = [0]  # the prefix hashes of the stack's last len(hashes) - 1 letters
+    rev = None  # the text of the word's inverse, once a deletion needs it
+    while i < n:
+        if i == hot:
+            half = near.search(text, max(i - reach, start))
+            if half is None:
                 break
-    return word if len(stack) == len(word) + 1 else tuple(stack[1:])
+            a = half.start()
+            if a - reach > i:
+                i = a - reach
+                hashes = [0]
+            hot = min(n, max(a, i) + reach + 1)
+        i, m = _push_hashed(text, i, hot, hashes, windows, weights, base, mod, runs, start)
+        if not m:
+            continue
+        runs.append((start, i))
+        _pop(runs, m)
+        if rev is None:
+            rev = text.translate(flip)[::-1]
+        k = _cancel(runs, text, rev, i)
+        below += i - start - m - k
+        start = i = i + k
+        if m + k < len(hashes):
+            del hashes[len(hashes) - m - k :]
+        else:
+            hashes = [0]
+        hot = min(n, i + reach)
+        if len(hashes) <= min(reach, below):
+            if near.search(_top(text, runs, reach) + text[i:hot]) is None:
+                hot = i
+                hashes = [0]
+            else:
+                hashes = _prefix_hashes(_top(text, runs, 2 * reach), weights, base, mod)
+    if rev is None:
+        return None
+    runs.append((start, n))
+    return runs
 
 
 def _tietze_reduce(torsion_input):

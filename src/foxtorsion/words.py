@@ -46,18 +46,17 @@ from .errors import (
 # Words are stored fully expanded, so powers with huge exponents are rejected
 # instead of represented symbolically.  Parsing is linear in the letters, and
 # fox_matrix in the letters times the generators, since it walks each block
-# of a word once per generator (it peaks at 3.3 MB on a random 20,000-letter
-# word), so this bounds what is stored and echoed back in reports;
-# MAX_EXPANDED_LETTERS bounds parse time.
+# of a word once per generator, so this bounds what is stored and echoed
+# back in reports; MAX_EXPANDED_LETTERS bounds parse time.
 MAX_WORD_LETTERS = 20_000
 MAX_EXPONENT = 2**31
 # Parse time is linear in the text plus the letters that powers and groups
 # expand to, and a power may cancel what the one before it pushed: 200 pairs
-# "a^10000 a^-10000", 3,399 characters, expand 4,000,000 letters (0.5 s on a
-# 2-vCPU VM).  So the letters pushed by atoms of more than one letter may
-# total this many; the line above is refused at its ninth power, in about 10 ms.
-# No recorded test text needs more than 40,000, and a full-size word still
-# fits inside three pairs of parentheses, each of which pushes it again.
+# "a^10000 a^-10000", 3,399 characters, expand 4,000,000 letters.  So the
+# letters pushed by atoms of more than one letter may total this many; the
+# line above is refused at its ninth power.  No recorded test text needs
+# more than 40,000, and a full-size word still fits inside three pairs of
+# parentheses, each of which pushes it again.
 MAX_EXPANDED_LETTERS = 4 * MAX_WORD_LETTERS
 # A budget that input files are promised; the parser keeps open parentheses
 # on an explicit stack, so the bound guards no recursion.

@@ -31,6 +31,7 @@ from foxtorsion._kernels import accumulate, add_terms
 from foxtorsion.abelian import _pivot
 from foxtorsion.lyon import _poly2
 from foxtorsion.polytope import _apply, _completion, _pad
+from foxtorsion.words import _conjugator_length
 from foxtorsion.errors import (
     InexactDivision,
     InputTooLarge,
@@ -630,3 +631,161 @@ def reference_smith_normal_form(matrix):
             U[t] = [-x for x in U[t]]
         t += 1
     return [A[i][i] for i in range(min(m, n))], U
+
+
+# The reference for `torsion._delete_relators`: the same deletion by a scan
+# that pushes every letter and looks up every window it ends.
+
+
+def _ends_with_by_letters(stack, letters, start, m):
+    """Whether the stack's last m letters are letters[start : start + m]."""
+    return tuple(stack[-m:]) == letters[start : start + m]
+
+
+def delete_relators_by_letters(words, relators, weights):
+    """The words, each with every subword that is a cyclic permutation of a
+    relator's cyclic core, or of its inverse, deleted, and freely reduced; a
+    word that loses nothing is returned as given.
+
+    ``weights`` maps each letter of the generators, of either sign, to an
+    int.  Each core and each inverse is one entry of a list of cores, and
+    each entry's two halves are indexed by its position there.  Each
+    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
+    one-letter core is its own only half), so a word is scanned
+    (`_delete_rotations_by_letters`) only for the cores with a half in its
+    text, which ``str.__contains__`` finds in C: a word that holds none,
+    such as every family word, costs one string join.  A core's rotations
+    are hashed when a word first needs them, by the scan's window formula
+    over the prefix hashes of the doubled core.  A deletion can expose a
+    rotation of a core the scan was not run for, so while the text left
+    holds a half of such a core, the word is scanned again with that core
+    too.  The words returned hold no rotation of any core, unless two of its
+    rotations share a hash, which only leaves one of them in place.  Any
+    weights give an exact deletion: a hit is checked letter by letter.
+    """
+    # the largest prime below 2^30: hashes stay one CPython digit, which made
+    # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
+    # and a collision costs only a letter check
+    mod = 1_073_741_789
+    base = 32_771
+    chars = {letter: chr(k) for k, letter in enumerate(weights)}
+    cores = []  # the cyclic core of each relator, then its inverse
+    for r in relators:
+        i = _conjugator_length(r)
+        core = r[i : len(r) - i]
+        if core:
+            cores += [core, tuple([(g, -e) for g, e in reversed(core)])]
+    halves = []  # (the text of a half, the index of its core)
+    for k, core in enumerate(cores):
+        text = "".join(map(chars.__getitem__, core))
+        cut = (len(core) + 1) // 2
+        halves += [(text[:cut], k), (text[cut:] or text, k)]
+    hashed = set()  # the indices of the cores hashed into table
+    table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
+    result = []
+    for word in words:
+        done = set()  # the cores this word was scanned for
+        while True:
+            text = "".join(map(chars.__getitem__, word))
+            found = {k for h, k in halves if h in text}
+            if found <= done:
+                break
+            for k in found - hashed:
+                m = len(cores[k])
+                top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
+                doubled = cores[k] + cores[k]
+                ws = map(weights.__getitem__, doubled)
+                h = 0
+                prefix = [0] + [h := (h * base + w) % mod for w in ws]
+                for s in range(m):
+                    rotations.setdefault((prefix[s + m] - prefix[s] * top) % mod, (doubled, s))
+            hashed |= found
+            done |= found
+            windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
+            scanned = _delete_rotations_by_letters(word, windows, weights, base, mod)
+            if scanned is word:
+                break
+            word = scanned
+        result.append(word)
+    return result
+
+
+def _delete_rotations_by_letters(word, windows, weights, base, mod):
+    """The word with every subword that ``windows`` holds deleted and freely
+    reduced, or the word itself when none is found.
+
+    ``windows`` lists (m, base^m, {hash: (letters, start)}) by increasing m,
+    a subword of length m being letters[start : start + m].  The word is
+    pushed letter by letter onto a freely reduced stack that keeps the hash
+    of every prefix, so after each push the hash of the last m letters takes
+    O(1) for each m; only a hit compares the real letters
+    (`_ends_with_by_letters`), so the scan is linear in the letters times
+    the number of lengths, and a comparison costs what the match it confirms
+    deletes.  A match is popped,
+    and the letters then pushed first cancel the inverses on top of the
+    stack.  Every window below the top was looked up when its last letter
+    was pushed, so the word returned holds no subword that ``windows``
+    holds.
+    """
+    stack = [None]  # a sentinel below the letters, which nothing cancels
+    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
+    cancel = False  # whether the next letter may cancel the top
+    for letter, w in zip(word, map(weights.__getitem__, word)):
+        if cancel:
+            if stack[-1] == (letter[0], -letter[1]):
+                stack.pop()
+                hashes.pop()
+                continue
+            cancel = False
+        h = (hashes[-1] * base + w) % mod
+        stack.append(letter)
+        hashes.append(h)
+        n = len(stack)
+        for m, top, rotations in windows:
+            if n <= m:
+                break
+            hit = rotations.get((h - hashes[-1 - m] * top) % mod)
+            if hit is not None and _ends_with_by_letters(stack, *hit, m):
+                del stack[-m:]
+                del hashes[-m:]
+                cancel = True
+                break
+    return word if len(stack) == len(word) + 1 else tuple(stack[1:])
+
+
+class _CountedLookups(dict):
+    """A rotation table that counts its ``get`` calls, and the hits that a
+    letter check follows, into ``counts``."""
+
+    __slots__ = ("counts",)
+
+    def get(self, key, default=None):
+        self.counts["windows"] += 1
+        if key in self:
+            self.counts["hits"] += 1
+        return dict.get(self, key, default)
+
+
+def count_window_lookups(monkeypatch, module, name):
+    """Count, for as long as the monkeypatch lasts, the windows that the scan
+    ``module.name(word, windows, ...)`` looks up: its tables count their
+    lookups, one per window hashed, and their hits, each of which compares
+    letters.  ``counts["bound"]`` sums the word's letters times the number
+    of window lengths over the scans, which the letter-by-letter scan never
+    exceeds.  Each table is copied once per scan, so only the scans' own
+    lookups are counted."""
+    scan = getattr(module, name)
+    counts = {"windows": 0, "hits": 0, "bound": 0, "scans": 0}
+
+    def counted(word, windows, *args):
+        tables = []
+        for m, top, rotations in windows:
+            table = _CountedLookups(rotations)
+            table.counts = counts
+            tables.append((m, top, table))
+        counts["bound"] += len(word) * len(windows)
+        counts["scans"] += 1
+        return scan(word, tables, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts

@@ -39,7 +39,6 @@ from foxtorsion.torsion import (
     MAX_TERM_PRODUCTS,
     _cleared,
     _delete_relators,
-    _ends_with,
     _normalize,
     _pack_column,
     _period_step,
@@ -52,8 +51,11 @@ from foxtorsion.torsion import (
 )
 from foxtorsion.words import MAX_WORD_LETTERS, _push_reduced
 
+import helpers
 from helpers import (
     count_calls,
+    count_window_lookups,
+    delete_relators_by_letters,
     det_cofactor_tuples,
     det_first_column,
     Word,
@@ -650,6 +652,35 @@ def test_dense_matrix_beyond_the_term_budget_is_rejected_quickly(monkeypatch):
     assert 0 < sum(pairs) <= MAX_TERM_PRODUCTS
 
 
+def test_the_term_count_stops_at_the_first_minor_past_the_budget(monkeypatch):
+    """A 60x60 matrix whose columns 0, 58 and 59 are x + 1 in every row and
+    whose other entries are 0: column 58 meets 60 one-row minors, and with
+    the budget at 0 the first already passes it.  Lines run in
+    `det_cofactor` are counted, not seconds: a count that ran on to the end
+    of the column would run two lines for each of the 60 minors."""
+    n = 60
+    one, zero = LaurentPoly.one(1), LaurentPoly.zero(1)
+    entry = monomial((1,)) + one
+    matrix = [[entry if j in (0, n - 2, n - 1) else zero for j in range(n)] for _ in range(n)]
+    monkeypatch.setattr(torsion, "MAX_TERM_PRODUCTS", 0)
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not det_cofactor.__code__:
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        with pytest.raises(InputTooLarge, match="more than 0 term products"):
+            det_cofactor(matrix)
+    finally:
+        sys.settrace(None)
+    assert 0 < len(lines) < n
+
+
 def _dense_relators_input(m):
     """m generators and m - 2 relators whose exponents, drawn from [-200, 200],
     are the columns of the first random matrix with free cokernel; the
@@ -988,12 +1019,13 @@ def _killed(inp):
 
 
 @st.composite
-def padded_inputs(draw):
+def padded_inputs(draw, conjugators=(0, 3)):
     """Balanced inputs over a, b, c, d with one to three relators, whose
     inclusion words hold conjugates c r' c^-1, inserted at random points,
-    of rotations r' of relators or of their inverses.  The map is the Smith
-    normal form's, which kills every relator, or drawn images, which may
-    kill some relators and not others."""
+    of rotations r' of relators or of their inverses, with ``conjugators``
+    bounding the letters drawn for c.  The map is the Smith normal form's,
+    which kills every relator, or drawn images, which may kill some
+    relators and not others."""
     names = ("a", "b", "c", "d")
     letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
     relators = draw(
@@ -1008,7 +1040,7 @@ def padded_inputs(draw):
         r = draw(st.sampled_from(relators)).letters
         r = _inverse(r) if draw(st.booleans()) else r
         s = draw(st.integers(0, len(r) - 1))
-        c = draw(st.lists(letter, max_size=3))
+        c = draw(st.lists(letter, min_size=conjugators[0], max_size=conjugators[1]))
         word = draw(st.sampled_from(words))
         p = draw(st.integers(0, len(word)))
         word[p:p] = c + list(r[s:] + r[:s]) + list(_inverse(c))
@@ -1098,20 +1130,164 @@ def test_deletion_alone_returns_a_new_input_and_nothing_deleted_the_input():
     assert sutured_torsion(padded) == sutured_torsion(kept)
 
 
+def _production_weights(generators):
+    """The letter weights `_tietze_reduce` gives `_delete_relators`."""
+    return {(g, e): e * i for i, g in enumerate(generators, 1) for e in (1, -1)}
+
+
+def _assert_deletes_as_the_letter_scan(words, relators, weights):
+    """`_delete_relators` returns the letter-by-letter reference's words,
+    under the given weights and under all-ones weights, whose collisions
+    leave only the first rotation hashed at each length in the tables."""
+    for w in (weights, dict.fromkeys(weights, 1)):
+        expected = delete_relators_by_letters(words, relators, w)
+        assert _delete_relators(words, relators, w) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(padded_inputs(), padded_inputs(conjugators=(20, 60))))
+def test_the_scan_deletes_what_the_letter_scan_deletes(inp):
+    """Short conjugators, and 20- to 60-letter ones, the `long-words`
+    shape, where the scan jumps between halves and cancels in bulk."""
+    words = [w.letters for w in inp.inclusion_words]
+    _assert_deletes_as_the_letter_scan(
+        words, _killed(inp), _production_weights(inp.presentation.generators)
+    )
+
+
+def _random_padded_calls(rng, count):
+    """(words, relators, weights) of ``count`` random calls: one to three
+    relators of one to seven letters over one to four generators, and one
+    to three words, each of up to six letters with up to eight conjugates
+    c r' c^-1 of rotations r' of the relators or their inverses inserted,
+    the conjugators of up to 3 or up to 60 random letters.  Half the time
+    the weights list 18 unused generators first, which puts the letters'
+    characters past ASCII."""
+    for _ in range(count):
+        names = "abcd"[: rng.randint(1, 4)]
+        relators = [
+            list(_random_reduced(rng, names, rng.randint(1, 7))) for _ in range(rng.randint(1, 3))
+        ]
+        words = [
+            list(_random_reduced(rng, names, rng.randint(0, 6))) for _ in range(rng.randint(1, 3))
+        ]
+        longest = rng.choice((3, 60))
+        for _ in range(rng.randint(1, 8)):
+            r = rng.choice(relators)
+            r = list(_inverse(r)) if rng.random() < 0.5 else r
+            s = rng.randrange(len(r))
+            c = list(_random_reduced(rng, names, rng.randint(0, longest)))
+            word = rng.choice(words)
+            p = rng.randint(0, len(word))
+            word[p:p] = c + r[s:] + r[:s] + list(_inverse(c))
+        unused = [f"y{i}" for i in range(18)] if rng.random() < 0.5 else []
+        yield [tuple(w) for w in words], [tuple(r) for r in relators], _production_weights(
+            unused + list(names)
+        )
+
+
+def test_random_long_padded_words_delete_what_the_letter_scan_deletes():
+    """Words of up to some 500 letters, where deletions come close together
+    and cut below the hashes the scan keeps."""
+    for words, relators, weights in _random_padded_calls(random.Random(11), 1500):
+        _assert_deletes_as_the_letter_scan(words, relators, weights)
+
+
+def test_the_designs_delete_what_the_letter_scan_deletes(tmp_path, monkeypatch):
+    """Every call that the seed-7 and seed-8 `tietze`, `long-words` and
+    `family` designs and Lyon S and S' at three n make."""
+    sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
+    import workloads
+
+    calls = []
+
+    def recorded(words, relators, weights):
+        calls.append((words, relators, weights))
+        return _delete_relators(words, relators, weights)
+
+    monkeypatch.setattr(torsion, "_delete_relators", recorded)
+    for name in ("tietze", "long-words", "family"):
+        for seed in (7, 8):
+            for op in workloads.WORKLOADS[name].design(seed, str(tmp_path)):
+                op.run()
+    for n in (-1, 7, 150):
+        for surface in ("S", "Sprime"):
+            _tietze_reduce(lyon_input(n, surface))
+    monkeypatch.undo()
+    assert len(calls) == 2 * (13 + 11 + 11) + 6
+    for words, relators, weights in calls:
+        _assert_deletes_as_the_letter_scan(words, relators, weights)
+
+
+def _random_reduced(rng, names, length):
+    letters = []
+    while len(letters) < length:
+        letter = (rng.choice(names), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return tuple(letters)
+
+
+def _letter_scan_inputs():
+    """(id, words, relators, weights) of inputs built to make a scan work
+    hard: a word that holds a long half of a core everywhere, and many
+    random cores against long random words."""
+    ab = ["a", "b"]
+    yield (
+        "a^20000 against a^9999 b",
+        [parse_word("a^20000", ab).letters],
+        [parse_word("a^9999 b", ab).letters],
+        _production_weights(ab),
+    )
+    yield (
+        "(a b a^-1 b^-1)^5000 against a 10,000-letter core",
+        [parse_word("(a b a^-1 b^-1)^5000", ab).letters],
+        [parse_word("(a b a^-1 b^-1)^2499 a b^-1 a^-1 b", ab).letters],
+        _production_weights(ab),
+    )
+    rng = random.Random(5)
+    names = [f"g{i}" for i in range(6)]
+    yield (
+        "50 random cores against 10 random 20,000-letter words",
+        [_random_reduced(rng, names, 20_000) for _ in range(10)],
+        [_random_reduced(rng, names, rng.randint(3, 12)) for _ in range(50)],
+        _production_weights(names),
+    )
+
+
+@pytest.mark.parametrize("case", list(_letter_scan_inputs()), ids=lambda case: case[0])
+def test_relator_deletion_hashes_no_more_windows_than_the_letter_scan(monkeypatch, case):
+    """Windows looked up are counted, not seconds: the scan looks up at most
+    the windows the letter-by-letter scan does, which is at most the
+    letters times the window lengths of each scan, and deletes the same."""
+    _, words, relators, weights = case
+    scanned = count_window_lookups(monkeypatch, torsion, "_delete_rotations")
+    by_letters = count_window_lookups(monkeypatch, helpers, "_delete_rotations_by_letters")
+    assert _delete_relators(words, relators, weights) == delete_relators_by_letters(
+        words, relators, weights
+    )
+    assert scanned["scans"] == by_letters["scans"]
+    assert scanned["windows"] <= by_letters["windows"] <= by_letters["bound"]
+    assert scanned["windows"] <= 2 * scanned["bound"]
+
+
 def test_relator_deletion_is_linear_in_the_letters(monkeypatch):
     """The inclusion word (a b a^-1 b^-1)^5000, 20,000 letters, against the
     killed relator (a b a^-1 b^-1)^9 a b^-1 a^-1 b of 40 letters, whose
     rotations it never holds but whose first half it holds everywhere.
     Every window of a length divisible by 4 has zero abelian image, so a
     filter on images would compare letters at every other position; the
-    rolling hash compares none.  Letters compared are counted, not seconds,
-    and must stay within twice the letters times the one core length."""
+    rolling hash compares none.  Windows looked up and hits are counted,
+    not seconds: no hit, and windows within twice the letters times the one
+    core length."""
     pres = Presentation(["a", "b"], ["(a b a^-1 b^-1)^9 a b^-1 a^-1 b"])
     word = parse_word("(a b a^-1 b^-1)^5000", "ab")
     inp = TorsionInput(pres, [word], AbelianizationMap(1, {"a": (1,), "b": (0,)}))
-    compared = count_calls(monkeypatch, _ends_with, lambda stack, letters, start, m: m)
+    counts = count_window_lookups(monkeypatch, torsion, "_delete_rotations")
     assert _tietze_reduce(inp) is inp
-    assert sum(compared) <= 2 * len(word.letters) * 1
+    assert counts["scans"] == 1
+    assert counts["hits"] == 0
+    assert counts["windows"] <= 2 * len(word.letters) * 1
 
 
 # -- Fox's fundamental formula ---------------------------------------------------
