@@ -263,8 +263,6 @@ class LaurentPoly:
         leading-term loop (`_div_leading_terms`).  Both raise InexactDivision
         exactly when divisor does not divide self.
         """
-        if not isinstance(divisor, LaurentPoly):
-            divisor = LaurentPoly.constant(self.rank, divisor)
         self._check_rank(divisor)
         if divisor.is_zero:
             raise InexactDivision("division by zero")

@@ -12,12 +12,13 @@ relator that the abelianization kills, or of its inverse
 word is scanned for the cores with a half in its text.  The scan jumps
 between the places where one alternation of the halves finds one, looks up
 only the windows within a core length of them among the rotations' hashes,
-keeps the word left as slices of its text, and cancels the conjugator
-around a deletion in bulk.  A deletion subtracts a monomial multiple of
-the relator's column from the word's and leaves the determinant exactly as
-it was.  Then it eliminates generators by Tietze moves on the words, each
-of which removes a row and a column of the Fox matrix that cross at a
-unit, so the matrix shrinks and the class stays.
+keeps the word left as one stack of its letters, and lets the letters after
+a deletion cancel the top of that stack one at a time.  A deletion
+subtracts a monomial multiple of the relator's column from the word's and
+leaves the determinant exactly as it was.  Then it eliminates generators
+by Tietze moves on the words, each of which removes a row and a column of
+the Fox matrix that cross at a unit, so the matrix shrinks and the class
+stays.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -470,27 +471,28 @@ def _delete_relators(words, relators, weights):
     word that loses nothing is returned as given.
 
     ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each letter is written as one character and each word as its
-    text.  Each core and each inverse is one entry of a list of cores, and
-    each entry's two halves are indexed by its position there.  Each
-    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
-    one-letter core is its own only half), so a word is scanned
-    (`_delete_rotations`) only for the cores with a half in its text, which
-    ``str.__contains__`` finds in C: a word that holds none, such as every
-    family word, costs one string join.  A core's rotations are hashed when
-    a word first needs them, each from the one before by the rolling hash's
-    step, to the values the scan's window formula gives.  A window matches
-    only a rotation in the tables, which holds a half of its core, so the
-    scans search one alternation of the halves of the cores the words hold
-    for where a rotation can end.  It is compiled once a call, and again
-    only when a deletion joins the halves of a core that no word held, so
-    it grows with the cores the words need, not with all of them.  A
-    deletion can expose a rotation of a core the scan was not run for, so
-    while the text left holds a half of such a core, the word is scanned
-    again with that core too.  The words returned hold no rotation of any
-    core, unless two of its rotations share a hash, which only leaves one of
-    them in place.  Any weights give an exact deletion: a hit is checked
-    letter by letter.
+    int.  Each letter is written as one character, ``inverse`` maps each
+    character to its inverse's, and each word is scanned as its text, which
+    is mapped back to letters once, only when it lost some.  Each core and
+    each inverse is one entry of a list of cores, and each entry's two
+    halves are indexed by its position there.  Each rotation of a core
+    c = p q, |p| = ceil(|c| / 2), holds p or q whole (a one-letter core is
+    its own only half), so a word is scanned (`_delete_rotations`) only for
+    the cores with a half in its text, which ``str.__contains__`` finds in
+    C: a word that holds none, such as every family word, costs one string
+    join.  A core's rotations are hashed when a word first needs them, each
+    from the one before by the rolling hash's step, to the values the scan's
+    window formula gives.  A window matches only a rotation in the tables,
+    which holds a half of its core, so the scans search one alternation of
+    the halves of the cores the words hold for where a rotation can end.
+    It is compiled once a call, and again only when a deletion joins the
+    halves of a core that no word held, so it grows with the cores the
+    words need, not with all of them.  A deletion can expose a rotation of
+    a core the scan was not run for, so while the text left holds a half of
+    such a core, the word is scanned again with that core too.  The words
+    returned hold no rotation of any core, unless two of its rotations share
+    a hash, which only leaves one of them in place.  Any weights give an
+    exact deletion: a hit is checked letter by letter.
     """
     # the largest prime below 2^30: hashes stay one CPython digit, which made
     # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
@@ -501,7 +503,8 @@ def _delete_relators(words, relators, weights):
     # a text of them is ASCII, which str.translate maps fastest; past ASCII no
     # character is special either
     chars = {letter: chr(k if k < 36 else 128 + k) for k, letter in enumerate(weights)}
-    flip = {ord(c): chars[g, -e] for (g, e), c in chars.items()}  # a letter's text -> its inverse's
+    inverse = {c: chars[g, -e] for (g, e), c in chars.items()}
+    flip = str.maketrans(inverse)
     cores = []  # the text of the cyclic core of each relator, then of its inverse
     for r in relators:
         i = _conjugator_length(r)
@@ -520,9 +523,11 @@ def _delete_relators(words, relators, weights):
     if needed:
         text_weights = dict(zip(chars.values(), weights.values()))
         near = re.compile("|".join([h for h, k in halves if k in needed]))
+    letters = None  # a letter's text -> the letter, once a word has lost some
     result = []
     for word, text, found in zip(words, texts, founds):
         done = set()  # the cores this word was scanned for
+        left = text
         while not found <= done:
             for k in found - hashed:
                 m = len(cores[k])
@@ -540,105 +545,45 @@ def _delete_relators(words, relators, weights):
             hashed |= found
             done |= found
             windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
-            runs = _delete_rotations(text, windows, text_weights, base, mod, near, flip)
-            if runs is None:
+            scanned = _delete_rotations(left, windows, text_weights, base, mod, near, inverse)
+            if scanned is None:
                 break
-            word = tuple(chain.from_iterable(word[s:e] for s, e in runs))
-            text = "".join([text[s:e] for s, e in runs])
-            found = {k for h, k in halves if h in text}
+            left = scanned
+            found = {k for h, k in halves if h in left}
             if not found <= needed:
                 # a deletion joined the halves of a core no word held
                 needed |= found
                 near = re.compile("|".join([h for h, k in halves if k in needed]))
+        if len(left) < len(text):
+            letters = letters or dict(zip(chars.values(), chars))
+            word = tuple(map(letters.__getitem__, left))
         result.append(word)
     return result
 
 
-def _prefix_hashes(text, weights, base, mod):
-    """[0] and the hash of each nonempty prefix of the text."""
+def _prefix_hashes(letters, weights, base, mod):
+    """[0] and the hash of each nonempty prefix of the letters' texts."""
     h = 0
-    return [0] + [h := (h * base + w) % mod for w in map(weights.__getitem__, text)]
+    return [0] + [h := (h * base + w) % mod for w in map(weights.__getitem__, letters)]
 
 
-def _top(text, runs, k):
-    """The last k characters (all, if fewer) of the concatenation of
-    text[s:e] over the (s, e) in runs."""
-    s, e = runs[-1] if runs else (0, 0)
-    if e - s >= k:
-        return text[e - k : e]
-    parts = []
-    for s, e in reversed(runs):
-        if k <= 0:
-            break
-        parts.append(text[max(s, e - k) : e])
-        k -= e - s
-    return "".join(reversed(parts))
+def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, stack):
+    """Push the letters of text[i:stop] onto the stack, looking up after
+    each push the window of each length in ``windows`` that the letter ends;
+    return the position after the last letter pushed and the length of the
+    window that it ended and that matched, or 0 when none did.
 
-
-def _pop(runs, k):
-    """Remove the last k characters of the concatenation that runs spells."""
-    while k:
-        s, e = runs[-1]
-        if e - s > k:
-            runs[-1] = (s, e - k)
-            return
-        runs.pop()
-        k -= e - s
-
-
-def _cancel(runs, text, rev, i):
-    """How many letters of the text from i on cancel, in order, the letters
-    on top of the stack that runs spells, which loses them.
-
-    ``rev`` is the text of the word's inverse, so the inverse of the top
-    letters text[e - k : e], read from the top, is rev[n - e : n - e + k].
-    A conjugator is pushed as one run, so each run is first compared whole;
-    a run that does not cancel whole has its common length galloped (1, 2,
-    4, ... letters) and then bisected, comparing slices in C, so a
-    cancellation of k letters costs O(log k) comparisons."""
-    n = len(text)
-    j = i
-    while runs and j < n:
-        s, e = runs[-1]
-        size = min(e - s, n - j)
-        if text[j : j + size] == rev[n - e : n - e + size]:
-            low = size
-        else:
-            # text[j : j + low] cancels and text[j : j + high] does not
-            low, high = 0, 1
-            while text[j : j + high] == rev[n - e : n - e + high]:
-                low, high = high, 2 * high
-            high = min(high, size)
-            while high - low > 1:
-                mid = (low + high) // 2
-                if text[j : j + mid] == rev[n - e : n - e + mid]:
-                    low = mid
-                else:
-                    high = mid
-        j += low
-        if low < e - s:
-            runs[-1] = (s, e - low)
-            break
-        runs.pop()
-    return j - i
-
-
-def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, runs, start):
-    """Push text[i:stop] onto the stack, looking up after each push the
-    window of each length in ``windows`` that the letter ends; return the
-    position after the last letter pushed and the length of the window that
-    it ended and that matched, or 0 when none did.
-
-    The stack is ``runs`` and then text[start:i], and ``hashes`` holds the
-    prefix hashes of its last len(hashes) - 1 letters, from any base: a
-    window longer than those letters is not looked up.  ``windows`` lists
-    (m, base^m, {hash: (text, s)}) by increasing m, a window of length m
-    being text[s : s + m].  The hash of the last m letters takes O(1) from
-    the prefix hashes, and only a hit compares the letters, so a comparison
-    costs what the match it confirms deletes."""
+    ``hashes`` holds the prefix hashes of the stack's last len(hashes) - 1
+    letters, from any base: a window longer than those letters is not
+    looked up.  ``windows`` lists (m, base^m, {hash: (text, s)}) by
+    increasing m, a window of length m being text[s : s + m].  The hash of
+    the last m letters takes O(1) from the prefix hashes, and only a hit
+    compares the letters, so a comparison costs what the match it confirms
+    deletes."""
     h = hashes[-1]
     for c in text[i:stop]:
         i += 1
+        stack.append(c)
         h = (h * base + weights[c]) % mod
         hashes.append(h)
         n = len(hashes)
@@ -648,19 +593,14 @@ def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, runs, start
             hit = rotations.get((h - hashes[-1 - m] * top) % mod)
             if hit is not None:
                 rotation, s = hit
-                if i - m >= start:
-                    window = text[i - m : i]
-                else:
-                    window = _top(text, runs, m - i + start) + text[start:i]
-                if window == rotation[s : s + m]:
+                if "".join(stack[-m:]) == rotation[s : s + m]:
                     return i, m
     return i, 0
 
 
-def _delete_rotations(text, windows, weights, base, mod, near, flip):
-    """The runs (start, end) of the text that are left once every subword
-    that ``windows`` holds is deleted and the word freely reduced, or None
-    when none is found.
+def _delete_rotations(text, windows, weights, base, mod, near, inverse):
+    """The text left once every subword that ``windows`` holds is deleted
+    and the word freely reduced, or None when none is found.
 
     The deletion is that of a scan that pushes the letters one at a time
     onto a stack, looks up after each push the window of every length that
@@ -673,16 +613,17 @@ def _delete_rotations(text, windows, weights, base, mod, near, flip):
     span - 1 letters back, finds the first half from there, and sends the
     scan at least span letters on.
 
-    The stack is kept as runs of the text: the letters up to a found half
-    join the top run as one slice, and only its last span - 1 letters are
+    The stack is one list of the letters' texts.  The letters up to a found
+    half join it as one slice, and only the last span - 1 of them are
     hashed, as pushes, since the windows around the half reach that far
     back.  Letters are therefore hashed at most once, unless a deletion cuts
-    below the hashes kept.  A deletion cuts the runs, and the letters after
-    it cancel the stack's top in bulk (`_cancel`).  A window that crosses
-    the junction ends within span - 1 letters after it.  When the hashes
-    left still reach a window back, those letters are looked up as pushed;
-    otherwise they are looked up only when a half lies within span - 1
-    letters on either side of the junction, after the stack's last
+    below the hashes kept.  A match of m letters is cut off the list's end,
+    and the letters after it cancel its top one at a time, each checked
+    against ``inverse``, which maps a letter's text to its inverse's.  A
+    window that crosses the junction ends within span - 1 letters after it.
+    When the hashes left still reach a window back, those letters are looked
+    up as pushed; otherwise they are looked up only when a half lies within
+    span - 1 letters on either side of the junction, after the stack's last
     2 (span - 1) letters are hashed again, so a run of short deletions
     hashes each letter a bounded number of times.  Every window looked up is
     one that the letter-by-letter scan looks up on the same stack, with the
@@ -691,11 +632,9 @@ def _delete_rotations(text, windows, weights, base, mod, near, flip):
     """
     n = len(text)
     reach = windows[-1][0] - 1  # how far back the longest window reaches
-    runs = []  # the stack below its top run, as (start, end) slices of the text
-    below = 0  # the letters in runs
-    start = i = hot = 0  # the top run is text[start:i]; windows ending up to hot are looked up
+    stack = []  # the texts of the letters left, text[start:i] on top
+    start = i = hot = 0  # windows ending up to hot are looked up
     hashes = [0]  # the prefix hashes of the stack's last len(hashes) - 1 letters
-    rev = None  # the text of the word's inverse, once a deletion needs it
     while i < n:
         if i == hot:
             half = near.search(text, max(i - reach, start))
@@ -703,34 +642,33 @@ def _delete_rotations(text, windows, weights, base, mod, near, flip):
                 break
             a = half.start()
             if a - reach > i:
+                stack += text[i : a - reach]
                 i = a - reach
                 hashes = [0]
             hot = min(n, max(a, i) + reach + 1)
-        i, m = _push_hashed(text, i, hot, hashes, windows, weights, base, mod, runs, start)
+        i, m = _push_hashed(text, i, hot, hashes, windows, weights, base, mod, stack)
         if not m:
             continue
-        runs.append((start, i))
-        _pop(runs, m)
-        if rev is None:
-            rev = text.translate(flip)[::-1]
-        k = _cancel(runs, text, rev, i)
-        below += i - start - m - k
-        start = i = i + k
-        if m + k < len(hashes):
-            del hashes[len(hashes) - m - k :]
+        del stack[-m:]
+        j = i
+        while i < n and stack and stack[-1] == inverse[text[i]]:
+            stack.pop()
+            i += 1
+        m += i - j  # the letters taken off the stack
+        start = i
+        if m < len(hashes):
+            del hashes[-m:]
         else:
             hashes = [0]
         hot = min(n, i + reach)
-        if len(hashes) <= min(reach, below):
-            if near.search(_top(text, runs, reach) + text[i:hot]) is None:
+        if len(hashes) <= min(reach, len(stack)):
+            if near.search("".join(stack[-reach:]) + text[i:hot]) is None:
                 hot = i
                 hashes = [0]
             else:
-                hashes = _prefix_hashes(_top(text, runs, 2 * reach), weights, base, mod)
-    if rev is None:
-        return None
-    runs.append((start, n))
-    return runs
+                hashes = _prefix_hashes(stack[-2 * reach :], weights, base, mod)
+    # the stack holds every letter before i, unless a deletion took some
+    return None if len(stack) == i else "".join(stack) + text[i:]
 
 
 def _tietze_reduce(torsion_input):

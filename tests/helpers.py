@@ -633,6 +633,59 @@ def reference_smith_normal_form(matrix):
     return [A[i][i] for i in range(min(m, n))], U
 
 
+# An algebraic certificate for `torsion._delete_relators`, which shares no code
+# with its scan or with the letter-by-letter reference below: the value of
+# the Fox matrix's determinant at a point of (F_p^*)^r.
+
+FOX_PRIME = 2**61 - 1
+
+
+def fox_determinant_at(columns, generators, images, point):
+    """The determinant mod p = 2^61 - 1 of the square Fox matrix whose
+    columns are the Fox derivatives of the words ``columns`` (tuples of
+    (generator, +-1) letters), one row per generator, abelianized by
+    ``images`` (generator -> exponent vector) and evaluated at ``point``,
+    one nonzero residue mod p per coordinate.
+
+    Each word is walked once with the value v of its prefix: a letter g
+    adds v to row g, a letter g^-1 adds -v g^-1 (the value of the prefix
+    that ends with it), and the matrix is eliminated mod p."""
+    p = FOX_PRIME
+    value = {}
+    for g in generators:
+        v = 1
+        for t, e in zip(point, images[g]):
+            v = v * pow(t, e, p) % p
+        value[g, 1], value[g, -1] = v, pow(v, -1, p)
+    row = {g: i for i, g in enumerate(generators)}
+    n = len(generators)
+    assert len(columns) == n
+    matrix = [[0] * n for _ in range(n)]
+    for j, word in enumerate(columns):
+        v = 1
+        for g, e in word:
+            if e == 1:
+                matrix[row[g]][j] += v
+            v = v * value[g, e] % p
+            if e == -1:
+                matrix[row[g]][j] -= v
+    det = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if matrix[i][k] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+            det = -det
+        det = det * matrix[k][k] % p
+        inverse = pow(matrix[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = matrix[i][k] * inverse % p
+            if f:
+                matrix[i] = [(a - f * b) % p for a, b in zip(matrix[i], matrix[k])]
+    return det % p
+
+
 # The reference for `torsion._delete_relators`: the same deletion by a scan
 # that pushes every letter and looks up every window it ends.
 

@@ -57,7 +57,7 @@ ALLOWLIST = {
         "only det_bareiss, a benchmark pin, reaches it: the family oracles "
         "divide by binomials"
     ),
-    "abelian.LaurentPoly.constant": "the int operands of +, - and exact_div call it",
+    "abelian.LaurentPoly.constant": "the int operands of + and - call it",
     "words.Word.__eq__": "pairs with Word.__hash__, which the Fox term dicts call",
     "torsion.TorsionClass.__hash__": (
         "pairs with TorsionClass.__eq__, which cmd_family's oracle match calls"

@@ -58,6 +58,8 @@ from helpers import (
     delete_relators_by_letters,
     det_cofactor_tuples,
     det_first_column,
+    FOX_PRIME,
+    fox_determinant_at,
     Word,
     laurent_polys,
     monomial,
@@ -1148,7 +1150,8 @@ def _assert_deletes_as_the_letter_scan(words, relators, weights):
 @given(st.one_of(padded_inputs(), padded_inputs(conjugators=(20, 60))))
 def test_the_scan_deletes_what_the_letter_scan_deletes(inp):
     """Short conjugators, and 20- to 60-letter ones, the `long-words`
-    shape, where the scan jumps between halves and cancels in bulk."""
+    shape, where the scan jumps between halves and the letters after a
+    deletion cancel a long conjugator off the stack."""
     words = [w.letters for w in inp.inclusion_words]
     _assert_deletes_as_the_letter_scan(
         words, _killed(inp), _production_weights(inp.presentation.generators)
@@ -1217,6 +1220,71 @@ def test_the_designs_delete_what_the_letter_scan_deletes(tmp_path, monkeypatch):
     assert len(calls) == 2 * (13 + 11 + 11) + 6
     for words, relators, weights in calls:
         _assert_deletes_as_the_letter_scan(words, relators, weights)
+
+
+def _value_at(inp, inclusion, point):
+    """`fox_determinant_at` of the input's Fox matrix, with ``inclusion`` as
+    its inclusion words."""
+    pres = inp.presentation
+    columns = list(inclusion) + [r.letters for r in pres.relators]
+    return fox_determinant_at(columns, pres.generators, inp.abelianization.images, point)
+
+
+def _polynomial_at(poly, point):
+    """The Laurent polynomial's value at the point, mod ``FOX_PRIME``."""
+    total = 0
+    for exponents, coeff in poly.terms.items():
+        v = coeff
+        for t, e in zip(point, exponents):
+            v = v * pow(t, e, FOX_PRIME) % FOX_PRIME
+        total += v
+    return total % FOX_PRIME
+
+
+def _assert_deletion_keeps_the_value(inp, point):
+    """The deletion, under the production weights and under all-ones weights,
+    keeps the determinant's value at the point; return whether it deleted
+    anything."""
+    words = [w.letters for w in inp.inclusion_words]
+    before = _value_at(inp, words, point)
+    weights = _production_weights(inp.presentation.generators)
+    changed = False
+    for w in (weights, dict.fromkeys(weights, 1)):
+        deleted = _delete_relators(words, _killed(inp), w)
+        assert _value_at(inp, deleted, point) == before
+        changed |= deleted != words
+    return changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(padded_inputs(), padded_inputs(conjugators=(20, 60))), st.data())
+def test_the_deletion_keeps_the_determinant_at_a_random_point(inp, data):
+    """A certificate that shares no code with the scan: deleting a rotation
+    of a killed relator subtracts a multiple of the relator's column, so the
+    Fox matrix's determinant, evaluated at a point of (F_p^*)^r, is the same
+    before and after `_delete_relators`."""
+    rank = inp.abelianization.rank
+    point = data.draw(st.tuples(*[st.integers(1, FOX_PRIME - 1)] * rank))
+    _assert_deletion_keeps_the_value(inp, point)
+
+
+def test_the_designs_deletion_keeps_the_determinant_at_a_random_point(tmp_path):
+    """The same certificate on the seed-7 `tietze` and `long-words` inputs,
+    each at a random point, where the value before the deletion is the
+    product's determinant's."""
+    sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
+    import workloads
+
+    rng = random.Random(7)
+    changed = 0
+    for name in ("tietze", "long-words"):
+        for op in workloads.WORKLOADS[name].design(7, str(tmp_path)):
+            inp = cli.load_torsion_file(op.inputs[0])
+            point = tuple(rng.randrange(1, FOX_PRIME) for _ in range(inp.abelianization.rank))
+            words = [w.letters for w in inp.inclusion_words]
+            assert _value_at(inp, words, point) == _polynomial_at(fox_determinant(inp), point)
+            changed += _assert_deletion_keeps_the_value(inp, point)
+    assert changed == 13 + 11
 
 
 def _random_reduced(rng, names, length):
