@@ -8,17 +8,13 @@ up to a sign and a monomial factor, which the normal form strips.
 `sutured_torsion` first reduces the words (`_tietze_reduce`).  It deletes
 from the inclusion words every cyclic permutation of the cyclic core of a
 relator that the abelianization kills, or of its inverse
-(`_delete_relators`): the cores and their inverses form one list, and a
-word is scanned for the cores with a half in its text.  The scan jumps
-between the places where one alternation of the halves finds one, looks up
-only the windows within a core length of them among the rotations' hashes,
-keeps the word left as one stack of its letters, and lets the letters after
-a deletion cancel the top of that stack one at a time.  A deletion
-subtracts a monomial multiple of the relator's column from the word's and
-leaves the determinant exactly as it was.  Then it eliminates generators
-by Tietze moves on the words, each of which removes a row and a column of
-the Fox matrix that cross at a unit, so the matrix shrinks and the class
-stays.
+(`_delete_relators`), by one scan of each word's letters that looks up the
+window of each core length ending at each letter among the rotations'
+rolling hashes (Karp and Rabin 1987).  A deletion subtracts a monomial
+multiple of the relator's column from the word's and leaves the
+determinant exactly as it was.  Then it eliminates generators by Tietze
+moves on the words, each of which removes a row and a column of the Fox
+matrix that cross at a unit, so the matrix shrinks and the class stays.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -41,7 +37,6 @@ its class up to units.  Bareiss elimination stays only as the tests'
 reference.
 """
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -471,38 +466,27 @@ def _delete_relators(words, relators, weights):
     word that loses nothing is returned as given.
 
     ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each letter is written as one character, ``inverse`` maps each
-    character to its inverse's, and each word is scanned as its text, which
-    is mapped back to letters once, only when it lost some.  Each core and
-    each inverse is one entry of a list of cores, and each entry's two
-    halves are indexed by its position there.  Each rotation of a core
-    c = p q, |p| = ceil(|c| / 2), holds p or q whole (a one-letter core is
-    its own only half), so a word is scanned (`_delete_rotations`) only for
+    int.  Each letter is written as one character, and each word is scanned
+    as its text (`_delete_rotations`), which is mapped back to letters only
+    when it lost some.  The cores and their inverses form one list.  Each
+    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
+    one-letter core is its own only half), so a word is scanned only for
     the cores with a half in its text, which ``str.__contains__`` finds in
     C: a word that holds none, such as every family word, costs one string
     join.  A core's rotations are hashed when a word first needs them, each
-    from the one before by the rolling hash's step, to the values the scan's
-    window formula gives.  A window matches only a rotation in the tables,
-    which holds a half of its core, so the scans search one alternation of
-    the halves of the cores the words hold for where a rotation can end.
-    It is compiled once a call, and again only when a deletion joins the
-    halves of a core that no word held, so it grows with the cores the
-    words need, not with all of them.  A deletion can expose a rotation of
-    a core the scan was not run for, so while the text left holds a half of
-    such a core, the word is scanned again with that core too.  The words
-    returned hold no rotation of any core, unless two of its rotations share
-    a hash, which only leaves one of them in place.  Any weights give an
-    exact deletion: a hit is checked letter by letter.
+    from the one before by the rolling hash's step.  A deletion can expose
+    a rotation of a core the scan was not run for, so while the text left
+    holds a half of such a core, the word is scanned again with that core
+    too.  The words returned hold no rotation of any core, unless two of
+    its rotations share a hash, which only leaves one of them in place.
+    Any weights give an exact deletion: a hit is checked letter by letter.
     """
     # the largest prime below 2^30: hashes stay one CPython digit, which made
     # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
     # and a collision costs only a letter check
     mod = 1_073_741_789
     base = 32_771
-    # no pattern treats chr(0) to chr(35), which precede "$", as special, and
-    # a text of them is ASCII, which str.translate maps fastest; past ASCII no
-    # character is special either
-    chars = {letter: chr(k if k < 36 else 128 + k) for k, letter in enumerate(weights)}
+    chars = {letter: chr(k) for k, letter in enumerate(weights)}
     inverse = {c: chars[g, -e] for (g, e), c in chars.items()}
     flip = str.maketrans(inverse)
     cores = []  # the text of the cyclic core of each relator, then of its inverse
@@ -515,20 +499,18 @@ def _delete_relators(words, relators, weights):
     for k, core in enumerate(cores):
         cut = (len(core) + 1) // 2
         halves += [(core[:cut], k), (core[cut:] or core, k)]
+    text_weights = dict(zip(chars.values(), weights.values()))
     hashed = set()  # the indices of the cores hashed into table
     table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
-    texts = ["".join(map(chars.__getitem__, word)) for word in words]
-    founds = [{k for h, k in halves if h in text} for text in texts]
-    needed = set().union(*founds)  # the cores whose halves the alternation holds
-    if needed:
-        text_weights = dict(zip(chars.values(), weights.values()))
-        near = re.compile("|".join([h for h, k in halves if k in needed]))
     letters = None  # a letter's text -> the letter, once a word has lost some
     result = []
-    for word, text, found in zip(words, texts, founds):
+    for word in words:
+        text = left = "".join(map(chars.__getitem__, word))
         done = set()  # the cores this word was scanned for
-        left = text
-        while not found <= done:
+        while True:
+            found = {k for h, k in halves if h in left}
+            if found <= done:
+                break
             for k in found - hashed:
                 m = len(cores[k])
                 top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
@@ -545,15 +527,10 @@ def _delete_relators(words, relators, weights):
             hashed |= found
             done |= found
             windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
-            scanned = _delete_rotations(left, windows, text_weights, base, mod, near, inverse)
+            scanned = _delete_rotations(left, windows, text_weights, base, mod, inverse)
             if scanned is None:
                 break
             left = scanned
-            found = {k for h, k in halves if h in left}
-            if not found <= needed:
-                # a deletion joined the halves of a core no word held
-                needed |= found
-                near = re.compile("|".join([h for h, k in halves if k in needed]))
         if len(left) < len(text):
             letters = letters or dict(zip(chars.values(), chars))
             word = tuple(map(letters.__getitem__, left))
@@ -561,32 +538,35 @@ def _delete_relators(words, relators, weights):
     return result
 
 
-def _prefix_hashes(letters, weights, base, mod):
-    """[0] and the hash of each nonempty prefix of the letters' texts."""
-    h = 0
-    return [0] + [h := (h * base + w) % mod for w in map(weights.__getitem__, letters)]
+def _delete_rotations(text, windows, weights, base, mod, inverse):
+    """The text with every subword that ``windows`` holds deleted and freely
+    reduced, or None when none is found.
 
-
-def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, stack):
-    """Push the letters of text[i:stop] onto the stack, looking up after
-    each push the window of each length in ``windows`` that the letter ends;
-    return the position after the last letter pushed and the length of the
-    window that it ended and that matched, or 0 when none did.
-
-    ``hashes`` holds the prefix hashes of the stack's last len(hashes) - 1
-    letters, from any base: a window longer than those letters is not
-    looked up.  ``windows`` lists (m, base^m, {hash: (text, s)}) by
-    increasing m, a window of length m being text[s : s + m].  The hash of
-    the last m letters takes O(1) from the prefix hashes, and only a hit
-    compares the letters, so a comparison costs what the match it confirms
-    deletes."""
-    h = hashes[-1]
-    for c in text[i:stop]:
-        i += 1
+    ``windows`` lists (m, base^m, {hash: (text, s)}) by increasing m, a
+    window of length m being text[s : s + m].  The letters are pushed one at
+    a time onto a stack that keeps the hash of every prefix, so after each
+    push the hash of the last m letters takes O(1) for each m, and only a
+    hit compares the letters: the scan is linear in the letters times the
+    number of lengths, and a comparison costs what the match it confirms
+    deletes.  A match is cut off the stack, and the letters pushed next
+    cancel its top while it is their inverse.  Every window below the top
+    was looked up when its last letter was pushed, so the text returned
+    holds no subword that ``windows`` holds.
+    """
+    stack = [""]  # the letters left, above an empty text that nothing cancels
+    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
+    cancel = False  # whether the next letter may cancel the top
+    for c in text:
+        if cancel:
+            if stack[-1] == inverse[c]:
+                stack.pop()
+                hashes.pop()
+                continue
+            cancel = False
+        h = (hashes[-1] * base + weights[c]) % mod
         stack.append(c)
-        h = (h * base + weights[c]) % mod
         hashes.append(h)
-        n = len(hashes)
+        n = len(stack)
         for m, top, rotations in windows:
             if n <= m:
                 break
@@ -594,81 +574,11 @@ def _push_hashed(text, i, stop, hashes, windows, weights, base, mod, stack):
             if hit is not None:
                 rotation, s = hit
                 if "".join(stack[-m:]) == rotation[s : s + m]:
-                    return i, m
-    return i, 0
-
-
-def _delete_rotations(text, windows, weights, base, mod, near, inverse):
-    """The text left once every subword that ``windows`` holds is deleted
-    and the word freely reduced, or None when none is found.
-
-    The deletion is that of a scan that pushes the letters one at a time
-    onto a stack, looks up after each push the window of every length that
-    ends at the new letter (`_push_hashed`), deletes the first that matches,
-    and lets the letters after a deletion cancel the inverses on top of the
-    stack.  This scan does that work in Python only where a window can
-    match.  Every window that matches holds a half that ``near`` finds, so
-    only the windows ending within span letters of where ``near`` finds a
-    half are looked up, span being the longest window.  Each search starts
-    span - 1 letters back, finds the first half from there, and sends the
-    scan at least span letters on.
-
-    The stack is one list of the letters' texts.  The letters up to a found
-    half join it as one slice, and only the last span - 1 of them are
-    hashed, as pushes, since the windows around the half reach that far
-    back.  Letters are therefore hashed at most once, unless a deletion cuts
-    below the hashes kept.  A match of m letters is cut off the list's end,
-    and the letters after it cancel its top one at a time, each checked
-    against ``inverse``, which maps a letter's text to its inverse's.  A
-    window that crosses the junction ends within span - 1 letters after it.
-    When the hashes left still reach a window back, those letters are looked
-    up as pushed; otherwise they are looked up only when a half lies within
-    span - 1 letters on either side of the junction, after the stack's last
-    2 (span - 1) letters are hashed again, so a run of short deletions
-    hashes each letter a bounded number of times.  Every window looked up is
-    one that the letter-by-letter scan looks up on the same stack, with the
-    same hash and the same letter check, and every window it skips holds no
-    half, so the deletions are the same.
-    """
-    n = len(text)
-    reach = windows[-1][0] - 1  # how far back the longest window reaches
-    stack = []  # the texts of the letters left, text[start:i] on top
-    start = i = hot = 0  # windows ending up to hot are looked up
-    hashes = [0]  # the prefix hashes of the stack's last len(hashes) - 1 letters
-    while i < n:
-        if i == hot:
-            half = near.search(text, max(i - reach, start))
-            if half is None:
-                break
-            a = half.start()
-            if a - reach > i:
-                stack += text[i : a - reach]
-                i = a - reach
-                hashes = [0]
-            hot = min(n, max(a, i) + reach + 1)
-        i, m = _push_hashed(text, i, hot, hashes, windows, weights, base, mod, stack)
-        if not m:
-            continue
-        del stack[-m:]
-        j = i
-        while i < n and stack and stack[-1] == inverse[text[i]]:
-            stack.pop()
-            i += 1
-        m += i - j  # the letters taken off the stack
-        start = i
-        if m < len(hashes):
-            del hashes[-m:]
-        else:
-            hashes = [0]
-        hot = min(n, i + reach)
-        if len(hashes) <= min(reach, len(stack)):
-            if near.search("".join(stack[-reach:]) + text[i:hot]) is None:
-                hot = i
-                hashes = [0]
-            else:
-                hashes = _prefix_hashes(stack[-2 * reach :], weights, base, mod)
-    # the stack holds every letter before i, unless a deletion took some
-    return None if len(stack) == i else "".join(stack) + text[i:]
+                    del stack[-m:]
+                    del hashes[-m:]
+                    cancel = True
+                    break
+    return None if len(stack) == len(text) + 1 else "".join(stack)
 
 
 def _tietze_reduce(torsion_input):

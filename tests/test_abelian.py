@@ -218,6 +218,15 @@ def test_user_basis_accepted_verbatim():
     assert result.rank == 2
 
 
+def test_maps_that_differ_only_in_basis_names_are_unequal():
+    images = {"a": (1, 0), "b": (-1, 3), "x": (0, 2)}
+    assert AbelianizationMap(2, dict(images), ("a", "u")) == LYON_BASIS
+    assert AbelianizationMap(2, images, ("a", "v")) != LYON_BASIS
+    assert AbelianizationMap(2, images) != LYON_BASIS
+    assert AbelianizationMap(2, {**images, "x": (0, 1)}, ("a", "u")) != LYON_BASIS
+    assert LYON_BASIS != images
+
+
 def test_free_presentation_gets_standard_basis():
     pres = Presentation(("x", "b"))
     phi = abelianize_presentation(pres)

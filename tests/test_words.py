@@ -270,6 +270,18 @@ def test_presentation_deficiency():
     assert pres.generators == ("a", "b", "x")
 
 
+def test_a_presentation_parsed_from_text_equals_one_built_from_words():
+    """Relators given as text are parsed and freely reduced, so the
+    presentation equals one given the reduced `Word`s; other relators, or
+    the generators in another order, make it unequal."""
+    parsed = Presentation(("a", "b", "x"), ("x^3 b^-2 a^-2", "a b b^-1 x"))
+    built = Presentation(("a", "b", "x"), (Word(lets("x x x B B A A")), Word(lets("a x"))))
+    assert parsed == built
+    assert parsed != Presentation(("a", "b", "x"), (Word(lets("x x x B B A A")),))
+    assert parsed != Presentation(("b", "a", "x"), built.relators)
+    assert parsed != built.relators
+
+
 # -- parser against a syntax-tree fold ------------------------------------------
 #
 # A syntax tree is a term list of (atom, exponent) pairs: the atom is a
