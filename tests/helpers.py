@@ -31,7 +31,6 @@ from foxtorsion._kernels import accumulate, add_terms
 from foxtorsion.abelian import _pivot
 from foxtorsion.lyon import _poly2
 from foxtorsion.polytope import _apply, _completion, _pad
-from foxtorsion.words import _conjugator_length
 from foxtorsion.errors import (
     InexactDivision,
     InputTooLarge,
@@ -634,22 +633,22 @@ def reference_smith_normal_form(matrix):
 
 
 # An algebraic certificate for `torsion._delete_relators`, which shares no code
-# with its scan or with the letter-by-letter reference below: the value of
-# the Fox matrix's determinant at a point of (F_p^*)^r.
+# with its scan: the Fox matrix evaluated at a point of (F_p^*)^r.
 
 FOX_PRIME = 2**61 - 1
 
 
-def fox_determinant_at(columns, generators, images, point):
-    """The determinant mod p = 2^61 - 1 of the square Fox matrix whose
-    columns are the Fox derivatives of the words ``columns`` (tuples of
-    (generator, +-1) letters), one row per generator, abelianized by
-    ``images`` (generator -> exponent vector) and evaluated at ``point``,
-    one nonzero residue mod p per coordinate.
+def fox_rank_and_determinant_at(columns, generators, images, point):
+    """The rank mod p = 2^61 - 1 of the Fox matrix whose columns are the Fox
+    derivatives of the words ``columns`` (tuples of (generator, +-1)
+    letters), one row per generator, abelianized by ``images`` (generator
+    -> exponent vector) and evaluated at ``point``, one nonzero residue mod
+    p per coordinate; and its determinant mod p, when it is square.
 
     Each word is walked once with the value v of its prefix: a letter g
     adds v to row g, a letter g^-1 adds -v g^-1 (the value of the prefix
-    that ends with it), and the matrix is eliminated mod p."""
+    that ends with it), and the matrix is eliminated mod p column by
+    column."""
     p = FOX_PRIME
     value = {}
     for g in generators:
@@ -659,8 +658,7 @@ def fox_determinant_at(columns, generators, images, point):
         value[g, 1], value[g, -1] = v, pow(v, -1, p)
     row = {g: i for i, g in enumerate(generators)}
     n = len(generators)
-    assert len(columns) == n
-    matrix = [[0] * n for _ in range(n)]
+    matrix = [[0] * len(columns) for _ in range(n)]
     for j, word in enumerate(columns):
         v = 1
         for g, e in word:
@@ -669,141 +667,30 @@ def fox_determinant_at(columns, generators, images, point):
             v = v * value[g, e] % p
             if e == -1:
                 matrix[row[g]][j] -= v
-    det = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if matrix[i][k] % p), None)
+    rank, det = 0, 1
+    for k in range(len(columns)):
+        pivot = next((i for i in range(rank, n) if matrix[i][k] % p), None)
         if pivot is None:
-            return 0
-        if pivot != k:
-            matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+            det = 0
+            continue
+        if pivot != rank:
+            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
             det = -det
-        det = det * matrix[k][k] % p
-        inverse = pow(matrix[k][k], -1, p)
-        for i in range(k + 1, n):
+        det = det * matrix[rank][k] % p
+        inverse = pow(matrix[rank][k], -1, p)
+        for i in range(rank + 1, n):
             f = matrix[i][k] * inverse % p
             if f:
-                matrix[i] = [(a - f * b) % p for a, b in zip(matrix[i], matrix[k])]
-    return det % p
+                matrix[i] = [(a - f * b) % p for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank, det % p
 
 
-# The reference for `torsion._delete_relators`: the same deletion by a scan
-# that pushes every letter and looks up every window it ends.
-
-
-def _ends_with_by_letters(stack, letters, start, m):
-    """Whether the stack's last m letters are letters[start : start + m]."""
-    return tuple(stack[-m:]) == letters[start : start + m]
-
-
-def delete_relators_by_letters(words, relators, weights):
-    """The words, each with every subword that is a cyclic permutation of a
-    relator's cyclic core, or of its inverse, deleted, and freely reduced; a
-    word that loses nothing is returned as given.
-
-    ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each core and each inverse is one entry of a list of cores, and
-    each entry's two halves are indexed by its position there.  Each
-    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
-    one-letter core is its own only half), so a word is scanned
-    (`_delete_rotations_by_letters`) only for the cores with a half in its
-    text, which ``str.__contains__`` finds in C: a word that holds none,
-    such as every family word, costs one string join.  A core's rotations
-    are hashed when a word first needs them, by the scan's window formula
-    over the prefix hashes of the doubled core.  A deletion can expose a
-    rotation of a core the scan was not run for, so while the text left
-    holds a half of such a core, the word is scanned again with that core
-    too.  The words returned hold no rotation of any core, unless two of its
-    rotations share a hash, which only leaves one of them in place.  Any
-    weights give an exact deletion: a hit is checked letter by letter.
-    """
-    # the largest prime below 2^30: hashes stay one CPython digit, which made
-    # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
-    # and a collision costs only a letter check
-    mod = 1_073_741_789
-    base = 32_771
-    chars = {letter: chr(k) for k, letter in enumerate(weights)}
-    cores = []  # the cyclic core of each relator, then its inverse
-    for r in relators:
-        i = _conjugator_length(r)
-        core = r[i : len(r) - i]
-        if core:
-            cores += [core, tuple([(g, -e) for g, e in reversed(core)])]
-    halves = []  # (the text of a half, the index of its core)
-    for k, core in enumerate(cores):
-        text = "".join(map(chars.__getitem__, core))
-        cut = (len(core) + 1) // 2
-        halves += [(text[:cut], k), (text[cut:] or text, k)]
-    hashed = set()  # the indices of the cores hashed into table
-    table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
-    result = []
-    for word in words:
-        done = set()  # the cores this word was scanned for
-        while True:
-            text = "".join(map(chars.__getitem__, word))
-            found = {k for h, k in halves if h in text}
-            if found <= done:
-                break
-            for k in found - hashed:
-                m = len(cores[k])
-                top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
-                doubled = cores[k] + cores[k]
-                ws = map(weights.__getitem__, doubled)
-                h = 0
-                prefix = [0] + [h := (h * base + w) % mod for w in ws]
-                for s in range(m):
-                    rotations.setdefault((prefix[s + m] - prefix[s] * top) % mod, (doubled, s))
-            hashed |= found
-            done |= found
-            windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
-            scanned = _delete_rotations_by_letters(word, windows, weights, base, mod)
-            if scanned is word:
-                break
-            word = scanned
-        result.append(word)
-    return result
-
-
-def _delete_rotations_by_letters(word, windows, weights, base, mod):
-    """The word with every subword that ``windows`` holds deleted and freely
-    reduced, or the word itself when none is found.
-
-    ``windows`` lists (m, base^m, {hash: (letters, start)}) by increasing m,
-    a subword of length m being letters[start : start + m].  The word is
-    pushed letter by letter onto a freely reduced stack that keeps the hash
-    of every prefix, so after each push the hash of the last m letters takes
-    O(1) for each m; only a hit compares the real letters
-    (`_ends_with_by_letters`), so the scan is linear in the letters times
-    the number of lengths, and a comparison costs what the match it confirms
-    deletes.  A match is popped,
-    and the letters then pushed first cancel the inverses on top of the
-    stack.  Every window below the top was looked up when its last letter
-    was pushed, so the word returned holds no subword that ``windows``
-    holds.
-    """
-    stack = [None]  # a sentinel below the letters, which nothing cancels
-    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
-    cancel = False  # whether the next letter may cancel the top
-    for letter, w in zip(word, map(weights.__getitem__, word)):
-        if cancel:
-            if stack[-1] == (letter[0], -letter[1]):
-                stack.pop()
-                hashes.pop()
-                continue
-            cancel = False
-        h = (hashes[-1] * base + w) % mod
-        stack.append(letter)
-        hashes.append(h)
-        n = len(stack)
-        for m, top, rotations in windows:
-            if n <= m:
-                break
-            hit = rotations.get((h - hashes[-1 - m] * top) % mod)
-            if hit is not None and _ends_with_by_letters(stack, *hit, m):
-                del stack[-m:]
-                del hashes[-m:]
-                cancel = True
-                break
-    return word if len(stack) == len(word) + 1 else tuple(stack[1:])
+def fox_determinant_at(columns, generators, images, point):
+    """The determinant mod p of the square Fox matrix of
+    `fox_rank_and_determinant_at`."""
+    assert len(columns) == len(generators)
+    return fox_rank_and_determinant_at(columns, generators, images, point)[1]
 
 
 class _CountedLookups(dict):
@@ -823,10 +710,13 @@ def count_window_lookups(monkeypatch, module, name):
     """Count, for as long as the monkeypatch lasts, the windows that the scan
     ``module.name(word, windows, ...)`` looks up: its tables count their
     lookups, one per window hashed, and their hits, each of which compares
-    letters.  ``counts["bound"]`` sums the word's letters times the number
-    of window lengths over the scans, which the letter-by-letter scan never
-    exceeds.  Each table is copied once per scan, so only the scans' own
-    lookups are counted."""
+    letters.  ``counts["bound"]`` sums, over the scans, the windows of each
+    length m that the word holds, len(word) - m + 1: a scan that looks up
+    a window of length m once per letter pushed, and only when its stack
+    holds m letters, that is at the word's m-th letter or later, never
+    exceeds it.  Each
+    table is copied once per scan, so only the scans' own lookups are
+    counted."""
     scan = getattr(module, name)
     counts = {"windows": 0, "hits": 0, "bound": 0, "scans": 0}
 
@@ -836,7 +726,7 @@ def count_window_lookups(monkeypatch, module, name):
             table = _CountedLookups(rotations)
             table.counts = counts
             tables.append((m, top, table))
-        counts["bound"] += len(word) * len(windows)
+        counts["bound"] += sum(max(0, len(word) - m + 1) for m, _, _ in windows)
         counts["scans"] += 1
         return scan(word, tables, *args)
 

@@ -52,19 +52,19 @@ from foxtorsion.torsion import (
 )
 from foxtorsion.words import MAX_WORD_LETTERS, _push_reduced
 
-import helpers
 from helpers import (
     count_calls,
     count_window_lookups,
-    delete_relators_by_letters,
     det_cofactor_tuples,
     det_first_column,
     FOX_PRIME,
     fox_determinant_at,
+    fox_rank_and_determinant_at,
     Word,
     laurent_polys,
     monomial,
     random_laurent,
+    reduce_letters,
     reflect,
     tietze_enlarge,
 )
@@ -1028,9 +1028,23 @@ def _cyclic_core(letters):
     return letters
 
 
-def _holds(word, part):
-    m = len(part)
-    return any(word[p : p + m] == part for p in range(len(word) - m + 1))
+def _assert_no_rotation_left(words, relators):
+    """No word holds a cyclic permutation of a relator's cyclic core or of
+    its inverse: each of the m rotations of a core of m letters, a substring
+    of the doubled core, is looked for with `in`, each letter written as one
+    character."""
+    chars = {}
+
+    def text(letters):
+        return "".join(chars.setdefault(letter, chr(len(chars))) for letter in letters)
+
+    texts = list(map(text, words))
+    for core in map(_cyclic_core, relators):
+        for part in (core, _inverse(core)):
+            m = len(part)
+            doubled = text(part + part)
+            for t in texts:
+                assert not any(doubled[s : s + m] in t for s in range(m))
 
 
 def _killed(inp):
@@ -1092,11 +1106,7 @@ def test_deleting_relator_rotations_keeps_the_determinant(inp):
     before = det_cofactor(fox_matrix(inp))
     assert det_cofactor(fox_matrix(deleted)) == before
     assert sutured_torsion(inp) == torsion_normal_form(before)
-    for core in map(_cyclic_core, _killed(inp)):
-        for part in (core, _inverse(core)):
-            rotations = {part[s:] + part[:s] for s in range(len(part))}
-            for w in deleted.inclusion_words:
-                assert not any(_holds(w.letters, q) for q in rotations)
+    _assert_no_rotation_left([w.letters for w in deleted.inclusion_words], _killed(inp))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1155,25 +1165,73 @@ def _production_weights(generators):
     return {(g, e): e * i for i, g in enumerate(generators, 1) for e in (1, -1)}
 
 
-def _assert_deletes_as_the_letter_scan(words, relators, weights):
-    """`_delete_relators` returns the letter-by-letter reference's words,
-    under the given weights and under all-ones weights, whose collisions
-    leave only the first rotation hashed at each length in the tables."""
+def _free_images(generators, relators):
+    """Images of the generators that kill every relator: the free rows of the
+    row transform of the Smith normal form of the relators' exponent sums,
+    as `abelianize_presentation` takes them, here also when H_1 has a finite
+    factor."""
+    index = {g: i for i, g in enumerate(generators)}
+    sums = [[0] * len(relators) for _ in generators]
+    for j, r in enumerate(relators):
+        for g, e in r:
+            sums[index[g]][j] += e
+    factors, U = smith_normal_form(sums)
+    free = range(sum(map(bool, factors)), len(generators))
+    return {g: tuple(U[i][j] for i in free) for j, g in enumerate(generators)}
+
+
+def _assert_the_deletion_keeps_its_contract(words, relators, weights, rng):
+    """`_delete_relators(words, relators, weights)` keeps its contract,
+    checked by code that shares nothing with its scan, under the given
+    weights and under all-ones weights, which hash all windows of a length
+    alike:
+    - it returns one word for each word given, no longer than it, and
+      freely reduced when the word given is;
+    - each word w' returned equals the word w given in the group that the
+      relators present, as far as the Fox columns at a random point where
+      the relators die can see: the column of w'^-1 w lies in the span of
+      the relators' columns, so `fox_determinant_at` of any square matrix
+      that holds the relators' columns keeps its value;
+    - its scans look up no more windows than the texts they scan hold
+      (`count_window_lookups`).
+    Under the given weights only, since all-ones weights keep only the first
+    rotation hashed at each length, no word returned holds a rotation of a
+    relator's core or of its inverse (`_assert_no_rotation_left`)."""
+    generators = list(dict.fromkeys(g for g, _ in weights))
+    images = _free_images(generators, relators)
+    point = [rng.randrange(1, FOX_PRIME) for _ in images[generators[0]]]
+
+    def rank(columns):
+        columns = list(relators) + columns
+        return fox_rank_and_determinant_at(columns, generators, images, point)[0]
+
+    span = rank([])
     for w in (weights, dict.fromkeys(weights, 1)):
-        expected = delete_relators_by_letters(words, relators, w)
-        assert _delete_relators(words, relators, w) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            counts = count_window_lookups(mp, torsion, "_delete_rotations")
+            deleted = _delete_relators(words, relators, w)
+        assert counts["windows"] <= counts["bound"]
+        assert len(deleted) == len(words)
+        for before, after in zip(words, deleted):
+            assert len(after) <= len(before)
+            assert reduce_letters(after) == tuple(after) or reduce_letters(before) != tuple(before)
+            assert rank([_inverse(after) + tuple(before)]) == span
+        if w is weights:
+            _assert_no_rotation_left(deleted, relators)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(padded_inputs(), padded_inputs(conjugators=(20, 60))))
-def test_the_scan_deletes_what_the_letter_scan_deletes(inp):
+@given(
+    st.one_of(padded_inputs(), padded_inputs(conjugators=(20, 60))),
+    st.randoms(use_true_random=False),
+)
+def test_the_deletion_keeps_its_contract_on_padded_inputs(inp, rng):
     """Short conjugators, and 20- to 60-letter ones, the `long-words`
-    shape, where the scan jumps between halves and the letters after a
-    deletion cancel a long conjugator off the stack."""
+    shape, where the letters after a deletion cancel a long conjugator off
+    the stack."""
     words = [w.letters for w in inp.inclusion_words]
-    _assert_deletes_as_the_letter_scan(
-        words, _killed(inp), _production_weights(inp.presentation.generators)
-    )
+    weights = _production_weights(inp.presentation.generators)
+    _assert_the_deletion_keeps_its_contract(words, _killed(inp), weights, rng)
 
 
 def _random_padded_calls(rng, count):
@@ -1207,14 +1265,60 @@ def _random_padded_calls(rng, count):
         )
 
 
-def test_random_long_padded_words_delete_what_the_letter_scan_deletes():
+def _cyclically_reduced(rng, names, length):
+    while True:
+        letters = _random_reduced(rng, names, length)
+        if letters[0] != (letters[-1][0], -letters[-1][1]):
+            return letters
+
+
+def _exposing_calls(rng, count):
+    """(words, relators, weights) of ``count`` random calls in which a
+    deletion exposes a rotation of a core whose halves the word need not
+    hold: two cyclically reduced relators over two to four generators, of
+    one to seven and of four to nine letters, and one or two random words,
+    one of which holds p[s:] q[:t] c r' c^-1 q[t:] p[:s], where p q, cut at
+    its middle, is the second relator or its inverse, 0 < s < |p| and
+    0 < t < |q|, r' is a rotation of the first relator or of its inverse,
+    and c a conjugator of up to 3 letters.  The word holds p[s:] q[:t] and
+    q[t:] p[:s] apart, so neither half of p q need lie in it whole, and
+    deleting r' and cancelling c joins them into p[s:] q p[:s], a rotation
+    of p q."""
+    for _ in range(count):
+        names = "abcd"[: rng.randint(2, 4)]
+        inner = _cyclically_reduced(rng, names, rng.randint(1, 7))
+        outer = _cyclically_reduced(rng, names, rng.randint(4, 9))
+        r = inner if rng.random() < 0.5 else _inverse(inner)
+        j = rng.randrange(len(r))
+        r = r[j:] + r[:j]
+        c = _random_reduced(rng, names, rng.randint(0, 3))
+        part = outer if rng.random() < 0.5 else _inverse(outer)
+        cut = (len(part) + 1) // 2
+        p, q = part[:cut], part[cut:]
+        s, t = rng.randint(1, len(p) - 1), rng.randint(1, len(q) - 1)
+        piece = p[s:] + q[:t] + c + r + _inverse(c) + q[t:] + p[:s]
+        words = [
+            list(_random_reduced(rng, names, rng.randint(0, 6))) for _ in range(rng.randint(1, 2))
+        ]
+        word = rng.choice(words)
+        k = rng.randint(0, len(word))
+        word[k:k] = piece
+        yield [tuple(w) for w in words], [inner, outer], _production_weights(names)
+
+
+def test_the_deletion_keeps_its_contract_on_random_long_words():
     """Words of up to some 500 letters, where deletions come close together
-    and cut below the hashes the scan keeps."""
-    for words, relators, weights in _random_padded_calls(random.Random(11), 1500):
-        _assert_deletes_as_the_letter_scan(words, relators, weights)
+    and can cancel a long conjugator, and words in which a deletion exposes
+    a rotation of another core, which only a second scan deletes."""
+    rng = random.Random(0)
+    calls = itertools.chain(
+        _random_padded_calls(random.Random(11), 1500), _exposing_calls(random.Random(12), 500)
+    )
+    for words, relators, weights in calls:
+        _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
 
 
-def test_the_designs_delete_what_the_letter_scan_deletes(tmp_path, monkeypatch):
+def test_the_deletion_keeps_its_contract_on_the_designs(tmp_path, monkeypatch):
     """Every call that the seed-7 and seed-8 `tietze`, `long-words` and
     `family` designs and Lyon S and S' at three n make."""
     sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
@@ -1236,8 +1340,9 @@ def test_the_designs_delete_what_the_letter_scan_deletes(tmp_path, monkeypatch):
             _tietze_reduce(lyon_input(n, surface))
     monkeypatch.undo()
     assert len(calls) == 2 * (13 + 11 + 11) + 6
+    rng = random.Random(7)
     for words, relators, weights in calls:
-        _assert_deletes_as_the_letter_scan(words, relators, weights)
+        _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
 
 
 def _value_at(inp, inclusion, point):
@@ -1350,19 +1455,12 @@ def _letter_scan_inputs():
 
 
 @pytest.mark.parametrize("case", list(_letter_scan_inputs()), ids=lambda case: case[0])
-def test_relator_deletion_hashes_no_more_windows_than_the_letter_scan(monkeypatch, case):
-    """Windows looked up are counted, not seconds: the scan looks up at most
-    the windows the letter-by-letter scan does, which is at most the
-    letters times the window lengths of each scan, and deletes the same."""
+def test_relator_deletion_hashes_no_more_windows_than_the_letter_scan(case):
+    """Windows looked up are counted, not seconds: the scan looks up no more
+    windows of each length than a scan of every letter would, one per
+    window the texts hold, and the deletion keeps its contract."""
     _, words, relators, weights = case
-    scanned = count_window_lookups(monkeypatch, torsion, "_delete_rotations")
-    by_letters = count_window_lookups(monkeypatch, helpers, "_delete_rotations_by_letters")
-    assert _delete_relators(words, relators, weights) == delete_relators_by_letters(
-        words, relators, weights
-    )
-    assert scanned["scans"] == by_letters["scans"]
-    assert scanned["windows"] <= by_letters["windows"] <= by_letters["bound"]
-    assert scanned["windows"] <= 2 * scanned["bound"]
+    _assert_the_deletion_keeps_its_contract(words, relators, weights, random.Random(5))
 
 
 def test_relator_deletion_is_linear_in_the_letters(monkeypatch):
