@@ -714,11 +714,11 @@ def count_window_lookups(monkeypatch, module, name):
     length m that the word holds, len(word) - m + 1: a scan that looks up
     a window of length m once per letter pushed, and only when its stack
     holds m letters, that is at the word's m-th letter or later, never
-    exceeds it.  Each
-    table is copied once per scan, so only the scans' own lookups are
-    counted."""
+    exceeds it.  ``counts["scans"]`` counts the scans, and
+    ``counts["deleting"]`` those that deleted something.  Each table is
+    copied once per scan, so only the scans' own lookups are counted."""
     scan = getattr(module, name)
-    counts = {"windows": 0, "hits": 0, "bound": 0, "scans": 0}
+    counts = {"windows": 0, "hits": 0, "bound": 0, "scans": 0, "deleting": 0}
 
     def counted(word, windows, *args):
         tables = []
@@ -728,7 +728,9 @@ def count_window_lookups(monkeypatch, module, name):
             tables.append((m, top, table))
         counts["bound"] += sum(max(0, len(word) - m + 1) for m, _, _ in windows)
         counts["scans"] += 1
-        return scan(word, tables, *args)
+        scanned = scan(word, tables, *args)
+        counts["deleting"] += scanned is not None
+        return scanned
 
     monkeypatch.setattr(module, name, counted)
     return counts

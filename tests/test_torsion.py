@@ -1193,10 +1193,16 @@ def _assert_the_deletion_keeps_its_contract(words, relators, weights, rng):
       the relators' columns, so `fox_determinant_at` of any square matrix
       that holds the relators' columns keeps its value;
     - its scans look up no more windows than the texts they scan hold
-      (`count_window_lookups`).
+      (`count_window_lookups`), and a word is scanned again only after a
+      scan that deleted something.
     Under the given weights only, since all-ones weights keep only the first
     rotation hashed at each length, no word returned holds a rotation of a
-    relator's core or of its inverse (`_assert_no_rotation_left`)."""
+    relator's core or of its inverse (`_assert_no_rotation_left`).
+
+    Return whether the span check is strict: whether the relators' columns
+    leave room in the space where w'^-1 w's column lies, sum_g v_g
+    (t^phi(g) - 1) = 0 on the generators used.  When they fill it, the
+    check sees only w'^-1 w's abelian image, or nothing if every phi(g) = 0."""
     generators = list(dict.fromkeys(g for g, _ in weights))
     images = _free_images(generators, relators)
     point = [rng.randrange(1, FOX_PRIME) for _ in images[generators[0]]]
@@ -1206,11 +1212,15 @@ def _assert_the_deletion_keeps_its_contract(words, relators, weights, rng):
         return fox_rank_and_determinant_at(columns, generators, images, point)[0]
 
     span = rank([])
+    used = {g for w in itertools.chain(words, relators) for g, _ in w}
+    room = len(used) - any(any(images[g]) for g in used)
     for w in (weights, dict.fromkeys(weights, 1)):
         with pytest.MonkeyPatch.context() as mp:
             counts = count_window_lookups(mp, torsion, "_delete_rotations")
             deleted = _delete_relators(words, relators, w)
         assert counts["windows"] <= counts["bound"]
+        # a word is scanned again only after a scan that deleted something
+        assert counts["scans"] <= len(words) + counts["deleting"]
         assert len(deleted) == len(words)
         for before, after in zip(words, deleted):
             assert len(after) <= len(before)
@@ -1218,6 +1228,7 @@ def _assert_the_deletion_keeps_its_contract(words, relators, weights, rng):
             assert rank([_inverse(after) + tuple(before)]) == span
         if w is weights:
             _assert_no_rotation_left(deleted, relators)
+    return span < room
 
 
 @settings(max_examples=300, deadline=None)
@@ -1235,17 +1246,19 @@ def test_the_deletion_keeps_its_contract_on_padded_inputs(inp, rng):
 
 
 def _random_padded_calls(rng, count):
-    """(words, relators, weights) of ``count`` random calls: one to three
-    relators of one to seven letters over one to four generators, and one
+    """(words, relators, weights) of ``count`` random calls: one to five
+    generators, one to three relators of one to seven letters, at least two
+    fewer relators than generators where there are three or more, and one
     to three words, each of up to six letters with up to eight conjugates
     c r' c^-1 of rotations r' of the relators or their inverses inserted,
-    the conjugators of up to 3 or up to 60 random letters.  Half the time
-    the weights list 18 unused generators first, which moves the letters'
-    characters past the first 36."""
+    the conjugators of up to 3 or up to 60 random letters, and freely
+    reduced.  Half the time the weights list 18 unused generators first,
+    which moves the letters' characters past the first 36."""
     for _ in range(count):
-        names = "abcd"[: rng.randint(1, 4)]
+        names = "abcde"[: rng.randint(1, 5)]
         relators = [
-            list(_random_reduced(rng, names, rng.randint(1, 7))) for _ in range(rng.randint(1, 3))
+            list(_random_reduced(rng, names, rng.randint(1, 7)))
+            for _ in range(rng.randint(1, max(1, min(3, len(names) - 2))))
         ]
         words = [
             list(_random_reduced(rng, names, rng.randint(0, 6))) for _ in range(rng.randint(1, 3))
@@ -1260,7 +1273,7 @@ def _random_padded_calls(rng, count):
             p = rng.randint(0, len(word))
             word[p:p] = c + r[s:] + r[:s] + list(_inverse(c))
         unused = [f"y{i}" for i in range(18)] if rng.random() < 0.5 else []
-        yield [tuple(w) for w in words], [tuple(r) for r in relators], _production_weights(
+        yield [reduce_letters(w) for w in words], [tuple(r) for r in relators], _production_weights(
             unused + list(names)
         )
 
@@ -1275,17 +1288,14 @@ def _cyclically_reduced(rng, names, length):
 def _exposing_calls(rng, count):
     """(words, relators, weights) of ``count`` random calls in which a
     deletion exposes a rotation of a core whose halves the word need not
-    hold: two cyclically reduced relators over two to four generators, of
+    hold: two cyclically reduced relators over four or five generators, of
     one to seven and of four to nine letters, and one or two random words,
     one of which holds p[s:] q[:t] c r' c^-1 q[t:] p[:s], where p q, cut at
-    its middle, is the second relator or its inverse, 0 < s < |p| and
-    0 < t < |q|, r' is a rotation of the first relator or of its inverse,
-    and c a conjugator of up to 3 letters.  The word holds p[s:] q[:t] and
-    q[t:] p[:s] apart, so neither half of p q need lie in it whole, and
-    deleting r' and cancelling c joins them into p[s:] q p[:s], a rotation
-    of p q."""
+    its middle, is the second relator or its inverse, 0 < s < |p|, 0 < t <
+    |q|, r' a rotation of the first or of its inverse and c up to 3 letters:
+    deleting r' and c c^-1 joins p[s:] q p[:s], a rotation of p q."""
     for _ in range(count):
-        names = "abcd"[: rng.randint(2, 4)]
+        names = "abcde"[: rng.randint(4, 5)]
         inner = _cyclically_reduced(rng, names, rng.randint(1, 7))
         outer = _cyclically_reduced(rng, names, rng.randint(4, 9))
         r = inner if rng.random() < 0.5 else _inverse(inner)
@@ -1309,18 +1319,24 @@ def _exposing_calls(rng, count):
 def test_the_deletion_keeps_its_contract_on_random_long_words():
     """Words of up to some 500 letters, where deletions come close together
     and can cancel a long conjugator, and words in which a deletion exposes
-    a rotation of another core, which only a second scan deletes."""
+    a rotation of another core, which only a second scan deletes.  The span
+    check is strict on most calls (904 of 1,500 and 494 of 500)."""
     rng = random.Random(0)
-    calls = itertools.chain(
-        _random_padded_calls(random.Random(11), 1500), _exposing_calls(random.Random(12), 500)
-    )
-    for words, relators, weights in calls:
-        _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
+    for calls, least in (
+        (_random_padded_calls(random.Random(11), 1500), 750),
+        (_exposing_calls(random.Random(12), 500), 450),
+    ):
+        strict = sum(
+            _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
+            for words, relators, weights in calls
+        )
+        assert strict >= least
 
 
 def test_the_deletion_keeps_its_contract_on_the_designs(tmp_path, monkeypatch):
     """Every call that the seed-7 and seed-8 `tietze`, `long-words` and
-    `family` designs and Lyon S and S' at three n make."""
+    `family` designs and Lyon S and S' at three n make, with a strict span
+    check on each."""
     sys.path.insert(0, str(TESTS_DIR.parent / "perfbench"))
     import workloads
 
@@ -1342,7 +1358,7 @@ def test_the_deletion_keeps_its_contract_on_the_designs(tmp_path, monkeypatch):
     assert len(calls) == 2 * (13 + 11 + 11) + 6
     rng = random.Random(7)
     for words, relators, weights in calls:
-        _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
+        assert _assert_the_deletion_keeps_its_contract(words, relators, weights, rng)
 
 
 def _value_at(inp, inclusion, point):
@@ -1424,26 +1440,15 @@ def _letter_scan_inputs():
     hard: a word that holds a long half of a core everywhere, words in which
     a long prefix of a half of the core or of its inverse recurs, and many
     random cores against long random words."""
-    ab = ["a", "b"]
-    yield (
-        "a^20000 against a^9999 b",
-        [parse_word("a^20000", ab).letters],
-        [parse_word("a^9999 b", ab).letters],
-        _production_weights(ab),
-    )
-    yield (
-        "(a b a^-1 b^-1)^5000 against a 10,000-letter core",
-        [parse_word("(a b a^-1 b^-1)^5000", ab).letters],
-        [parse_word("(a b a^-1 b^-1)^2499 a b^-1 a^-1 b", ab).letters],
-        _production_weights(ab),
-    )
-    abc = ["a", "b", "c"]
-    yield (
-        "a^19999 b and a^-5000 b against a^5000 b a^4999 c",
-        [parse_word("a^19999 b", abc).letters, parse_word("a^-5000 b", abc).letters],
-        [parse_word("a^5000 b a^4999 c", abc).letters],
-        _production_weights(abc),
-    )
+    for case, words, relators, names in (
+        ("a^20000 against a^9999 b", ["a^20000"], ["a^9999 b"], "ab"),
+        ("(a b a^-1 b^-1)^5000 against a 10,000-letter core", ["(a b a^-1 b^-1)^5000"],
+         ["(a b a^-1 b^-1)^2499 a b^-1 a^-1 b"], "ab"),
+        ("a^19999 b and a^-5000 b against a^5000 b a^4999 c", ["a^19999 b", "a^-5000 b"],
+         ["a^5000 b a^4999 c"], "abc"),
+    ):
+        letters = [parse_word(w, names).letters for w in words + relators]
+        yield case, letters[: len(words)], letters[len(words) :], _production_weights(names)
     rng = random.Random(5)
     names = [f"g{i}" for i in range(6)]
     yield (
@@ -1457,8 +1462,9 @@ def _letter_scan_inputs():
 @pytest.mark.parametrize("case", list(_letter_scan_inputs()), ids=lambda case: case[0])
 def test_relator_deletion_hashes_no_more_windows_than_the_letter_scan(case):
     """Windows looked up are counted, not seconds: the scan looks up no more
-    windows of each length than a scan of every letter would, one per
-    window the texts hold, and the deletion keeps its contract."""
+    windows of each length than the letter scan, one that looks up every
+    window length at every letter, would, and scans a word again only after
+    a scan that deleted something, and the deletion keeps its contract."""
     _, words, relators, weights = case
     _assert_the_deletion_keeps_its_contract(words, relators, weights, random.Random(5))
 
