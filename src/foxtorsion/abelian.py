@@ -324,11 +324,13 @@ class LaurentPoly:
         return LaurentPoly._raw(self.rank, unpack(quot, shifts, width))
 
     def sorted_terms(self):
-        """(exponents, coefficient) pairs in graded-lex order, sorted as decorated
-        (degree, exponents, coefficient) tuples with no per-term key function;
-        exponents are distinct, so ties never reach the coefficient."""
-        ordered = sorted([(sum(e), e, c) for e, c in self.terms.items()])
-        return [(e, c) for _, e, c in ordered]
+        """(exponents, coefficient) pairs in graded-lex order: the exponents
+        sorted once in lex order, then stably by degree, so that the terms of
+        one degree keep their lex order (`cli._torsion_body` takes the same
+        two steps and keeps the lex list as the support)."""
+        order = sorted(self.terms)
+        order.sort(key=sum)
+        return list(zip(order, map(self.terms.__getitem__, order)))
 
     def render(self, names):
         """`render_terms` of `sorted_terms` with the given variable names."""
@@ -343,19 +345,29 @@ class LaurentPoly:
 
 def render_terms(terms, names):
     """Human-readable form of (exponents, coefficient) pairs in the order
-    given, "0" for none.  Callers pass `LaurentPoly.sorted_terms`, so one
-    sort serves both a report's term list and its rendering."""
-    pieces = []
-    for exps, coeff in terms:
-        mono = "*".join(
-            [str(n) if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e]
-        )
-        mag = abs(coeff)
-        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
-        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    given, "0" for none; callers pass `LaurentPoly.sorted_terms`.
+
+    Each coordinate's piece, "" for exponent 0, "*a" for 1 and "*a^e" for
+    any other e, is formatted once per distinct exponent of its column, and
+    each signed magnitude " + c" or " - c" once per distinct coefficient;
+    the text is every term's magnitude and pieces, in order, joined once.
+    Names hold no spaces, so every space is next to a sign and " 1*" occurs
+    exactly where a magnitude 1 stands before a monomial; it is dropped
+    there."""
+    if not terms:
+        return "0"
+    exps, coeffs = zip(*terms)
+    heads = {c: (" - " if c < 0 else " + ") + str(abs(c)) for c in set(coeffs)}
+    columns = []
+    for name, column in zip(names, zip(*exps)):
+        pieces = {e: f"*{name}^{e}" for e in set(column)}
+        pieces[1] = "*" + name
+        pieces[0] = ""
+        columns.append(map(pieces.__getitem__, column))
+    text = "".join(chain.from_iterable(zip(map(heads.__getitem__, coeffs), *columns)))
+    text = text.replace(" 1*", " ")
     # the leading term takes a bare "-" and no "+"
-    text = " ".join(pieces)
-    return (text[2:] if text[0] == "+" else "-" + text[2:]) if text else "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # ---------------------------------------------------------------------------

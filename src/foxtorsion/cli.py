@@ -194,19 +194,26 @@ def _polygon_dict(polygon):
     }
 
 
-def _terms_section(tclass, names):
-    """A class's graded-lex term list and its rendering, from one sort."""
-    ordered = tclass.representative.sorted_terms()
+def _terms_section(ordered, names):
+    """A graded-lex term list, as `LaurentPoly.sorted_terms` gives it, and its
+    rendering."""
     terms = [[list(exps), coeff] for exps, coeff in ordered]
     return {"terms": terms, "rendered": render_terms(ordered, names)}
 
 
 def _torsion_body(tclass, names):
     """The report's torsion section, and the class's Newton polygon (None for
-    the zero class and in rank > 2) for the caller to reuse."""
+    the zero class and in rank > 2) for the caller to reuse.  The
+    representative's exponents are sorted once, in lex order, which is the
+    support's order; a stable sort of that list by degree gives the terms in
+    graded-lex order, the two steps of `LaurentPoly.sorted_terms`."""
+    terms = tclass.representative.terms
+    lex = sorted(terms)
+    order = lex.copy()
+    order.sort(key=sum)
     body = {
         "variables": list(names),
-        **_terms_section(tclass, names),
+        **_terms_section(list(zip(order, map(terms.__getitem__, order))), names),
         "coefficient_sum": tclass.coefficient_sum(),
         "centrally_symmetric": tclass.is_centrally_symmetric(),
     }
@@ -214,7 +221,7 @@ def _torsion_body(tclass, names):
         body.update(support=[], polygon=None, sfh_polytope=None)
         return body, None
     points = support(tclass)
-    body["support"] = [list(p) for p in sorted(points.points)]
+    body["support"] = [list(p) for p in lex]
     try:
         hull = newton_polytope(points)
     except RankUnsupported:
@@ -323,7 +330,7 @@ def cmd_family(n, surface):
     body, _ = _torsion_body(tclass, names)
     match = tclass == oracle
     # a matching oracle is the same class, so its section is the torsion's
-    expected = body if match else _terms_section(oracle, names)
+    expected = body if match else _terms_section(oracle.representative.sorted_terms(), names)
     report = {
         "command": "family",
         "arguments": {"n": n, "surface": surface},

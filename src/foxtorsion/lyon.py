@@ -91,8 +91,11 @@ def _poly2(pairs):
 def expected_torsion(case_or_n, surface=None):
     """Closed-form torsion oracle for one family member, as a normalized class.
 
-    Evaluated by exact division; an InexactDivision here would mean the closed
-    form was transcribed wrongly, so it is deliberately not caught.
+    The numerator first - second, at most 8 terms, is multiplied by the
+    3-term prefactor, and the product is divided exactly by the binomial
+    denominator in one pass (`LaurentPoly.exact_div`), whose quotient is the
+    whole class.  An InexactDivision here would mean the closed form was
+    transcribed wrongly, so it is deliberately not caught.
     """
     case = _case(case_or_n, surface)
     n = case.n
@@ -116,6 +119,5 @@ def expected_torsion(case_or_n, surface=None):
         second = _poly2(
             [((3, 0), 1), ((2, 3), 1), ((1, 3), 1), ((0, 3), 1)]
         ).shifted((4 * n + 4, 0))
-    quotient = (first - second).exact_div(denominator)
-    return torsion_normal_form(quotient * prefactor)
+    return torsion_normal_form(((first - second) * prefactor).exact_div(denominator))
 

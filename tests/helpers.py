@@ -196,6 +196,40 @@ def reflect(t):
     return TorsionClass(reflected(t.representative))
 
 
+def sorted_terms_reference(poly):
+    """(exponents, coefficient) pairs in graded-lex order, by a key function
+    per term: the reference for `LaurentPoly.sorted_terms`."""
+    return sorted(poly.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def render_reference(poly, names):
+    """A polynomial's text, sorted on its own and built factor by factor: the
+    reference for `render_terms` of `LaurentPoly.sorted_terms`."""
+    if not poly.terms:
+        return "0"
+    pieces = []
+    for exps, coeff in sorted_terms_reference(poly):
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(str(name))
+            elif e:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(pieces)
+
+
 def surface_block_poly(n):
     """Determinant of the surface-word derivative block, as a polynomial in (a, b).
 

@@ -33,6 +33,8 @@ from helpers import (
     random_laurent,
     random_word,
     reference_smith_normal_form,
+    render_reference,
+    sorted_terms_reference,
     substitute,
 )
 
@@ -699,40 +701,6 @@ def test_render_is_graded_lex_sorted():
     assert LaurentPoly.zero(2).render(("a", "u")) == "0"
 
 
-def sorted_terms_reference(poly):
-    """Graded-lex order by a key function per term, as `sorted_terms` sorted
-    before it decorated its tuples."""
-    return sorted(poly.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-
-def render_reference(poly, names):
-    """The renderer that sorted on its own, before `render_terms` took an
-    already sorted term list."""
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for exps, coeff in sorted_terms_reference(poly):
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(str(name))
-            elif e:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
-
-
 @settings(max_examples=400, deadline=None)
 @given(laurent_polys())
 @example(LaurentPoly.zero(0))
@@ -740,6 +708,15 @@ def render_reference(poly, names):
 @example(LaurentPoly(0, {(): -1}))
 @example(monomial((0, -1, 1), -1))
 @example(LaurentPoly(2, {(1, 0): 2, (0, 1): -1, (2, -1): 1, (-1, 2): -5}))
+# beyond the draws' exponents in [-3, 3]: multi-digit exponents of both signs
+# in every coordinate, exponents +-1, a constant term among other terms (not
+# the first, and with a unit coefficient), and unit coefficients beside
+# magnitudes of 10 and more
+@example(LaurentPoly(3, {(12, -34, 105): 3, (-10, 11, -250): -2, (99, 10, -11): 1}))
+@example(LaurentPoly(3, {(1, -1, 1): -1, (-1, 1, -1): 1, (1, 1, -1): 10}))
+@example(LaurentPoly(2, {(-1, 0): 4, (0, 0): -1, (0, 1): 1, (2, -12): -1}))
+@example(LaurentPoly(2, {(0, 0): 10, (1, 0): -1, (0, 1): 1, (1, 1): -11, (-1, 10): 1}))
+@example(LaurentPoly(1, {(-1,): -1, (0,): 1, (1,): -10, (10,): 100, (-10,): -1}))
 def test_one_sort_serves_terms_and_rendering(poly):
     names = ("a", "u", "x")[: poly.rank]
     ordered = poly.sorted_terms()

@@ -12,11 +12,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from foxtorsion import (
+    LaurentPoly,
     Presentation,
+    TorsionClass,
     TorsionInput,
     abelianize_presentation,
     cli,
@@ -37,12 +39,19 @@ from foxtorsion.cli import (
 )
 from foxtorsion.errors import InputFileError, NotBalanced, ParseError
 from foxtorsion.groupring import fox_derivative
-from foxtorsion.polytope import iter_affine_maps, newton_polytope
+from foxtorsion.polytope import iter_affine_maps, newton_polytope, sfh_polytope
 from foxtorsion.sfh import MAX_BINOMIAL_ROW, MAX_TABLE_LENGTH
 from foxtorsion.torsion import FOX_BLOCK, MAX_TERM_PRODUCTS
 from foxtorsion.words import MAX_WORD_LETTERS, render_word
 
-from helpers import count_calls
+from helpers import (
+    count_calls,
+    laurent_polys,
+    reference_smith_normal_form,
+    reflect,
+    render_reference,
+    sorted_terms_reference,
+)
 
 LYON_S0 = """\
 # complement of the first surface, twist parameter 0
@@ -271,6 +280,48 @@ def test_torsion_of_a_full_budget_word_in_linear_memory():
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert "error" not in json.loads(done.stdout)
+
+
+# What `import foxtorsion.cli` loads in a fresh interpreter beyond the
+# modules loaded at start-up, on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+# together: the package, and the standard modules that argparse, json, re,
+# dataclasses (with inspect, ast and dis), math, itertools and operator bring.
+# Each module added here adds to the benchmark's set-up time, setup_s.
+CLI_IMPORTS = frozenset(
+    """
+    foxtorsion foxtorsion._kernels foxtorsion.abelian foxtorsion.cli
+    foxtorsion.equivalence foxtorsion.errors foxtorsion.groupring
+    foxtorsion.lyon foxtorsion.polytope foxtorsion.sfh foxtorsion.torsion
+    foxtorsion.words
+    _ast _collections _functools _json _locale _opcode _opcode_metadata
+    _operator _sre _tokenize _typing _weakrefset argparse ast collections
+    collections.abc contextlib copy copyreg dataclasses dis enum functools
+    gettext importlib importlib._bootstrap importlib._bootstrap_external
+    importlib.machinery inspect itertools json json.decoder json.encoder
+    json.scanner keyword linecache math opcode operator re re._casefix
+    re._compiler re._constants re._parser reprlib sre_compile sre_constants
+    sre_parse token tokenize types typing typing.io typing.re warnings weakref
+    """.split()
+)
+
+
+def test_importing_the_cli_loads_only_the_recorded_modules():
+    """A fresh, isolated interpreter imports ``foxtorsion.cli`` from src/ and
+    lists the modules that the import added; each is in CLI_IMPORTS."""
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import foxtorsion.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "foxtorsion.cli" in loaded
+    assert loaded <= CLI_IMPORTS, sorted(loaded - CLI_IMPORTS)
 
 
 def test_torsion_of_the_11x11_matrix_without_units(capsys):
@@ -557,6 +608,51 @@ def test_family_reports_a_mismatching_oracle_with_its_own_terms(capsys, monkeypa
         "terms": [[list(e), c] for e, c in terms],
     }
     assert report["expected"]["terms"] != report["torsion"]["terms"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys())
+@example(LaurentPoly.zero(0))
+@example(LaurentPoly.zero(2))
+@example(LaurentPoly.zero(3))
+@example(LaurentPoly(0, {(): -3}))
+@example(LaurentPoly(3, {(0, 0, 0): 1, (1, 2, -1): -2, (2, 4, -2): 1}))
+@example(LaurentPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}))
+def test_the_torsion_section_matches_the_references(poly):
+    """`cli._torsion_body` in ranks 0-3 against a section built from the
+    references: the graded-lex terms and their text, the coefficient sum,
+    the symmetry flag from the reflected class, the support in lex order,
+    and in rank 3 the affine dimension from the reference Smith normal form
+    of the differences, with no hull.  Keys keep the report's order."""
+    tclass = TorsionClass(poly)
+    rep = tclass.representative
+    names = ("a", "u", "x")[: rep.rank]
+    body, hull = cli._torsion_body(tclass, names)
+    points = sorted(rep.terms)
+    expected = {
+        "variables": list(names),
+        "terms": [[list(e), c] for e, c in sorted_terms_reference(rep)],
+        "rendered": render_reference(rep, names),
+        "coefficient_sum": sum(rep.terms.values()),
+        "centrally_symmetric": reflect(tclass) == tclass,
+        "support": [list(p) for p in points],
+    }
+    assert list(body) == [*expected, "polygon", "sfh_polytope"]
+    assert {key: body[key] for key in expected} == expected
+    if not points:
+        assert (body["polygon"], body["sfh_polytope"], hull) == (None, None, None)
+    elif rep.rank == 3:
+        differences = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+        factors, _ = reference_smith_normal_form(differences)
+        assert body["polygon"] == {
+            "dimension": sum(map(bool, factors)),
+            "note": "hull structure unavailable for rank > 2",
+        }
+        assert (body["sfh_polytope"], hull) == (None, None)
+    else:
+        assert set(hull.vertices) <= set(points)
+        assert body["polygon"] == cli._polygon_dict(hull)
+        assert body["sfh_polytope"] == cli._polygon_dict(sfh_polytope(hull))
 
 
 def test_family_command_rejects_small_n(capsys):

@@ -7,6 +7,7 @@ from foxtorsion import (
     parse_word,
     sutured_torsion,
 )
+from foxtorsion._kernels import mul_terms
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import (
     LyonCase,
@@ -18,7 +19,7 @@ from foxtorsion.torsion import det_cofactor, torsion_normal_form
 from foxtorsion.words import render_word
 from foxtorsion.errors import UnsupportedN
 
-from helpers import substitute, surface_block_poly
+from helpers import count_calls, substitute, surface_block_poly
 
 
 def poly2(terms):
@@ -134,6 +135,19 @@ def test_pipeline_agrees_with_oracle():
             assert sutured_torsion(lyon_input(n, surface)) == expected_torsion(
                 n, surface
             ), (n, surface)
+
+
+@pytest.mark.parametrize("surface", ["S", "Sprime"])
+def test_the_oracle_multiplies_before_it_divides(monkeypatch, surface):
+    """The oracle takes one product, of the closed form's numerator (at most
+    8 terms) and its 3-term prefactor, and divides that by the denominator:
+    the term pairs it multiplies do not grow with n, where the quotient,
+    the whole class, has 12n + 6 terms (6 at n = -1)."""
+    pairs = count_calls(monkeypatch, mul_terms, lambda a, b: len(a) * len(b))
+    for n in (-1, 0, 150, 1000):
+        pairs.clear()
+        assert len(expected_torsion(n, surface).representative.terms) == max(12 * n + 6, 6)
+        assert len(pairs) == 1 and pairs[0] <= 8 * 3, (n, pairs)
 
 
 def test_primed_torsion_centrally_symmetric_in_checked_range():

@@ -22,7 +22,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TORSION = "src/foxtorsion/torsion.py"
+ABELIAN = "src/foxtorsion/abelian.py"
 CONTRACT = "tests/test_torsion.py::test_the_deletion_keeps_its_contract_on_"
+ONE_SORT = "tests/test_abelian.py::test_one_sort_serves_terms_and_rendering"
 
 MUTANTS = [
     (
@@ -83,6 +85,48 @@ MUTANTS = [
         "            scanned = _delete_rotations(left, windows, text_weights, base, mod, inverse)",
         "tests/test_torsion.py::test_relator_deletion_hashes_no_more_windows_than_the_letter_scan",
     ),
+    (
+        "the packed field width one bit short",
+        TORSION,
+        "width = (3 * n * bound).bit_length() + 1",
+        "width = max((3 * n * bound).bit_length(), 1)",
+        "tests/test_torsion.py::test_cleared_cofactor_matches_the_references",
+    ),
+    (
+        "a line base off by one step (t rounded toward zero)",
+        "src/foxtorsion/_kernels.py",
+        "t = (((k + low) >> place & mask) - half) // ua",
+        "t = int((((k + low) >> place & mask) - half) / ua)",
+        "tests/test_abelian.py::test_binomial_division_matches_the_leading_term_loop_at_the_corners",
+    ),
+    (
+        "the degree sort of the terms dropped",
+        ABELIAN,
+        "order.sort(key=sum)\n        return",
+        "return",
+        ONE_SORT,
+    ),
+    (
+        "the degree sort of the report's terms dropped",
+        "src/foxtorsion/cli.py",
+        "order = lex.copy()\n    order.sort(key=sum)",
+        "order = lex.copy()",
+        "tests/test_cli.py::test_the_torsion_section_matches_the_references",
+    ),
+    (
+        "exponent 1 rendered as ^1",
+        ABELIAN,
+        '        pieces[1] = "*" + name\n',
+        "",
+        ONE_SORT,
+    ),
+    (
+        "the oracle's product taken after the division",
+        "src/foxtorsion/lyon.py",
+        "((first - second) * prefactor).exact_div(denominator)",
+        "(first - second).exact_div(denominator) * prefactor",
+        "tests/test_lyon.py::test_the_oracle_multiplies_before_it_divides",
+    ),
 ]
 
 # registered only in the copies: shrinking a failure can take minutes, and a
@@ -127,6 +171,7 @@ def pytest_in_copy(selection, file=None, text=None):
 
 
 def main():
+    begun = time.perf_counter()
     texts = [mutate(*entry[:4]) for entry in MUTANTS]
     # a selection that fails without a mutant kills nothing
     for selection in dict.fromkeys(entry[4] for entry in MUTANTS):
@@ -141,6 +186,7 @@ def main():
         print(f"{verdict:8} {name} ({time.perf_counter() - start:.0f} s): {summary}", flush=True)
         if status == 0:
             survived.append(name)
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - begun:.0f} s", flush=True)
     if survived:
         sys.exit(f"{len(survived)} mutants passed their selections: {survived}")
 
