@@ -5,16 +5,8 @@ columns are the abelianized Fox derivatives of the inclusion words followed by
 those of the relators, one row per generator.  The result is only meaningful
 up to a sign and a monomial factor, which the normal form strips.
 
-`sutured_torsion` first reduces the words (`_tietze_reduce`).  It deletes
-from the inclusion words every cyclic permutation of the cyclic core of a
-relator that the abelianization kills, or of its inverse
-(`_delete_relators`), by one scan of each word's letters that looks up the
-window of each core length ending at each letter among the rotations'
-rolling hashes (Karp and Rabin 1987).  A deletion subtracts a monomial
-multiple of the relator's column from the word's and leaves the
-determinant exactly as it was.  Then it eliminates generators by Tietze
-moves on the words, each of which removes a row and a column of the Fox
-matrix that cross at a unit, so the matrix shrinks and the class stays.
+`sutured_torsion` first rewrites the words by relator deletion and Tietze
+moves (`words.reduce_words`), which keep the class.
 
 Each word is differentiated in blocks of at most FOX_BLOCK letters by Fox's
 product rule d(uv) = du + u dv, so a column costs time linear in its word's
@@ -52,7 +44,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .groupring import fox_derivative
-from .words import Presentation, Word, _conjugator_length, _push_reduced, render_word
+from .words import Presentation, Word, reduce_words, render_word
 
 
 @dataclass(frozen=True)
@@ -429,225 +421,28 @@ def fox_determinant(torsion_input):
     return det_cofactor(fox_matrix(torsion_input))
 
 
-def _eliminate(words, j, i, bound):
-    """The words after the Tietze move on the relator r = words[j] = u g^e v,
-    g = r[i] occurring once in r: every other word, in order, with g replaced
-    by (v u)^-e and freely reduced, and r dropped.  None as soon as the
-    letters written, counted word by word, pass ``bound``."""
-    r = words[j]
-    g, e = r[i]
-    vu = list(r[i + 1 :])
-    _push_reduced(vu, r[:i])
-    # g^-e -> v u and g^e -> (v u)^-1
-    images = {(g, -e): vu, (g, e): [(h, -sign) for h, sign in reversed(vu)]}
-    written = 0
-    reduced = []
-    for w in words[:j] + words[j + 1 :]:
-        if (g, 1) in w or (g, -1) in w:
-            stack = []
-            start = 0
-            for p, letter in enumerate(w):
-                if letter[0] == g:
-                    _push_reduced(stack, w[start:p])
-                    _push_reduced(stack, images[letter])
-                    start = p + 1
-                    if written + len(stack) > bound:
-                        return None
-            _push_reduced(stack, w[start:])
-            w = tuple(stack)
-        written += len(w)
-        reduced.append(w)
-    return reduced if written <= bound else None
-
-
-def _delete_relators(words, relators, weights):
-    """The words, each with every subword that is a cyclic permutation of a
-    relator's cyclic core, or of its inverse, deleted, and freely reduced; a
-    word that loses nothing is returned as given.
-
-    ``weights`` maps each letter of the generators, of either sign, to an
-    int.  Each letter is written as one character, and each word is scanned
-    as its text (`_delete_rotations`), which is mapped back to letters only
-    when it lost some.  The cores and their inverses form one list.  Each
-    rotation of a core c = p q, |p| = ceil(|c| / 2), holds p or q whole (a
-    one-letter core is its own only half), so a word is scanned only for
-    the cores with a half in its text, which ``str.__contains__`` finds in
-    C: a word that holds none, such as every family word, costs one string
-    join.  A core's rotations are hashed when a word first needs them, each
-    from the one before by the rolling hash's step.  A deletion can expose
-    a rotation of a core the scan was not run for, so while the text left
-    holds a half of such a core, the word is scanned again with that core
-    too.  The words returned hold no rotation of any core, unless two of
-    its rotations share a hash, which only leaves one of them in place.
-    Any weights give an exact deletion: a hit is checked letter by letter.
-    """
-    # the largest prime below 2^30: hashes stay one CPython digit, which made
-    # the scan about twice as fast as a modulus of 2^61 - 1 on `long-words`,
-    # and a collision costs only a letter check
-    mod = 1_073_741_789
-    base = 32_771
-    chars = {letter: chr(k) for k, letter in enumerate(weights)}
-    inverse = {c: chars[g, -e] for (g, e), c in chars.items()}
-    flip = str.maketrans(inverse)
-    cores = []  # the text of the cyclic core of each relator, then of its inverse
-    for r in relators:
-        i = _conjugator_length(r)
-        if 2 * i < len(r):
-            core = "".join(map(chars.__getitem__, r[i : len(r) - i]))
-            cores += [core, core.translate(flip)[::-1]]
-    halves = []  # (the text of a half, the index of its core)
-    for k, core in enumerate(cores):
-        cut = (len(core) + 1) // 2
-        halves += [(core[:cut], k), (core[cut:] or core, k)]
-    text_weights = dict(zip(chars.values(), weights.values()))
-    hashed = set()  # the indices of the cores hashed into table
-    table = {}  # core length m -> (base^m, {hash of a rotation: (doubled core, start)})
-    letters = None  # a letter's text -> the letter, once a word has lost some
-    result = []
-    for word in words:
-        text = left = "".join(map(chars.__getitem__, word))
-        done = set()  # the cores this word was scanned for
-        while True:
-            found = {k for h, k in halves if h in left}
-            if found <= done:
-                break
-            for k in found - hashed:
-                m = len(cores[k])
-                top, rotations = table.setdefault(m, (pow(base, m, mod), {}))
-                ws = list(map(text_weights.__getitem__, cores[k]))
-                h = 0
-                for w in ws:
-                    h = (h * base + w) % mod
-                # rotation s + 1 is rotation s less its first letter, shifted, plus it
-                lead = pow(base, m - 1, mod)
-                doubled = cores[k] + cores[k]
-                for s, w in enumerate(ws):
-                    rotations.setdefault(h, (doubled, s))
-                    h = ((h - w * lead) * base + w) % mod
-            hashed |= found
-            done |= found
-            windows = [(m, *table[m]) for m in sorted({len(cores[k]) for k in done})]
-            scanned = _delete_rotations(left, windows, text_weights, base, mod, inverse)
-            if scanned is None:
-                break
-            left = scanned
-        if len(left) < len(text):
-            letters = letters or dict(zip(chars.values(), chars))
-            word = tuple(map(letters.__getitem__, left))
-        result.append(word)
-    return result
-
-
-def _delete_rotations(text, windows, weights, base, mod, inverse):
-    """The text with every subword that ``windows`` holds deleted and freely
-    reduced, or None when none is found.
-
-    ``windows`` lists (m, base^m, {hash: (text, s)}) by increasing m, a
-    window of length m being text[s : s + m].  The letters are pushed one at
-    a time onto a stack that keeps the hash of every prefix, so after each
-    push the hash of the last m letters takes O(1) for each m, and only a
-    hit compares the letters: the scan is linear in the letters times the
-    number of lengths, and a comparison costs what the match it confirms
-    deletes.  A match is cut off the stack, and the letters pushed next
-    cancel its top while it is their inverse.  Every window below the top
-    was looked up when its last letter was pushed, so the text returned
-    holds no subword that ``windows`` holds.
-    """
-    stack = [""]  # the letters left, above an empty text that nothing cancels
-    hashes = [0]  # hashes[k]: the hash of the stack's first k letters
-    cancel = False  # whether the next letter may cancel the top
-    for c in text:
-        if cancel:
-            if stack[-1] == inverse[c]:
-                stack.pop()
-                hashes.pop()
-                continue
-            cancel = False
-        h = (hashes[-1] * base + weights[c]) % mod
-        stack.append(c)
-        hashes.append(h)
-        n = len(stack)
-        for m, top, rotations in windows:
-            if n <= m:
-                break
-            hit = rotations.get((h - hashes[-1 - m] * top) % mod)
-            if hit is not None:
-                rotation, s = hit
-                if "".join(stack[-m:]) == rotation[s : s + m]:
-                    del stack[-m:]
-                    del hashes[-m:]
-                    cancel = True
-                    break
-    return None if len(stack) == len(text) + 1 else "".join(stack)
-
-
 def _tietze_reduce(torsion_input):
-    """The input with relator rotations deleted from its inclusion words and
-    generators eliminated by Tietze moves on its words, or the input itself
-    when nothing is deleted and no move is taken.
+    """The input with its words rewritten by `reduce_words`, or the input
+    itself when nothing is deleted and no move is taken.
 
-    Only relators r that the abelianization kills are used, and the kill
-    test is taken once per relator.  First every subword of an inclusion
-    word that is a cyclic permutation of r's cyclic core or of its inverse
-    is deleted (`_delete_relators`): deleting u r' v -> u v, r' a conjugate
-    of r^+-1, subtracts x^phi(u) dr'/dg = +-(monomial) * dr/dg from the
-    word's Fox column, a multiple of r's column, which stays in the matrix,
-    so the determinant does not change at all.  Relators are left as given.
-
-    Then a move on a relator r = u g^e v in which g occurs once replaces g
-    by (v u)^-e in the other words (`_eliminate`) and drops g and r.  Moves
-    are tried cheapest first, by (|r| - 1) times the occurrences of g
-    elsewhere, and taken only when the words then hold no more letters than
-    they did after the deletion.  A refused move is not tried again while
-    its relator's text is unchanged.  One generator is always kept, so the
-    matrix is never 0x0.  A move keeps phi of every word, so the relators
-    it rewrites stay killed.
-
-    The abelianization stays the input's.  By the chain rule each reduced
-    Fox column is the input's plus a multiple of r's, without the row of g,
-    where r's column holds the unit u dg^e/dg: the determinant changes by a
-    unit, and the class not at all.  A map built by
-    `abelianize_presentation` kills every relator; a library caller's map
-    need not.
+    The kill test is taken once per relator, and only the relators that the
+    abelianization kills are used.  The abelianization stays the input's.
+    By the chain rule each reduced Fox column is the input's plus a multiple
+    of a killed relator r's, without the row of an eliminated g, where r's
+    column holds the unit u dg^e/dg: the determinant changes by a unit, and
+    the class not at all.  A map built by `abelianize_presentation` kills
+    every relator; a library caller's map need not.
     """
     pres = torsion_input.presentation
     phi = torsion_input.abelianization
-    first = len(torsion_input.inclusion_words)
-    relators = [r.letters for r in pres.relators]
-    # kills[j]: whether phi kills the relator words[first + j]
-    kills = [not any(phi.prefix_exponents(r)[-1]) for r in pres.relators]
-    weights = {(g, e): e * i for i, g in enumerate(pres.generators, 1) for e in (1, -1)}
     inclusion = [w.letters for w in torsion_input.inclusion_words]
-    killed = [r for r, k in zip(relators, kills) if k]
-    words = _delete_relators(inclusion, killed, weights) + relators
-    bound = sum(map(len, words))
-    generators = list(pres.generators)
-    # relator -> {(i, g)}: its moves not refused yet, g = r[i] occurring once in r
-    singles = {}
-    while len(generators) > 1:
-        occurrences = Counter(map(itemgetter(0), chain.from_iterable(words)))
-        moves = []
-        for j in range(first, len(words)):
-            r = words[j]
-            if r not in singles:
-                once = Counter(map(itemgetter(0), r)) if kills[j - first] else {}
-                singles[r] = {(i, g) for i, (g, _) in enumerate(r) if once.get(g) == 1}
-            weight = len(r) - 1
-            moves += [(weight * (occurrences[g] - 1), j, i, g) for i, g in singles[r]]
-        for _, j, i, g in sorted(moves):
-            reduced = _eliminate(words, j, i, bound)
-            if reduced is not None:
-                break
-            singles[words[j]].discard((i, g))
-        else:
-            break
-        generators.remove(g)
-        del kills[j - first]
-        words = reduced
+    kills = [not any(phi.prefix_exponents(r)[-1]) for r in pres.relators]
+    relators = [r.letters for r in pres.relators]
+    generators, words, relators = reduce_words(pres.generators, inclusion, relators, kills)
     if len(generators) < len(pres.generators):
-        pres = Presentation(generators, [Word._from_reduced(w) for w in words[first:]])
-    if pres is not torsion_input.presentation or words[:first] != inclusion:
-        torsion_input = TorsionInput(pres, [Word._from_reduced(w) for w in words[:first]], phi)
+        pres = Presentation(generators, [Word._from_reduced(r) for r in relators])
+    if pres is not torsion_input.presentation or words != inclusion:
+        torsion_input = TorsionInput(pres, [Word._from_reduced(w) for w in words], phi)
     return torsion_input
 
 

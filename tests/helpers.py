@@ -666,7 +666,7 @@ def reference_smith_normal_form(matrix):
     return [A[i][i] for i in range(min(m, n))], U
 
 
-# An algebraic certificate for `torsion._delete_relators`, which shares no code
+# An algebraic certificate for `words._delete_relators`, which shares no code
 # with its scan: the Fox matrix evaluated at a point of (F_p^*)^r.
 
 FOX_PRIME = 2**61 - 1
@@ -727,6 +727,28 @@ def fox_determinant_at(columns, generators, images, point):
     return fox_rank_and_determinant_at(columns, generators, images, point)[1]
 
 
+class _CheckedSlice(str):
+    """A slice of a rotation's text that counts, into ``counts``, the
+    letter checks it fails: compared with the window's text, its ``__eq__``
+    runs first, as that of a subclass of the left operand's type."""
+
+    def __eq__(self, other):
+        equal = str.__eq__(self, other)
+        self.counts["mismatches"] += equal is False
+        return equal
+
+    __hash__ = str.__hash__
+
+
+class _CheckedText(str):
+    """A rotation's text whose slices are `_CheckedSlice`."""
+
+    def __getitem__(self, key):
+        piece = _CheckedSlice(str.__getitem__(self, key))
+        piece.counts = self.counts
+        return piece
+
+
 class _CountedLookups(dict):
     """A rotation table that counts its ``get`` calls, and the hits that a
     letter check follows, into ``counts``."""
@@ -744,20 +766,28 @@ def count_window_lookups(monkeypatch, module, name):
     """Count, for as long as the monkeypatch lasts, the windows that the scan
     ``module.name(word, windows, ...)`` looks up: its tables count their
     lookups, one per window hashed, and their hits, each of which compares
-    letters.  ``counts["bound"]`` sums, over the scans, the windows of each
-    length m that the word holds, len(word) - m + 1: a scan that looks up
-    a window of length m once per letter pushed, and only when its stack
+    letters, and ``counts["mismatches"]`` counts the hits whose letters do
+    not match.  ``counts["bound"]`` sums, over the scans, the windows of
+    each length m that the word holds, len(word) - m + 1: a scan that looks
+    up a window of length m once per letter pushed, and only when its stack
     holds m letters, that is at the word's m-th letter or later, never
     exceeds it.  ``counts["scans"]`` counts the scans, and
     ``counts["deleting"]`` those that deleted something.  Each table is
     copied once per scan, so only the scans' own lookups are counted."""
     scan = getattr(module, name)
-    counts = {"windows": 0, "hits": 0, "bound": 0, "scans": 0, "deleting": 0}
+    counts = {"windows": 0, "hits": 0, "mismatches": 0, "bound": 0, "scans": 0, "deleting": 0}
+    texts = {}  # a rotation's text -> its `_CheckedText`
+
+    def checked(text):
+        if text not in texts:
+            texts[text] = _CheckedText(text)
+            texts[text].counts = counts
+        return texts[text]
 
     def counted(word, windows, *args):
         tables = []
         for m, top, rotations in windows:
-            table = _CountedLookups(rotations)
+            table = _CountedLookups({h: (checked(t), s) for h, (t, s) in rotations.items()})
             table.counts = counts
             tables.append((m, top, table))
         counts["bound"] += sum(max(0, len(word) - m + 1) for m, _, _ in windows)

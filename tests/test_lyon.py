@@ -4,15 +4,19 @@ from foxtorsion import (
     AbelianizationMap,
     LaurentPoly,
     TorsionClass,
+    abelianize_presentation,
     parse_word,
     sutured_torsion,
 )
 from foxtorsion._kernels import mul_terms
 from foxtorsion.groupring import fox_derivative
 from foxtorsion.lyon import (
+    SURFACES,
     LyonCase,
     expected_torsion,
+    lyon_basis,
     lyon_input,
+    lyon_presentation,
     lyon_surface_words,
 )
 from foxtorsion.torsion import det_cofactor, torsion_normal_form
@@ -31,6 +35,14 @@ def test_case_validation():
         LyonCase(-2, "S")
     with pytest.raises(ValueError):
         LyonCase(0, "T")
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_the_lyon_basis_is_accepted_verbatim(surface):
+    # lyon_input trusts the basis, so the validation it skips runs here
+    basis = lyon_basis(surface)
+    assert abelianize_presentation(lyon_presentation(surface), basis) is basis
+    assert lyon_input(7, surface).abelianization == basis
 
 
 def test_input_at_zero():

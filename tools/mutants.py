@@ -22,56 +22,58 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TORSION = "src/foxtorsion/torsion.py"
+WORDS = "src/foxtorsion/words.py"
 ABELIAN = "src/foxtorsion/abelian.py"
 CONTRACT = "tests/test_torsion.py::test_the_deletion_keeps_its_contract_on_"
 ONE_SORT = "tests/test_abelian.py::test_one_sort_serves_terms_and_rendering"
+REDUCED_CLASS = "tests/test_torsion.py::test_reduced_words_give_the_class_of_the_unreduced_matrix"
 
 MUTANTS = [
     (
         "no cancel after a deletion",
-        TORSION,
+        WORDS,
         "cancel = True",
         "cancel = False",
         CONTRACT + "padded_inputs",
     ),
     (
         "a hit taken without its letter check",
-        TORSION,
+        WORDS,
         'if "".join(stack[-m:]) == rotation[s : s + m]:',
         "if True:",
         CONTRACT + "padded_inputs",
     ),
     (
         "one letter cancelled too many after a deletion",
-        TORSION,
+        WORDS,
         "del stack[-m:]\n                    del hashes[-m:]",
         "del stack[max(1, n - m - 1) :]\n                    del hashes[max(1, n - m - 1) :]",
         CONTRACT + "padded_inputs",
     ),
     (
         "the shortest window length skipped",
-        TORSION,
+        WORDS,
         "for m, top, rotations in windows:",
         "for m, top, rotations in windows[1:]:",
         CONTRACT + "padded_inputs",
     ),
     (
         "no second scan after a deletion",
-        TORSION,
+        WORDS,
         "if scanned is None:\n                break\n            left = scanned",
         "if scanned is not None:\n                left = scanned\n            break",
         CONTRACT + "random_long_words",
     ),
     (
         "the kill test ignored",
-        TORSION,
+        WORDS,
         "killed = [r for r, k in zip(relators, kills) if k]",
         "killed = relators",
         "tests/test_torsion.py::test_deleting_relator_rotations_keeps_the_determinant",
     ),
     (
         "every window length looked up at every letter",
-        TORSION,
+        WORDS,
         "if n <= m:\n                break\n"
         "            hit = rotations.get((h - hashes[-1 - m] * top) % mod)",
         "hit = rotations.get((h - hashes[max(0, n - 1 - m)] * top) % mod)",
@@ -79,11 +81,46 @@ MUTANTS = [
     ),
     (
         "each text scanned twice",
-        TORSION,
-        "scanned = _delete_rotations(left, windows, text_weights, base, mod, inverse)",
-        "_delete_rotations(left, windows, text_weights, base, mod, inverse)\n"
-        "            scanned = _delete_rotations(left, windows, text_weights, base, mod, inverse)",
+        WORDS,
+        "scanned = _delete_rotations(left, windows, base, mod, inverse)",
+        "_delete_rotations(left, windows, base, mod, inverse)\n"
+        "            scanned = _delete_rotations(left, windows, base, mod, inverse)",
         "tests/test_torsion.py::test_relator_deletion_hashes_no_more_windows_than_the_letter_scan",
+    ),
+    (
+        "every letter hashed alike",
+        WORDS,
+        "h = (hashes[-1] * base + ord(c)) % mod",
+        "h = (hashes[-1] * base + 1) % mod",
+        CONTRACT + "padded_inputs",
+    ),
+    (
+        "a Tietze move's inverse image not inverted",
+        WORDS,
+        "(g, e): [(h, -sign) for h, sign in reversed(vu)]",
+        "(g, e): vu",
+        REDUCED_CLASS,
+    ),
+    (
+        "u and v swapped in a Tietze move's image",
+        WORDS,
+        "vu = list(r[i + 1 :])\n    _push_reduced(vu, r[:i])",
+        "vu = list(r[:i])\n    _push_reduced(vu, r[i + 1 :])",
+        REDUCED_CLASS,
+    ),
+    (
+        "moves on relators the map does not kill",
+        WORDS,
+        "once = Counter(map(itemgetter(0), r)) if kills[j - first] else {}",
+        "once = Counter(map(itemgetter(0), r))",
+        REDUCED_CLASS,
+    ),
+    (
+        "the Fox prefix index off by one",
+        TORSION,
+        "k = prefix[s + len(u.letters)]",
+        "k = prefix[s + len(u.letters) - 1]",
+        "tests/test_torsion.py::test_fox_columns_satisfy_the_fundamental_formula",
     ),
     (
         "the packed field width one bit short",
