@@ -324,13 +324,8 @@ class LaurentPoly:
         return LaurentPoly._raw(self.rank, unpack(quot, shifts, width))
 
     def sorted_terms(self):
-        """(exponents, coefficient) pairs in graded-lex order: the exponents
-        sorted once in lex order, then stably by degree, so that the terms of
-        one degree keep their lex order (`cli._torsion_body` takes the same
-        two steps and keeps the lex list as the support)."""
-        order = sorted(self.terms)
-        order.sort(key=sum)
-        return list(zip(order, map(self.terms.__getitem__, order)))
+        """(exponents, coefficient) pairs in graded-lex order (`graded_lex`)."""
+        return graded_lex(self.terms)[1]
 
     def render(self, names):
         """`render_terms` of `sorted_terms` with the given variable names."""
@@ -341,6 +336,24 @@ class LaurentPoly:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.rank)]
         return f"LaurentPoly[{self.rank}]({self.render(names)})"
+
+
+def graded_lex(terms):
+    """A term dict's exponents in lex order, and its (exponents, coefficient)
+    pairs in graded-lex order: by degree, then lex.  The exponents are sorted
+    once, and a copy of that list stably by degree, so that the terms of one
+    degree keep their lex order.  Both lists hold the dict's own exponent
+    tuples."""
+    lex = sorted(terms)
+    order = lex.copy()
+    order.sort(key=sum)
+    return lex, list(zip(order, map(terms.__getitem__, order)))
+
+
+def graded_lex_least(terms):
+    """The graded-lex smallest exponents of a nonempty term dict, the first
+    of `graded_lex`'s pairs, by one decorated min."""
+    return min(zip(map(sum, terms), terms))[1]
 
 
 def render_terms(terms, names):

@@ -26,7 +26,7 @@ import json
 import re
 import sys
 
-from .abelian import AbelianizationMap, abelianize_presentation, render_terms
+from .abelian import AbelianizationMap, abelianize_presentation, graded_lex, render_terms
 from .errors import (
     FoxTorsionError,
     InputEncodingError,
@@ -197,31 +197,25 @@ def _polygon_dict(polygon):
 def _terms_section(ordered, names):
     """A graded-lex term list, as `LaurentPoly.sorted_terms` gives it, and its
     rendering."""
-    terms = [[list(exps), coeff] for exps, coeff in ordered]
-    return {"terms": terms, "rendered": render_terms(ordered, names)}
+    return {"terms": ordered, "rendered": render_terms(ordered, names)}
 
 
 def _torsion_body(tclass, names):
     """The report's torsion section, and the class's Newton polygon (None for
-    the zero class and in rank > 2) for the caller to reuse.  The
-    representative's exponents are sorted once, in lex order, which is the
-    support's order; a stable sort of that list by degree gives the terms in
-    graded-lex order, the two steps of `LaurentPoly.sorted_terms`."""
-    terms = tclass.representative.terms
-    lex = sorted(terms)
-    order = lex.copy()
-    order.sort(key=sum)
+    the zero class and in rank > 2) for the caller to reuse.  The terms and
+    the support are the two lists of `graded_lex`, written as they are."""
+    lex, ordered = graded_lex(tclass.representative.terms)
     body = {
         "variables": list(names),
-        **_terms_section(list(zip(order, map(terms.__getitem__, order))), names),
+        **_terms_section(ordered, names),
         "coefficient_sum": tclass.coefficient_sum(),
         "centrally_symmetric": tclass.is_centrally_symmetric(),
+        "support": lex,
     }
     if tclass.is_zero:
-        body.update(support=[], polygon=None, sfh_polytope=None)
+        body.update(polygon=None, sfh_polytope=None)
         return body, None
     points = support(tclass)
-    body["support"] = [list(p) for p in lex]
     try:
         hull = newton_polytope(points)
     except RankUnsupported:

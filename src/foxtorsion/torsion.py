@@ -35,7 +35,7 @@ from itertools import chain
 from operator import itemgetter, sub
 
 from ._kernels import div_binomial, iadd_product, pack, unpack
-from .abelian import AbelianizationMap, LaurentPoly
+from .abelian import AbelianizationMap, LaurentPoly, graded_lex_least
 from .errors import (
     InexactDivision,
     InputTooLarge,
@@ -119,14 +119,14 @@ class TorsionClass:
 
 def _normalize(poly):
     """Shift to minimum exponent 0 and make the graded-lex smallest coefficient
-    positive.  Graded-lex order is translation invariant, so a decorated min
-    finds that term before the shift.  The shift is taken one coordinate
-    column at a time, each column less its minimum, zipped back into
-    tuples."""
+    positive.  Graded-lex order is translation invariant, so
+    `graded_lex_least` finds that term before the shift.  The shift is taken
+    one coordinate column at a time, each column less its minimum, zipped
+    back into tuples."""
     terms = poly.terms
     if not terms:
         return poly
-    _, smallest = min(zip(map(sum, terms), terms))
+    smallest = graded_lex_least(terms)
     values = terms.values() if terms[smallest] > 0 else [-c for c in terms.values()]
     columns = list(zip(*terms))
     low = list(map(min, columns))

@@ -600,14 +600,25 @@ def test_family_reports_a_mismatching_oracle_with_its_own_terms(capsys, monkeypa
     code, report, _ = run(capsys, "family", "--n", "7", "--surface", "S")
     assert code == 0
     assert report["oracle_match"] is False
-    assert report["torsion"] == computed["torsion"]
+    # the printed text is the contract: the report holds tuples where JSON
+    # gives back lists
+    assert json.dumps(report["torsion"]) == json.dumps(computed["torsion"])
     names = report["torsion"]["variables"]
     terms = sorted(other.representative.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-    assert report["expected"] == {
-        "rendered": other.render(names),
-        "terms": [[list(e), c] for e, c in terms],
-    }
+    assert json.dumps(report["expected"]) == json.dumps(
+        {"rendered": other.render(names), "terms": [[list(e), c] for e, c in terms]}
+    )
     assert report["expected"]["terms"] != report["torsion"]["terms"]
+
+
+def test_the_torsion_section_writes_the_representatives_own_exponents():
+    """At n = 150 the section's terms and support hold the representative's
+    exponent tuples themselves, 1,806 of them, with no per-term copy."""
+    tclass = sutured_torsion(lyon_input(150, "S"))
+    body, _ = cli._torsion_body(tclass, ("a", "u"))
+    own = set(map(id, tclass.representative.terms))
+    assert len(own) == 1806
+    assert {id(e) for e, _ in body["terms"]} == own == set(map(id, body["support"]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,7 +649,7 @@ def test_the_torsion_section_matches_the_references(poly):
         "support": [list(p) for p in points],
     }
     assert list(body) == [*expected, "polygon", "sfh_polytope"]
-    assert {key: body[key] for key in expected} == expected
+    assert json.dumps({key: body[key] for key in expected}) == json.dumps(expected)
     if not points:
         assert (body["polygon"], body["sfh_polytope"], hull) == (None, None, None)
     elif rep.rank == 3:

@@ -162,6 +162,89 @@ def test_the_oracle_multiplies_before_it_divides(monkeypatch, surface):
         assert len(pairs) == 1 and pairs[0] <= 8 * 3, (n, pairs)
 
 
+# Each inclusion word of `lyon_surface_words` as (pre, v, post), the word
+# pre v^k post with k = n + 1; the second word's period is the first's
+# inverse in homology.
+POWER_WORDS = {
+    "S": (("", "a b^-1", "b^2"), ("b a", "b a^-1", "")),
+    "Sprime": (("a", "b a^-1", ""), ("", "a b^-1", "a b^2")),
+}
+
+# The closed form with T = V^k, V the image of the first word's period:
+# (prefactor, denominator, N), where N(T) is the numerator first - second
+# of `expected_torsion` with u^{3k} (x^{3k} on Sprime) factored out,
+# first * T - second on S and first - second * T on Sprime.
+CLOSED_FORM = {
+    "S": (
+        {(0, 0, 0): 1, (0, 2, 0): 1, (0, 4, 0): 1},
+        {(2, 0, 0): 1, (0, 3, 0): -1},
+        {(2, 0, 1): 1, (1, 3, 1): 1, (1, 6, 1): 1, (0, 6, 1): 1,
+         (3, 0, 0): -1, (2, 0, 0): -1, (2, 3, 0): -1, (1, 6, 0): -1},
+    ),
+    "Sprime": (
+        {(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1},
+        {(0, 3, 0): 1, (4, 0, 0): -1},
+        {(5, 0, 0): 1, (4, 0, 0): 1, (3, 0, 0): 1, (2, 3, 0): 1,
+         (3, 0, 1): -1, (2, 3, 1): -1, (1, 3, 1): -1, (0, 3, 1): -1},
+    ),
+}
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_the_closed_form_holds_at_every_n(surface):
+    """One rank-3 determinant, in (a, u, T) or (b, x, T), covers every n.
+
+    By Fox's power rule, the column of w = pre v^k post times V - 1, V the
+    image of v, is (V - 1) d(pre) + phi(pre) (T - 1) dv + phi(pre) T (V - 1)
+    d(post) with T = V^k; the second word's period is V^-1, so it takes T^-1.
+    Substituting T = V^k is a ring map, so the identity D(T) * denominator =
+    +-monomial * (V_alpha - 1)(V_beta - 1) * prefactor * N(T) of Laurent
+    polynomials in three variables gives the closed form at every k.  The
+    substitution at k = 0 ... 29 ties D to `expected_torsion` and to the
+    pipeline."""
+    gens = ("a", "b", "x")
+    basis = lyon_basis(surface)
+    phi = AbelianizationMap(3, {g: (*v, 0) for g, v in basis.images.items()})
+    (V,) = phi(parse_word(POWER_WORDS[surface][0][1], gens)).terms
+    columns, binomials = [], []
+    for pre, v, post in POWER_WORDS[surface]:
+        pre, v, post = (parse_word(w, gens) for w in (pre, v, post))
+        (own,) = phi(v).terms
+        t = 1 if own == V else -1
+        assert own == tuple(t * e for e in V)
+        minus_one = LaurentPoly(3, {own: 1, (0, 0, 0): -1})
+        T = LaurentPoly(3, {(0, 0, t): 1})
+        at_pre = phi(pre)
+        columns.append([
+            minus_one * phi(fox_derivative(pre, g))
+            + at_pre * (T - 1) * phi(fox_derivative(v, g))
+            + at_pre * T * minus_one * phi(fox_derivative(post, g))
+            for g in gens
+        ])
+        binomials.append(minus_one)
+    (relator,) = lyon_presentation(surface).relators
+    columns.append([phi(fox_derivative(relator, g)) for g in gens])
+    D = det_cofactor([list(row) for row in zip(*columns)])
+
+    prefactor, denominator, N = (LaurentPoly(3, terms) for terms in CLOSED_FORM[surface])
+    alpha_minus_one, beta_minus_one = binomials
+    assert TorsionClass(D * denominator) == TorsionClass(
+        alpha_minus_one * beta_minus_one * prefactor * N
+    )
+
+    for k in range(30):
+        case = LyonCase(k - 1, surface)
+        words = tuple(
+            parse_word(f"{pre} ({v})^{k} {post}", gens) for pre, v, post in POWER_WORDS[surface]
+        )
+        assert words == lyon_surface_words(case)
+        at_k = [(1, 0), (0, 1), tuple(k * e for e in V[:2])]
+        det_m = substitute(D, at_k)
+        for binomial in binomials:
+            det_m = det_m.exact_div(substitute(binomial, at_k))
+        assert TorsionClass(det_m) == expected_torsion(case) == sutured_torsion(lyon_input(case))
+
+
 def test_primed_torsion_centrally_symmetric_in_checked_range():
     # justifies reading the positive-side computation as the torsion itself
     for n in (-1, 0):

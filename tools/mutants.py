@@ -1,6 +1,7 @@
 """A catalogue of mutants of src/ that the suite must kill, and its runner.
 
-Each entry is (name, file, original text, mutated text, pytest selection).
+Each entry is (name, file, original text, mutated text, pytest selection);
+a selection of several node ids separates them by spaces.
 The runner copies the checkout's src/, tests/, perfbench/ and pyproject.toml
 into a temporary directory, replaces the original text, which must occur in
 the file exactly once, by the mutated text, and runs the selection there
@@ -24,8 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TORSION = "src/foxtorsion/torsion.py"
 WORDS = "src/foxtorsion/words.py"
 ABELIAN = "src/foxtorsion/abelian.py"
+CLI = "src/foxtorsion/cli.py"
+LYON = "src/foxtorsion/lyon.py"
 CONTRACT = "tests/test_torsion.py::test_the_deletion_keeps_its_contract_on_"
 ONE_SORT = "tests/test_abelian.py::test_one_sort_serves_terms_and_rendering"
+SECTION = "tests/test_cli.py::test_the_torsion_section_matches_the_references"
+CLOSED_FORM = "tests/test_lyon.py::test_the_closed_form_holds_at_every_n"
 REDUCED_CLASS = "tests/test_torsion.py::test_reduced_words_give_the_class_of_the_unreduced_matrix"
 
 MUTANTS = [
@@ -139,16 +144,16 @@ MUTANTS = [
     (
         "the degree sort of the terms dropped",
         ABELIAN,
-        "order.sort(key=sum)\n        return",
+        "order.sort(key=sum)\n    return",
         "return",
-        ONE_SORT,
+        ONE_SORT + " " + SECTION,
     ),
     (
-        "the degree sort of the report's terms dropped",
-        "src/foxtorsion/cli.py",
-        "order = lex.copy()\n    order.sort(key=sum)",
-        "order = lex.copy()",
-        "tests/test_cli.py::test_the_torsion_section_matches_the_references",
+        "support written in graded order",
+        CLI,
+        '"support": lex,',
+        '"support": [e for e, _ in ordered],',
+        SECTION,
     ),
     (
         "exponent 1 rendered as ^1",
@@ -158,8 +163,43 @@ MUTANTS = [
         ONE_SORT,
     ),
     (
+        "the no-growth check of the Tietze moves removed",
+        WORDS,
+        "reduced = _eliminate(words, j, i, bound)",
+        'reduced = _eliminate(words, j, i, float("inf"))',
+        "tests/test_torsion.py::test_refused_moves_write_letters_linear_in_the_input",
+    ),
+    (
+        "the [basis] path skips the H_1 factor loop",
+        ABELIAN,
+        "for d in factors:\n        if d > 1:",
+        "for d in factors if user_basis is None else ():\n        if d > 1:",
+        "tests/test_abelian.py::test_both_paths_refuse_a_finite_factor_of_h1_alike",
+    ),
+    (
+        "a coefficient of the closed form's first term changed",
+        LYON,
+        "[((2, 0), 1), ((1, 3), 1), ((1, 6), 1), ((0, 6), 1)]",
+        "[((2, 0), 1), ((1, 3), 2), ((1, 6), 1), ((0, 6), 1)]",
+        CLOSED_FORM,
+    ),
+    (
+        "the shift 3n + 3 read as 3n",
+        LYON,
+        ").shifted((0, 3 * n + 3))\n    else:",
+        ").shifted((0, 3 * n))\n    else:",
+        CLOSED_FORM,
+    ),
+    (
+        "a prefactor term dropped",
+        LYON,
+        "prefactor = _poly2([((0, 0), 1), ((0, 2), 1), ((0, 4), 1)])",
+        "prefactor = _poly2([((0, 0), 1), ((0, 2), 1)])",
+        CLOSED_FORM,
+    ),
+    (
         "the oracle's product taken after the division",
-        "src/foxtorsion/lyon.py",
+        LYON,
         "((first - second) * prefactor).exact_div(denominator)",
         "(first - second).exact_div(denominator) * prefactor",
         "tests/test_lyon.py::test_the_oracle_multiplies_before_it_divides",
@@ -200,7 +240,7 @@ def pytest_in_copy(selection, file=None, text=None):
         if file is not None:
             (copy / file).write_text(text, encoding="utf-8")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", selection]
+                   "--hypothesis-seed=0", *selection.split()]
         done = subprocess.run(command, cwd=copy, capture_output=True, text=True)
     if done.returncode not in (0, 1):
         sys.exit(f"pytest exited {done.returncode} on {selection}\n{done.stdout}{done.stderr}")
